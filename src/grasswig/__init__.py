@@ -34,6 +34,7 @@ from .extension import (
     TraceFormReport,
     check_trace_form,
     combination_coefficients,
+    extend_frame,
     extend_to_hermitian,
     extend_to_rank1,
     rank1_combination,

@@ -2,12 +2,15 @@
 
 A map defined only on rank-n projections extends uniquely, by real
 linearity, to the span of those projections, which for d > n is every
-Hermitian matrix.  The route goes through rank-1 projections: any dyad
-``u u*`` is a fixed real combination of n+1 rank-n projections living
-under a common rank-(n+1) projection, with closed-form coefficients
-``1/n`` (and ``1/n - 1`` on the distinguished one).  Extending a map this
-way is what lets the reconstruction pipeline read off the image of every
-basis dyad even though the map itself never sees a rank-1 input.
+Hermitian matrix.  The route goes through rank-1 projections and a shared
+envelope: any n+1 orthonormal vectors ``u_k`` (a *frame*) span the rank-(n+1)
+projection ``E = sum u_k u_k*``, each ``P_k = E - u_k u_k*`` has rank n, and
+``u_k u_k* = (1/n) sum_j P_j - P_k``.  So n+1 oracle evaluations give the
+images of all n+1 dyads of a frame (``extend_frame``); the image of a single
+dyad is the first image of the frame completing its vector
+(``extend_to_rank1``).  Extending a map this way is what lets the
+reconstruction pipeline read off the image of every basis dyad even though
+the map itself never sees a rank-1 input.
 """
 
 from __future__ import annotations
@@ -111,7 +114,8 @@ def combination_coefficients(n: int) -> np.ndarray:
 
 
 def complete_orthonormal(u: np.ndarray, count: int, tol: ToleranceConfig = DEFAULT_TOL) -> list[np.ndarray]:
-    """Extend a unit vector to ``count`` orthonormal vectors, deterministically.
+    """Extend a unit vector, or the orthonormal columns of a matrix, to
+    ``count`` orthonormal vectors, deterministically.
 
     Candidates are the standard basis vectors in index order; any whose
     residual after orthogonalization falls below ``rank_tol`` is skipped.
@@ -119,7 +123,7 @@ def complete_orthonormal(u: np.ndarray, count: int, tol: ToleranceConfig = DEFAU
     certificates reproducible.
     """
     d = u.shape[0]
-    vectors = [u]
+    vectors = [u] if u.ndim == 1 else list(u.T)
     for j in range(d):
         if len(vectors) == count:
             break
@@ -137,13 +141,8 @@ def complete_orthonormal(u: np.ndarray, count: int, tol: ToleranceConfig = DEFAU
     return vectors
 
 
-def rank1_combination(u, rank: int, tol: ToleranceConfig = DEFAULT_TOL) -> CombinationCertificate:
-    """Express the dyad ``u u*`` as a real combination of rank-n projections.
-
-    Completes u to n+1 orthonormal vectors u_1..u_{n+1}, forms
-    ``E = sum u_k u_k*`` and ``P_k = E - u_k u_k*`` (each of rank n), and
-    uses the closed-form coefficients.  Requires d >= n + 1.
-    """
+def _unit_frame(u, rank: int, tol: ToleranceConfig) -> list[np.ndarray]:
+    """The frame of n+1 orthonormal vectors that starts with the unit vector u."""
     u = np.asarray(u, dtype=np.complex128).reshape(-1)
     d = u.shape[0]
     if d < rank + 1 or rank < 1:
@@ -151,9 +150,19 @@ def rank1_combination(u, rank: int, tol: ToleranceConfig = DEFAULT_TOL) -> Combi
     norm = float(np.linalg.norm(u))
     if abs(norm - 1.0) > tol.eq_tol:
         raise NotUnit(f"||u|| = {norm!r} is not 1 within {tol.eq_tol:.1e}")
-    vectors = complete_orthonormal(u / norm, rank + 1, tol)
+    return complete_orthonormal(u / norm, rank + 1, tol)
+
+
+def rank1_combination(u, rank: int, tol: ToleranceConfig = DEFAULT_TOL) -> CombinationCertificate:
+    """Express the dyad ``u u*`` as a real combination of rank-n projections.
+
+    Completes u to n+1 orthonormal vectors u_1..u_{n+1}, forms
+    ``E = sum u_k u_k*`` and ``P_k = E - u_k u_k*`` (each of rank n), and
+    uses the closed-form coefficients.  Requires d >= n + 1.
+    """
+    vectors = _unit_frame(u, rank, tol)
     dyads = [np.outer(v, v.conj()) for v in vectors]
-    envelope = np.zeros((d, d), dtype=np.complex128)
+    envelope = np.zeros_like(dyads[0])
     for dy in dyads:
         envelope += dy
     projections = [Projection(envelope - dy, rank=rank, tol=tol) for dy in dyads]
@@ -161,24 +170,47 @@ def rank1_combination(u, rank: int, tol: ToleranceConfig = DEFAULT_TOL) -> Combi
     return CombinationCertificate(combination_coefficients(rank), projections, target)
 
 
-def extend_to_rank1(phi: RankNMap, u, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Image of the dyad ``u u*`` under the real-linear extension of ``phi``.
+def extend_frame(phi: RankNMap, frame, tol: ToleranceConfig = DEFAULT_TOL) -> list[np.ndarray]:
+    """Images of the n+1 dyads ``u_k u_k*`` of a frame under the real-linear
+    extension of ``phi``, from one oracle evaluation per dyad.
 
-    The result is Hermitian with trace 1 by construction (every summand has
-    trace n and the coefficients sum to 1/n); a violation means the oracle
-    itself is broken, not merely non-preserving.
+    ``frame`` is a d-by-(n+1) matrix with orthonormal columns ``u_k``.  Each
+    ``P_k = E - u_k u_k*`` under the shared envelope ``E = sum u_k u_k*`` is
+    evaluated once, and the image of ``u_k u_k*`` is
+    ``(1/n) sum_j phi(P_j) - phi(P_k)``: the coefficients of
+    ``combination_coefficients`` with ``u_k`` as the distinguished vector.
+
+    Every image is Hermitian with trace 1 by construction (each summand has
+    trace n); a violation means the oracle itself is broken, not merely
+    non-preserving.
+    """
+    u = np.asarray(frame, dtype=np.complex128)
+    d, n = phi.ambient_dim, phi.rank
+    if u.shape != (d, n + 1):
+        raise BadRank(f"frame has shape {u.shape}, map needs {d}x{n + 1} orthonormal columns")
+    defect = frobenius(u.conj().T @ u - np.eye(n + 1))
+    if defect > tol.eq_tol:
+        raise NotUnit(f"frame columns are not orthonormal (defect {defect:.3e})")
+    dyads = [np.outer(col, col.conj()) for col in u.T]
+    envelope = u @ u.conj().T
+    evaluated = [phi.evaluate(Projection(envelope - dy, rank=n, tol=tol)).matrix for dy in dyads]
+    mean = sum(evaluated) / n
+    images = [mean - image for image in evaluated]
+    for k, image in enumerate(images):
+        trace = complex(image.trace())
+        if abs(trace - 1.0) > tol.spec_tol:
+            raise InternalInconsistency(f"extension trace {trace!r} of frame dyad {k} differs from 1")
+    return images
+
+
+def extend_to_rank1(phi: RankNMap, u, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+    """Image of the dyad ``u u*`` under the real-linear extension of ``phi``:
+    the first image of ``extend_frame`` on the frame completing u.
     """
     u = np.asarray(u, dtype=np.complex128).reshape(-1)
     if u.shape[0] != phi.ambient_dim:
         raise BadRank(f"vector lives in dim {u.shape[0]}, map expects {phi.ambient_dim}")
-    cert = rank1_combination(u, phi.rank, tol)
-    out = np.zeros((phi.ambient_dim, phi.ambient_dim), dtype=np.complex128)
-    for lam, p in zip(cert.coefficients, cert.projections):
-        out = out + lam * phi.evaluate(p).matrix
-    trace = complex(out.trace())
-    if abs(trace - 1.0) > tol.spec_tol:
-        raise InternalInconsistency(f"extension trace {trace!r} differs from 1")
-    return out
+    return extend_frame(phi, np.column_stack(_unit_frame(u, phi.rank, tol)), tol)[0]
 
 
 def extend_to_hermitian(phi: RankNMap, a, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:

@@ -2,12 +2,16 @@
 
 Given an oracle sending rank-n projections to rank-n projections, the
 pipeline (1) screens it for angle preservation on random pairs, (2) pushes
-the standard basis dyads through the real-linear extension, (3) branches
-on the shape of those images: genuine rank-1 projections lead to phase
-assembly of a candidate unitary and a linear-vs-conjugate-linear probe,
+the basis dyads ``e_i e_i*`` and the chain links ``(e_{j-1} + e_j)/sqrt(2)``
+and ``(e_{j-1} + i e_j)/sqrt(2)`` through the real-linear extension, n+1
+dyads per shared-envelope frame (``extend_frame``), (3) branches on the
+shape of those images: genuine rank-1 projections lead to phase assembly of
+a candidate unitary, each column's phase fixed against its predecessor
+along the chain, and a linear-vs-conjugate-linear probe on the same links,
 while images of the form ``(1/n) I - (rank-1 projection)`` at d = 2n lead
-to the complement-composed family, and (4) verifies the candidate on fresh
-random samples before accepting it.
+to the complement-composed family, read off the same images through
+``ext_{I - phi}(uu*) = I/n - ext_phi(uu*)``, and (4) verifies the
+candidate on fresh random samples before accepting it.
 
 Anything that passes screening but fits neither family is reported as
 ``preserving_unclassified`` rather than guessed at: at d = 2n with n > 1 a
@@ -22,7 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import BadRank, NotAProjection
-from .extension import RankNMap, extend_to_rank1
+from .extension import RankNMap, complete_orthonormal, extend_frame
 from .linalg import REAL, as_complex, frobenius, hermitian_eig
 from .projections import Projection, sample_projection
 from .tolerances import DEFAULT_TOL, ToleranceConfig
@@ -235,93 +239,163 @@ def _structural_tol(cfg: ReconstructionConfig, tol: ToleranceConfig) -> Toleranc
     )
 
 
+def _frame_images(phi: RankNMap, vectors: list[np.ndarray], tol: ToleranceConfig) -> list[np.ndarray]:
+    """Extension images of mutually orthonormal vectors, n+1 per frame.
+
+    The last frame is completed deterministically by
+    ``complete_orthonormal``; the images of its padding are dropped.
+    """
+    size = phi.rank + 1
+    images: list[np.ndarray] = []
+    for start in range(0, len(vectors), size):
+        chunk = np.column_stack(vectors[start : start + size])
+        frame = np.column_stack(complete_orthonormal(chunk, size, tol))
+        images.extend(extend_frame(phi, frame, tol)[: chunk.shape[1]])
+    return images
+
+
+def _link_images(phi: RankNMap, coefficient: complex, tol: ToleranceConfig) -> list[np.ndarray]:
+    """Images of the chain links ``(e_{j-1} + c e_j)/sqrt(2)``, j = 1..d-1,
+    in order of j.
+
+    Links whose j has the same parity have disjoint supports, so each
+    parity is an orthonormal set that packs into frames.
+    """
+    d = phi.ambient_dim
+    links = [(_basis_vector(d, j - 1) + coefficient * _basis_vector(d, j)) / np.sqrt(2.0) for j in range(1, d)]
+    images = list(links)  # same length; every slot is overwritten below
+    images[0::2] = _frame_images(phi, links[0::2], tol)
+    images[1::2] = _frame_images(phi, links[1::2], tol)
+    return images
+
+
+class _DyadImages:
+    """Extension images of the basis dyads and the chain links, each set
+    extended on first use and shared by both passes of ``reconstruct``.
+
+    The complement pass at d = 2n reads them as images under ``I - phi``,
+    ``ext_{I - phi}(uu*) = I/n - ext_phi(uu*)``, instead of extending again.
+    """
+
+    def __init__(self, phi: RankNMap, tol: ToleranceConfig) -> None:
+        self._phi = phi
+        self._tol = tol
+        self._images: dict[str, list[np.ndarray]] = {}
+
+    def get(self, kind: str, complement: bool) -> list[np.ndarray]:
+        """``kind`` is "basis", "superposition" or "probe"."""
+        images = self._images.get(kind)
+        if images is None:
+            d = self._phi.ambient_dim
+            if kind == "basis":
+                images = _frame_images(self._phi, [_basis_vector(d, i) for i in range(d)], self._tol)
+            else:
+                images = _link_images(self._phi, 1j if kind == "probe" else 1.0, self._tol)
+            self._images[kind] = images
+        if complement:
+            shift = np.eye(self._phi.ambient_dim, dtype=np.complex128) / self._phi.rank
+            return [shift - image for image in images]
+        return images
+
+
 def _assemble_candidate(
-    phi: RankNMap,
     lines: list[Projection],
+    links: list[np.ndarray],
     tol: ToleranceConfig,
 ) -> tuple[np.ndarray | None, str]:
     """Wigner phase assembly: stitch the rank-1 images into a unitary.
 
-    Each image fixes its column only up to phase; pushing the superposition
-    dyads ``(e_1 + e_j)/sqrt(2)`` through the extension pins the relative
-    phases against column 1.
+    Each image fixes its column only up to phase; the image of the chain
+    link ``(e_{j-1} + e_j)/sqrt(2)`` pins the phase of column j against
+    column j-1, fixed one step earlier, so every column takes the phase of
+    column 0.
     """
-    d = phi.ambient_dim
     columns = []
     for line in lines:
         _, vecs = hermitian_eig(line.matrix, tol)
         col = vecs[:, -1]
         columns.append(col * _canonical_phase(col))
-    v1 = columns[0]
-    for j in range(1, d):
-        target = (_basis_vector(d, 0) + _basis_vector(d, j)) / np.sqrt(2.0)
-        t_j = extend_to_rank1(phi, target, tol)
-        overlap = 2.0 * complex(v1.conj() @ t_j @ columns[j])
+    for j, link in enumerate(links, start=1):
+        overlap = 2.0 * complex(columns[j - 1].conj() @ link @ columns[j])
         if abs(abs(overlap) - 1.0) > ASSEMBLY_GATE:
-            return None, f"superposition overlap |c_{j}| = {abs(overlap):.6f}, expected 1"
+            return None, (
+                f"link ({j - 1}, {j}) superposition overlap |c| = {abs(overlap):.6f}, "
+                f"expected 1 within {ASSEMBLY_GATE:.0e}"
+            )
         columns[j] = columns[j] * (overlap.conjugate() / abs(overlap))
     v = np.column_stack(columns)
-    unitarity = frobenius(v.conj().T @ v - np.eye(d))
+    unitarity = frobenius(v.conj().T @ v - np.eye(v.shape[1]))
     if unitarity > ASSEMBLY_GATE:
-        return None, f"assembled columns are not unitary (defect {unitarity:.3e})"
+        return None, f"assembled columns are not unitary (defect {unitarity:.3e} > {ASSEMBLY_GATE:.0e})"
     return canonicalize_global_phase(v), ""
 
 
 def _probe_antiunitary(
-    phi: RankNMap,
     v: np.ndarray,
-    cfg: ReconstructionConfig,
-    tol: ToleranceConfig,
+    probes: list[np.ndarray],
+    accept_tol: float,
 ) -> tuple[bool | None, str]:
-    """Decide linear vs conjugate-linear from the ``(e_1 + i e_j)/sqrt(2)`` dyads.
+    """Decide linear vs conjugate-linear from the images of the chain links
+    ``(e_{j-1} + i e_j)/sqrt(2)``: ``(v_{j-1} + i v_j)/sqrt(2)`` for a
+    linear map, ``(v_{j-1} - i v_j)/sqrt(2)`` for a conjugate-linear one.
 
-    Real field: conjugation is invisible, so the answer is always linear.
-    All j must agree on one alternative, else the map is left unclassified.
+    All links must agree on one alternative, else the map is left
+    unclassified.
     """
-    if phi.field == REAL:
-        return False, ""
-    d = phi.ambient_dim
-    votes: set[bool] = set()
-    for j in range(1, d):
-        probe = (_basis_vector(d, 0) + 1j * _basis_vector(d, j)) / np.sqrt(2.0)
-        image = extend_to_rank1(phi, probe, tol)
-        lin = (v[:, 0] + 1j * v[:, j]) / np.sqrt(2.0)
-        con = (v[:, 0] - 1j * v[:, j]) / np.sqrt(2.0)
+    votes = []
+    for j, image in enumerate(probes, start=1):
+        lin = (v[:, j - 1] + 1j * v[:, j]) / np.sqrt(2.0)
+        con = (v[:, j - 1] - 1j * v[:, j]) / np.sqrt(2.0)
         r_lin = frobenius(image - np.outer(lin, lin.conj()))
         r_con = frobenius(image - np.outer(con, con.conj()))
-        if min(r_lin, r_con) > cfg.accept_tol:
-            return None, f"probe dyad {j} matches neither alternative ({r_lin:.3e}, {r_con:.3e})"
-        votes.add(r_con < r_lin)
-        if len(votes) > 1:
-            return None, "probe dyads disagree on linear vs conjugate-linear"
-    return votes.pop(), ""
+        if min(r_lin, r_con) > accept_tol:
+            return None, (
+                f"probe link ({j - 1}, {j}) matches neither alternative "
+                f"(residuals {r_lin:.3e}, {r_con:.3e} > {accept_tol:.1e})"
+            )
+        votes.append(r_con < r_lin)
+        if votes[-1] != votes[0]:
+            return None, f"probe link ({j - 1}, {j}) disagrees with link (0, 1) on linear vs conjugate-linear"
+    return votes[0], ""
 
 
-def _reconstruct_linear(
+def _classify(
     phi: RankNMap,
+    images: _DyadImages,
+    complement: bool,
     cfg: ReconstructionConfig,
     tol: ToleranceConfig,
 ) -> ReconstructionResult:
-    """Linear path: rank-1 images -> phase assembly -> probe -> verification."""
-    d = phi.ambient_dim
+    """Rank-1 basis images -> phase assembly -> probe -> verification.
+
+    With ``complement`` the images are read as those of ``I - phi`` and the
+    candidate is verified in the complement form ``I - V tau(P) V*``.
+    """
     struct_tol = _structural_tol(cfg, tol)
     lines = []
-    for i in range(d):
-        image = extend_to_rank1(phi, _basis_vector(d, i), tol)
+    for i, image in enumerate(images.get("basis", complement)):
         line = _try_projection(image, struct_tol, rank=1)
         if line is None:
             return _unclassified(f"extension image of basis dyad {i} is not a rank-1 projection")
         lines.append(line)
-    v, notes = _assemble_candidate(phi, lines, tol)
+    v, notes = _assemble_candidate(lines, images.get("superposition", complement), tol)
     if v is None:
         return _unclassified(notes)
-    antiunitary, notes = _probe_antiunitary(phi, v, cfg, tol)
-    if antiunitary is None:
-        return _unclassified(notes)
-    residual = verify_conjugation(phi, v, antiunitary, cfg.verify_samples, cfg.seed + 1, tol)
+    # Real field: conjugation is invisible, so the answer is always linear.
+    antiunitary: bool | None = False
+    if phi.field != REAL:
+        antiunitary, notes = _probe_antiunitary(v, images.get("probe", complement), cfg.accept_tol)
+        if antiunitary is None:
+            return _unclassified(notes)
+    if complement:
+        variant, label = VARIANT_EXCEPTIONAL, "complement-composed candidate"
+        residual = _verify_complement_form(phi, v, antiunitary, cfg.verify_samples, cfg.seed + 2, tol)
+    else:
+        variant, label = VARIANT_CONJUGATION, "candidate conjugation"
+        residual = verify_conjugation(phi, v, antiunitary, cfg.verify_samples, cfg.seed + 1, tol)
     if residual > cfg.accept_tol:
-        return _unclassified(f"candidate conjugation fails verification (residual {residual:.3e})")
-    return ReconstructionResult(VARIANT_CONJUGATION, v=v, antiunitary=antiunitary, residual=residual)
+        return _unclassified(f"{label} fails verification (residual {residual:.3e} > {cfg.accept_tol:.1e})")
+    return ReconstructionResult(variant, v=v, antiunitary=antiunitary, residual=residual)
 
 
 def reconstruct(
@@ -352,49 +426,17 @@ def reconstruct(
             discrepancy=report.max_discrepancy,
         )
 
-    linear = _reconstruct_linear(phi, cfg, tol)
-    if linear.variant == VARIANT_CONJUGATION:
+    images = _DyadImages(phi, tol)
+    linear = _classify(phi, images, False, cfg, tol)
+    if linear.accepted or not (d == 2 * n and n > 1):
         return linear
-
-    if d == 2 * n and n > 1:
-        # Complement-composed family: the basis dyad images must all be
-        # (1/n) I - (rank-1 projection); equivalently, the map followed by
-        # the complement must land in the plain conjugation family.
-        struct_tol = _structural_tol(cfg, tol)
-        eye = np.eye(d, dtype=np.complex128)
-        corrected_ok = True
-        for i in range(d):
-            image = extend_to_rank1(phi, _basis_vector(d, i), tol)
-            if _try_projection(eye / n - image, struct_tol, rank=1) is None:
-                corrected_ok = False
-                break
-        if corrected_ok:
-            flipped = RankNMap(
-                d,
-                n,
-                lambda p: Projection(eye - phi.evaluate(p).matrix, rank=n, tol=tol),
-                descriptor=f"complement o {phi.descriptor}",
-                field=phi.field,
-                tol=tol,
-            )
-            inner = _reconstruct_linear(flipped, cfg, tol)
-            if inner.variant == VARIANT_CONJUGATION:
-                residual = _verify_complement_form(
-                    phi, inner.v, inner.antiunitary, cfg.verify_samples, cfg.seed + 2, tol
-                )
-                if residual <= cfg.accept_tol:
-                    return ReconstructionResult(
-                        VARIANT_EXCEPTIONAL,
-                        v=inner.v,
-                        antiunitary=inner.antiunitary,
-                        residual=residual,
-                    )
-                return _unclassified(
-                    f"complement-composed candidate fails verification (residual {residual:.3e})"
-                )
-            return _unclassified("complement-composed images assemble to no conjugation: " + inner.notes)
-
-    return linear
+    # Complement-composed family: the basis dyad images must all be
+    # (1/n) I - (rank-1 projection), i.e. the images under I - phi must
+    # land in the plain conjugation family.
+    exceptional = _classify(phi, images, True, cfg, tol)
+    if exceptional.accepted:
+        return exceptional
+    return _unclassified(f"{linear.notes}; complement-composed pass: {exceptional.notes}")
 
 
 def dualize(phi: RankNMap, tol: ToleranceConfig = DEFAULT_TOL) -> RankNMap:

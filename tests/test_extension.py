@@ -3,12 +3,14 @@ import pytest
 
 from grasswig import (
     BadRank,
+    InternalInconsistency,
     NonHermitian,
     NotUnit,
     Projection,
     RankNMap,
     check_trace_form,
     combination_coefficients,
+    extend_frame,
     extend_to_hermitian,
     extend_to_rank1,
     haar_random_unitary,
@@ -17,6 +19,7 @@ from grasswig import (
     random_subspace,
     sample_projection,
 )
+from grasswig.extension import complete_orthonormal
 from grasswig.linalg import REAL, frobenius
 from grasswig.maps import MapSpec, instantiate
 
@@ -246,3 +249,87 @@ def test_real_field_extension_stays_real():
     u = unit_vector(rng, 5, real=True)
     out = extend_to_rank1(phi, u)
     assert np.all(out.imag == 0.0)
+
+
+def frame_test_maps(d, n):
+    yield identity_map(d, n)
+    yield conjugation_map(d, n, seed=40 + d + n)[0]
+    yield conjugation_map(d, n, seed=50 + d + n, antiunitary=True)[0]
+    if d == 2 * n:
+        yield instantiate(MapSpec("complement"), d, n)
+
+
+def assert_frame_matches_rank1(phi, frame):
+    images = extend_frame(phi, frame)
+    assert len(images) == frame.shape[1]
+    for k, image in enumerate(images):
+        assert frobenius(image - extend_to_rank1(phi, frame[:, k])) <= 1e-12
+
+
+def test_frame_images_match_rank1_extension():
+    for d, n in ((4, 2), (6, 3), (7, 2), (5, 4)):
+        frame = haar_random_unitary(d, 60 + d + n)[:, : n + 1]
+        for phi in frame_test_maps(d, n):
+            assert_frame_matches_rank1(phi, frame)
+
+
+def test_frame_images_match_rank1_extension_at_rank_one():
+    for d in (2, 3, 5):
+        frame = haar_random_unitary(d, 70 + d)[:, :2]
+        for phi in frame_test_maps(d, 1):
+            assert_frame_matches_rank1(phi, frame)
+
+
+def test_padded_basis_frames_match_rank1_extension():
+    # d = 7 tiles into frames of n + 1 = 3 as {e0, e1, e2}, {e3, e4, e5},
+    # and {e6} completed to three vectors
+    d, n = 7, 2
+    eye = np.eye(d, dtype=np.complex128)
+    for phi in frame_test_maps(d, n):
+        for start in range(0, d, n + 1):
+            chunk = eye[:, start : start + n + 1]
+            frame = np.column_stack(complete_orthonormal(chunk, n + 1))
+            assert np.array_equal(frame[:, : chunk.shape[1]], chunk)
+            assert_frame_matches_rank1(phi, frame)
+
+
+def test_frame_costs_one_oracle_call_per_dyad():
+    d, n = 9, 3
+    _, v = conjugation_map(d, n, seed=80)
+    calls = []
+
+    def fn(p):
+        calls.append(1)
+        return Projection(v @ p.matrix @ v.conj().T, rank=n)
+
+    phi = RankNMap(d, n, fn, descriptor="counting")
+    unitary = haar_random_unitary(d, 81)
+    for count, start in enumerate(range(0, 8, n + 1), start=1):
+        extend_frame(phi, unitary[:, start : start + n + 1])
+        assert len(calls) == count * (n + 1)
+
+
+def test_frame_rejects_wrong_trace_oracle():
+    d, n = 5, 2
+    frame = haar_random_unitary(d, 82)[:, : n + 1]
+    wrong_rank = RankNMap(d, n, lambda p: Projection(np.eye(d)[:, : n + 1] @ np.eye(d)[: n + 1]))
+    with pytest.raises(InternalInconsistency):
+        extend_frame(wrong_rank, frame)
+
+    class Unchecked:
+        # an oracle seen without RankNMap's output validation
+        ambient_dim, rank = d, n
+
+        def evaluate(self, p):
+            return Projection(np.diag([1.0, 1.0, 1.0, 0.0, 0.0]))
+
+    with pytest.raises(InternalInconsistency):
+        extend_frame(Unchecked(), frame)
+
+
+def test_frame_input_validation():
+    phi = identity_map(5, 2)
+    with pytest.raises(BadRank):
+        extend_frame(phi, np.eye(5)[:, :2])
+    with pytest.raises(NotUnit):
+        extend_frame(phi, np.eye(5)[:, :3] * 1.1)

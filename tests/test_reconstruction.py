@@ -3,6 +3,8 @@ import pytest
 
 from grasswig import (
     BadRank,
+    Projection,
+    RankNMap,
     ReconstructionConfig,
     VARIANT_CONJUGATION,
     VARIANT_EXCEPTIONAL,
@@ -196,3 +198,43 @@ def test_result_serialization():
     assert obj["antiunitary"] is False
     assert obj["residual"] <= 1e-7
     assert obj["V"]["rows"] == 4
+
+
+def counting(phi):
+    calls = []
+
+    def fn(p):
+        calls.append(1)
+        return phi.evaluate(p)
+
+    return RankNMap(phi.ambient_dim, phi.rank, fn, field=phi.field), calls
+
+
+def test_oracle_budget_at_large_dimension():
+    # basis dyads, superposition links and probe links in frames of n + 1,
+    # plus 40 screening and 50 verification evaluations
+    for n, anti in ((8, False), (16, True)):
+        planted, v = conjugation(64, n, seed=37 + n, antiunitary=anti)
+        phi, calls = counting(planted)
+        result = reconstruct(phi)
+        assert result.variant == VARIANT_CONJUGATION
+        assert result.antiunitary is anti
+        assert planted_deviation(result.v, v) <= 1e-7
+        assert len(calls) <= 320, (n, len(calls))
+
+
+def test_complement_branch_reuses_the_dyad_images():
+    # the d = 2n pass reads ext_{I - phi} = I/n - ext_phi off the images the
+    # linear pass already has, so it costs no more oracle calls than a plain
+    # conjugation of the same size
+    v = haar_random_unitary(8, 38)
+    eye = np.eye(8)
+    plain, plain_calls = counting(conjugation(8, 4, seed=38)[0])
+    composed, composed_calls = counting(
+        RankNMap(8, 4, lambda p: Projection(eye - apply_conjugation(v, False, p).matrix, rank=4))
+    )
+    assert reconstruct(plain).variant == VARIANT_CONJUGATION
+    result = reconstruct(composed)
+    assert result.variant == VARIANT_EXCEPTIONAL
+    assert planted_deviation(result.v, v) <= 1e-7
+    assert len(composed_calls) <= len(plain_calls)
