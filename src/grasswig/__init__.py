@@ -31,8 +31,6 @@ from .errors import (
 from .extension import (
     CombinationCertificate,
     RankNMap,
-    TraceFormReport,
-    check_trace_form,
     combination_coefficients,
     extend_frame,
     extend_to_hermitian,

@@ -14,8 +14,8 @@ from dataclasses import InitVar, dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InternalInconsistency, RankMismatch
-from .linalg import hermitian_eig, svd
+from .errors import ConvergenceFailure, DimensionMismatch, InternalInconsistency, RankMismatch
+from .linalg import svd
 from .projections import Projection, Subspace, subspace_from_projector
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
@@ -76,10 +76,23 @@ def _check_pair(p, q) -> None:
         raise RankMismatch(f"ranks differ: {p.rank} vs {q.rank}")
 
 
+def qpq_spectrum(p: Projection, q: Projection) -> np.ndarray:
+    """Eigenvalues of ``QPQ`` in ascending order, zeros included.
+
+    This full d-element multiset is the angle invariant: it holds the cos^2
+    of the principal angles, and its sum is the trace form ``tr PQ``.
+    """
+    # q p q is Hermitian up to roundoff for validated projections
+    try:
+        return np.linalg.eigvalsh(q.matrix @ p.matrix @ q.matrix)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"eigvalsh did not converge: {exc}") from exc
+
+
 def principal_angles_spectral(p: Projection, q: Projection, tol: ToleranceConfig = DEFAULT_TOL) -> PrincipalAngles:
     """Angles as arccos of the square roots of the eigenvalues of ``QPQ``."""
     _check_pair(p, q)
-    w, _ = hermitian_eig(q.matrix @ p.matrix @ q.matrix, tol)
+    w = qpq_spectrum(p, q)
     cos2 = _clamped_cos2(w[::-1].copy(), tol)  # descending
     angles = np.arccos(np.sqrt(cos2[: p.rank]))
     return PrincipalAngles(angles, cos2, tol=tol)
@@ -146,6 +159,4 @@ def spectrum_discrepancy(
     tol: ToleranceConfig = DEFAULT_TOL,
 ) -> float:
     """Max entrywise gap between the sorted spectra of ``QPQ`` and ``Q2 P2 Q2``."""
-    w1, _ = hermitian_eig(q.matrix @ p.matrix @ q.matrix, tol)
-    w2, _ = hermitian_eig(q2.matrix @ p2.matrix @ q2.matrix, tol)
-    return float(np.max(np.abs(w1 - w2)))
+    return float(np.max(np.abs(qpq_spectrum(p, q) - qpq_spectrum(p2, q2))))

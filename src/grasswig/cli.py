@@ -32,7 +32,6 @@ from .maps import MapSpec, instantiate, load_map_spec
 from .projections import Subspace, random_projection
 from .reconstruction import (
     ReconstructionConfig,
-    ReconstructionResult,
     VARIANT_NOT_PRESERVING,
     reconstruct,
     reconstruct_via_dual,
@@ -85,11 +84,13 @@ def cmd_angles(args, tol: ToleranceConfig) -> int:
     return EXIT_OK
 
 
-def _write_witness(directory: str, prefix: str, pairs) -> dict[str, str]:
+def _write_witness(directory: str, phi, p, q) -> dict[str, str]:
+    """Save a witness pair and its images as ``witness_<name>.json`` files;
+    returns the path of each, keyed p, q, phi_p, phi_q."""
     os.makedirs(directory, exist_ok=True)
     paths = {}
-    for name, proj in pairs:
-        path = os.path.join(directory, f"{prefix}_{name}.json")
+    for name, proj in (("p", p), ("q", q), ("phi_p", phi.evaluate(p)), ("phi_q", phi.evaluate(q))):
+        path = os.path.join(directory, f"witness_{name}.json")
         save_projection(path, proj)
         paths[name] = path
     return paths
@@ -103,51 +104,16 @@ def cmd_check(args, tol: ToleranceConfig) -> int:
     if report.max_discrepancy <= args.tol:
         print(f"angle preservation holds at tolerance {args.tol:.1e}")
         return EXIT_OK
-    witness = _write_witness(
-        args.witness_dir,
-        "witness",
-        [
-            ("p", report.witness_p),
-            ("q", report.witness_q),
-            ("phi_p", phi.evaluate(report.witness_p)),
-            ("phi_q", phi.evaluate(report.witness_q)),
-        ],
-    )
+    witness = _write_witness(args.witness_dir, phi, report.witness_p, report.witness_q)
     print(f"NOT angle preserving at tolerance {args.tol:.1e}; witness files:")
-    for name in ("p", "q", "phi_p", "phi_q"):
-        print(f"  {name}: {witness[name]}")
+    for name, path in witness.items():
+        print(f"  {name}: {path}")
     return EXIT_NEGATIVE
-
-
-def _result_payload(result: ReconstructionResult, phi, args) -> dict:
-    payload = result.to_obj()
-    if result.variant == VARIANT_NOT_PRESERVING:
-        witness = _write_witness(
-            args.witness_dir,
-            "witness",
-            [
-                ("p", result.witness_p),
-                ("q", result.witness_q),
-                ("phi_p", phi.evaluate(result.witness_p)),
-                ("phi_q", phi.evaluate(result.witness_q)),
-            ],
-        )
-        payload["witness_files"] = witness
-    return payload
 
 
 def cmd_reconstruct(args, tol: ToleranceConfig) -> int:
     spec = load_map_spec(args.map)
     phi = instantiate(spec, args.dim, args.rank, args.field, tol)
-    if args.emit_certificate:
-        from .extension import rank1_combination
-
-        e1 = np.zeros(args.dim, dtype=np.complex128)
-        e1[0] = 1.0
-        cert = rank1_combination(e1, args.rank, tol)
-        with open(args.emit_certificate, "w", encoding="utf-8") as fh:
-            json.dump(cert.to_obj(), fh)
-            fh.write("\n")
     cfg = ReconstructionConfig(seed=args.seed)
     source = phi
     if args.via_dual:
@@ -159,7 +125,9 @@ def cmd_reconstruct(args, tol: ToleranceConfig) -> int:
             source = dualize(phi, tol)
     else:
         result = reconstruct(phi, cfg, tol)
-    payload = _result_payload(result, source, args)
+    payload = result.to_obj()
+    if result.variant == VARIANT_NOT_PRESERVING:
+        payload["witness_files"] = _write_witness(args.witness_dir, source, result.witness_p, result.witness_q)
     text = json.dumps(payload, indent=2)
     print(text)
     if args.out:
@@ -247,11 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_rec.add_argument("--out", help="also write the result JSON here")
     p_rec.add_argument("--field", choices=FIELDS, default=COMPLEX)
     p_rec.add_argument("--witness-dir", default=".", help="where witness files go")
-    p_rec.add_argument(
-        "--emit-certificate",
-        metavar="FILE",
-        help="dump the rank-1 combination certificate for the first basis dyad (debugging)",
-    )
     p_rec.set_defaults(func=cmd_reconstruct)
 
     p_demo = sub.add_parser("demo-exceptional", help="walk through the d = 2n complement map")

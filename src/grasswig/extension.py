@@ -23,7 +23,7 @@ import numpy as np
 from .errors import BadRank, InternalInconsistency, NonHermitian, NotUnit, RankDeficient
 from .linalg import COMPLEX, as_complex, frobenius, hermitian_defect, hermitian_eig
 from .matio import canonical_key
-from .projections import Projection, sample_projection
+from .projections import Projection
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
 
@@ -31,8 +31,10 @@ class RankNMap:
     """Deterministic oracle sending rank-n projections to rank-n projections.
 
     Outputs are validated against the projection invariants and memoized by
-    a canonical serialization of the input (rounded to 12 decimal digits),
-    since extension re-queries the same projections many times.
+    a canonical serialization of the input (rounded to 12 decimal digits).
+    Few queries repeat: extension frames padded by the same standard basis
+    vectors (common when n + 1 approaches d), and a witness pair replayed
+    after screening, as the CLI does when it writes witness files.
     """
 
     def __init__(
@@ -90,15 +92,6 @@ class CombinationCertificate:
         for lam, p in zip(self.coefficients, self.projections):
             acc = acc + lam * p.matrix
         return frobenius(acc - self.target.matrix)
-
-    def to_obj(self) -> dict:
-        from .matio import matrix_to_obj
-
-        return {
-            "coefficients": [float(c) for c in self.coefficients],
-            "projections": [matrix_to_obj(p.matrix) for p in self.projections],
-            "target": matrix_to_obj(self.target.matrix),
-        }
 
 
 def combination_coefficients(n: int) -> np.ndarray:
@@ -236,34 +229,3 @@ def extend_to_hermitian(phi: RankNMap, a, tol: ToleranceConfig = DEFAULT_TOL) ->
     if trace_gap > tol.spec_tol * max(1.0, norm):
         raise InternalInconsistency(f"extension changed the trace by {trace_gap:.3e}")
     return out
-
-
-@dataclass(frozen=True, eq=False)
-class TraceFormReport:
-    """Outcome of sampling ``|tr phi(P)phi(Q) - tr PQ|`` over random pairs."""
-
-    max_deviation: float
-    witness: tuple[Projection, Projection] | None
-
-
-def check_trace_form(
-    phi: RankNMap,
-    num_samples: int,
-    seed: int,
-    tol: ToleranceConfig = DEFAULT_TOL,
-) -> TraceFormReport:
-    """Sample random rank-n pairs and report the worst trace-form deviation."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    witness: tuple[Projection, Projection] | None = None
-    for _ in range(num_samples):
-        p = sample_projection(rng, phi.ambient_dim, phi.rank, phi.field, tol)
-        q = sample_projection(rng, phi.ambient_dim, phi.rank, phi.field, tol)
-        before = complex(np.einsum("ij,ji->", p.matrix, q.matrix)).real
-        fp, fq = phi.evaluate(p), phi.evaluate(q)
-        after = complex(np.einsum("ij,ji->", fp.matrix, fq.matrix)).real
-        deviation = abs(after - before)
-        if deviation >= worst:
-            worst = deviation
-            witness = (p, q)
-    return TraceFormReport(worst, witness)

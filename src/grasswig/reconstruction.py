@@ -25,6 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .angles import qpq_spectrum
 from .errors import BadRank, NotAProjection
 from .extension import RankNMap, complete_orthonormal, extend_frame
 from .linalg import REAL, as_complex, frobenius, hermitian_eig
@@ -104,15 +105,6 @@ class ScreenReport:
     witness_q: Projection | None
 
 
-def _trace_pq(a: np.ndarray, b: np.ndarray) -> float:
-    return complex(np.einsum("ij,ji->", a, b)).real
-
-
-def _sorted_product_spectrum(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    # q p q is Hermitian up to roundoff for validated projections
-    return np.linalg.eigvalsh(q @ p @ q)
-
-
 def screen_preservation(
     phi: RankNMap,
     num_samples: int,
@@ -123,35 +115,36 @@ def screen_preservation(
 
     The discrepancy per pair is the larger of the trace-form deviation and
     the max entrywise gap between the sorted full spectra of QPQ and its
-    image; both vanish exactly for an angle preserver.
+    image; both vanish exactly for an angle preserver.  The trace form is
+    read off the same spectra: ``tr PQ = tr QPQ`` is the spectrum's sum.
     """
     rng = np.random.default_rng(seed)
     worst, wp, wq = 0.0, None, None
     for _ in range(num_samples):
         p = sample_projection(rng, phi.ambient_dim, phi.rank, phi.field, tol)
         q = sample_projection(rng, phi.ambient_dim, phi.rank, phi.field, tol)
-        fp, fq = phi.evaluate(p), phi.evaluate(q)
-        trace_dev = abs(_trace_pq(fp.matrix, fq.matrix) - _trace_pq(p.matrix, q.matrix))
-        spec_dev = float(
-            np.max(
-                np.abs(
-                    _sorted_product_spectrum(p.matrix, q.matrix)
-                    - _sorted_product_spectrum(fp.matrix, fq.matrix)
-                )
-            )
-        )
+        before = qpq_spectrum(p, q)
+        after = qpq_spectrum(phi.evaluate(p), phi.evaluate(q))
+        trace_dev = abs(float(after.sum()) - float(before.sum()))
+        spec_dev = float(np.max(np.abs(before - after)))
         discrepancy = max(trace_dev, spec_dev)
         if discrepancy >= worst:
             worst, wp, wq = discrepancy, p, q
     return ScreenReport(worst, wp, wq)
 
 
+def _conjugate(v, antiunitary: bool, m: np.ndarray) -> np.ndarray:
+    """``V m V*`` (linear) or ``V conj(m) V*`` (antiunitary, conjugation in
+    the standard basis), as a raw matrix."""
+    v = as_complex(v)
+    inner = m.conj() if antiunitary else m
+    return v @ inner @ v.conj().T
+
+
 def apply_conjugation(v, antiunitary: bool, p: Projection, tol: ToleranceConfig = DEFAULT_TOL) -> Projection:
     """``V P V*`` (linear) or ``V conj(P) V*`` (antiunitary, conjugation in
     the standard basis)."""
-    v = as_complex(v)
-    inner = p.matrix.conj() if antiunitary else p.matrix
-    return Projection(v @ inner @ v.conj().T, rank=p.rank, tol=tol)
+    return Projection(_conjugate(v, antiunitary, p.matrix), rank=p.rank, tol=tol)
 
 
 def verify_conjugation(
@@ -161,32 +154,23 @@ def verify_conjugation(
     num_samples: int,
     seed: int,
     tol: ToleranceConfig = DEFAULT_TOL,
+    complement: bool = False,
 ) -> float:
-    """Max Frobenius residual of ``phi(P) - V tau(P) V*`` over random samples."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(num_samples):
-        p = sample_projection(rng, phi.ambient_dim, phi.rank, phi.field, tol)
-        predicted = apply_conjugation(v, antiunitary, p, tol)
-        worst = max(worst, frobenius(phi.evaluate(p).matrix - predicted.matrix))
-    return worst
+    """Max Frobenius residual of ``phi(P) - V tau(P) V*`` over random samples,
+    or of ``phi(P) - (I - V tau(P) V*)`` with ``complement``.
 
-
-def _verify_complement_form(
-    phi: RankNMap,
-    v: np.ndarray,
-    antiunitary: bool,
-    num_samples: int,
-    seed: int,
-    tol: ToleranceConfig,
-) -> float:
-    """Max residual of ``phi(P) - (I - V tau(P) V*)`` over random samples."""
+    The prediction stays a raw matrix: a candidate V that is unitary only to
+    within the acceptance tolerance does not map P to an exact projection,
+    and the residual, not projection validation, is the test it must pass.
+    """
     rng = np.random.default_rng(seed)
     eye = np.eye(phi.ambient_dim, dtype=np.complex128)
     worst = 0.0
     for _ in range(num_samples):
         p = sample_projection(rng, phi.ambient_dim, phi.rank, phi.field, tol)
-        predicted = eye - apply_conjugation(v, antiunitary, p, tol).matrix
+        predicted = _conjugate(v, antiunitary, p.matrix)
+        if complement:
+            predicted = eye - predicted
         worst = max(worst, frobenius(phi.evaluate(p).matrix - predicted))
     return worst
 
@@ -388,11 +372,10 @@ def _classify(
         if antiunitary is None:
             return _unclassified(notes)
     if complement:
-        variant, label = VARIANT_EXCEPTIONAL, "complement-composed candidate"
-        residual = _verify_complement_form(phi, v, antiunitary, cfg.verify_samples, cfg.seed + 2, tol)
+        variant, label, seed = VARIANT_EXCEPTIONAL, "complement-composed candidate", cfg.seed + 2
     else:
-        variant, label = VARIANT_CONJUGATION, "candidate conjugation"
-        residual = verify_conjugation(phi, v, antiunitary, cfg.verify_samples, cfg.seed + 1, tol)
+        variant, label, seed = VARIANT_CONJUGATION, "candidate conjugation", cfg.seed + 1
+    residual = verify_conjugation(phi, v, antiunitary, cfg.verify_samples, seed, tol, complement=complement)
     if residual > cfg.accept_tol:
         return _unclassified(f"{label} fails verification (residual {residual:.3e} > {cfg.accept_tol:.1e})")
     return ReconstructionResult(variant, v=v, antiunitary=antiunitary, residual=residual)
@@ -469,13 +452,11 @@ def reconstruct_via_dual(
     """
     cfg = cfg or ReconstructionConfig()
     inner = reconstruct(dualize(phi, tol), cfg, tol)
-    if inner.variant == VARIANT_CONJUGATION:
-        residual = verify_conjugation(phi, inner.v, inner.antiunitary, cfg.verify_samples, cfg.seed + 3, tol)
-        if residual <= cfg.accept_tol:
-            return replace(inner, residual=residual)
-        return _unclassified(f"dual candidate fails direct verification (residual {residual:.3e})")
-    if inner.variant == VARIANT_EXCEPTIONAL:
-        residual = _verify_complement_form(phi, inner.v, inner.antiunitary, cfg.verify_samples, cfg.seed + 3, tol)
+    if inner.accepted:
+        complement = inner.variant == VARIANT_EXCEPTIONAL
+        residual = verify_conjugation(
+            phi, inner.v, inner.antiunitary, cfg.verify_samples, cfg.seed + 3, tol, complement=complement
+        )
         if residual <= cfg.accept_tol:
             return replace(inner, residual=residual)
         return _unclassified(f"dual candidate fails direct verification (residual {residual:.3e})")

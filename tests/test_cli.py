@@ -1,10 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import grasswig
 from grasswig import Projection, load_matrix, save_matrix, save_projection, random_projection
 from grasswig.cli import main
 from grasswig.linalg import haar_random_unitary
@@ -132,23 +134,15 @@ def test_reconstruct_conjugation(tmp_path, capsys):
     assert json.loads(out_path.read_text()) == payload
 
 
-def test_reconstruct_emits_combination_certificate(tmp_path, capsys):
-    spec = write_spec(tmp_path, "spec.json", {"type": "identity"})
-    cert_path = tmp_path / "cert.json"
-    code, _, _ = run_cli(
-        capsys, "reconstruct", "--map", spec, "--dim", 5, "--rank", 2,
-        "--emit-certificate", cert_path,
-    )
+def test_reconstruct_accepts_near_preserving_map(tmp_path, capsys):
+    save_matrix(tmp_path / "v.json", haar_random_unitary(6, 3))
+    base = {"type": "conjugation", "matrix": "v.json"}
+    spec = write_spec(tmp_path, "spec.json", {"type": "noisy", "base": base, "sigma": 1e-9, "seed": 5})
+    code, out, _ = run_cli(capsys, "reconstruct", "--map", spec, "--dim", 6, "--rank", 2)
     assert code == 0
-    cert = json.loads(cert_path.read_text())
-    assert cert["coefficients"] == [-0.5, 0.5, 0.5]
-    from grasswig import matrix_from_obj
-
-    total = np.zeros((5, 5), dtype=complex)
-    for lam, proj in zip(cert["coefficients"], cert["projections"]):
-        total += lam * matrix_from_obj(proj)[0]
-    target, _ = matrix_from_obj(cert["target"])
-    assert np.max(np.abs(total - target)) <= 1e-12
+    payload = json.loads(out)
+    assert payload["variant"] == "conjugation"
+    assert payload["residual"] <= 1e-7
 
 
 def test_reconstruct_complement_reports_exceptional(tmp_path, capsys):
@@ -256,8 +250,11 @@ def test_gw_tol_env_override(tmp_path, capsys, monkeypatch):
 
 
 def test_console_entry_point_runs():
+    # the child imports the same grasswig as the suite, installed or not
+    src = os.path.dirname(os.path.dirname(grasswig.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
-        [sys.executable, "-m", "grasswig.cli", "--version"], capture_output=True, text=True
+        [sys.executable, "-m", "grasswig.cli", "--version"], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0
     assert "grasswig" in proc.stdout

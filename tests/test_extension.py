@@ -8,7 +8,6 @@ from grasswig import (
     NotUnit,
     Projection,
     RankNMap,
-    check_trace_form,
     combination_coefficients,
     extend_frame,
     extend_to_hermitian,
@@ -146,22 +145,6 @@ def test_hermitian_extension_of_identity_under_complement():
 def test_hermitian_extension_rejects_non_hermitian():
     with pytest.raises(NonHermitian):
         extend_to_hermitian(identity_map(3, 1), np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-def test_trace_form_holds_for_conjugation_and_complement():
-    phi, _ = conjugation_map(5, 2, seed=9)
-    assert check_trace_form(phi, 20, seed=0).max_deviation <= 1e-10
-    phi = instantiate(MapSpec("complement"), 6, 3)
-    assert check_trace_form(phi, 20, seed=0).max_deviation <= 1e-10
-
-
-def test_trace_form_flags_noisy_map():
-    phi = instantiate(MapSpec("noisy", base=MapSpec("identity"), sigma=1e-2, seed=4), 4, 2)
-    report = check_trace_form(phi, 20, seed=0)
-    assert report.max_deviation > 1e-4
-    assert report.witness is not None
-    p, q = report.witness
-    assert p.rank == q.rank == 2
 
 
 def test_extension_well_defined_across_eigenbases():

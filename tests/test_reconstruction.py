@@ -18,6 +18,9 @@ from grasswig import (
     reconstruct,
     reconstruct_via_dual,
     sample_projection,
+    screen_preservation,
+    spectrum_discrepancy,
+    trace_product,
     verify_conjugation,
 )
 from grasswig.linalg import REAL
@@ -90,16 +93,46 @@ def test_noisy_map_is_rejected_with_witness():
     assert result.variant == VARIANT_NOT_PRESERVING
     assert result.discrepancy > 1e-7
     assert result.witness_p.rank == result.witness_q.rank == 2
-    # the witness replays: its angle spectra disagree by the reported amount
-    from grasswig import spectrum_discrepancy
+    # the witness replays exactly: screening and spectrum_discrepancy share
+    # one QPQ spectrum routine, and the trace form is that spectrum's sum
+    p, q = result.witness_p, result.witness_q
+    fp, fq = phi.evaluate(p), phi.evaluate(q)
+    replay = max(spectrum_discrepancy(p, q, fp, fq), abs(trace_product(fp, fq) - trace_product(p, q)))
+    assert abs(result.discrepancy - replay) <= 1e-15
 
-    replay = spectrum_discrepancy(
-        result.witness_p,
-        result.witness_q,
-        phi.evaluate(result.witness_p),
-        phi.evaluate(result.witness_q),
-    )
-    assert replay > 1e-7
+
+def test_screen_holds_for_conjugation_and_complement():
+    phi, _ = conjugation(5, 2, seed=9)
+    assert screen_preservation(phi, 20, seed=0).max_discrepancy <= 1e-10
+    phi = instantiate(MapSpec("complement"), 6, 3)
+    assert screen_preservation(phi, 20, seed=0).max_discrepancy <= 1e-10
+
+
+def test_screen_flags_noisy_map():
+    phi = instantiate(MapSpec("noisy", base=MapSpec("identity"), sigma=1e-2, seed=4), 4, 2)
+    report = screen_preservation(phi, 20, seed=0)
+    assert report.max_discrepancy > 1e-4
+    assert report.witness_p.rank == report.witness_q.rank == 2
+
+
+@pytest.mark.parametrize("d", [6, 8, 16])
+@pytest.mark.parametrize("sigma", [3e-9, 1e-9])
+def test_near_preserving_map_is_accepted(d, sigma):
+    # the candidate V is unitary only to within accept_tol, so V P V* is no
+    # exact projection; verification must judge it by its residual alone
+    v = haar_random_unitary(d, 3)
+    spec = MapSpec("noisy", base=MapSpec("conjugation", matrix=v), sigma=sigma, seed=5)
+    result = reconstruct(instantiate(spec, d, 2))
+    assert result.variant == VARIANT_CONJUGATION
+    assert result.residual <= 1e-7
+    assert planted_deviation(result.v, v) <= 1e-6
+
+
+def test_verify_complement_form():
+    phi = instantiate(MapSpec("complement"), 4, 2)
+    eye = np.eye(4)
+    assert verify_conjugation(phi, eye, False, 10, seed=0, complement=True) <= 1e-12
+    assert verify_conjugation(phi, eye, False, 10, seed=0) > 1.0
 
 
 def test_rank_bounds():
