@@ -130,7 +130,6 @@ def angles_equal(
     p2: Projection,
     q2: Projection,
     tol_value: float,
-    tol: ToleranceConfig = DEFAULT_TOL,
 ) -> bool:
     """Whether the two pairs subtend the same principal angles.
 
@@ -148,7 +147,7 @@ def angles_equal(
         raise RankMismatch(
             f"ranks differ: ({p.rank}, {q.rank}) vs ({p2.rank}, {q2.rank})"
         )
-    return spectrum_discrepancy(p, q, p2, q2, tol) <= tol_value
+    return spectrum_discrepancy(p, q, p2, q2) <= tol_value
 
 
 def spectrum_discrepancy(
@@ -156,7 +155,6 @@ def spectrum_discrepancy(
     q: Projection,
     p2: Projection,
     q2: Projection,
-    tol: ToleranceConfig = DEFAULT_TOL,
 ) -> float:
     """Max entrywise gap between the sorted spectra of ``QPQ`` and ``Q2 P2 Q2``."""
     return float(np.max(np.abs(qpq_spectrum(p, q) - qpq_spectrum(p2, q2))))

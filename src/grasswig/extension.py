@@ -6,7 +6,8 @@ Hermitian matrix.  The route goes through rank-1 projections and a shared
 envelope: any n+1 orthonormal vectors ``u_k`` (a *frame*) span the rank-(n+1)
 projection ``E = sum u_k u_k*``, each ``P_k = E - u_k u_k*`` has rank n, and
 ``u_k u_k* = (1/n) sum_j P_j - P_k``.  So n+1 oracle evaluations give the
-images of all n+1 dyads of a frame (``extend_frame``); the image of a single
+images of all n+1 dyads of a frame (``extend_frame``); any orthonormal set
+packs into such frames (``extend_orthonormal``), and the image of a single
 dyad is the first image of the frame completing its vector
 (``extend_to_rank1``).  Extending a map this way is what lets the
 reconstruction pipeline read off the image of every basis dyad even though
@@ -206,25 +207,42 @@ def extend_to_rank1(phi: RankNMap, u, tol: ToleranceConfig = DEFAULT_TOL) -> np.
     return extend_frame(phi, np.column_stack(_unit_frame(u, phi.rank, tol)), tol)[0]
 
 
+def extend_orthonormal(phi: RankNMap, u, tol: ToleranceConfig = DEFAULT_TOL) -> list[np.ndarray]:
+    """Images of the dyads of the orthonormal columns of ``u`` under the
+    real-linear extension of ``phi``, packed n+1 to a frame: k columns cost
+    ``(n+1) * ceil(k / (n+1))`` oracle evaluations.
+
+    The last frame is completed deterministically by
+    ``complete_orthonormal``; the images of its padding are dropped.
+    """
+    u = np.asarray(u, dtype=np.complex128)
+    size = phi.rank + 1
+    images: list[np.ndarray] = []
+    for start in range(0, u.shape[1], size):
+        chunk = u[:, start : start + size]
+        frame = np.column_stack(complete_orthonormal(chunk, size, tol))
+        images.extend(extend_frame(phi, frame, tol)[: chunk.shape[1]])
+    return images
+
+
 def extend_to_hermitian(phi: RankNMap, a, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Image of a Hermitian matrix under the real-linear extension.
 
-    Goes through the spectral decomposition ``A = sum mu_i u_i u_i*``; which
-    eigenbasis the backend picks is immaterial because the extension of a
-    trace-form-preserving map is well-defined (a property the test suite
-    checks rather than assumes).
+    Goes through the spectral decomposition ``A = sum mu_i u_i u_i*``, the
+    eigenvectors of the nonzero eigenvalues extended together in frames;
+    which eigenbasis the backend picks is immaterial because the extension
+    of a trace-form-preserving map is well-defined (a property the test
+    suite checks rather than assumes).
     """
     a = as_complex(a)
     norm = frobenius(a)
     if hermitian_defect(a) > tol.eq_tol * max(1.0, norm):
         raise NonHermitian("input to the Hermitian extension must be Hermitian")
     w, v = hermitian_eig(a, tol)
-    cutoff = 1e-14 * max(1.0, float(np.max(np.abs(w), initial=0.0)))
+    keep = np.abs(w) > 1e-14 * max(1.0, float(np.max(np.abs(w), initial=0.0)))
     out = np.zeros_like(a)
-    for mu, vec in zip(w, v.T):
-        if abs(mu) <= cutoff:
-            continue
-        out = out + mu * extend_to_rank1(phi, vec, tol)
+    for mu, image in zip(w[keep], extend_orthonormal(phi, v[:, keep], tol)):
+        out = out + mu * image
     trace_gap = abs(complex(out.trace()) - complex(a.trace()))
     if trace_gap > tol.spec_tol * max(1.0, norm):
         raise InternalInconsistency(f"extension changed the trace by {trace_gap:.3e}")

@@ -4,14 +4,16 @@ Given an oracle sending rank-n projections to rank-n projections, the
 pipeline (1) screens it for angle preservation on random pairs, (2) pushes
 the basis dyads ``e_i e_i*`` and the chain links ``(e_{j-1} + e_j)/sqrt(2)``
 and ``(e_{j-1} + i e_j)/sqrt(2)`` through the real-linear extension, n+1
-dyads per shared-envelope frame (``extend_frame``), (3) branches on the
-shape of those images: genuine rank-1 projections lead to phase assembly of
-a candidate unitary, each column's phase fixed against its predecessor
-along the chain, and a linear-vs-conjugate-linear probe on the same links,
-while images of the form ``(1/n) I - (rank-1 projection)`` at d = 2n lead
-to the complement-composed family, read off the same images through
-``ext_{I - phi}(uu*) = I/n - ext_phi(uu*)``, and (4) verifies the
-candidate on fresh random samples before accepting it.
+dyads per shared-envelope frame (``extend_orthonormal``), (3) reads each
+basis image as a rank-1 projection ``v v*`` and keeps its vector ``v`` as a
+column of the candidate unitary; at d = 2n with n > 1, when basis image 0
+is no rank-1 projection, every image is read through
+``ext_{I - phi}(uu*) = I/n - ext_phi(uu*)`` instead, for the
+complement-composed family (an image cannot be both, since
+``I/n - v v*`` has the eigenvalue ``1/n - 1 < 0``); phase assembly then
+fixes each column's phase against its predecessor along the chain, and a
+linear-vs-conjugate-linear probe runs on the same links, and (4) verifies
+the candidate on fresh random samples before accepting it.
 
 Anything that passes screening but fits neither family is reported as
 ``preserving_unclassified`` rather than guessed at: at d = 2n with n > 1 a
@@ -26,9 +28,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .angles import qpq_spectrum
-from .errors import BadRank, NotAProjection
-from .extension import RankNMap, complete_orthonormal, extend_frame
-from .linalg import REAL, as_complex, frobenius, hermitian_eig
+from .errors import BadRank
+from .extension import RankNMap, extend_orthonormal
+from .linalg import REAL, as_complex, frobenius, is_exactly_real
 from .projections import Projection, sample_projection
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
@@ -196,46 +198,27 @@ def align_phase(a: np.ndarray, b: np.ndarray) -> complex:
     return t / abs(t) if t != 0 else 1.0 + 0j
 
 
-def _basis_vector(d: int, i: int) -> np.ndarray:
-    e = np.zeros(d, dtype=np.complex128)
-    e[i] = 1.0
-    return e
+def _rank1_vector(image: np.ndarray, gate: float) -> np.ndarray | None:
+    """Unit vector ``v`` with ``||image - v v*||_F <= gate``, or None.
 
-
-def _try_projection(m: np.ndarray, tol: ToleranceConfig, rank: int) -> Projection | None:
+    ``v`` is the top eigenvector, its largest entry made positive real.
+    An image that is not Hermitian yields None rather than an error: eigh
+    reads one triangle only, and the residual, taken against the whole
+    image, is at least the image's anti-Hermitian part.
+    """
     try:
-        return Projection(m, rank=rank, tol=tol)
-    except NotAProjection:
+        _, vecs = np.linalg.eigh(image.real if is_exactly_real(image) else image)
+    except np.linalg.LinAlgError:
         return None
+    col = vecs[:, -1].astype(np.complex128)
+    col = col * _canonical_phase(col)
+    if not frobenius(image - np.outer(col, col.conj())) <= gate:
+        return None
+    return col
 
 
 def _unclassified(notes: str) -> ReconstructionResult:
     return ReconstructionResult(VARIANT_UNCLASSIFIED, notes=notes)
-
-
-def _structural_tol(cfg: ReconstructionConfig, tol: ToleranceConfig) -> ToleranceConfig:
-    # Rank-1 image checks run at accept_tol: the extension stacks n+1 oracle
-    # evaluations plus an eigendecomposition, so eq_tol would be too strict.
-    return ToleranceConfig(
-        eq_tol=cfg.accept_tol,
-        spec_tol=max(tol.spec_tol, cfg.accept_tol),
-        rank_tol=tol.rank_tol,
-    )
-
-
-def _frame_images(phi: RankNMap, vectors: list[np.ndarray], tol: ToleranceConfig) -> list[np.ndarray]:
-    """Extension images of mutually orthonormal vectors, n+1 per frame.
-
-    The last frame is completed deterministically by
-    ``complete_orthonormal``; the images of its padding are dropped.
-    """
-    size = phi.rank + 1
-    images: list[np.ndarray] = []
-    for start in range(0, len(vectors), size):
-        chunk = np.column_stack(vectors[start : start + size])
-        frame = np.column_stack(complete_orthonormal(chunk, size, tol))
-        images.extend(extend_frame(phi, frame, tol)[: chunk.shape[1]])
-    return images
 
 
 def _link_images(phi: RankNMap, coefficient: complex, tol: ToleranceConfig) -> list[np.ndarray]:
@@ -245,60 +228,23 @@ def _link_images(phi: RankNMap, coefficient: complex, tol: ToleranceConfig) -> l
     Links whose j has the same parity have disjoint supports, so each
     parity is an orthonormal set that packs into frames.
     """
-    d = phi.ambient_dim
-    links = [(_basis_vector(d, j - 1) + coefficient * _basis_vector(d, j)) / np.sqrt(2.0) for j in range(1, d)]
-    images = list(links)  # same length; every slot is overwritten below
-    images[0::2] = _frame_images(phi, links[0::2], tol)
-    images[1::2] = _frame_images(phi, links[1::2], tol)
+    eye = np.eye(phi.ambient_dim, dtype=np.complex128)
+    links = (eye[:, :-1] + coefficient * eye[:, 1:]) / np.sqrt(2.0)
+    images = list(links.T)  # same length; every slot is overwritten below
+    images[0::2] = extend_orthonormal(phi, links[:, 0::2], tol)
+    images[1::2] = extend_orthonormal(phi, links[:, 1::2], tol)
     return images
 
 
-class _DyadImages:
-    """Extension images of the basis dyads and the chain links, each set
-    extended on first use and shared by both passes of ``reconstruct``.
-
-    The complement pass at d = 2n reads them as images under ``I - phi``,
-    ``ext_{I - phi}(uu*) = I/n - ext_phi(uu*)``, instead of extending again.
-    """
-
-    def __init__(self, phi: RankNMap, tol: ToleranceConfig) -> None:
-        self._phi = phi
-        self._tol = tol
-        self._images: dict[str, list[np.ndarray]] = {}
-
-    def get(self, kind: str, complement: bool) -> list[np.ndarray]:
-        """``kind`` is "basis", "superposition" or "probe"."""
-        images = self._images.get(kind)
-        if images is None:
-            d = self._phi.ambient_dim
-            if kind == "basis":
-                images = _frame_images(self._phi, [_basis_vector(d, i) for i in range(d)], self._tol)
-            else:
-                images = _link_images(self._phi, 1j if kind == "probe" else 1.0, self._tol)
-            self._images[kind] = images
-        if complement:
-            shift = np.eye(self._phi.ambient_dim, dtype=np.complex128) / self._phi.rank
-            return [shift - image for image in images]
-        return images
-
-
-def _assemble_candidate(
-    lines: list[Projection],
-    links: list[np.ndarray],
-    tol: ToleranceConfig,
-) -> tuple[np.ndarray | None, str]:
-    """Wigner phase assembly: stitch the rank-1 images into a unitary.
+def _assemble_candidate(columns: list[np.ndarray], links: list[np.ndarray]) -> tuple[np.ndarray | None, str]:
+    """Wigner phase assembly: stitch the columns read off the rank-1
+    images into a unitary.
 
     Each image fixes its column only up to phase; the image of the chain
     link ``(e_{j-1} + e_j)/sqrt(2)`` pins the phase of column j against
     column j-1, fixed one step earlier, so every column takes the phase of
     column 0.
     """
-    columns = []
-    for line in lines:
-        _, vecs = hermitian_eig(line.matrix, tol)
-        col = vecs[:, -1]
-        columns.append(col * _canonical_phase(col))
     for j, link in enumerate(links, start=1):
         overlap = 2.0 * complex(columns[j - 1].conj() @ link @ columns[j])
         if abs(abs(overlap) - 1.0) > ASSEMBLY_GATE:
@@ -343,32 +289,41 @@ def _probe_antiunitary(
     return votes[0], ""
 
 
-def _classify(
-    phi: RankNMap,
-    images: _DyadImages,
-    complement: bool,
-    cfg: ReconstructionConfig,
-    tol: ToleranceConfig,
-) -> ReconstructionResult:
+def _classify(phi: RankNMap, cfg: ReconstructionConfig, tol: ToleranceConfig) -> ReconstructionResult:
     """Rank-1 basis images -> phase assembly -> probe -> verification.
 
-    With ``complement`` the images are read as those of ``I - phi`` and the
-    candidate is verified in the complement form ``I - V tau(P) V*``.
+    At d = 2n with n > 1 basis image 0 decides the family: when it is no
+    rank-1 projection, every image is read as one under ``I - phi``,
+    ``I/n - ext_phi(uu*)``, and the candidate is verified in the complement
+    form ``I - V tau(P) V*``.
     """
-    struct_tol = _structural_tol(cfg, tol)
-    lines = []
-    for i, image in enumerate(images.get("basis", complement)):
-        line = _try_projection(image, struct_tol, rank=1)
-        if line is None:
-            return _unclassified(f"extension image of basis dyad {i} is not a rank-1 projection")
-        lines.append(line)
-    v, notes = _assemble_candidate(lines, images.get("superposition", complement), tol)
+    d, n = phi.ambient_dim, phi.rank
+    basis = extend_orthonormal(phi, np.eye(d, dtype=np.complex128), tol)
+    complement = d == 2 * n and n > 1 and _rank1_vector(basis[0], cfg.accept_tol) is None
+    shift = np.eye(d, dtype=np.complex128) / n
+
+    def read(images: list[np.ndarray]) -> list[np.ndarray]:
+        return [shift - image for image in images] if complement else images
+
+    columns = []
+    for i, image in enumerate(read(basis)):
+        column = _rank1_vector(image, cfg.accept_tol)
+        if column is None:
+            if not complement:
+                reason = "is not a rank-1 projection"
+            elif i == 0:
+                reason = "is neither a rank-1 projection nor I/n minus one"
+            else:
+                reason = "is not I/n minus a rank-1 projection, as image 0 is"
+            return _unclassified(f"extension image of basis dyad {i} {reason}")
+        columns.append(column)
+    v, notes = _assemble_candidate(columns, read(_link_images(phi, 1.0, tol)))
     if v is None:
         return _unclassified(notes)
     # Real field: conjugation is invisible, so the answer is always linear.
     antiunitary: bool | None = False
     if phi.field != REAL:
-        antiunitary, notes = _probe_antiunitary(v, images.get("probe", complement), cfg.accept_tol)
+        antiunitary, notes = _probe_antiunitary(v, read(_link_images(phi, 1j, tol)), cfg.accept_tol)
         if antiunitary is None:
             return _unclassified(notes)
     if complement:
@@ -408,18 +363,7 @@ def reconstruct(
             witness_q=report.witness_q,
             discrepancy=report.max_discrepancy,
         )
-
-    images = _DyadImages(phi, tol)
-    linear = _classify(phi, images, False, cfg, tol)
-    if linear.accepted or not (d == 2 * n and n > 1):
-        return linear
-    # Complement-composed family: the basis dyad images must all be
-    # (1/n) I - (rank-1 projection), i.e. the images under I - phi must
-    # land in the plain conjugation family.
-    exceptional = _classify(phi, images, True, cfg, tol)
-    if exceptional.accepted:
-        return exceptional
-    return _unclassified(f"{linear.notes}; complement-composed pass: {exceptional.notes}")
+    return _classify(phi, cfg, tol)
 
 
 def dualize(phi: RankNMap, tol: ToleranceConfig = DEFAULT_TOL) -> RankNMap:
@@ -459,7 +403,9 @@ def reconstruct_via_dual(
         )
         if residual <= cfg.accept_tol:
             return replace(inner, residual=residual)
-        return _unclassified(f"dual candidate fails direct verification (residual {residual:.3e})")
+        return _unclassified(
+            f"dual candidate fails direct verification (residual {residual:.3e} > {cfg.accept_tol:.1e})"
+        )
     if inner.variant == VARIANT_NOT_PRESERVING:
         return replace(inner, notes=f"witness pair has dual rank {phi.ambient_dim - phi.rank}")
     return inner

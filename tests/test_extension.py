@@ -182,6 +182,25 @@ def test_extension_is_hilbert_schmidt_isometry_and_trace_preserving():
         assert abs(complex(fa.trace()) - complex(a.trace())) <= 1e-9
 
 
+def test_hermitian_extension_packs_eigenvectors_into_frames():
+    # the r eigenvectors of a rank-r input share frames of n + 1:
+    # (n + 1) * ceil(r / (n + 1)) oracle calls instead of r * (n + 1)
+    rng = np.random.default_rng(15)
+    planted, v = conjugation_map(8, 3, seed=16)
+    for r in (1, 3, 4, 5, 8):
+        calls = []
+
+        def fn(p):
+            calls.append(1)
+            return planted.evaluate(p)
+
+        basis = random_subspace(8, r, seed=17 + r)
+        a = basis @ np.diag(rng.uniform(0.5, 2.0, r) * rng.choice([-1.0, 1.0], r)) @ basis.conj().T
+        out = extend_to_hermitian(RankNMap(8, 3, fn), a)
+        assert len(calls) == 4 * -(-r // 4), (r, len(calls))
+        assert frobenius(out - v @ a @ v.conj().T) <= 1e-8
+
+
 def test_extension_transports_orthogonality():
     rng = np.random.default_rng(9)
     for n in (1, 2):

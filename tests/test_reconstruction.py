@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -23,7 +25,7 @@ from grasswig import (
     trace_product,
     verify_conjugation,
 )
-from grasswig.linalg import REAL
+from grasswig.linalg import REAL, frobenius
 from grasswig.maps import MapSpec, instantiate
 
 
@@ -126,6 +128,26 @@ def test_near_preserving_map_is_accepted(d, sigma):
     assert result.variant == VARIANT_CONJUGATION
     assert result.residual <= 1e-7
     assert planted_deviation(result.v, v) <= 1e-6
+
+
+def test_slightly_non_hermitian_oracle_is_classified():
+    # every output passes RankNMap's own Hermitian check (defect 0.9e-9 <= 1e-9),
+    # and each extension image sums n + 1 of them; reading the basis images
+    # must judge them at accept_tol, never re-check them at eq_tol and raise
+    d, n = 8, 4
+    v = haar_random_unitary(d, 40)
+    rng = np.random.default_rng(41)
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    k = (g - g.conj().T) * (0.45e-9 / frobenius(g - g.conj().T))  # ||2k|| = 0.9e-9
+
+    def fn(p):
+        sign = 1.0 if hashlib.sha256(p.matrix.tobytes()).digest()[0] & 1 else -1.0
+        return v @ p.matrix @ v.conj().T + sign * k
+
+    result = reconstruct(RankNMap(d, n, fn))
+    assert result.variant == VARIANT_CONJUGATION
+    assert result.antiunitary is False
+    assert planted_deviation(result.v, v) <= 1e-7
 
 
 def test_verify_complement_form():
