@@ -67,6 +67,7 @@ from .projections import (
     projector_from_subspace,
     random_projection,
     sample_projection,
+    sample_projections,
     subspace_from_projector,
     trace_product,
 )

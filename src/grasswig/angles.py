@@ -76,15 +76,17 @@ def _check_pair(p, q) -> None:
         raise RankMismatch(f"ranks differ: {p.rank} vs {q.rank}")
 
 
-def qpq_spectrum(p: Projection, q: Projection) -> np.ndarray:
-    """Eigenvalues of ``QPQ`` in ascending order, zeros included.
+def qpq_spectrum(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Eigenvalues of ``QPQ`` in ascending order, zeros included, for the
+    projection matrices ``p`` and ``q``; for matching ``(k, d, d)`` stacks,
+    row i holds the spectrum of pair i, from one stacked ``eigvalsh``.
 
     This full d-element multiset is the angle invariant: it holds the cos^2
     of the principal angles, and its sum is the trace form ``tr PQ``.
     """
     # q p q is Hermitian up to roundoff for validated projections
     try:
-        return np.linalg.eigvalsh(q.matrix @ p.matrix @ q.matrix)
+        return np.linalg.eigvalsh(q @ p @ q)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"eigvalsh did not converge: {exc}") from exc
 
@@ -92,7 +94,7 @@ def qpq_spectrum(p: Projection, q: Projection) -> np.ndarray:
 def principal_angles_spectral(p: Projection, q: Projection, tol: ToleranceConfig = DEFAULT_TOL) -> PrincipalAngles:
     """Angles as arccos of the square roots of the eigenvalues of ``QPQ``."""
     _check_pair(p, q)
-    w = qpq_spectrum(p, q)
+    w = qpq_spectrum(p.matrix, q.matrix)
     cos2 = _clamped_cos2(w[::-1].copy(), tol)  # descending
     angles = np.arccos(np.sqrt(cos2[: p.rank]))
     return PrincipalAngles(angles, cos2, tol=tol)
@@ -157,4 +159,4 @@ def spectrum_discrepancy(
     q2: Projection,
 ) -> float:
     """Max entrywise gap between the sorted spectra of ``QPQ`` and ``Q2 P2 Q2``."""
-    return float(np.max(np.abs(qpq_spectrum(p, q) - qpq_spectrum(p2, q2))))
+    return float(np.max(np.abs(qpq_spectrum(p.matrix, q.matrix) - qpq_spectrum(p2.matrix, q2.matrix))))

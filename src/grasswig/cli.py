@@ -84,14 +84,15 @@ def cmd_angles(args, tol: ToleranceConfig) -> int:
     return EXIT_OK
 
 
-def _write_witness(directory: str, phi, p, q) -> dict[str, str]:
-    """Save a witness pair and its images as ``witness_<name>.json`` files;
-    returns the path of each, keyed p, q, phi_p, phi_q."""
+def _write_witness(directory: str, found) -> dict[str, str]:
+    """Save the witness pair and its images carried by a screen report or a
+    reconstruction result as ``witness_<name>.json`` files; returns the
+    path of each, keyed p, q, phi_p, phi_q."""
     os.makedirs(directory, exist_ok=True)
     paths = {}
-    for name, proj in (("p", p), ("q", q), ("phi_p", phi.evaluate(p)), ("phi_q", phi.evaluate(q))):
+    for name in ("p", "q", "phi_p", "phi_q"):
         path = os.path.join(directory, f"witness_{name}.json")
-        save_projection(path, proj)
+        save_projection(path, getattr(found, f"witness_{name}"))
         paths[name] = path
     return paths
 
@@ -104,7 +105,7 @@ def cmd_check(args, tol: ToleranceConfig) -> int:
     if report.max_discrepancy <= args.tol:
         print(f"angle preservation holds at tolerance {args.tol:.1e}")
         return EXIT_OK
-    witness = _write_witness(args.witness_dir, phi, report.witness_p, report.witness_q)
+    witness = _write_witness(args.witness_dir, report)
     print(f"NOT angle preserving at tolerance {args.tol:.1e}; witness files:")
     for name, path in witness.items():
         print(f"  {name}: {path}")
@@ -115,19 +116,11 @@ def cmd_reconstruct(args, tol: ToleranceConfig) -> int:
     spec = load_map_spec(args.map)
     phi = instantiate(spec, args.dim, args.rank, args.field, tol)
     cfg = ReconstructionConfig(seed=args.seed)
-    source = phi
-    if args.via_dual:
-        result = reconstruct_via_dual(phi, cfg, tol)
-        if result.variant == VARIANT_NOT_PRESERVING:
-            # dual screening found the witness, so its pair lives at rank d-n
-            from .reconstruction import dualize
-
-            source = dualize(phi, tol)
-    else:
-        result = reconstruct(phi, cfg, tol)
+    # a witness from dual screening lives at rank d - n, with its dual images
+    result = (reconstruct_via_dual if args.via_dual else reconstruct)(phi, cfg, tol)
     payload = result.to_obj()
     if result.variant == VARIANT_NOT_PRESERVING:
-        payload["witness_files"] = _write_witness(args.witness_dir, source, result.witness_p, result.witness_q)
+        payload["witness_files"] = _write_witness(args.witness_dir, result)
     text = json.dumps(payload, indent=2)
     print(text)
     if args.out:

@@ -21,21 +21,22 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import BadRank, InternalInconsistency, NonHermitian, NotUnit, RankDeficient
+from .errors import BadRank, InternalInconsistency, NonHermitian, NotAProjection, NotUnit, RankDeficient
 from .linalg import COMPLEX, as_complex, frobenius, hermitian_defect, hermitian_eig
 from .matio import canonical_key
-from .projections import Projection
+from .projections import Projection, projections_from_stack
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
 
 class RankNMap:
     """Deterministic oracle sending rank-n projections to rank-n projections.
 
-    Outputs are validated against the projection invariants and memoized by
-    a canonical serialization of the input (rounded to 12 decimal digits).
-    Few queries repeat: extension frames padded by the same standard basis
-    vectors (common when n + 1 approaches d), and a witness pair replayed
-    after screening, as the CLI does when it writes witness files.
+    Outputs are validated against the projection invariants.  ``evaluate``
+    memoizes them by a canonical serialization of the input (rounded to 12
+    decimal digits); few of its queries repeat, chiefly extension frames
+    padded by the same standard basis vectors (common when n + 1
+    approaches d).  ``evaluate_many`` serves one-shot queries, the random
+    samples of screening and verification, and bypasses the cache.
     """
 
     def __init__(
@@ -57,24 +58,54 @@ class RankNMap:
         self._fn = fn
         self._cache: dict[bytes, Projection] = {}
 
-    def evaluate(self, p: Projection) -> Projection:
+    def _check_input(self, p: Projection, which: str) -> None:
         if p.ambient_dim != self.ambient_dim:
-            raise BadRank(f"input dimension {p.ambient_dim}, map expects {self.ambient_dim}")
+            raise BadRank(f"{which} dimension {p.ambient_dim}, map expects {self.ambient_dim}")
         if p.rank != self.rank:
-            raise BadRank(f"input rank {p.rank}, map expects {self.rank}")
-        key = canonical_key(p.matrix)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        out = self._fn(p)
-        if not isinstance(out, Projection):
-            out = Projection(out, tol=self.tol)
+            raise BadRank(f"{which} rank {p.rank}, map expects {self.rank}")
+
+    def _check_output(self, out: Projection, which: str = "") -> Projection:
         if out.rank != self.rank or out.ambient_dim != self.ambient_dim:
             raise InternalInconsistency(
-                f"map {self.descriptor!r} returned rank {out.rank} in dim {out.ambient_dim}"
+                f"map {self.descriptor!r} returned rank {out.rank} in dim {out.ambient_dim}{which}"
             )
-        self._cache[key] = out
         return out
+
+    def evaluate(self, p: Projection) -> Projection:
+        self._check_input(p, "input")
+        key = canonical_key(p.matrix)
+        hit = self._cache.get(key)
+        if hit is None:
+            out = self._fn(p)
+            if not isinstance(out, Projection):
+                out = Projection(out, tol=self.tol)
+            hit = self._cache[key] = self._check_output(out)
+        return hit
+
+    def evaluate_many(self, projections: list[Projection]) -> list[Projection]:
+        """Outputs for the inputs in order, one oracle call each, without
+        the memo cache.
+
+        Raw matrix outputs are validated as one stack; an output that is not
+        a projection raises ``NotAProjection``, one of the wrong rank or
+        dimension ``InternalInconsistency``, each naming the index of its
+        input.
+        """
+        projections = list(projections)
+        for i, p in enumerate(projections):
+            self._check_input(p, f"input {i}")
+        outputs = [self._fn(p) for p in projections]
+        if not all(isinstance(out, Projection) for out in outputs):
+            matrices = [out.matrix if isinstance(out, Projection) else as_complex(out) for out in outputs]
+            for i, m in enumerate(matrices):
+                if m.shape[0] != m.shape[1]:
+                    raise NotAProjection(f"output {i} is {m.shape[0]}x{m.shape[1]}, not square")
+                if m.shape[0] != self.ambient_dim:
+                    raise InternalInconsistency(
+                        f"map {self.descriptor!r} returned dim {m.shape[0]} for input {i}, expected {self.ambient_dim}"
+                    )
+            outputs = projections_from_stack(np.array(matrices), self.tol)
+        return [self._check_output(out, f" for input {i}") for i, out in enumerate(outputs)]
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"RankNMap(d={self.ambient_dim}, n={self.rank}, {self.descriptor})"
@@ -185,9 +216,9 @@ def extend_frame(phi: RankNMap, frame, tol: ToleranceConfig = DEFAULT_TOL) -> li
     defect = frobenius(u.conj().T @ u - np.eye(n + 1))
     if defect > tol.eq_tol:
         raise NotUnit(f"frame columns are not orthonormal (defect {defect:.3e})")
-    dyads = [np.outer(col, col.conj()) for col in u.T]
-    envelope = u @ u.conj().T
-    evaluated = [phi.evaluate(Projection(envelope - dy, rank=n, tol=tol)).matrix for dy in dyads]
+    dyads = u.T[:, :, None] * u.T.conj()[:, None, :]
+    inputs = projections_from_stack(u @ u.conj().T - dyads, tol, rank=n)
+    evaluated = [phi.evaluate(p).matrix for p in inputs]
     mean = sum(evaluated) / n
     images = [mean - image for image in evaluated]
     for k, image in enumerate(images):

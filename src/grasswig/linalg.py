@@ -93,7 +93,8 @@ def svd(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _phase_fixed_qr(a: np.ndarray) -> np.ndarray:
-    """Q factor of a reduced QR with the R diagonal's phases absorbed into Q.
+    """Q factor of a reduced QR with the R diagonal's phases absorbed into Q,
+    for one matrix or for each matrix of a stack.
 
     Makes the factorization unique (R diagonal real positive), which both
     keeps already-orthonormal inputs fixed and turns a Gaussian matrix into
@@ -105,11 +106,11 @@ def _phase_fixed_qr(a: np.ndarray) -> np.ndarray:
         r = r.astype(np.complex128)
     else:
         q, r = np.linalg.qr(a)
-    diag = np.diagonal(r).copy()
+    diag = np.diagonal(r, axis1=-2, axis2=-1).copy()
     # Zero diagonal entries only occur for rank-deficient input, which every
     # caller screens out beforehand; keep the phase neutral in that case.
     diag[diag == 0] = 1.0
-    return q * (diag / np.abs(diag))
+    return q * (diag / np.abs(diag))[..., None, :]
 
 
 def orthonormalize(m, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
@@ -128,20 +129,30 @@ def orthonormalize(m, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     return _phase_fixed_qr(a)
 
 
-def ginibre(rng: np.random.Generator, rows: int, cols: int, field: str = COMPLEX) -> np.ndarray:
-    """Standard-Gaussian matrix over the requested field, as complex128."""
+def haar_unitaries_from_rng(rng: np.random.Generator, count: int, d: int, field: str = COMPLEX) -> np.ndarray:
+    """``count`` Haar-distributed unitaries (orthogonal in real mode) drawn
+    from ``rng``, as a ``(count, d, d)`` stack.
+
+    One Gaussian block is drawn, ``(count, d, d)`` in real mode and
+    ``(count, 2, d, d)`` (real and imaginary parts) in complex mode, so the
+    generator's stream is consumed matrix by matrix: the stack equals
+    ``count`` successive draws of one unitary, bit for bit.  Its QR runs
+    stacked (Mezzadri, Notices AMS 54, 2007).
+    """
+    if d < 1:
+        raise BadRank(f"dimension must be positive, got {d}")
     check_field(field)
-    z = rng.standard_normal((rows, cols))
     if field == COMPLEX:
-        z = (z + 1j * rng.standard_normal((rows, cols))) / np.sqrt(2.0)
-    return np.asarray(z, dtype=np.complex128)
+        g = rng.standard_normal((count, 2, d, d))
+        z = (g[:, 0] + 1j * g[:, 1]) / np.sqrt(2.0)
+    else:
+        z = rng.standard_normal((count, d, d))
+    return _phase_fixed_qr(np.asarray(z, dtype=np.complex128))
 
 
 def haar_unitary_from_rng(rng: np.random.Generator, d: int, field: str = COMPLEX) -> np.ndarray:
     """Haar-distributed unitary (orthogonal in real mode) drawn from ``rng``."""
-    if d < 1:
-        raise BadRank(f"dimension must be positive, got {d}")
-    return _phase_fixed_qr(ginibre(rng, d, d, field))
+    return haar_unitaries_from_rng(rng, 1, d, field)[0]
 
 
 def haar_random_unitary(d: int, seed: int, field: str = COMPLEX) -> np.ndarray:

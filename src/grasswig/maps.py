@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -155,19 +156,21 @@ def instantiate(spec: MapSpec, d: int, n: int, field: str = COMPLEX, tol: Tolera
         else:
             fn = lambda p: Projection(v @ p.matrix @ v.conj().T, rank=n, tol=tol)
     elif spec.kind == "noisy":
+        # a wrapped map (here and in compose) sees only what the outer
+        # map's cache missed, so it bypasses its own cache
         base_map = instantiate(spec.base, d, n, field, tol)
         if spec.sigma == 0.0:
-            fn = base_map.evaluate
+            fn = lambda p: base_map.evaluate_many([p])[0]
         else:
             def fn(p, _base=base_map, _sigma=spec.sigma, _seed=spec.seed, _field=field):
                 u = _noise_unitary(p, _sigma, _seed, _field)
-                out = _base.evaluate(p).matrix
+                out = _base.evaluate_many([p])[0].matrix
                 return Projection(u @ out @ u.conj().T, rank=n, tol=tol)
     elif spec.kind == "compose":
         stages = [instantiate(part, d, n, field, tol) for part in spec.parts]
         def fn(p, _stages=stages):
             for stage in reversed(_stages):
-                p = stage.evaluate(p)
+                p = stage.evaluate_many([p])[0]
             return p
     else:
         raise MatrixFormatError(f"unknown map type {spec.kind!r}")
@@ -194,18 +197,33 @@ def map_from_table(
 ) -> RankNMap:
     """Table-backed map: known inputs replay, unknown inputs raise.
 
-    Lookup matches at the same 12-decimal canonical rounding the cache uses.
+    An input matches the stored input nearest to it in Frobenius distance
+    when that distance is at most ``eq_tol``.  Stored inputs are bucketed
+    on a fixed generic real functional of norm 1 in buckets ``2 eq_tol``
+    wide: a match moves the functional by at most ``eq_tol`` (plus
+    roundoff), so it lies in the query's bucket or in one of its two
+    neighbours.
     """
-    table: dict[bytes, Projection] = {}
-    for entry in entries:
+    weights = np.random.default_rng(0).standard_normal((2, d, d))
+    weights /= np.linalg.norm(weights)
+
+    def bucket(m: np.ndarray) -> int:
+        return math.floor(float(np.sum(weights[0] * m.real + weights[1] * m.imag)) / (2.0 * tol.eq_tol))
+
+    table: dict[int, list[tuple[np.ndarray, Projection]]] = {}
+    for i, entry in enumerate(entries):
         pin, _ = matrix_from_obj(entry["input"])
         pout, _ = matrix_from_obj(entry["output"])
-        table[canonical_key(pin)] = Projection(pout, rank=n, tol=tol)
+        if pin.shape != (d, d):
+            raise MatrixFormatError(f"table entry {i} has a {pin.shape[0]}x{pin.shape[1]} input, expected {d}x{d}")
+        table.setdefault(bucket(pin), []).append((pin, Projection(pout, rank=n, tol=tol)))
 
     def fn(p: Projection) -> Projection:
-        hit = table.get(canonical_key(p.matrix))
-        if hit is None:
+        b = bucket(p.matrix)
+        candidates = [c for key in (b - 1, b, b + 1) for c in table.get(key, ())]
+        distances = [frobenius(stored - p.matrix) for stored, _ in candidates]
+        if not distances or min(distances) > tol.eq_tol:
             raise UnknownInput("table-backed map has no entry for this projection")
-        return hit
+        return candidates[int(np.argmin(distances))][1]
 
     return RankNMap(d, n, fn, descriptor="table", field=field, tol=tol)

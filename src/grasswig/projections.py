@@ -18,10 +18,8 @@ from .linalg import (
     COMPLEX,
     as_complex,
     frobenius,
-    hermitian_defect,
     hermitian_eig,
-    random_subspace,
-    haar_unitary_from_rng,
+    haar_unitaries_from_rng,
 )
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
@@ -32,29 +30,48 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def projection_rank(m, tol: ToleranceConfig = DEFAULT_TOL) -> int:
-    """Rank of a projection matrix, read off its trace.
+def projection_rank(m, tol: ToleranceConfig = DEFAULT_TOL):
+    """Rank of a projection matrix, read off its trace; for a ``(k, d, d)``
+    stack, the array of the k ranks, from one pass over the whole stack.
 
     Validates the projection invariants (self-adjoint, idempotent, trace
     within ``rank_tol`` of an integer) and raises ``NotAProjection`` when
-    any of them fails.
+    any of them fails; for a stack, the message names the first matrix
+    that fails the check.
     """
-    a = as_complex(m)
-    if a.shape[0] != a.shape[1]:
-        raise NotAProjection(f"matrix is {a.shape[0]}x{a.shape[1]}, not square")
-    defect = hermitian_defect(a)
-    if defect > tol.eq_tol:
-        raise NotAProjection(f"Hermitian defect {defect:.3e} exceeds {tol.eq_tol:.1e}")
-    idem = frobenius(a @ a - a)
-    if idem > tol.eq_tol:
-        raise NotAProjection(f"idempotency defect {idem:.3e} exceeds {tol.eq_tol:.1e}")
-    trace = a.trace()
-    rank = round(float(trace.real))
-    if abs(trace - rank) > tol.rank_tol:
-        raise NotAProjection(f"trace {trace!r} is not within {tol.rank_tol:.1e} of an integer")
-    if rank < 0 or rank > a.shape[0]:
-        raise NotAProjection(f"trace rounds to {rank}, outside [0, {a.shape[0]}]")
-    return rank
+    a = np.asarray(m, dtype=np.complex128)
+    if a.ndim not in (2, 3):
+        raise ValueError(f"expected a 2-D array or a stack of them, got ndim={a.ndim}")
+    stack = a if a.ndim == 3 else a[None]
+    k, d = stack.shape[0], stack.shape[-1]
+    if stack.shape[-2] != d:
+        raise NotAProjection(f"matrix is {stack.shape[-2]}x{d}, not square")
+
+    def fail(i: int, message: str):
+        raise NotAProjection((f"matrix {i}: " if a.ndim == 3 else "") + message)
+
+    def require_small(x: np.ndarray, defect: str) -> None:
+        """Every matrix of x within eq_tol of 0 in Frobenius norm."""
+        flat = x.reshape(k, d * d)
+        # the squared norms' sum bounds each one: one BLAS call clears a good stack
+        if np.vdot(flat, flat).real <= tol.eq_tol**2:
+            return
+        norms = np.linalg.norm(flat, axis=1)
+        bad = np.flatnonzero(~(norms <= tol.eq_tol))
+        if bad.size:
+            fail(int(bad[0]), f"{defect} defect {norms[bad[0]]:.3e} exceeds {tol.eq_tol:.1e}")
+
+    require_small(stack - stack.conj().swapaxes(1, 2), "Hermitian")
+    require_small(stack @ stack - stack, "idempotency")
+    ranks = []
+    for i, trace in enumerate(stack.trace(axis1=1, axis2=2).tolist()):
+        rank = round(trace.real)
+        if abs(trace - rank) > tol.rank_tol:
+            fail(i, f"trace {trace!r} is not within {tol.rank_tol:.1e} of an integer")
+        if rank < 0 or rank > d:
+            fail(i, f"trace rounds to {rank}, outside [0, {d}]")
+        ranks.append(rank)
+    return np.array(ranks, dtype=int) if a.ndim == 3 else ranks[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,16 +152,60 @@ def subspace_from_projector(p: Projection, tol: ToleranceConfig = DEFAULT_TOL) -
     return Subspace(v[:, -p.rank :], tol=tol)
 
 
-def random_projection(d: int, n: int, seed: int, field: str = COMPLEX, tol: ToleranceConfig = DEFAULT_TOL) -> Projection:
-    """Projection onto a seeded Haar-random n-dimensional subspace."""
-    b = random_subspace(d, n, seed, field)
-    return Projection(b @ b.conj().T, rank=n, tol=tol)
+def projections_from_stack(stack: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL, rank: int | None = None) -> list[Projection]:
+    """Validate a ``(k, d, d)`` stack in one pass (``projection_rank``) and
+    wrap each matrix in a ``Projection`` whose matrix is a view of the
+    stack, which is made read-only; with ``rank``, every matrix must have
+    that rank.
+
+    The only path that builds a ``Projection`` without its constructor's
+    check: every matrix it wraps has just passed the same validator.
+    """
+    stack = np.asarray(stack, dtype=np.complex128)
+    if stack.ndim != 3:
+        raise ValueError(f"expected a (k, d, d) stack, got shape {stack.shape}")
+    ranks = projection_rank(stack, tol)
+    stack.setflags(write=False)
+    out = []
+    for i, (matrix, r) in enumerate(zip(stack, ranks.tolist())):
+        if rank is not None and r != rank:
+            raise NotAProjection(f"matrix {i}: declared rank {rank}, trace gives {r}")
+        p = object.__new__(Projection)
+        object.__setattr__(p, "matrix", matrix)
+        object.__setattr__(p, "rank", r)
+        out.append(p)
+    return out
+
+
+def sample_projections(
+    rng: np.random.Generator,
+    count: int,
+    d: int,
+    n: int,
+    field: str = COMPLEX,
+    tol: ToleranceConfig = DEFAULT_TOL,
+) -> tuple[np.ndarray, list[Projection]]:
+    """``count`` projections onto Haar-random n-dimensional subspaces drawn
+    from a live generator: the read-only ``(count, d, d)`` stack and a
+    ``Projection`` over each of its matrices.
+
+    Equal, bit for bit, to ``count`` successive ``sample_projection`` draws.
+    """
+    b = haar_unitaries_from_rng(rng, count, d, field)[..., :n]
+    stack = b @ b.conj().swapaxes(-1, -2)
+    return stack, projections_from_stack(stack, tol, rank=n)
 
 
 def sample_projection(rng: np.random.Generator, d: int, n: int, field: str = COMPLEX, tol: ToleranceConfig = DEFAULT_TOL) -> Projection:
-    """Like ``random_projection`` but drawing from a live generator."""
-    b = haar_unitary_from_rng(rng, d, field)[:, :n]
-    return Projection(b @ b.conj().T, rank=n, tol=tol)
+    """Projection onto a Haar-random n-dimensional subspace drawn from a
+    live generator."""
+    return sample_projections(rng, 1, d, n, field, tol)[1][0]
+
+
+def random_projection(d: int, n: int, seed: int, field: str = COMPLEX, tol: ToleranceConfig = DEFAULT_TOL) -> Projection:
+    """Projection onto a seeded Haar-random n-dimensional subspace: the
+    span of ``random_subspace(d, n, seed, field)``."""
+    return sample_projection(np.random.default_rng(seed), d, n, field, tol)
 
 
 def _check_same_dim(p: Projection, q: Projection) -> None:

@@ -31,7 +31,7 @@ from .angles import qpq_spectrum
 from .errors import BadRank
 from .extension import RankNMap, extend_orthonormal
 from .linalg import REAL, as_complex, frobenius, is_exactly_real
-from .projections import Projection, sample_projection
+from .projections import Projection, sample_projections
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
 VARIANT_CONJUGATION = "conjugation"
@@ -43,6 +43,17 @@ VARIANT_UNCLASSIFIED = "preserving_unclassified"
 # the assembled candidate).  Deliberately loose: the verification pass at
 # accept_tol is the authority, this only decides how a failure is reported.
 ASSEMBLY_GATE = 1e-3
+
+# Screening and verification draw, evaluate and compare their samples in
+# stacks of at most this many bytes of d x d matrices (256 matrices at
+# d = 8, 4 at d = 64): larger stacks save no time at large d but raise the
+# peak memory.
+_BLOCK_BYTES = 256 * 1024
+
+
+def _block_size(d: int) -> int:
+    """Samples per stack at dimension d."""
+    return max(1, _BLOCK_BYTES // (16 * d * d))
 
 
 @dataclass(frozen=True)
@@ -65,7 +76,8 @@ class ReconstructionResult:
 
     ``conjugation``: phi(P) = V tau(P) V* with tau = conj when antiunitary.
     ``exceptional_complement``: phi(P) = I - V tau(P) V* (only at d = 2n, n > 1).
-    ``not_angle_preserving``: carries a witness pair and its discrepancy.
+    ``not_angle_preserving``: carries a witness pair, the map's images of
+    it and its discrepancy.
     ``preserving_unclassified``: screening passed but neither family fits.
     """
 
@@ -75,6 +87,8 @@ class ReconstructionResult:
     residual: float | None = None
     witness_p: Projection | None = None
     witness_q: Projection | None = None
+    witness_phi_p: Projection | None = None
+    witness_phi_q: Projection | None = None
     discrepancy: float | None = None
     notes: str = ""
 
@@ -100,11 +114,14 @@ class ReconstructionResult:
 
 @dataclass(frozen=True, eq=False)
 class ScreenReport:
-    """Worst angle/trace-form discrepancy over the sampled pairs."""
+    """Worst angle/trace-form discrepancy over the sampled pairs, with the
+    pair attaining it and the map's images of that pair."""
 
     max_discrepancy: float
     witness_p: Projection | None
     witness_q: Projection | None
+    witness_phi_p: Projection | None
+    witness_phi_q: Projection | None
 
 
 def screen_preservation(
@@ -119,25 +136,32 @@ def screen_preservation(
     the max entrywise gap between the sorted full spectra of QPQ and its
     image; both vanish exactly for an angle preserver.  The trace form is
     read off the same spectra: ``tr PQ = tr QPQ`` is the spectrum's sum.
+    The witness is the last pair attaining the maximum.  Pairs are drawn,
+    evaluated (bypassing the map's memo cache) and compared in stacks.
     """
     rng = np.random.default_rng(seed)
-    worst, wp, wq = 0.0, None, None
-    for _ in range(num_samples):
-        p = sample_projection(rng, phi.ambient_dim, phi.rank, phi.field, tol)
-        q = sample_projection(rng, phi.ambient_dim, phi.rank, phi.field, tol)
-        before = qpq_spectrum(p, q)
-        after = qpq_spectrum(phi.evaluate(p), phi.evaluate(q))
-        trace_dev = abs(float(after.sum()) - float(before.sum()))
-        spec_dev = float(np.max(np.abs(before - after)))
-        discrepancy = max(trace_dev, spec_dev)
-        if discrepancy >= worst:
-            worst, wp, wq = discrepancy, p, q
-    return ScreenReport(worst, wp, wq)
+    d, pairs = phi.ambient_dim, max(1, _block_size(phi.ambient_dim) // 2)
+    worst, witness = 0.0, (None, None, None, None)
+    for start in range(0, num_samples, pairs):
+        count = min(pairs, num_samples - start)
+        stack, samples = sample_projections(rng, 2 * count, d, phi.rank, phi.field, tol)
+        images = phi.evaluate_many(samples)
+        mapped = np.stack([image.matrix for image in images])
+        before = qpq_spectrum(stack[0::2], stack[1::2])
+        after = qpq_spectrum(mapped[0::2], mapped[1::2])
+        trace_dev = np.abs(after.sum(axis=-1) - before.sum(axis=-1))
+        spec_dev = np.max(np.abs(before - after), axis=-1)
+        discrepancy = np.maximum(trace_dev, spec_dev)
+        i = count - 1 - int(np.argmax(discrepancy[::-1]))
+        if discrepancy[i] >= worst:
+            worst = float(discrepancy[i])
+            witness = (samples[2 * i], samples[2 * i + 1], images[2 * i], images[2 * i + 1])
+    return ScreenReport(worst, *witness)
 
 
 def _conjugate(v, antiunitary: bool, m: np.ndarray) -> np.ndarray:
     """``V m V*`` (linear) or ``V conj(m) V*`` (antiunitary, conjugation in
-    the standard basis), as a raw matrix."""
+    the standard basis), as a raw matrix; for a stack ``m``, of each matrix."""
     v = as_complex(v)
     inner = m.conj() if antiunitary else m
     return v @ inner @ v.conj().T
@@ -164,16 +188,19 @@ def verify_conjugation(
     The prediction stays a raw matrix: a candidate V that is unitary only to
     within the acceptance tolerance does not map P to an exact projection,
     and the residual, not projection validation, is the test it must pass.
+    Samples are drawn, evaluated (bypassing the map's memo cache) and
+    compared in stacks.
     """
     rng = np.random.default_rng(seed)
-    eye = np.eye(phi.ambient_dim, dtype=np.complex128)
+    d, size = phi.ambient_dim, _block_size(phi.ambient_dim)
     worst = 0.0
-    for _ in range(num_samples):
-        p = sample_projection(rng, phi.ambient_dim, phi.rank, phi.field, tol)
-        predicted = _conjugate(v, antiunitary, p.matrix)
+    for start in range(0, num_samples, size):
+        stack, samples = sample_projections(rng, min(size, num_samples - start), d, phi.rank, phi.field, tol)
+        predicted = _conjugate(v, antiunitary, stack)
         if complement:
-            predicted = eye - predicted
-        worst = max(worst, frobenius(phi.evaluate(p).matrix - predicted))
+            predicted = np.eye(d, dtype=np.complex128) - predicted
+        mapped = np.stack([image.matrix for image in phi.evaluate_many(samples)])
+        worst = max(worst, float(np.max(np.linalg.norm(mapped - predicted, axis=(-2, -1)))))
     return worst
 
 
@@ -361,6 +388,8 @@ def reconstruct(
             VARIANT_NOT_PRESERVING,
             witness_p=report.witness_p,
             witness_q=report.witness_q,
+            witness_phi_p=report.witness_phi_p,
+            witness_phi_q=report.witness_phi_q,
             discrepancy=report.max_discrepancy,
         )
     return _classify(phi, cfg, tol)
@@ -377,7 +406,8 @@ def dualize(phi: RankNMap, tol: ToleranceConfig = DEFAULT_TOL) -> RankNMap:
 
     def fn(p: Projection) -> Projection:
         inner = Projection(eye - p.matrix, rank=n, tol=tol)
-        return Projection(eye - phi.evaluate(inner).matrix, rank=m, tol=tol)
+        # the dual map's own cache catches every repeat, so phi's is bypassed
+        return Projection(eye - phi.evaluate_many([inner])[0].matrix, rank=m, tol=tol)
 
     return RankNMap(d, m, fn, descriptor=f"dual({phi.descriptor})", field=phi.field, tol=tol)
 

@@ -7,7 +7,16 @@ import numpy as np
 import pytest
 
 import grasswig
-from grasswig import Projection, load_matrix, save_matrix, save_projection, random_projection
+from grasswig import (
+    Projection,
+    instantiate,
+    load_map_spec,
+    load_matrix,
+    load_projection,
+    random_projection,
+    save_matrix,
+    save_projection,
+)
 from grasswig.cli import main
 from grasswig.linalg import haar_random_unitary
 
@@ -178,6 +187,26 @@ def test_reconstruct_noisy_writes_witness(tmp_path, capsys):
     assert set(payload["witness_files"]) == {"p", "q", "phi_p", "phi_q"}
     for path in payload["witness_files"].values():
         assert json.loads(open(path).read())["kind"] == "projection"
+
+
+def test_reconstruct_via_dual_writes_the_dual_witness(tmp_path, capsys):
+    spec = write_spec(
+        tmp_path, "spec.json", {"type": "noisy", "base": {"type": "identity"}, "sigma": 0.001, "seed": 2}
+    )
+    wdir = tmp_path / "w"
+    code, out, _ = run_cli(
+        capsys, "reconstruct", "--map", spec, "--dim", 5, "--rank", 2, "--via-dual", "--witness-dir", wdir
+    )
+    assert code == 1
+    files = json.loads(out)["witness_files"]
+    p, _ = load_projection(files["p"])
+    phi_p, _ = load_projection(files["phi_p"])
+    assert p.rank == phi_p.rank == 3
+    # the dual map's image of p: I - phi(I - p)
+    phi = instantiate(load_map_spec(spec), 5, 2)
+    eye = np.eye(5)
+    expected = eye - phi.evaluate(Projection(eye - p.matrix)).matrix
+    assert np.max(np.abs(phi_p.matrix - expected)) <= 1e-12
 
 
 def test_demo_exceptional(capsys):

@@ -5,6 +5,7 @@ from grasswig import (
     BadRank,
     InternalInconsistency,
     NonHermitian,
+    NotAProjection,
     NotUnit,
     Projection,
     RankNMap,
@@ -335,3 +336,42 @@ def test_frame_input_validation():
         extend_frame(phi, np.eye(5)[:, :2])
     with pytest.raises(NotUnit):
         extend_frame(phi, np.eye(5)[:, :3] * 1.1)
+
+
+def test_evaluate_many_validates_outputs_as_one_stack():
+    v = haar_random_unitary(5, 3)
+    calls = []
+
+    def fn(p):
+        calls.append(1)
+        return v @ p.matrix @ v.conj().T  # raw matrix, validated by the map
+
+    phi = RankNMap(5, 2, fn)
+    inputs = [sample_projection(np.random.default_rng(s), 5, 2) for s in range(4)]
+    outputs = phi.evaluate_many(inputs)
+    assert len(calls) == 4 and phi._cache == {}
+    for p, out in zip(inputs, outputs):
+        assert out.rank == 2 and frobenius(out.matrix - v @ p.matrix @ v.conj().T) == 0.0
+    with pytest.raises(BadRank, match="input 1"):
+        phi.evaluate_many([inputs[0], sample_projection(np.random.default_rng(1), 5, 3)])
+
+
+def test_evaluate_many_names_the_bad_output():
+    inputs = [sample_projection(np.random.default_rng(s), 4, 2) for s in range(3)]
+    target = inputs[2].matrix
+
+    def malformed(p):
+        return p.matrix + 1e-6 * np.eye(4) if p.matrix is target else p.matrix
+
+    with pytest.raises(NotAProjection, match="matrix 2: idempotency"):
+        RankNMap(4, 2, malformed).evaluate_many(inputs)
+
+    def wrong_rank(p):
+        return np.diag([1.0, 0.0, 0.0, 0.0]) if p.matrix is target else p
+
+    with pytest.raises(InternalInconsistency, match="input 2"):
+        RankNMap(4, 2, wrong_rank).evaluate_many(inputs)
+    with pytest.raises(NotAProjection):
+        RankNMap(4, 2, malformed).evaluate(inputs[2])
+    with pytest.raises(InternalInconsistency):
+        RankNMap(4, 2, wrong_rank).evaluate(inputs[2])

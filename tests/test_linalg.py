@@ -11,11 +11,19 @@ from grasswig import (
     random_subspace,
     svd,
 )
-from grasswig.linalg import REAL, frobenius, ginibre
+from grasswig.linalg import REAL, frobenius, haar_unitaries_from_rng, haar_unitary_from_rng
+
+
+def gaussian(rng, rows, cols, field):
+    """Standard-Gaussian matrix over the field, as complex128."""
+    z = rng.standard_normal((rows, cols))
+    if field != REAL:
+        z = (z + 1j * rng.standard_normal((rows, cols))) / np.sqrt(2.0)
+    return np.asarray(z, dtype=np.complex128)
 
 
 def random_hermitian(rng, d, real=False):
-    g = ginibre(rng, d, d, REAL if real else "complex")
+    g = gaussian(rng, d, d, REAL if real else "complex")
     return (g + g.conj().T) / 2.0
 
 
@@ -81,7 +89,7 @@ def test_svd_reconstruction():
     for trial in range(200):
         rows = int(rng.integers(1, 13))
         cols = int(rng.integers(1, 13))
-        m = ginibre(rng, rows, cols, REAL if trial % 2 else "complex")
+        m = gaussian(rng, rows, cols, REAL if trial % 2 else "complex")
         u, s, w = svd(m)
         assert np.all(np.diff(s) <= 0) and np.all(s >= 0)
         assert frobenius(m - u @ np.diag(s) @ w.conj().T) <= 1e-10 * max(1.0, frobenius(m))
@@ -155,3 +163,25 @@ def test_random_subspace_determinism_and_bounds():
     assert np.array_equal(random_subspace(4, 2, 9), random_subspace(4, 2, 9))
     with pytest.raises(BadRank):
         random_subspace(3, 4, 0)
+
+
+def reference_haar(rng, d, field):
+    """QR of one Gaussian draw, the R diagonal's phases moved into Q."""
+    g = gaussian(rng, d, d, field)
+    q, r = np.linalg.qr(g.real if field == REAL else g)
+    diag = np.diagonal(r).astype(np.complex128)
+    return q.astype(np.complex128) * (diag / np.abs(diag))
+
+
+def test_haar_stack_equals_single_draws_bit_for_bit():
+    for field in (REAL, "complex"):
+        for d in (1, 3, 8, 17):
+            stack = haar_unitaries_from_rng(np.random.default_rng(d), 6, d, field)
+            rng = np.random.default_rng(d)
+            singles = np.stack([haar_unitary_from_rng(rng, d, field) for _ in range(6)])
+            assert np.array_equal(stack, singles)
+            rng = np.random.default_rng(d)
+            assert np.array_equal(stack, np.stack([reference_haar(rng, d, field) for _ in range(6)]))
+            assert frobenius(stack[-1].conj().T @ stack[-1] - np.eye(d)) <= 1e-12
+            if field == REAL:
+                assert np.all(stack.imag == 0.0)

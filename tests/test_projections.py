@@ -15,6 +15,7 @@ from grasswig import (
     projector_from_subspace,
     random_projection,
     sample_projection,
+    sample_projections,
     subspace_from_projector,
     trace_product,
 )
@@ -190,3 +191,31 @@ def test_projection_matrices_are_immutable():
     p = random_projection(3, 1, seed=0)
     with pytest.raises(ValueError):
         p.matrix[0, 0] = 5.0
+
+
+def test_projection_rank_validates_a_stack_and_names_the_failure():
+    stack, samples = sample_projections(np.random.default_rng(4), 5, 6, 2)
+    assert list(projection_rank(stack)) == [2] * 5
+    assert not stack.flags.writeable
+    for i, p in enumerate(samples):
+        assert p.rank == 2 and np.shares_memory(p.matrix, stack)
+        assert np.array_equal(p.matrix, stack[i])
+    bad = np.array(stack)
+    bad[3] = bad[3] + 1e-6 * np.eye(6)
+    with pytest.raises(NotAProjection, match="matrix 3: idempotency"):
+        projection_rank(bad)
+    bad[3] = stack[3]
+    bad[1, 0, 1] += 1e-6
+    with pytest.raises(NotAProjection, match="matrix 1: Hermitian"):
+        projection_rank(bad)
+    with pytest.raises(NotAProjection, match="Hermitian defect nan"):
+        projection_rank(np.full((3, 3), np.nan))
+
+
+def test_sample_projection_is_the_first_of_a_stack():
+    for field in ("real", "complex"):
+        stack, _ = sample_projections(np.random.default_rng(8), 4, 5, 3, field)
+        rng = np.random.default_rng(8)
+        singles = [sample_projection(rng, 5, 3, field) for _ in range(4)]
+        assert all(np.array_equal(p.matrix, m) for p, m in zip(singles, stack))
+        assert np.array_equal(random_projection(5, 3, 8, field).matrix, stack[0])

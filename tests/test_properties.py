@@ -1,0 +1,93 @@
+"""Property-based tests over random (d, n, field) with d <= 8."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from grasswig import (
+    NotAProjection,
+    Projection,
+    ReconstructionConfig,
+    VARIANT_CONJUGATION,
+    align_phase,
+    dualize,
+    haar_random_unitary,
+    principal_angles,
+    projection_rank,
+    reconstruct,
+    sample_projection,
+    sample_projections,
+)
+from grasswig.maps import MapSpec, instantiate
+
+# Few examples each: the suite's wall time stays within a few seconds.
+SETTINGS = settings(max_examples=25, deadline=None, database=None)
+
+
+@st.composite
+def shapes(draw, min_d=2):
+    """(d, n, field, antiunitary, seed) with 1 <= n < d <= 8."""
+    d = draw(st.integers(min_d, 8))
+    n = draw(st.integers(1, d - 1))
+    field = draw(st.sampled_from(("real", "complex")))
+    antiunitary = field == "complex" and draw(st.booleans())
+    return d, n, field, antiunitary, draw(st.integers(0, 2**32 - 1))
+
+
+def conjugate(v, antiunitary, m):
+    return v @ (m.conj() if antiunitary else m) @ v.conj().T
+
+
+@SETTINGS
+@given(shapes(), st.integers(1, 12), st.data())
+def test_stacked_validator_accepts_haar_samples_and_rejects_a_perturbed_one(shape, count, data):
+    d, n, field, _, seed = shape
+    stack, samples = sample_projections(np.random.default_rng(seed), count, d, n, field)
+    assert list(projection_rank(stack)) == [n] * count
+    assert all(p.rank == n for p in samples)
+    i = data.draw(st.integers(0, count - 1))
+    bad = np.array(stack)
+    bad[i] = bad[i] * (1.0 + 1e-6)  # Hermitian, but no longer idempotent
+    with pytest.raises(NotAProjection, match=f"matrix {i}: "):
+        projection_rank(bad)
+
+
+@SETTINGS
+@given(shapes())
+def test_angles_are_invariant_under_unitary_and_antiunitary_conjugation(shape):
+    d, n, field, antiunitary, seed = shape
+    rng = np.random.default_rng(seed)
+    p, q = sample_projection(rng, d, n, field), sample_projection(rng, d, n, field)
+    v = haar_random_unitary(d, seed, field)
+    before = principal_angles(p, q)
+    after = principal_angles(
+        Projection(conjugate(v, antiunitary, p.matrix)), Projection(conjugate(v, antiunitary, q.matrix))
+    )
+    assert np.max(np.abs(before.angles - after.angles)) <= 1e-6
+    assert np.max(np.abs(before.cos2_spectrum - after.cos2_spectrum)) <= 1e-10
+
+
+@SETTINGS
+@given(shapes())
+def test_dualize_is_an_involution(shape):
+    d, n, field, antiunitary, seed = shape
+    v = haar_random_unitary(d, seed, field)
+    phi = instantiate(MapSpec("conjugation", matrix=v, antiunitary=antiunitary), d, n, field)
+    twice = dualize(dualize(phi))
+    assert (twice.ambient_dim, twice.rank) == (d, n)
+    _, samples = sample_projections(np.random.default_rng(seed + 1), 3, d, n, field)
+    for p in samples:
+        assert np.max(np.abs(twice.evaluate(p).matrix - phi.evaluate(p).matrix)) <= 1e-12
+
+
+@SETTINGS
+@given(shapes())
+def test_reconstruct_recovers_a_planted_conjugation(shape):
+    d, n, field, antiunitary, seed = shape
+    v = haar_random_unitary(d, seed, field)
+    phi = instantiate(MapSpec("conjugation", matrix=v, antiunitary=antiunitary), d, n, field)
+    result = reconstruct(phi, ReconstructionConfig(seed=seed % 1000))
+    assert result.variant == VARIANT_CONJUGATION
+    assert result.antiunitary is antiunitary
+    assert np.max(np.abs(result.v - align_phase(result.v, v) * v)) <= 1e-7

@@ -101,6 +101,19 @@ def test_noisy_map_is_rejected_with_witness():
     fp, fq = phi.evaluate(p), phi.evaluate(q)
     replay = max(spectrum_discrepancy(p, q, fp, fq), abs(trace_product(fp, fq) - trace_product(p, q)))
     assert abs(result.discrepancy - replay) <= 1e-15
+    # the result carries the images, so writing a witness needs no oracle call
+    assert np.array_equal(result.witness_phi_p.matrix, fp.matrix)
+    assert np.array_equal(result.witness_phi_q.matrix, fq.matrix)
+
+
+def test_dual_route_witness_carries_the_dual_images():
+    phi = instantiate(MapSpec("noisy", base=MapSpec("identity"), sigma=1e-2, seed=25), 5, 2)
+    result = reconstruct_via_dual(phi)
+    assert result.variant == VARIANT_NOT_PRESERVING
+    assert result.witness_p.rank == 3
+    dual = dualize(phi)
+    assert np.array_equal(result.witness_phi_p.matrix, dual.evaluate(result.witness_p).matrix)
+    assert np.array_equal(result.witness_phi_q.matrix, dual.evaluate(result.witness_q).matrix)
 
 
 def test_screen_holds_for_conjugation_and_complement():
@@ -293,3 +306,88 @@ def test_complement_branch_reuses_the_dyad_images():
     assert result.variant == VARIANT_EXCEPTIONAL
     assert planted_deviation(result.v, v) <= 1e-7
     assert len(composed_calls) <= len(plain_calls)
+
+
+def reference_screen(phi, num_samples, seed):
+    """Per-pair screen: the loop the stacked screen must reproduce exactly."""
+    rng = np.random.default_rng(seed)
+    worst, wp, wq = 0.0, None, None
+    for _ in range(num_samples):
+        p = sample_projection(rng, phi.ambient_dim, phi.rank, phi.field)
+        q = sample_projection(rng, phi.ambient_dim, phi.rank, phi.field)
+        fp, fq = phi.evaluate(p), phi.evaluate(q)
+        before = np.linalg.eigvalsh(q.matrix @ p.matrix @ q.matrix)
+        after = np.linalg.eigvalsh(fq.matrix @ fp.matrix @ fq.matrix)
+        trace_dev = abs(float(after.sum()) - float(before.sum()))
+        discrepancy = max(trace_dev, float(np.max(np.abs(before - after))))
+        if discrepancy >= worst:
+            worst, wp, wq = discrepancy, p, q
+    return worst, wp, wq
+
+
+def reference_verify(phi, v, antiunitary, num_samples, seed, complement=False):
+    """Per-sample verification residual."""
+    rng = np.random.default_rng(seed)
+    eye = np.eye(phi.ambient_dim)
+    worst = 0.0
+    for _ in range(num_samples):
+        p = sample_projection(rng, phi.ambient_dim, phi.rank, phi.field)
+        predicted = v @ (p.matrix.conj() if antiunitary else p.matrix) @ v.conj().T
+        if complement:
+            predicted = eye - predicted
+        worst = max(worst, frobenius(phi.evaluate(p).matrix - predicted))
+    return worst
+
+
+def test_stacked_screen_matches_the_per_pair_loop():
+    # d = 40 puts 5 pairs in a stack, so 7 and 20 pairs span several stacks;
+    # the identity ties every pair at 0, which pins the last-pair rule
+    for d, n, spec, pairs in (
+        (6, 2, "noisy", 20),
+        (5, 3, "conjugation", 20),
+        (6, 3, "identity", 20),
+        (40, 8, "noisy", 7),
+        (40, 8, "conjugation", 20),
+        (40, 8, "identity", 7),
+    ):
+        conj = MapSpec("conjugation", matrix=haar_random_unitary(d, d + n))
+        map_spec = {"noisy": MapSpec("noisy", base=conj, sigma=1e-3, seed=5), "identity": MapSpec("identity")}.get(spec, conj)
+        stacked = screen_preservation(instantiate(map_spec, d, n), pairs, seed=9)
+        worst, wp, wq = reference_screen(instantiate(map_spec, d, n), pairs, seed=9)
+        assert stacked.max_discrepancy == worst
+        assert np.array_equal(stacked.witness_p.matrix, wp.matrix)
+        assert np.array_equal(stacked.witness_q.matrix, wq.matrix)
+        phi = instantiate(map_spec, d, n)
+        assert np.array_equal(stacked.witness_phi_p.matrix, phi.evaluate(wp).matrix)
+        assert np.array_equal(stacked.witness_phi_q.matrix, phi.evaluate(wq).matrix)
+
+
+def test_stacked_verify_matches_the_per_sample_loop():
+    cases = []
+    for d, n, anti in ((7, 3, False), (7, 3, True), (40, 8, True)):
+        phi, v = conjugation(d, n, seed=d, antiunitary=anti)
+        cases.append((phi, v, anti, False))
+        cases.append((phi, haar_random_unitary(d, 1), anti, False))  # a wrong candidate
+    complement = instantiate(MapSpec("complement"), 8, 4)
+    cases.append((complement, np.eye(8, dtype=complex), False, True))
+    cases.append((complement, haar_random_unitary(8, 2), True, True))
+    for phi, v, anti, compl in cases:
+        for samples in (1, 13, 50):
+            stacked = verify_conjugation(phi, v, anti, samples, seed=4, complement=compl)
+            looped = reference_verify(phi, v, anti, samples, seed=4, complement=compl)
+            assert abs(stacked - looped) <= 1e-15 * max(1.0, looped)
+
+
+def test_sampled_stages_call_the_oracle_once_per_sample_and_bypass_the_cache():
+    v = haar_random_unitary(6, 2)
+    calls = []
+
+    def fn(p):
+        calls.append(1)
+        return v @ p.matrix @ v.conj().T
+
+    phi = RankNMap(6, 2, fn)
+    screen_preservation(phi, 20, seed=1)
+    assert len(calls) == 40 and phi._cache == {}
+    verify_conjugation(phi, v, False, 50, seed=2)
+    assert len(calls) == 90 and phi._cache == {}
