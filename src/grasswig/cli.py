@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -98,6 +99,8 @@ def _write_witness(directory: str, found) -> dict[str, str]:
 
 
 def cmd_check(args, tol: ToleranceConfig) -> int:
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        raise ValueError(f"--tol must be positive and finite, got {args.tol}")
     spec = load_map_spec(args.map)
     phi = instantiate(spec, args.dim, args.rank, args.field, tol)
     report = screen_preservation(phi, args.samples, args.seed, tol)

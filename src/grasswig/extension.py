@@ -6,12 +6,13 @@ Hermitian matrix.  The route goes through rank-1 projections and a shared
 envelope: any n+1 orthonormal vectors ``u_k`` (a *frame*) span the rank-(n+1)
 projection ``E = sum u_k u_k*``, each ``P_k = E - u_k u_k*`` has rank n, and
 ``u_k u_k* = (1/n) sum_j P_j - P_k``.  So n+1 oracle evaluations give the
-images of all n+1 dyads of a frame (``extend_frame``); any orthonormal set
-packs into such frames (``extend_orthonormal``), and the image of a single
-dyad is the first image of the frame completing its vector
-(``extend_to_rank1``).  Extending a map this way is what lets the
-reconstruction pipeline read off the image of every basis dyad even though
-the map itself never sees a rank-1 input.
+images of all n+1 dyads of a frame (``extend_frame``); any orthonormal sets
+pack into such frames, whose distinct inputs reach the oracle once each, as
+one stack (``extend_orthonormal``), and the image of a single dyad is the
+first image of the frame completing its vector (``extend_to_rank1``).
+Extending a map this way is what lets the reconstruction pipeline read off
+the images of the basis dyads and of its reference frame even though the
+map itself never sees a rank-1 input.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ import numpy as np
 
 from .errors import BadRank, InternalInconsistency, NonHermitian, NotAProjection, NotUnit, RankDeficient
 from .linalg import COMPLEX, as_complex, frobenius, hermitian_defect, hermitian_eig
-from .matio import canonical_key
 from .projections import Projection, projections_from_stack
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
@@ -31,12 +31,9 @@ from .tolerances import DEFAULT_TOL, ToleranceConfig
 class RankNMap:
     """Deterministic oracle sending rank-n projections to rank-n projections.
 
-    Outputs are validated against the projection invariants.  ``evaluate``
-    memoizes them by a canonical serialization of the input (rounded to 12
-    decimal digits); few of its queries repeat, chiefly extension frames
-    padded by the same standard basis vectors (common when n + 1
-    approaches d).  ``evaluate_many`` serves one-shot queries, the random
-    samples of screening and verification, and bypasses the cache.
+    Every query reaches the oracle; nothing is stored.  ``evaluate_many``
+    makes one oracle call per input and validates the outputs as one
+    stack; ``evaluate`` is its one-input case.
     """
 
     def __init__(
@@ -56,56 +53,37 @@ class RankNMap:
         self.descriptor = descriptor
         self.tol = tol
         self._fn = fn
-        self._cache: dict[bytes, Projection] = {}
-
-    def _check_input(self, p: Projection, which: str) -> None:
-        if p.ambient_dim != self.ambient_dim:
-            raise BadRank(f"{which} dimension {p.ambient_dim}, map expects {self.ambient_dim}")
-        if p.rank != self.rank:
-            raise BadRank(f"{which} rank {p.rank}, map expects {self.rank}")
-
-    def _check_output(self, out: Projection, which: str = "") -> Projection:
-        if out.rank != self.rank or out.ambient_dim != self.ambient_dim:
-            raise InternalInconsistency(
-                f"map {self.descriptor!r} returned rank {out.rank} in dim {out.ambient_dim}{which}"
-            )
-        return out
 
     def evaluate(self, p: Projection) -> Projection:
-        self._check_input(p, "input")
-        key = canonical_key(p.matrix)
-        hit = self._cache.get(key)
-        if hit is None:
-            out = self._fn(p)
-            if not isinstance(out, Projection):
-                out = Projection(out, tol=self.tol)
-            hit = self._cache[key] = self._check_output(out)
-        return hit
+        return self.evaluate_many([p])[0]
 
     def evaluate_many(self, projections: list[Projection]) -> list[Projection]:
-        """Outputs for the inputs in order, one oracle call each, without
-        the memo cache.
+        """Outputs for the inputs in order, one oracle call each.
 
-        Raw matrix outputs are validated as one stack; an output that is not
-        a projection raises ``NotAProjection``, one of the wrong rank or
-        dimension ``InternalInconsistency``, each naming the index of its
-        input.
+        Raw matrix outputs are validated as one stack; an input of the wrong
+        rank or dimension raises ``BadRank``, an output that is not a
+        projection ``NotAProjection``, one of the wrong rank or dimension
+        ``InternalInconsistency``, each naming the index of its input.
         """
+        d, n = self.ambient_dim, self.rank
         projections = list(projections)
         for i, p in enumerate(projections):
-            self._check_input(p, f"input {i}")
+            if (p.ambient_dim, p.rank) != (d, n):
+                raise BadRank(f"input {i} has rank {p.rank} in dim {p.ambient_dim}, map expects rank {n} in dim {d}")
         outputs = [self._fn(p) for p in projections]
         if not all(isinstance(out, Projection) for out in outputs):
             matrices = [out.matrix if isinstance(out, Projection) else as_complex(out) for out in outputs]
             for i, m in enumerate(matrices):
-                if m.shape[0] != m.shape[1]:
-                    raise NotAProjection(f"output {i} is {m.shape[0]}x{m.shape[1]}, not square")
-                if m.shape[0] != self.ambient_dim:
-                    raise InternalInconsistency(
-                        f"map {self.descriptor!r} returned dim {m.shape[0]} for input {i}, expected {self.ambient_dim}"
-                    )
+                if m.shape != (d, d):
+                    error = NotAProjection if m.shape[0] != m.shape[1] else InternalInconsistency
+                    raise error(f"map {self.descriptor!r} returned a {m.shape[0]}x{m.shape[1]} matrix for input {i}")
             outputs = projections_from_stack(np.array(matrices), self.tol)
-        return [self._check_output(out, f" for input {i}") for i, out in enumerate(outputs)]
+        for i, out in enumerate(outputs):
+            if (out.ambient_dim, out.rank) != (d, n):
+                raise InternalInconsistency(
+                    f"map {self.descriptor!r} returned rank {out.rank} in dim {out.ambient_dim} for input {i}"
+                )
+        return outputs
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"RankNMap(d={self.ambient_dim}, n={self.rank}, {self.descriptor})"
@@ -196,36 +174,15 @@ def rank1_combination(u, rank: int, tol: ToleranceConfig = DEFAULT_TOL) -> Combi
 
 
 def extend_frame(phi: RankNMap, frame, tol: ToleranceConfig = DEFAULT_TOL) -> list[np.ndarray]:
-    """Images of the n+1 dyads ``u_k u_k*`` of a frame under the real-linear
-    extension of ``phi``, from one oracle evaluation per dyad.
-
-    ``frame`` is a d-by-(n+1) matrix with orthonormal columns ``u_k``.  Each
-    ``P_k = E - u_k u_k*`` under the shared envelope ``E = sum u_k u_k*`` is
-    evaluated once, and the image of ``u_k u_k*`` is
-    ``(1/n) sum_j phi(P_j) - phi(P_k)``: the coefficients of
-    ``combination_coefficients`` with ``u_k`` as the distinguished vector.
-
-    Every image is Hermitian with trace 1 by construction (each summand has
-    trace n); a violation means the oracle itself is broken, not merely
-    non-preserving.
+    """Images of the n+1 dyads ``u_k u_k*`` of a d-by-(n+1) frame of
+    orthonormal columns under the real-linear extension of ``phi``, from one
+    oracle evaluation per dyad: the one-frame case of ``extend_orthonormal``.
     """
     u = np.asarray(frame, dtype=np.complex128)
     d, n = phi.ambient_dim, phi.rank
     if u.shape != (d, n + 1):
         raise BadRank(f"frame has shape {u.shape}, map needs {d}x{n + 1} orthonormal columns")
-    defect = frobenius(u.conj().T @ u - np.eye(n + 1))
-    if defect > tol.eq_tol:
-        raise NotUnit(f"frame columns are not orthonormal (defect {defect:.3e})")
-    dyads = u.T[:, :, None] * u.T.conj()[:, None, :]
-    inputs = projections_from_stack(u @ u.conj().T - dyads, tol, rank=n)
-    evaluated = [phi.evaluate(p).matrix for p in inputs]
-    mean = sum(evaluated) / n
-    images = [mean - image for image in evaluated]
-    for k, image in enumerate(images):
-        trace = complex(image.trace())
-        if abs(trace - 1.0) > tol.spec_tol:
-            raise InternalInconsistency(f"extension trace {trace!r} of frame dyad {k} differs from 1")
-    return images
+    return extend_orthonormal(phi, [u], tol)
 
 
 def extend_to_rank1(phi: RankNMap, u, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
@@ -238,22 +195,54 @@ def extend_to_rank1(phi: RankNMap, u, tol: ToleranceConfig = DEFAULT_TOL) -> np.
     return extend_frame(phi, np.column_stack(_unit_frame(u, phi.rank, tol)), tol)[0]
 
 
-def extend_orthonormal(phi: RankNMap, u, tol: ToleranceConfig = DEFAULT_TOL) -> list[np.ndarray]:
-    """Images of the dyads of the orthonormal columns of ``u`` under the
-    real-linear extension of ``phi``, packed n+1 to a frame: k columns cost
-    ``(n+1) * ceil(k / (n+1))`` oracle evaluations.
+def extend_orthonormal(phi: RankNMap, sets: list, tol: ToleranceConfig = DEFAULT_TOL) -> list[np.ndarray]:
+    """Images of the dyads of orthonormal columns under the real-linear
+    extension of ``phi``, in column order.
 
-    The last frame is completed deterministically by
-    ``complete_orthonormal``; the images of its padding are dropped.
+    ``sets`` is a list of matrices with orthonormal columns (sets that need
+    not be orthogonal to one another).  Each set is packed n+1 columns to a
+    frame, its last frame padded by ``complete_orthonormal`` (the padding's
+    images are dropped).  Under a frame's envelope
+    ``E = sum u_k u_k*`` the image of ``u_k u_k*`` is
+    ``(1/n) sum_j phi(P_j) - phi(P_k)`` with ``P_k = E - u_k u_k*``.  The
+    distinct ``P_k`` of all frames (padded frames may repeat one bit for
+    bit) reach the oracle once each, as one ``evaluate_many`` stack.
+
+    Every image has trace 1 by construction (each summand has trace n); a
+    violation means the oracle itself is broken, not merely non-preserving.
     """
-    u = np.asarray(u, dtype=np.complex128)
-    size = phi.rank + 1
-    images: list[np.ndarray] = []
-    for start in range(0, u.shape[1], size):
-        chunk = u[:, start : start + size]
-        frame = np.column_stack(complete_orthonormal(chunk, size, tol))
-        images.extend(extend_frame(phi, frame, tol)[: chunk.shape[1]])
-    return images
+    d, n = phi.ambient_dim, phi.rank
+    frames, kept = [], []
+    for columns in sets:
+        columns = np.asarray(columns, dtype=np.complex128)
+        if columns.ndim != 2 or columns.shape[0] != d:
+            raise BadRank(f"vectors of shape {columns.shape[:1]}, map expects dim {d}")
+        for start in range(0, columns.shape[1], n + 1):
+            chunk = columns[:, start : start + n + 1]
+            frames.append(np.column_stack(complete_orthonormal(chunk, n + 1, tol)))
+            kept.append(chunk.shape[1])
+    if not frames:
+        return []
+    frames = np.array(frames)
+    defect = np.max(np.linalg.norm(frames.conj().swapaxes(1, 2) @ frames - np.eye(n + 1), axis=(1, 2)))
+    if defect > tol.eq_tol:
+        raise NotUnit(f"frame columns are not orthonormal (defect {defect:.3e})")
+    vectors = frames.swapaxes(1, 2)
+    envelopes = frames @ frames.conj().swapaxes(1, 2)
+    inputs = (envelopes[:, None] - vectors[..., :, None] * vectors.conj()[..., None, :]).reshape(-1, d, d)
+    slot_of: dict[bytes, int] = {}  # -0.0 folded into +0.0
+    slots = [slot_of.setdefault((m + 0.0).tobytes(), len(slot_of)) for m in inputs]
+    inputs = inputs[np.unique(slots, return_index=True)[1]]  # the full stack is freed here
+    outputs = phi.evaluate_many(projections_from_stack(inputs, tol, rank=n))
+    images = np.stack([outputs[s].matrix for s in slots]).reshape(len(frames), n + 1, d, d)
+    images -= images.sum(axis=1, keepdims=True) / n  # in place: (1/n) sum_j phi(P_j) - phi(P_k),
+    images *= -1.0  # negated, without a second stack
+    traces = np.trace(images, axis1=2, axis2=3)
+    bad = np.argwhere(np.abs(traces - 1.0) > tol.spec_tol)
+    if bad.size:
+        f, k = bad[0]
+        raise InternalInconsistency(f"extension trace {complex(traces[f, k])!r} of frame {f} dyad {k} differs from 1")
+    return [image for frame, count in zip(images, kept) for image in frame[:count]]
 
 
 def extend_to_hermitian(phi: RankNMap, a, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
@@ -272,7 +261,7 @@ def extend_to_hermitian(phi: RankNMap, a, tol: ToleranceConfig = DEFAULT_TOL) ->
     w, v = hermitian_eig(a, tol)
     keep = np.abs(w) > 1e-14 * max(1.0, float(np.max(np.abs(w), initial=0.0)))
     out = np.zeros_like(a)
-    for mu, image in zip(w[keep], extend_orthonormal(phi, v[:, keep], tol)):
+    for mu, image in zip(w[keep], extend_orthonormal(phi, [v[:, keep]], tol)):
         out = out + mu * image
     trace_gap = abs(complex(out.trace()) - complex(a.trace()))
     if trace_gap > tol.spec_tol * max(1.0, norm):

@@ -108,19 +108,19 @@ def _describe(spec: MapSpec) -> str:
     return spec.kind
 
 
-def _noise_unitary(p: Projection, sigma: float, seed: int, field: str) -> np.ndarray:
-    """Near-identity unitary specific to this input.
+def _noise_unitary(m: np.ndarray, sigma: float, seed: int, field: str) -> np.ndarray:
+    """Near-identity unitary specific to the input matrix m.
 
     Seeded from a hash of the canonical input bytes so the wrapped map stays
     deterministic per input while different inputs get independent kicks.
     In real mode the generator is skew-symmetric, keeping the rotation real.
     """
     digest = hashlib.blake2b(
-        canonical_key(p.matrix) + seed.to_bytes(8, "little", signed=True),
+        canonical_key(m) + seed.to_bytes(8, "little", signed=True),
         digest_size=8,
     ).digest()
     rng = np.random.default_rng(int.from_bytes(digest, "little"))
-    d = p.ambient_dim
+    d = m.shape[0]
     g = rng.standard_normal((d, d))
     if field == REAL:
         generator = sigma * (g - g.T) / 2.0
@@ -130,16 +130,17 @@ def _noise_unitary(p: Projection, sigma: float, seed: int, field: str) -> np.nda
     return np.asarray(scipy.linalg.expm(generator), dtype=np.complex128)
 
 
-def instantiate(spec: MapSpec, d: int, n: int, field: str = COMPLEX, tol: ToleranceConfig = DEFAULT_TOL) -> RankNMap:
-    """Build the RankNMap a spec describes, validating it against (d, n, field)."""
+def _matrix_fn(spec: MapSpec, d: int, n: int, field: str, tol: ToleranceConfig):
+    """The map a spec describes, on raw matrices: every kind sends a rank-n
+    projection to one by construction, so nothing is validated in between."""
     if spec.kind == "identity":
-        fn = lambda p: p
-    elif spec.kind == "complement":
+        return lambda m: m
+    if spec.kind == "complement":
         if d != 2 * n:
             raise BadRank(f"complement maps rank n to rank d - n; need d = 2n, got d={d}, n={n}")
         eye = np.eye(d, dtype=np.complex128)
-        fn = lambda p: Projection(eye - p.matrix, rank=n, tol=tol)
-    elif spec.kind == "conjugation":
+        return lambda m: eye - m
+    if spec.kind == "conjugation":
         v = as_complex(spec.matrix)
         if v.shape != (d, d):
             raise MatrixFormatError(f"conjugation matrix is {v.shape}, expected ({d}, {d})")
@@ -152,29 +153,35 @@ def instantiate(spec: MapSpec, d: int, n: int, field: str = COMPLEX, tol: Tolera
             if spec.antiunitary:
                 raise MatrixFormatError("antiunitary has no meaning over the reals")
         if spec.antiunitary:
-            fn = lambda p: Projection(v @ p.matrix.conj() @ v.conj().T, rank=n, tol=tol)
-        else:
-            fn = lambda p: Projection(v @ p.matrix @ v.conj().T, rank=n, tol=tol)
-    elif spec.kind == "noisy":
-        # a wrapped map (here and in compose) sees only what the outer
-        # map's cache missed, so it bypasses its own cache
-        base_map = instantiate(spec.base, d, n, field, tol)
+            return lambda m: v @ m.conj() @ v.conj().T
+        return lambda m: v @ m @ v.conj().T
+    if spec.kind == "noisy":
+        base = _matrix_fn(spec.base, d, n, field, tol)
         if spec.sigma == 0.0:
-            fn = lambda p: base_map.evaluate_many([p])[0]
-        else:
-            def fn(p, _base=base_map, _sigma=spec.sigma, _seed=spec.seed, _field=field):
-                u = _noise_unitary(p, _sigma, _seed, _field)
-                out = _base.evaluate_many([p])[0].matrix
-                return Projection(u @ out @ u.conj().T, rank=n, tol=tol)
-    elif spec.kind == "compose":
-        stages = [instantiate(part, d, n, field, tol) for part in spec.parts]
-        def fn(p, _stages=stages):
-            for stage in reversed(_stages):
-                p = stage.evaluate_many([p])[0]
-            return p
-    else:
-        raise MatrixFormatError(f"unknown map type {spec.kind!r}")
-    return RankNMap(d, n, fn, descriptor=_describe(spec), field=field, tol=tol)
+            return base
+
+        def noisy(m):
+            u = _noise_unitary(m, spec.sigma, spec.seed, field)
+            return u @ base(m) @ u.conj().T
+
+        return noisy
+    if spec.kind == "compose":
+        stages = [_matrix_fn(part, d, n, field, tol) for part in reversed(spec.parts)]
+
+        def composed(m):
+            for stage in stages:
+                m = stage(m)
+            return m
+
+        return composed
+    raise MatrixFormatError(f"unknown map type {spec.kind!r}")
+
+
+def instantiate(spec: MapSpec, d: int, n: int, field: str = COMPLEX, tol: ToleranceConfig = DEFAULT_TOL) -> RankNMap:
+    """Build the RankNMap a spec describes, validating it against (d, n, field).
+    Its oracle returns raw matrices, which the map validates as one stack."""
+    fn = _matrix_fn(spec, d, n, field, tol)
+    return RankNMap(d, n, lambda p: fn(p.matrix), descriptor=_describe(spec), field=field, tol=tol)
 
 
 def map_to_table(phi: RankNMap, inputs: list[Projection]) -> list[dict]:

@@ -143,8 +143,8 @@ def canonical_key(m) -> bytes:
     """Canonical byte serialization: entries rounded to 12 decimal digits.
 
     The rounding (and the +0.0, which folds -0.0 into +0.0) makes the key
-    robust to non-associative float noise introduced by callers, so caches
-    and lookup tables match inputs that are equal for all practical purposes.
+    robust to non-associative float noise introduced by callers, so a key
+    (the noisy map's per-input seed) matches inputs equal for all purposes.
     """
     a = as_complex(m)
     rounded = np.round(a, 12) + 0.0

@@ -2,18 +2,19 @@
 
 Given an oracle sending rank-n projections to rank-n projections, the
 pipeline (1) screens it for angle preservation on random pairs, (2) pushes
-the basis dyads ``e_i e_i*`` and the chain links ``(e_{j-1} + e_j)/sqrt(2)``
-and ``(e_{j-1} + i e_j)/sqrt(2)`` through the real-linear extension, n+1
-dyads per shared-envelope frame (``extend_orthonormal``), (3) reads each
-basis image as a rank-1 projection ``v v*`` and keeps its vector ``v`` as a
+the basis dyads ``e_i e_i*`` and one reference frame through the
+real-linear extension as one query plan (``extend_orthonormal``): in the
+complex field the first n+1 columns ``f_k`` of the unitary DFT matrix, in
+the real field ``f_0 = (1/sqrt(d)) sum e_j`` alone, (3) reads each basis
+image as a rank-1 projection ``v v*`` and keeps its vector ``v`` as a
 column of the candidate unitary; at d = 2n with n > 1, when basis image 0
 is no rank-1 projection, every image is read through
 ``ext_{I - phi}(uu*) = I/n - ext_phi(uu*)`` instead, for the
 complement-composed family (an image cannot be both, since
 ``I/n - v v*`` has the eigenvalue ``1/n - 1 < 0``); phase assembly then
-fixes each column's phase against its predecessor along the chain, and a
-linear-vs-conjugate-linear probe runs on the same links, and (4) verifies
-the candidate on fresh random samples before accepting it.
+fixes every column's phase against the reference frame, whose image of
+``f_1`` also decides linear vs conjugate-linear, and (4) verifies the
+candidate on fresh random samples before accepting it.
 
 Anything that passes screening but fits neither family is reported as
 ``preserving_unclassified`` rather than guessed at: at d = 2n with n > 1 a
@@ -39,8 +40,8 @@ VARIANT_EXCEPTIONAL = "exceptional_complement"
 VARIANT_NOT_PRESERVING = "not_angle_preserving"
 VARIANT_UNCLASSIFIED = "preserving_unclassified"
 
-# Gate for structural sanity during assembly (phase magnitudes, unitarity of
-# the assembled candidate).  Deliberately loose: the verification pass at
+# Gate for structural sanity during assembly (rank-1 reference images, phase
+# magnitudes, the probe).  Deliberately loose: the verification pass at
 # accept_tol is the authority, this only decides how a failure is reported.
 ASSEMBLY_GATE = 1e-3
 
@@ -137,8 +138,11 @@ def screen_preservation(
     image; both vanish exactly for an angle preserver.  The trace form is
     read off the same spectra: ``tr PQ = tr QPQ`` is the spectrum's sum.
     The witness is the last pair attaining the maximum.  Pairs are drawn,
-    evaluated (bypassing the map's memo cache) and compared in stacks.
+    evaluated and compared in stacks.  Fewer than one pair raises
+    ``ValueError``: an empty screen certifies nothing.
     """
+    if num_samples < 1:
+        raise ValueError(f"screening needs at least 1 sample pair, got {num_samples}")
     rng = np.random.default_rng(seed)
     d, pairs = phi.ambient_dim, max(1, _block_size(phi.ambient_dim) // 2)
     worst, witness = 0.0, (None, None, None, None)
@@ -188,9 +192,11 @@ def verify_conjugation(
     The prediction stays a raw matrix: a candidate V that is unitary only to
     within the acceptance tolerance does not map P to an exact projection,
     and the residual, not projection validation, is the test it must pass.
-    Samples are drawn, evaluated (bypassing the map's memo cache) and
-    compared in stacks.
+    Samples are drawn, evaluated and compared in stacks.  Fewer than one
+    sample raises ``ValueError``: an empty verification certifies nothing.
     """
+    if num_samples < 1:
+        raise ValueError(f"verification needs at least 1 sample, got {num_samples}")
     rng = np.random.default_rng(seed)
     d, size = phi.ambient_dim, _block_size(phi.ambient_dim)
     worst = 0.0
@@ -248,92 +254,90 @@ def _unclassified(notes: str) -> ReconstructionResult:
     return ReconstructionResult(VARIANT_UNCLASSIFIED, notes=notes)
 
 
-def _link_images(phi: RankNMap, coefficient: complex, tol: ToleranceConfig) -> list[np.ndarray]:
-    """Images of the chain links ``(e_{j-1} + c e_j)/sqrt(2)``, j = 1..d-1,
-    in order of j.
+def _reference_sets(d: int, n: int, field: str) -> list[np.ndarray]:
+    """The reference frame that fixes the column phases, as orthonormal sets.
 
-    Links whose j has the same parity have disjoint supports, so each
-    parity is an orthonormal set that packs into frames.
+    Complex field: the first n+1 columns ``f_k = (w^{jk})_j / sqrt(d)`` of
+    the unitary DFT matrix, ``w = exp(2 pi i / d)``; at d = 2 these are
+    real, so a second set ``(e_0 +- i e_1)/sqrt(2)`` follows for the probe.
+    Real field: ``f_0 = (1/sqrt(d)) sum e_j`` alone.
     """
-    eye = np.eye(phi.ambient_dim, dtype=np.complex128)
-    links = (eye[:, :-1] + coefficient * eye[:, 1:]) / np.sqrt(2.0)
-    images = list(links.T)  # same length; every slot is overwritten below
-    images[0::2] = extend_orthonormal(phi, links[:, 0::2], tol)
-    images[1::2] = extend_orthonormal(phi, links[:, 1::2], tol)
-    return images
+    if field == REAL:
+        return [np.full((d, 1), 1.0 / np.sqrt(d), dtype=np.complex128)]
+    jk = np.outer(np.arange(d), np.arange(n + 1)) % d
+    sets = [np.exp(2j * np.pi * jk / d) / np.sqrt(d)]
+    if d == 2:
+        sets.append(np.array([[1.0, 1.0], [1j, -1j]]) / np.sqrt(2.0))
+    return sets
 
 
-def _assemble_candidate(columns: list[np.ndarray], links: list[np.ndarray]) -> tuple[np.ndarray | None, str]:
-    """Wigner phase assembly: stitch the columns read off the rank-1
-    images into a unitary.
+def _phases(u: np.ndarray, g: np.ndarray, image: np.ndarray, k: int) -> tuple[np.ndarray | None, str]:
+    """``c_j = (u_j* x) / g_j``, each of modulus 1, from the image ``x x*`` of
+    ``g g*``: ``V e_j = c_j u_j`` up to one phase common to all j."""
+    x = _rank1_vector(image, ASSEMBLY_GATE)
+    c = None if x is None else (u.conj().T @ x) / g
+    if c is None or np.max(np.abs(np.abs(c) - 1.0)) > ASSEMBLY_GATE:
+        return None, f"reference dyad {k} fixes no phase (no rank-1 image or a |c_j| off 1 by > {ASSEMBLY_GATE:.0e})"
+    return c, ""
 
-    Each image fixes its column only up to phase; the image of the chain
-    link ``(e_{j-1} + e_j)/sqrt(2)`` pins the phase of column j against
-    column j-1, fixed one step earlier, so every column takes the phase of
-    column 0.
+
+def _assemble_candidate(
+    u: np.ndarray, refs: np.ndarray, images: list[np.ndarray], probe: int | None
+) -> tuple[np.ndarray | None, bool | None, str]:
+    """Wigner phase assembly against one reference frame (Bargmann's proof).
+
+    The columns ``u_j`` of the basis images are fixed only up to phase.  The
+    image of ``f_0 f_0*`` fixes every phase at once, for both alternatives
+    (``f_0`` is real).  The image of reference ``probe`` then decides between
+    ``V g`` (linear) and ``V conj(g)`` (conjugate-linear), orthogonal.  The
+    estimates of all reference images, with ``g = f_k`` or ``conj(f_k)``, are
+    aligned on the first and averaged, and the columns, orthonormal only to
+    within their noise, are replaced by their polar factor.
     """
-    for j, link in enumerate(links, start=1):
-        overlap = 2.0 * complex(columns[j - 1].conj() @ link @ columns[j])
-        if abs(abs(overlap) - 1.0) > ASSEMBLY_GATE:
-            return None, (
-                f"link ({j - 1}, {j}) superposition overlap |c| = {abs(overlap):.6f}, "
-                f"expected 1 within {ASSEMBLY_GATE:.0e}"
+    c0, notes = _phases(u, refs[:, 0], images[0], 0)
+    if c0 is None:
+        return None, None, notes
+    antiunitary = False
+    if probe is not None:
+        v0 = u * (c0 / np.abs(c0))
+        lin, con = v0 @ refs[:, probe], v0 @ refs[:, probe].conj()
+        r_lin = frobenius(images[probe] - np.outer(lin, lin.conj()))
+        r_con = frobenius(images[probe] - np.outer(con, con.conj()))
+        if min(r_lin, r_con) > ASSEMBLY_GATE:
+            return None, None, (
+                f"probe reference dyad {probe} matches neither alternative "
+                f"(residuals {r_lin:.3e}, {r_con:.3e} > {ASSEMBLY_GATE:.0e})"
             )
-        columns[j] = columns[j] * (overlap.conjugate() / abs(overlap))
-    v = np.column_stack(columns)
-    unitarity = frobenius(v.conj().T @ v - np.eye(v.shape[1]))
-    if unitarity > ASSEMBLY_GATE:
-        return None, f"assembled columns are not unitary (defect {unitarity:.3e} > {ASSEMBLY_GATE:.0e})"
-    return canonicalize_global_phase(v), ""
-
-
-def _probe_antiunitary(
-    v: np.ndarray,
-    probes: list[np.ndarray],
-    accept_tol: float,
-) -> tuple[bool | None, str]:
-    """Decide linear vs conjugate-linear from the images of the chain links
-    ``(e_{j-1} + i e_j)/sqrt(2)``: ``(v_{j-1} + i v_j)/sqrt(2)`` for a
-    linear map, ``(v_{j-1} - i v_j)/sqrt(2)`` for a conjugate-linear one.
-
-    All links must agree on one alternative, else the map is left
-    unclassified.
-    """
-    votes = []
-    for j, image in enumerate(probes, start=1):
-        lin = (v[:, j - 1] + 1j * v[:, j]) / np.sqrt(2.0)
-        con = (v[:, j - 1] - 1j * v[:, j]) / np.sqrt(2.0)
-        r_lin = frobenius(image - np.outer(lin, lin.conj()))
-        r_con = frobenius(image - np.outer(con, con.conj()))
-        if min(r_lin, r_con) > accept_tol:
-            return None, (
-                f"probe link ({j - 1}, {j}) matches neither alternative "
-                f"(residuals {r_lin:.3e}, {r_con:.3e} > {accept_tol:.1e})"
-            )
-        votes.append(r_con < r_lin)
-        if votes[-1] != votes[0]:
-            return None, f"probe link ({j - 1}, {j}) disagrees with link (0, 1) on linear vs conjugate-linear"
-    return votes[0], ""
+        antiunitary = r_con < r_lin
+    g = refs.conj() if antiunitary else refs
+    estimates = [_phases(u, g[:, k], image, k) for k, image in enumerate(images)]
+    notes = next((notes for c, notes in estimates if c is None), "")
+    if notes:
+        return None, None, notes
+    total = sum(c / align_phase(c, c0) for c, _ in estimates)
+    v = u * (total / np.abs(total))
+    w, _, zh = np.linalg.svd(v.real if is_exactly_real(v) else v)
+    return canonicalize_global_phase(as_complex(w @ zh)), antiunitary, ""
 
 
 def _classify(phi: RankNMap, cfg: ReconstructionConfig, tol: ToleranceConfig) -> ReconstructionResult:
-    """Rank-1 basis images -> phase assembly -> probe -> verification.
+    """Rank-1 basis images -> phase assembly and probe -> verification.
 
-    At d = 2n with n > 1 basis image 0 decides the family: when it is no
-    rank-1 projection, every image is read as one under ``I - phi``,
+    The basis frames and the reference frame are extended as one query
+    plan.  At d = 2n with n > 1 basis image 0 decides the family: when it
+    is no rank-1 projection, every image is read as one under ``I - phi``,
     ``I/n - ext_phi(uu*)``, and the candidate is verified in the complement
     form ``I - V tau(P) V*``.
     """
     d, n = phi.ambient_dim, phi.rank
-    basis = extend_orthonormal(phi, np.eye(d, dtype=np.complex128), tol)
-    complement = d == 2 * n and n > 1 and _rank1_vector(basis[0], cfg.accept_tol) is None
-    shift = np.eye(d, dtype=np.complex128) / n
-
-    def read(images: list[np.ndarray]) -> list[np.ndarray]:
-        return [shift - image for image in images] if complement else images
+    sets = _reference_sets(d, n, phi.field)
+    images = extend_orthonormal(phi, [np.eye(d, dtype=np.complex128), *sets], tol)
+    complement = d == 2 * n and n > 1 and _rank1_vector(images[0], cfg.accept_tol) is None
+    if complement:
+        images = [np.eye(d, dtype=np.complex128) / n - image for image in images]
 
     columns = []
-    for i, image in enumerate(read(basis)):
+    for i, image in enumerate(images[:d]):
         column = _rank1_vector(image, cfg.accept_tol)
         if column is None:
             if not complement:
@@ -344,15 +348,12 @@ def _classify(phi: RankNMap, cfg: ReconstructionConfig, tol: ToleranceConfig) ->
                 reason = "is not I/n minus a rank-1 projection, as image 0 is"
             return _unclassified(f"extension image of basis dyad {i} {reason}")
         columns.append(column)
-    v, notes = _assemble_candidate(columns, read(_link_images(phi, 1.0, tol)))
+    # Real field: conjugation is invisible, so the answer is always linear.
+    # At d = 2, f_1 is real and the probe is the first vector of the second set.
+    probe = None if phi.field == REAL else 1 if d > 2 else n + 1
+    v, antiunitary, notes = _assemble_candidate(np.column_stack(columns), np.hstack(sets), images[d:], probe)
     if v is None:
         return _unclassified(notes)
-    # Real field: conjugation is invisible, so the answer is always linear.
-    antiunitary: bool | None = False
-    if phi.field != REAL:
-        antiunitary, notes = _probe_antiunitary(v, read(_link_images(phi, 1j, tol)), cfg.accept_tol)
-        if antiunitary is None:
-            return _unclassified(notes)
     if complement:
         variant, label, seed = VARIANT_EXCEPTIONAL, "complement-composed candidate", cfg.seed + 2
     else:
@@ -404,10 +405,9 @@ def dualize(phi: RankNMap, tol: ToleranceConfig = DEFAULT_TOL) -> RankNMap:
         raise BadRank(f"dual rank d - n = {m} is outside [1, {d - 1}]")
     eye = np.eye(d, dtype=np.complex128)
 
-    def fn(p: Projection) -> Projection:
-        inner = Projection(eye - p.matrix, rank=n, tol=tol)
-        # the dual map's own cache catches every repeat, so phi's is bypassed
-        return Projection(eye - phi.evaluate_many([inner])[0].matrix, rank=m, tol=tol)
+    def fn(p: Projection) -> np.ndarray:
+        # a raw output: the dual map validates its outputs as one stack
+        return eye - phi.evaluate(Projection(eye - p.matrix, rank=n, tol=tol)).matrix
 
     return RankNMap(d, m, fn, descriptor=f"dual({phi.descriptor})", field=phi.field, tol=tol)
 

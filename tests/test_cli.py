@@ -103,6 +103,19 @@ def test_check_complement_passes_at_half_dimension(tmp_path, capsys):
     assert code == 0
 
 
+def test_check_refuses_an_empty_screen_and_a_bad_tolerance(tmp_path, capsys):
+    spec = write_spec(
+        tmp_path, "spec.json", {"type": "noisy", "base": {"type": "identity"}, "sigma": 0.01, "seed": 1}
+    )
+    base = ["check", "--map", spec, "--dim", 6, "--rank", 2, "--witness-dir", tmp_path / "witness"]
+    for extra in (["--samples", 0], ["--samples", -3], ["--tol", 0], ["--tol=-1e-7"], ["--tol", "nan"], ["--tol", "inf"]):
+        code, out, err = run_cli(capsys, *base, *extra)
+        assert code == 2, extra
+        assert "holds" not in out and "error" in err
+    code, out, err = run_cli(capsys, "demo-exceptional", "--n", 2, "--samples", 0)
+    assert code == 2 and "at least 1" in err
+
+
 def test_check_noisy_fails_with_replayable_witness(tmp_path, capsys):
     spec = write_spec(
         tmp_path, "spec.json", {"type": "noisy", "base": {"type": "identity"}, "sigma": 0.01, "seed": 1}

@@ -216,7 +216,7 @@ def test_extension_transports_orthogonality():
         assert frobenius(fu @ fw) <= 1e-7
 
 
-def test_rank_n_map_memoizes_and_validates():
+def test_rank_n_map_queries_the_oracle_every_time_and_validates():
     calls = []
 
     def fn(p):
@@ -227,7 +227,7 @@ def test_rank_n_map_memoizes_and_validates():
     p = sample_projection(np.random.default_rng(10), 4, 2)
     first = phi.evaluate(p)
     second = phi.evaluate(Projection(p.matrix.copy()))
-    assert len(calls) == 1
+    assert len(calls) == 2
     assert projection_distance(first, second) == 0.0
     with pytest.raises(BadRank):
         phi.evaluate(sample_projection(np.random.default_rng(1), 4, 1))
@@ -323,8 +323,8 @@ def test_frame_rejects_wrong_trace_oracle():
         # an oracle seen without RankNMap's output validation
         ambient_dim, rank = d, n
 
-        def evaluate(self, p):
-            return Projection(np.diag([1.0, 1.0, 1.0, 0.0, 0.0]))
+        def evaluate_many(self, projections):
+            return [Projection(np.diag([1.0, 1.0, 1.0, 0.0, 0.0])) for _ in projections]
 
     with pytest.raises(InternalInconsistency):
         extend_frame(Unchecked(), frame)
@@ -349,7 +349,7 @@ def test_evaluate_many_validates_outputs_as_one_stack():
     phi = RankNMap(5, 2, fn)
     inputs = [sample_projection(np.random.default_rng(s), 5, 2) for s in range(4)]
     outputs = phi.evaluate_many(inputs)
-    assert len(calls) == 4 and phi._cache == {}
+    assert len(calls) == 4
     for p, out in zip(inputs, outputs):
         assert out.rank == 2 and frobenius(out.matrix - v @ p.matrix @ v.conj().T) == 0.0
     with pytest.raises(BadRank, match="input 1"):

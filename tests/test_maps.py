@@ -194,3 +194,32 @@ def test_table_lookup_tolerates_roundoff_on_every_input():
             continue
         assert projection_distance(out, phi.evaluate(p)) == 0.0
     assert misses == 0
+
+
+def test_map_outputs_are_validated_once_as_a_stack(monkeypatch):
+    # the oracles return raw matrices: a 20-pair screen validates its 40
+    # samples as one stack and their 40 images as another, with no
+    # single-matrix validation inside the oracle
+    import grasswig.projections as projections
+    from grasswig.reconstruction import screen_preservation
+
+    shapes = []
+    validate = projections.projection_rank
+
+    def counted(m, *args, **kwargs):
+        shapes.append(np.shape(m))
+        return validate(m, *args, **kwargs)
+
+    monkeypatch.setattr(projections, "projection_rank", counted)
+    v = haar_random_unitary(6, 4)
+    for spec in (
+        MapSpec("conjugation", matrix=v),
+        MapSpec("conjugation", matrix=v, antiunitary=True),
+        MapSpec("noisy", base=MapSpec("conjugation", matrix=v), sigma=1e-3, seed=2),
+    ):
+        shapes.clear()
+        screen_preservation(instantiate(spec, 6, 2), 20, seed=3)
+        assert shapes == [(40, 6, 6), (40, 6, 6)], spec.kind
+    shapes.clear()
+    screen_preservation(instantiate(MapSpec("complement"), 6, 3), 20, seed=3)
+    assert shapes == [(40, 6, 6), (40, 6, 6)]

@@ -10,6 +10,7 @@ from grasswig import (
     Projection,
     ReconstructionConfig,
     VARIANT_CONJUGATION,
+    VARIANT_EXCEPTIONAL,
     align_phase,
     dualize,
     haar_random_unitary,
@@ -89,5 +90,18 @@ def test_reconstruct_recovers_a_planted_conjugation(shape):
     phi = instantiate(MapSpec("conjugation", matrix=v, antiunitary=antiunitary), d, n, field)
     result = reconstruct(phi, ReconstructionConfig(seed=seed % 1000))
     assert result.variant == VARIANT_CONJUGATION
+    assert result.antiunitary is antiunitary
+    assert np.max(np.abs(result.v - align_phase(result.v, v) * v)) <= 1e-7
+
+
+@SETTINGS
+@given(st.integers(2, 4), st.sampled_from(("real", "complex")), st.booleans(), st.integers(0, 2**32 - 1))
+def test_reconstruct_recovers_a_planted_complement_of_a_conjugation(n, field, anti, seed):
+    d, antiunitary = 2 * n, field == "complex" and anti
+    v = haar_random_unitary(d, seed, field)
+    conjugation = MapSpec("conjugation", matrix=v, antiunitary=antiunitary)
+    phi = instantiate(MapSpec("compose", parts=(MapSpec("complement"), conjugation)), d, n, field)
+    result = reconstruct(phi, ReconstructionConfig(seed=seed % 1000))
+    assert result.variant == VARIANT_EXCEPTIONAL
     assert result.antiunitary is antiunitary
     assert np.max(np.abs(result.v - align_phase(result.v, v) * v)) <= 1e-7

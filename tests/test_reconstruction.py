@@ -272,23 +272,49 @@ def counting(phi):
     calls = []
 
     def fn(p):
-        calls.append(1)
+        calls.append((p.matrix + 0.0).tobytes())  # -0.0 and +0.0 count as one input
         return phi.evaluate(p)
 
     return RankNMap(phi.ambient_dim, phi.rank, fn, field=phi.field), calls
 
 
 def test_oracle_budget_at_large_dimension():
-    # basis dyads, superposition links and probe links in frames of n + 1,
-    # plus 40 screening and 50 verification evaluations
-    for n, anti in ((8, False), (16, True)):
+    # 40 screening and 50 verification evaluations, the distinct inputs of
+    # the basis frames and the n + 1 reference columns f_k, in one frame.
+    # n = 8: 64 = 7 * 9 + 1, and the last frame {e63, e0..e7} repeats the
+    # input e0..e7 of the first, so 71 of 72; n = 16: 64 = 3 * 17 + 13, 68.
+    for n, anti, basis in ((8, False, 71), (16, True, 68)):
         planted, v = conjugation(64, n, seed=37 + n, antiunitary=anti)
         phi, calls = counting(planted)
         result = reconstruct(phi)
         assert result.variant == VARIANT_CONJUGATION
         assert result.antiunitary is anti
         assert planted_deviation(result.v, v) <= 1e-7
-        assert len(calls) <= 320, (n, len(calls))
+        assert len(calls) == 40 + 50 + basis + (n + 1), (n, len(calls))
+        assert len(set(calls)) == len(calls)
+
+
+def test_padded_frames_send_each_distinct_input_once():
+    # (3, 1): basis frames {e0, e1} and {e2, e0} share the input e0 e0*, so
+    # 3 distinct of 4; (5, 3): {e0..e3} and {e4, e0, e1, e2} share
+    # e0 e0* + e1 e1* + e2 e2*, so 7 of 8.  At d = 2 the DFT columns are real
+    # and the probe frame (e0 +- i e1)/sqrt(2) costs n + 1 more.
+    for d, n, field, anti, basis, reference in (
+        (3, 1, "complex", False, 3, 2),
+        (3, 1, "real", False, 3, 2),
+        (5, 3, "complex", True, 7, 4),
+        (2, 1, "complex", True, 2, 4),
+        (2, 1, "complex", False, 2, 4),
+        (2, 1, "real", False, 2, 2),
+    ):
+        planted, v = conjugation(d, n, seed=40 + d + n, antiunitary=anti, field=field)
+        phi, calls = counting(planted)
+        result = reconstruct(phi)
+        assert result.variant == VARIANT_CONJUGATION
+        assert result.antiunitary is anti
+        assert planted_deviation(result.v, v) <= 1e-10
+        assert len(calls) == 40 + 50 + basis + reference, (d, n, field, len(calls))
+        assert len(set(calls)) == len(calls)
 
 
 def test_complement_branch_reuses_the_dyad_images():
@@ -378,7 +404,7 @@ def test_stacked_verify_matches_the_per_sample_loop():
             assert abs(stacked - looped) <= 1e-15 * max(1.0, looped)
 
 
-def test_sampled_stages_call_the_oracle_once_per_sample_and_bypass_the_cache():
+def test_sampled_stages_call_the_oracle_once_per_sample():
     v = haar_random_unitary(6, 2)
     calls = []
 
@@ -388,6 +414,17 @@ def test_sampled_stages_call_the_oracle_once_per_sample_and_bypass_the_cache():
 
     phi = RankNMap(6, 2, fn)
     screen_preservation(phi, 20, seed=1)
-    assert len(calls) == 40 and phi._cache == {}
+    assert len(calls) == 40
     verify_conjugation(phi, v, False, 50, seed=2)
-    assert len(calls) == 90 and phi._cache == {}
+    assert len(calls) == 90
+
+
+def test_sampled_stages_refuse_an_empty_sample():
+    # no sample certifies nothing: a noisy map must not pass an empty screen
+    noisy = MapSpec("noisy", base=MapSpec("identity"), sigma=1e-2, seed=1)
+    phi = instantiate(noisy, 6, 2)
+    for samples in (0, -3):
+        with pytest.raises(ValueError, match="at least 1"):
+            screen_preservation(phi, samples, seed=1)
+        with pytest.raises(ValueError, match="at least 1"):
+            verify_conjugation(phi, np.eye(6), False, samples, seed=1)
