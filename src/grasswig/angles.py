@@ -3,9 +3,13 @@
 Two independent routes are provided: the spectral one (eigenvalues of
 ``QPQ``, the defining construction) and the SVD one (singular values of
 ``Bp* @ Bq``, the numerically stable classic).  They are kept separate so
-each can serve as an oracle for the other; ``principal_angles`` combines
-them, trusting the SVD route at small angles where ``arccos(sqrt(.))``
-loses precision.
+each can serve as an oracle for the other; ``principal_angles`` returns
+the spectral answer unless the two disagree on an angle below
+``SMALL_ANGLE``, where it returns the SVD one.  Neither route is accurate
+at small angles: both work from cosines, so an angle below about 1e-6 rad
+carries an error of about 1e-8 rad whichever route answers (measured at
+d = 6, n = 2: at 1e-9 rad the spectral route returns about 25 times the
+angle and the SVD route returns 0).
 """
 
 from __future__ import annotations

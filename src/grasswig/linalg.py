@@ -129,25 +129,37 @@ def orthonormalize(m, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     return _phase_fixed_qr(a)
 
 
-def haar_unitaries_from_rng(rng: np.random.Generator, count: int, d: int, field: str = COMPLEX) -> np.ndarray:
-    """``count`` Haar-distributed unitaries (orthogonal in real mode) drawn
-    from ``rng``, as a ``(count, d, d)`` stack.
+def haar_frames_from_rng(rng: np.random.Generator, count: int, d: int, n: int, field: str = COMPLEX) -> np.ndarray:
+    """The first ``n`` columns of ``count`` Haar-distributed unitaries
+    (orthogonal in real mode) drawn from ``rng``, as a ``(count, d, n)`` stack.
 
     One Gaussian block is drawn, ``(count, d, d)`` in real mode and
     ``(count, 2, d, d)`` (real and imaginary parts) in complex mode, so the
-    generator's stream is consumed matrix by matrix: the stack equals
-    ``count`` successive draws of one unitary, bit for bit.  Its QR runs
-    stacked (Mezzadri, Notices AMS 54, 2007).
+    generator's stream is consumed matrix by matrix whatever ``n`` is: the
+    stack equals ``count`` successive one-matrix draws, bit for bit.  Only
+    the first n Gaussian columns enter the stacked QR, because the first n
+    columns of a phase-fixed Q depend on no others (Mezzadri, Notices AMS
+    54, 2007), so the result is the first n columns of the unitaries that
+    ``haar_unitaries_from_rng`` draws from the same state, up to roundoff.
     """
     if d < 1:
         raise BadRank(f"dimension must be positive, got {d}")
+    if not 1 <= n <= d:
+        raise BadRank(f"need 1 <= n <= d, got n={n}, d={d}")
     check_field(field)
     if field == COMPLEX:
-        g = rng.standard_normal((count, 2, d, d))
+        g = rng.standard_normal((count, 2, d, d))[..., :n]
         z = (g[:, 0] + 1j * g[:, 1]) / np.sqrt(2.0)
     else:
-        z = rng.standard_normal((count, d, d))
+        z = rng.standard_normal((count, d, d))[..., :n]
     return _phase_fixed_qr(np.asarray(z, dtype=np.complex128))
+
+
+def haar_unitaries_from_rng(rng: np.random.Generator, count: int, d: int, field: str = COMPLEX) -> np.ndarray:
+    """``count`` Haar-distributed unitaries (orthogonal in real mode) drawn
+    from ``rng``, as a ``(count, d, d)`` stack: the n = d case of
+    ``haar_frames_from_rng``."""
+    return haar_frames_from_rng(rng, count, d, d, field)
 
 
 def haar_unitary_from_rng(rng: np.random.Generator, d: int, field: str = COMPLEX) -> np.ndarray:

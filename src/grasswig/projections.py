@@ -19,7 +19,7 @@ from .linalg import (
     as_complex,
     frobenius,
     hermitian_eig,
-    haar_unitaries_from_rng,
+    haar_frames_from_rng,
 )
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
@@ -189,9 +189,13 @@ def sample_projections(
     from a live generator: the read-only ``(count, d, d)`` stack and a
     ``Projection`` over each of its matrices.
 
-    Equal, bit for bit, to ``count`` successive ``sample_projection`` draws.
+    The bases ``b`` are the first n columns of ``count`` Haar unitaries
+    (``haar_frames_from_rng``): the generator's stream is consumed as for
+    whole unitaries, but only n columns are orthonormalized.  Equal, bit
+    for bit, to ``count`` successive ``sample_projection`` draws.  A rank
+    outside ``[1, d]`` raises ``BadRank``.
     """
-    b = haar_unitaries_from_rng(rng, count, d, field)[..., :n]
+    b = haar_frames_from_rng(rng, count, d, n, field)
     stack = b @ b.conj().swapaxes(-1, -2)
     return stack, projections_from_stack(stack, tol, rank=n)
 

@@ -7,7 +7,9 @@ real-linear extension as one query plan (``extend_orthonormal``): in the
 complex field the first n+1 columns ``f_k`` of the unitary DFT matrix, in
 the real field ``f_0 = (1/sqrt(d)) sum e_j`` alone, (3) reads each basis
 image as a rank-1 projection ``v v*`` and keeps its vector ``v`` as a
-column of the candidate unitary; at d = 2n with n > 1, when basis image 0
+column of the candidate unitary (one stack of images at a time, by power
+steps from each image's largest-diagonal column, with no
+eigendecomposition); at d = 2n with n > 1, when basis image 0
 is no rank-1 projection, every image is read through
 ``ext_{I - phi}(uu*) = I/n - ext_phi(uu*)`` instead, for the
 complement-composed family (an image cannot be both, since
@@ -67,8 +69,8 @@ class ReconstructionConfig:
     def __post_init__(self) -> None:
         if self.screen_samples < 1 or self.verify_samples < 1:
             raise ValueError("sample counts must be positive")
-        if self.accept_tol <= 0:
-            raise ValueError("accept_tol must be positive")
+        if not 0.0 < self.accept_tol < float("inf"):
+            raise ValueError(f"accept_tol must be positive and finite, got {self.accept_tol!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,14 +212,15 @@ def verify_conjugation(
     return worst
 
 
-def _canonical_phase(column: np.ndarray) -> complex:
-    """Unimodular scalar making the largest-magnitude entry positive real.
+def _canonical_phase(vectors: np.ndarray):
+    """Unimodular scalar making the largest-magnitude entry positive real,
+    for one vector or for each vector (last axis) of a stack.
 
     numpy's argmax takes the first maximum, which implements the
     lowest-row-index tie break.
     """
-    pivot = column[int(np.argmax(np.abs(column)))]
-    return abs(pivot) / pivot
+    pivot = np.take_along_axis(vectors, np.argmax(np.abs(vectors), axis=-1)[..., None], axis=-1)[..., 0]
+    return np.abs(pivot) / pivot
 
 
 def canonicalize_global_phase(v: np.ndarray) -> np.ndarray:
@@ -231,23 +234,32 @@ def align_phase(a: np.ndarray, b: np.ndarray) -> complex:
     return t / abs(t) if t != 0 else 1.0 + 0j
 
 
-def _rank1_vector(image: np.ndarray, gate: float) -> np.ndarray | None:
-    """Unit vector ``v`` with ``||image - v v*||_F <= gate``, or None.
+def _rank1_vectors(images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each image of a ``(k, d, d)`` stack, a unit vector ``v`` near the
+    image's top eigenvector and the residual ``||image - v v*||_F``.
 
-    ``v`` is the top eigenvector, its largest entry made positive real.
-    An image that is not Hermitian yields None rather than an error: eigh
-    reads one triangle only, and the residual, taken against the whole
-    image, is at least the image's anti-Hermitian part.
+    ``v`` starts as the image's column with the largest diagonal entry,
+    which for ``v v* + E`` is ``v`` scaled by an entry of modulus at least
+    ``1/sqrt(d)``, so it is off by at most ``sqrt(d) ||E||``.  Two power
+    steps ``v <- image v / ||image v||`` each shrink that error by a factor
+    of about ``||E||``, which puts it at roundoff for every image a gate
+    can accept.  The largest entry of ``v`` is made positive real.  The
+    reader never raises: a NaN or zero image gets an infinite residual, and
+    a non-Hermitian or far-from-rank-1 one a residual at least its distance
+    from every dyad (at least its anti-Hermitian part), so each fails its
+    gate instead.
     """
-    try:
-        _, vecs = np.linalg.eigh(image.real if is_exactly_real(image) else image)
-    except np.linalg.LinAlgError:
-        return None
-    col = vecs[:, -1].astype(np.complex128)
-    col = col * _canonical_phase(col)
-    if not frobenius(image - np.outer(col, col.conj())) <= gate:
-        return None
-    return col
+    rows = np.arange(images.shape[0])
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        pivots = np.argmax(np.diagonal(images, axis1=-2, axis2=-1).real, axis=-1)
+        v = images[rows, :, pivots]
+        for _ in range(2):
+            v = (images @ (v / np.linalg.norm(v, axis=-1, keepdims=True))[..., None])[..., 0]
+        v = v / np.linalg.norm(v, axis=-1, keepdims=True)
+        v = v * _canonical_phase(v)[:, None]
+        residuals = np.linalg.norm(images - v[:, :, None] * v.conj()[:, None, :], axis=(-2, -1))
+    residuals[~np.isfinite(residuals)] = np.inf
+    return v, residuals
 
 
 def _unclassified(notes: str) -> ReconstructionResult:
@@ -271,18 +283,18 @@ def _reference_sets(d: int, n: int, field: str) -> list[np.ndarray]:
     return sets
 
 
-def _phases(u: np.ndarray, g: np.ndarray, image: np.ndarray, k: int) -> tuple[np.ndarray | None, str]:
+def _phases(u: np.ndarray, g: np.ndarray, x: np.ndarray, residual: float, k: int) -> tuple[np.ndarray | None, str]:
     """``c_j = (u_j* x) / g_j``, each of modulus 1, from the image ``x x*`` of
-    ``g g*``: ``V e_j = c_j u_j`` up to one phase common to all j."""
-    x = _rank1_vector(image, ASSEMBLY_GATE)
-    c = None if x is None else (u.conj().T @ x) / g
-    if c is None or np.max(np.abs(np.abs(c) - 1.0)) > ASSEMBLY_GATE:
+    ``g g*`` (read off within ``residual``): ``V e_j = c_j u_j`` up to one
+    phase common to all j."""
+    c = (u.conj().T @ x) / g
+    if not (residual <= ASSEMBLY_GATE and np.max(np.abs(np.abs(c) - 1.0)) <= ASSEMBLY_GATE):
         return None, f"reference dyad {k} fixes no phase (no rank-1 image or a |c_j| off 1 by > {ASSEMBLY_GATE:.0e})"
     return c, ""
 
 
 def _assemble_candidate(
-    u: np.ndarray, refs: np.ndarray, images: list[np.ndarray], probe: int | None
+    u: np.ndarray, refs: np.ndarray, images: np.ndarray, probe: int | None
 ) -> tuple[np.ndarray | None, bool | None, str]:
     """Wigner phase assembly against one reference frame (Bargmann's proof).
 
@@ -294,7 +306,8 @@ def _assemble_candidate(
     aligned on the first and averaged, and the columns, orthonormal only to
     within their noise, are replaced by their polar factor.
     """
-    c0, notes = _phases(u, refs[:, 0], images[0], 0)
+    xs, residuals = _rank1_vectors(images)
+    c0, notes = _phases(u, refs[:, 0], xs[0], residuals[0], 0)
     if c0 is None:
         return None, None, notes
     antiunitary = False
@@ -310,7 +323,7 @@ def _assemble_candidate(
             )
         antiunitary = r_con < r_lin
     g = refs.conj() if antiunitary else refs
-    estimates = [_phases(u, g[:, k], image, k) for k, image in enumerate(images)]
+    estimates = [_phases(u, g[:, k], x, r, k) for k, (x, r) in enumerate(zip(xs, residuals))]
     notes = next((notes for c, notes in estimates if c is None), "")
     if notes:
         return None, None, notes
@@ -324,34 +337,35 @@ def _classify(phi: RankNMap, cfg: ReconstructionConfig, tol: ToleranceConfig) ->
     """Rank-1 basis images -> phase assembly and probe -> verification.
 
     The basis frames and the reference frame are extended as one query
-    plan.  At d = 2n with n > 1 basis image 0 decides the family: when it
-    is no rank-1 projection, every image is read as one under ``I - phi``,
+    plan, and the d basis images are read as one stack.  At d = 2n with
+    n > 1 basis image 0 decides the family: when it is no rank-1
+    projection, every image is read as one under ``I - phi``,
     ``I/n - ext_phi(uu*)``, and the candidate is verified in the complement
     form ``I - V tau(P) V*``.
     """
     d, n = phi.ambient_dim, phi.rank
     sets = _reference_sets(d, n, phi.field)
-    images = extend_orthonormal(phi, [np.eye(d, dtype=np.complex128), *sets], tol)
-    complement = d == 2 * n and n > 1 and _rank1_vector(images[0], cfg.accept_tol) is None
+    images = np.stack(extend_orthonormal(phi, [np.eye(d, dtype=np.complex128), *sets], tol))
+    vectors, residuals = _rank1_vectors(images[:d])
+    complement = d == 2 * n and n > 1 and not residuals[0] <= cfg.accept_tol
     if complement:
-        images = [np.eye(d, dtype=np.complex128) / n - image for image in images]
+        images = np.eye(d, dtype=np.complex128) / n - images
+        vectors, residuals = _rank1_vectors(images[:d])
 
-    columns = []
-    for i, image in enumerate(images[:d]):
-        column = _rank1_vector(image, cfg.accept_tol)
-        if column is None:
-            if not complement:
-                reason = "is not a rank-1 projection"
-            elif i == 0:
-                reason = "is neither a rank-1 projection nor I/n minus one"
-            else:
-                reason = "is not I/n minus a rank-1 projection, as image 0 is"
-            return _unclassified(f"extension image of basis dyad {i} {reason}")
-        columns.append(column)
+    failed = np.flatnonzero(~(residuals <= cfg.accept_tol))
+    if failed.size:
+        i = int(failed[0])
+        if not complement:
+            reason = "is not a rank-1 projection"
+        elif i == 0:
+            reason = "is neither a rank-1 projection nor I/n minus one"
+        else:
+            reason = "is not I/n minus a rank-1 projection, as image 0 is"
+        return _unclassified(f"extension image of basis dyad {i} {reason}")
     # Real field: conjugation is invisible, so the answer is always linear.
     # At d = 2, f_1 is real and the probe is the first vector of the second set.
     probe = None if phi.field == REAL else 1 if d > 2 else n + 1
-    v, antiunitary, notes = _assemble_candidate(np.column_stack(columns), np.hstack(sets), images[d:], probe)
+    v, antiunitary, notes = _assemble_candidate(vectors.T, np.hstack(sets), images[d:], probe)
     if v is None:
         return _unclassified(notes)
     if complement:

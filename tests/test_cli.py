@@ -267,6 +267,14 @@ def test_gen_projection_and_subspace(tmp_path, capsys):
     assert code == 2 and "rank" in err
 
 
+@pytest.mark.parametrize("rank", [0, -1, 5])
+def test_gen_projection_refuses_a_rank_outside_1_to_dim(tmp_path, capsys, rank):
+    out = tmp_path / "p.json"
+    code, _, err = run_cli(capsys, "gen", "--what", "projection", "--dim", 4, "--rank", rank, "--seed", 3, "--out", out)
+    assert code == 2 and f"n={rank}, d=4" in err
+    assert not out.exists()
+
+
 def test_gw_tol_env_override(tmp_path, capsys, monkeypatch):
     # idempotency defect ~2.3e-9: rejected at the default eq_tol of 1e-9,
     # accepted once GW_TOL loosens it (spectrum checks still pass)

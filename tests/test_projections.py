@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from grasswig import (
+    BadRank,
     DimensionMismatch,
     NotAProjection,
     NotCommuting,
@@ -19,7 +20,7 @@ from grasswig import (
     subspace_from_projector,
     trace_product,
 )
-from grasswig.linalg import frobenius
+from grasswig.linalg import frobenius, haar_unitaries_from_rng
 
 
 def diag_projection(bits):
@@ -219,3 +220,20 @@ def test_sample_projection_is_the_first_of_a_stack():
         singles = [sample_projection(rng, 5, 3, field) for _ in range(4)]
         assert all(np.array_equal(p.matrix, m) for p, m in zip(singles, stack))
         assert np.array_equal(random_projection(5, 3, 8, field).matrix, stack[0])
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_sample_projections_span_the_first_columns_of_haar_unitaries(field):
+    # only n columns are orthonormalized, from the same Gaussian draws
+    for d, n in ((1, 1), (5, 1), (5, 3), (8, 8), (40, 8)):
+        rng_p, rng_u = np.random.default_rng(11), np.random.default_rng(11)
+        stack, _ = sample_projections(rng_p, 3, d, n, field)
+        b = haar_unitaries_from_rng(rng_u, 3, d, field)[..., :n]
+        assert np.max(np.abs(stack - b @ b.conj().swapaxes(-1, -2))) <= 1e-14
+        assert rng_p.random() == rng_u.random()  # the same stream consumed
+
+
+@pytest.mark.parametrize("n", [0, -1, 5])
+def test_sample_projections_refuse_a_rank_outside_1_to_d(n):
+    with pytest.raises(BadRank, match=f"n={n}, d=4"):
+        sample_projections(np.random.default_rng(0), 2, 4, n)

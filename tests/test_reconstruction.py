@@ -1,4 +1,5 @@
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from grasswig import (
 )
 from grasswig.linalg import REAL, frobenius
 from grasswig.maps import MapSpec, instantiate
+from grasswig.reconstruction import ASSEMBLY_GATE, _rank1_vectors
 
 
 def conjugation(d, n, seed, antiunitary=False, field="complex"):
@@ -180,6 +182,14 @@ def test_accept_tol_floor_is_enforced():
     phi, _ = conjugation(4, 2, seed=27)
     with pytest.raises(ValueError):
         reconstruct(phi, ReconstructionConfig(accept_tol=1e-9))
+
+
+@pytest.mark.parametrize("accept_tol", [float("nan"), float("inf")])
+def test_accept_tol_must_be_finite(accept_tol):
+    # either value lets a far-from-preserving map through the screen:
+    # noisy(1e-2) at d = 6, n = 2 came back unclassified, with no witness
+    with pytest.raises(ValueError, match="finite"):
+        ReconstructionConfig(accept_tol=accept_tol)
 
 
 def test_apply_conjugation_basics():
@@ -428,3 +438,72 @@ def test_sampled_stages_refuse_an_empty_sample():
             screen_preservation(phi, samples, seed=1)
         with pytest.raises(ValueError, match="at least 1"):
             verify_conjugation(phi, np.eye(6), False, samples, seed=1)
+
+
+def eigh_rank1_reference(image):
+    """Top eigenvector of a Hermitian image, largest entry made positive real,
+    and its residual ``||image - v v*||_F``: one eigendecomposition per image."""
+    _, vecs = np.linalg.eigh(image.real if np.all(image.imag == 0) else image)
+    v = vecs[:, -1].astype(np.complex128)
+    pivot = v[np.argmax(np.abs(v))]
+    v = v * (abs(pivot) / pivot)
+    return v, frobenius(image - np.outer(v, v.conj()))
+
+
+def random_unit(rng, d, field):
+    x = rng.standard_normal(d) + (1j * rng.standard_normal(d) if field == "complex" else 0.0)
+    return x / np.linalg.norm(x)
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("d", [2, 3, 8, 32, 64])
+def test_stacked_rank1_reader_matches_eigh(d, field):
+    rng = np.random.default_rng(d)
+    images = []
+    for size in (0.0, 1e-9, 1e-7):
+        for _ in range(3):
+            v = random_unit(rng, d, field)
+            h = rng.standard_normal((d, d)) + (1j * rng.standard_normal((d, d)) if field == "complex" else 0.0)
+            h = h + h.conj().T
+            images.append(np.outer(v, v.conj()) + size * h / frobenius(h))
+    vectors, residuals = _rank1_vectors(np.array(images, dtype=np.complex128))
+    for image, v, residual in zip(images, vectors, residuals):
+        ref_v, ref_residual = eigh_rank1_reference(image)
+        assert np.max(np.abs(v - ref_v)) <= 1e-13
+        assert abs(residual - ref_residual) <= 1e-14
+        if field == "real":
+            assert np.all(v.imag == 0)
+
+
+def test_stacked_rank1_reader_fails_the_gate_on_bad_images_without_raising():
+    d = 6
+    v = random_unit(np.random.default_rng(0), d, "complex")
+    dyad = np.outer(v, v.conj())
+    rank2 = random_projection(d, 2, seed=1).matrix
+    skew = dyad.copy()
+    skew[0, 1] += 1e-2
+    bad = [np.full((d, d), np.nan), np.zeros((d, d)), rank2, skew]
+    bad += [np.eye(d) / n - dyad for n in (2, 3)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, residuals = _rank1_vectors(np.array(bad, dtype=np.complex128))
+    assert residuals[0] == residuals[1] == np.inf
+    assert np.all(residuals > ASSEMBLY_GATE), residuals
+
+
+def test_reconstruct_runs_no_eigendecomposition(monkeypatch):
+    # the basis and reference images are read by power steps: one
+    # reconstruct at d = 32 used to run 32 + n + 1 eigh calls
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(*args, **kwargs):
+        calls.append(1)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    phi, v = conjugation(32, 4, seed=40, antiunitary=True)
+    result = reconstruct(phi)
+    assert result.variant == VARIANT_CONJUGATION and result.antiunitary is True
+    assert planted_deviation(result.v, v) <= 1e-7
+    assert calls == []
