@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import BadRank, InternalInconsistency, NonHermitian, NotAProjection, NotUnit, RankDeficient
 from .linalg import COMPLEX, as_complex, frobenius, hermitian_defect, hermitian_eig
-from .projections import Projection, projections_from_stack
+from .projections import Projection, _wrap_stack, projections_from_stack
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
 
@@ -206,7 +206,10 @@ def extend_orthonormal(phi: RankNMap, sets: list, tol: ToleranceConfig = DEFAULT
     ``E = sum u_k u_k*`` the image of ``u_k u_k*`` is
     ``(1/n) sum_j phi(P_j) - phi(P_k)`` with ``P_k = E - u_k u_k*``.  The
     distinct ``P_k`` of all frames (padded frames may repeat one bit for
-    bit) reach the oracle once each, as one ``evaluate_many`` stack.
+    bit) reach the oracle once each, as one ``evaluate_many`` stack.  The
+    frames' Gram defect is checked (``NotUnit`` above ``eq_tol``); the
+    ``P_k``, projections onto n columns of a checked frame, are then
+    wrapped with rank n without a d x d check of their own.
 
     Every image has trace 1 by construction (each summand has trace n); a
     violation means the oracle itself is broken, not merely non-preserving.
@@ -225,7 +228,7 @@ def extend_orthonormal(phi: RankNMap, sets: list, tol: ToleranceConfig = DEFAULT
         return []
     frames = np.array(frames)
     defect = np.max(np.linalg.norm(frames.conj().swapaxes(1, 2) @ frames - np.eye(n + 1), axis=(1, 2)))
-    if defect > tol.eq_tol:
+    if not defect <= tol.eq_tol:  # NaN fails too: the inputs below are not checked again
         raise NotUnit(f"frame columns are not orthonormal (defect {defect:.3e})")
     vectors = frames.swapaxes(1, 2)
     envelopes = frames @ frames.conj().swapaxes(1, 2)
@@ -233,7 +236,7 @@ def extend_orthonormal(phi: RankNMap, sets: list, tol: ToleranceConfig = DEFAULT
     slot_of: dict[bytes, int] = {}  # -0.0 folded into +0.0
     slots = [slot_of.setdefault((m + 0.0).tobytes(), len(slot_of)) for m in inputs]
     inputs = inputs[np.unique(slots, return_index=True)[1]]  # the full stack is freed here
-    outputs = phi.evaluate_many(projections_from_stack(inputs, tol, rank=n))
+    outputs = phi.evaluate_many(_wrap_stack(inputs, [n] * len(inputs)))
     images = np.stack([outputs[s].matrix for s in slots]).reshape(len(frames), n + 1, d, d)
     images -= images.sum(axis=1, keepdims=True) / n  # in place: (1/n) sum_j phi(P_j) - phi(P_k),
     images *= -1.0  # negated, without a second stack

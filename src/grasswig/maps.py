@@ -46,6 +46,12 @@ class MapSpec:
     def __post_init__(self) -> None:
         if self.kind == "noisy" and self.sigma < 0:
             raise MatrixFormatError(f"sigma must be >= 0, got {self.sigma}")
+        # the noise is keyed on the seed's 8 bytes: a signed 64-bit integer
+        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
+            raise MatrixFormatError(f"seed must be an integer, got {self.seed!r}")
+        if not -(2**63) <= int(self.seed) < 2**63:
+            raise MatrixFormatError(f"seed {self.seed} is outside the signed 64-bit range")
+        object.__setattr__(self, "seed", int(self.seed))
         if self.kind == "compose" and not self.parts:
             raise MatrixFormatError("compose requires a nonempty map list")
 
@@ -79,7 +85,7 @@ def parse_map_spec(obj, base_dir: str = ".") -> MapSpec:
             "noisy",
             base=parse_map_spec(obj["base"], base_dir),
             sigma=float(sigma),
-            seed=int(obj.get("seed", 0)),
+            seed=obj.get("seed", 0),
         )
     if kind == "compose":
         raw_parts = obj.get("maps")

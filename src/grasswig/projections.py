@@ -105,8 +105,10 @@ class Subspace:
 class Projection:
     """A self-adjoint idempotent matrix with its rank validated and stored.
 
-    The constructor is the single validation point; rank is never
-    recomputed afterwards.
+    The constructor validates its matrix (``projection_rank``); rank is
+    never recomputed afterwards.  Matrices the package builds as
+    projections by construction (Haar samples, extension inputs,
+    complements) are wrapped without that check (``_wrap_stack``).
     """
 
     matrix: np.ndarray
@@ -126,9 +128,11 @@ class Projection:
     def ambient_dim(self) -> int:
         return self.matrix.shape[0]
 
-    def complement(self, tol: ToleranceConfig = DEFAULT_TOL) -> "Projection":
-        eye = np.eye(self.ambient_dim, dtype=np.complex128)
-        return Projection(eye - self.matrix, tol=tol)
+    def complement(self) -> "Projection":
+        """``I - P``, of rank ``d - rank``: its idempotency defect is P's own,
+        so it is wrapped without a second check."""
+        d = self.ambient_dim
+        return _wrap_stack((np.eye(d, dtype=np.complex128) - self.matrix)[None], [d - self.rank])[0]
 
 
 def projection_distance(p: Projection, q: Projection) -> float:
@@ -152,29 +156,39 @@ def subspace_from_projector(p: Projection, tol: ToleranceConfig = DEFAULT_TOL) -
     return Subspace(v[:, -p.rank :], tol=tol)
 
 
+def _wrap_stack(stack: np.ndarray, ranks) -> list[Projection]:
+    """Make a complex ``(k, d, d)`` stack read-only and wrap each matrix in a
+    ``Projection`` whose matrix is a view of the stack, with the given rank.
+    Checks nothing: the caller vouches that each matrix is a projection of
+    that rank."""
+    stack.setflags(write=False)
+    out = []
+    for matrix, r in zip(stack, ranks):
+        p = object.__new__(Projection)
+        object.__setattr__(p, "matrix", matrix)
+        object.__setattr__(p, "rank", r)
+        out.append(p)
+    return out
+
+
 def projections_from_stack(stack: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL, rank: int | None = None) -> list[Projection]:
     """Validate a ``(k, d, d)`` stack in one pass (``projection_rank``) and
     wrap each matrix in a ``Projection`` whose matrix is a view of the
     stack, which is made read-only; with ``rank``, every matrix must have
     that rank.
 
-    The only path that builds a ``Projection`` without its constructor's
-    check: every matrix it wraps has just passed the same validator.
+    The stacked counterpart of the constructor, for matrices from outside
+    the package (oracle outputs): every matrix it wraps has just passed
+    the same validator.
     """
     stack = np.asarray(stack, dtype=np.complex128)
     if stack.ndim != 3:
         raise ValueError(f"expected a (k, d, d) stack, got shape {stack.shape}")
-    ranks = projection_rank(stack, tol)
-    stack.setflags(write=False)
-    out = []
-    for i, (matrix, r) in enumerate(zip(stack, ranks.tolist())):
+    ranks = projection_rank(stack, tol).tolist()
+    for i, r in enumerate(ranks):
         if rank is not None and r != rank:
             raise NotAProjection(f"matrix {i}: declared rank {rank}, trace gives {r}")
-        p = object.__new__(Projection)
-        object.__setattr__(p, "matrix", matrix)
-        object.__setattr__(p, "rank", r)
-        out.append(p)
-    return out
+    return _wrap_stack(stack, ranks)
 
 
 def sample_projections(
@@ -194,10 +208,19 @@ def sample_projections(
     whole unitaries, but only n columns are orthonormalized.  Equal, bit
     for bit, to ``count`` successive ``sample_projection`` draws.  A rank
     outside ``[1, d]`` raises ``BadRank``.
+
+    The check is on the frames, not on the d x d products: each frame's
+    Gram defect ``||b* b - I||_F`` must be at most ``eq_tol``, else
+    ``NotAProjection`` names the frame.  That bounds both invariants of
+    ``b b*``: ``P^2 - P = b (b* b - I) b*`` and ``tr P = n + tr(b* b - I)``.
     """
     b = haar_frames_from_rng(rng, count, d, n, field)
+    defects = np.linalg.norm(b.conj().swapaxes(-1, -2) @ b - np.eye(n), axis=(-2, -1))
+    bad = np.flatnonzero(~(defects <= tol.eq_tol))
+    if bad.size:
+        raise NotAProjection(f"frame {bad[0]}: Gram defect {defects[bad[0]]:.3e} exceeds {tol.eq_tol:.1e}")
     stack = b @ b.conj().swapaxes(-1, -2)
-    return stack, projections_from_stack(stack, tol, rank=n)
+    return stack, _wrap_stack(stack, [n] * count)
 
 
 def sample_projection(rng: np.random.Generator, d: int, n: int, field: str = COMPLEX, tol: ToleranceConfig = DEFAULT_TOL) -> Projection:

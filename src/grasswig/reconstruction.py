@@ -412,16 +412,17 @@ def reconstruct(
 
 def dualize(phi: RankNMap, tol: ToleranceConfig = DEFAULT_TOL) -> RankNMap:
     """Complement-conjugated map on the complementary rank:
-    ``psi(P) = I - phi(I - P)`` acting on rank d - n."""
+    ``psi(P) = I - phi(I - P)`` acting on rank d - n.  Only phi's outputs
+    are validated, once each, by ``phi.evaluate``."""
     d, n = phi.ambient_dim, phi.rank
     m = d - n
     if not 1 <= m <= d - 1:
         raise BadRank(f"dual rank d - n = {m} is outside [1, {d - 1}]")
-    eye = np.eye(d, dtype=np.complex128)
 
-    def fn(p: Projection) -> np.ndarray:
-        # a raw output: the dual map validates its outputs as one stack
-        return eye - phi.evaluate(Projection(eye - p.matrix, rank=n, tol=tol)).matrix
+    def fn(p: Projection) -> Projection:
+        # phi validates its own output; the complements of an input and of
+        # that output are projections by construction, checked no further
+        return phi.evaluate(p.complement()).complement()
 
     return RankNMap(d, m, fn, descriptor=f"dual({phi.descriptor})", field=phi.field, tol=tol)
 

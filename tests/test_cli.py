@@ -116,6 +116,16 @@ def test_check_refuses_an_empty_screen_and_a_bad_tolerance(tmp_path, capsys):
     assert code == 2 and "at least 1" in err
 
 
+@pytest.mark.parametrize("seed", [1e20, 2.7])
+def test_check_refuses_a_noisy_seed_that_is_no_64_bit_integer(tmp_path, capsys, seed):
+    spec = write_spec(
+        tmp_path, "spec.json", {"type": "noisy", "sigma": 1e-3, "seed": seed, "base": {"type": "complement"}}
+    )
+    code, out, err = run_cli(capsys, "check", "--map", spec, "--dim", 4, "--rank", 2, "--witness-dir", tmp_path / "w")
+    assert code == 2
+    assert "seed" in err and "discrepancy" not in out
+
+
 def test_check_noisy_fails_with_replayable_witness(tmp_path, capsys):
     spec = write_spec(
         tmp_path, "spec.json", {"type": "noisy", "base": {"type": "identity"}, "sigma": 0.01, "seed": 1}

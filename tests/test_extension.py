@@ -336,6 +336,10 @@ def test_frame_input_validation():
         extend_frame(phi, np.eye(5)[:, :2])
     with pytest.raises(NotUnit):
         extend_frame(phi, np.eye(5)[:, :3] * 1.1)
+    nan_frame = np.eye(5)[:, :3].astype(complex)
+    nan_frame[0, 0] = np.nan
+    with pytest.raises(NotUnit):
+        extend_frame(phi, nan_frame)
 
 
 def test_evaluate_many_validates_outputs_as_one_stack():

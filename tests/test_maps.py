@@ -197,9 +197,10 @@ def test_table_lookup_tolerates_roundoff_on_every_input():
 
 
 def test_map_outputs_are_validated_once_as_a_stack(monkeypatch):
-    # the oracles return raw matrices: a 20-pair screen validates its 40
-    # samples as one stack and their 40 images as another, with no
-    # single-matrix validation inside the oracle
+    # the oracles return raw matrices: a 20-pair screen validates their 40
+    # images as one stack, with no single-matrix validation inside the
+    # oracle; the 40 samples are projections by construction (their frames
+    # are checked instead) and are not validated
     import grasswig.projections as projections
     from grasswig.reconstruction import screen_preservation
 
@@ -219,7 +220,18 @@ def test_map_outputs_are_validated_once_as_a_stack(monkeypatch):
     ):
         shapes.clear()
         screen_preservation(instantiate(spec, 6, 2), 20, seed=3)
-        assert shapes == [(40, 6, 6), (40, 6, 6)], spec.kind
+        assert shapes == [(40, 6, 6)], spec.kind
     shapes.clear()
     screen_preservation(instantiate(MapSpec("complement"), 6, 3), 20, seed=3)
-    assert shapes == [(40, 6, 6), (40, 6, 6)]
+    assert shapes == [(40, 6, 6)]
+
+
+def test_noisy_seed_must_be_a_signed_64_bit_integer():
+    base = MapSpec("complement")
+    for seed in (2.7, 1e20, True, "3", 2**63, -(2**63) - 1):
+        with pytest.raises(MatrixFormatError, match="seed"):
+            MapSpec("noisy", base=base, sigma=1e-3, seed=seed)
+    for seed in (2**63 - 1, -(2**63), np.int64(5)):
+        assert type(MapSpec("noisy", base=base, sigma=1e-3, seed=seed).seed) is int
+    with pytest.raises(MatrixFormatError, match="seed"):
+        parse_map_spec({"type": "noisy", "sigma": 1e-3, "seed": 2.7, "base": {"type": "complement"}})

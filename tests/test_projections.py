@@ -237,3 +237,29 @@ def test_sample_projections_span_the_first_columns_of_haar_unitaries(field):
 def test_sample_projections_refuse_a_rank_outside_1_to_d(n):
     with pytest.raises(BadRank, match=f"n={n}, d=4"):
         sample_projections(np.random.default_rng(0), 2, 4, n)
+
+
+def test_sample_projections_refuse_a_frame_that_is_not_orthonormal(monkeypatch):
+    # the samples are checked on their d x n frames, not as d x d products
+    import grasswig.projections as projections
+
+    draw = projections.haar_frames_from_rng
+
+    def skewed(*args):
+        b = draw(*args)
+        b[2, :, 0] *= np.sqrt(1.0 + 1e-6)  # Gram defect 1e-6 in frame 2
+        return b
+
+    monkeypatch.setattr(projections, "haar_frames_from_rng", skewed)
+    for field in ("real", "complex"):
+        with pytest.raises(NotAProjection, match="frame 2: Gram defect 1.000e-06"):
+            sample_projections(np.random.default_rng(0), 4, 6, 2, field)
+
+
+def test_complement_is_wrapped_with_the_complementary_rank():
+    for d, n in ((6, 2), (5, 5), (4, 1)):
+        p = random_projection(d, n, seed=3)
+        c = p.complement()
+        assert c.rank == d - n and projection_rank(c.matrix) == d - n
+        assert np.array_equal(c.matrix, np.eye(d) - p.matrix)
+        assert not c.matrix.flags.writeable

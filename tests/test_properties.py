@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from grasswig import (
     NotAProjection,
     Projection,
+    RankNMap,
     ReconstructionConfig,
     VARIANT_CONJUGATION,
     VARIANT_EXCEPTIONAL,
@@ -20,6 +21,7 @@ from grasswig import (
     sample_projection,
     sample_projections,
 )
+from grasswig.extension import extend_orthonormal
 from grasswig.maps import MapSpec, instantiate
 
 # Few examples each: the suite's wall time stays within a few seconds.
@@ -52,6 +54,42 @@ def test_stacked_validator_accepts_haar_samples_and_rejects_a_perturbed_one(shap
     bad[i] = bad[i] * (1.0 + 1e-6)  # Hermitian, but no longer idempotent
     with pytest.raises(NotAProjection, match=f"matrix {i}: "):
         projection_rank(bad)
+
+
+def extension_inputs(d, n, field, sets):
+    """The projections ``extend_orthonormal`` sends to the oracle, recorded
+    by an identity oracle."""
+    inputs = []
+
+    def record(p):
+        inputs.append(p)
+        return p.matrix
+
+    extend_orthonormal(RankNMap(d, n, record, field=field), sets)
+    return inputs
+
+
+def assert_rank_n_projections(projections, n):
+    # what the package wraps without a check must pass the check
+    assert list(projection_rank(np.array([p.matrix for p in projections]))) == [n] * len(projections)
+    assert all(p.rank == n for p in projections)
+
+
+@SETTINGS
+@given(shapes())
+def test_unchecked_extension_inputs_pass_the_validator(shape):
+    # sampled stacks: test_stacked_validator_accepts_haar_samples_and_rejects_a_perturbed_one
+    d, n, field, _, seed = shape
+    haar = haar_random_unitary(d, seed, field)[:, : min(d, 2 * n + 1)]
+    assert_rank_n_projections(extension_inputs(d, n, field, [np.eye(d), haar]), n)
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_unchecked_samples_and_extension_inputs_pass_the_validator_at_d_64(n):
+    _, samples = sample_projections(np.random.default_rng(n), 4, 64, n)
+    assert_rank_n_projections(samples, n)
+    haar = haar_random_unitary(64, n)[:, : 2 * n + 1]
+    assert_rank_n_projections(extension_inputs(64, n, "complex", [np.eye(64), haar]), n)
 
 
 @SETTINGS

@@ -507,3 +507,54 @@ def test_reconstruct_runs_no_eigendecomposition(monkeypatch):
     assert result.variant == VARIANT_CONJUGATION and result.antiunitary is True
     assert planted_deviation(result.v, v) <= 1e-7
     assert calls == []
+
+
+def validated_shapes(monkeypatch):
+    """Shapes of the arrays passed to ``projection_rank``, recorded."""
+    import grasswig.projections as projections
+
+    shapes = []
+    validate = projections.projection_rank
+
+    def counted(m, *args, **kwargs):
+        shapes.append(np.shape(m))
+        return validate(m, *args, **kwargs)
+
+    monkeypatch.setattr(projections, "projection_rank", counted)
+    return shapes
+
+
+def raw_conjugation(d, n, seed):
+    """A conjugation oracle returning raw matrices, with its call list."""
+    v = haar_random_unitary(d, seed)
+    calls = []
+
+    def fn(p):
+        calls.append(1)
+        return v @ p.matrix @ v.conj().T
+
+    return RankNMap(d, n, fn), v, calls
+
+
+def test_reconstruct_validates_only_the_oracle_outputs(monkeypatch):
+    # samples and extension inputs are projections by construction: the
+    # only matrices validated are the oracle's outputs, once each
+    shapes = validated_shapes(monkeypatch)
+    phi, v, calls = raw_conjugation(32, 8, seed=43)
+    result = reconstruct(phi)
+    assert result.variant == VARIANT_CONJUGATION
+    assert planted_deviation(result.v, v) <= 1e-7
+    assert all(len(shape) == 3 for shape in shapes)
+    assert sum(shape[0] for shape in shapes) == len(calls)
+
+
+def test_dual_route_validates_no_complement(monkeypatch):
+    # the dual map queries phi on I - P and returns I - phi(I - P); neither
+    # complement is validated, only phi's outputs, once each
+    shapes = validated_shapes(monkeypatch)
+    phi, v, calls = raw_conjugation(8, 6, seed=44)
+    result = reconstruct_via_dual(phi)
+    assert result.variant == VARIANT_CONJUGATION
+    assert planted_deviation(result.v, v) <= 1e-7
+    assert [shape for shape in shapes if len(shape) == 2] == []
+    assert sum(shape[0] for shape in shapes) == len(calls)
