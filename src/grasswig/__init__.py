@@ -44,7 +44,7 @@ from .linalg import (
     hermitian_eig,
     orthonormalize,
     random_subspace,
-    svd,
+    singular_values,
 )
 from .maps import MapSpec, instantiate, load_map_spec, map_from_table, map_to_table, parse_map_spec
 from .matio import (

@@ -1,15 +1,14 @@
 """Principal angles between equal-rank subspaces.
 
-Two independent routes are provided: the spectral one (eigenvalues of
-``QPQ``, the defining construction) and the SVD one (singular values of
-``Bp* @ Bq``, the numerically stable classic).  They are kept separate so
-each can serve as an oracle for the other; ``principal_angles`` returns
-the spectral answer unless the two disagree on an angle below
-``SMALL_ANGLE``, where it returns the SVD one.  Neither route is accurate
-at small angles: both work from cosines, so an angle below about 1e-6 rad
-carries an error of about 1e-8 rad whichever route answers (measured at
-d = 6, n = 2: at 1e-9 rad the spectral route returns about 25 times the
-angle and the SVD route returns 0).
+``principal_angles`` (projections) and ``principal_angles_svd``
+(orthonormal bases) read the cosines and the sines of the angles as
+singular values and take each angle from its sine below pi/4 and from its
+cosine above (Bjorck & Golub, Math. Comp. 27, 1973; Knyazev & Argentati,
+SIAM J. Sci. Comput. 23, 2002), so an angle of 1e-12 rad, or one within
+1e-9 of pi/2, is as accurate as the stored matrices.
+``principal_angles_spectral`` takes every angle from an eigenvalue of
+``QPQ``, which costs up to a few 1e-8 rad near 0 and pi/2; it stays as an
+independent cross-check.
 """
 
 from __future__ import annotations
@@ -19,11 +18,9 @@ from dataclasses import InitVar, dataclass
 import numpy as np
 
 from .errors import ConvergenceFailure, DimensionMismatch, InternalInconsistency, RankMismatch
-from .linalg import svd
-from .projections import Projection, Subspace, subspace_from_projector
+from .linalg import singular_values
+from .projections import Projection, Subspace
 from .tolerances import DEFAULT_TOL, ToleranceConfig
-
-SMALL_ANGLE = 1e-4
 
 
 def _clamped_cos2(values: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
@@ -32,12 +29,13 @@ def _clamped_cos2(values: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
     Silent clamping of anything beyond ``spec_tol`` would mask bugs, so the
     excursion is measured first.
     """
-    excursion = max(float(-values.min(initial=0.0)), float(values.max(initial=1.0) - 1.0), 0.0)
-    if excursion > tol.spec_tol:
+    # a NaN makes both extremes NaN, and NaN fails the comparison below
+    excursion = max(float(-values.min(initial=0.0)), float(values.max(initial=1.0) - 1.0))
+    if not excursion <= tol.spec_tol:
         raise InternalInconsistency(
             f"cos^2 spectrum leaves [0,1] by {excursion:.3e} (> {tol.spec_tol:.1e})"
         )
-    return np.clip(values, 0.0, 1.0)
+    return np.minimum(np.maximum(values, 0.0), 1.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,7 +44,9 @@ class PrincipalAngles:
 
     ``cos2_spectrum`` is the complete d-element eigenvalue multiset of
     ``QPQ`` in descending order, zeros included; ``angles`` has one entry
-    per dimension of the common rank.
+    per dimension of the common rank.  ``cos^2`` of the angles must match
+    the top of the spectrum to ``spec_tol``: a 1-Lipschitz check with no
+    floor, which for an angle taken from its sine checks sin^2 + cos^2 = 1.
     """
 
     angles: np.ndarray
@@ -60,8 +60,8 @@ class PrincipalAngles:
         n = angles.size
         if n > cos2.size:
             raise ValueError("more angles than spectrum entries")
-        expected = np.arccos(np.sqrt(_clamped_cos2(cos2[:n], t)))
-        if n and float(np.max(np.abs(np.sort(angles) - expected))) > t.spec_tol:
+        expected = _clamped_cos2(cos2, t)[:n]
+        if n and not float(np.max(np.abs(np.cos(np.sort(angles)) ** 2 - expected))) <= t.spec_tol:
             raise InternalInconsistency("angles do not match the top of the cos^2 spectrum")
         object.__setattr__(self, "angles", angles)
         object.__setattr__(self, "cos2_spectrum", cos2)
@@ -104,30 +104,36 @@ def principal_angles_spectral(p: Projection, q: Projection, tol: ToleranceConfig
     return PrincipalAngles(angles, cos2, tol=tol)
 
 
+def _combine(cos2: np.ndarray, sines: np.ndarray, tol: ToleranceConfig) -> PrincipalAngles:
+    """Angles from the descending cos^2 spectrum and the ascending sines,
+    one per angle: ``arcsin`` of each sine below 1/sqrt(2), ``arccos`` of
+    the matching cosine from there up."""
+    cos2 = _clamped_cos2(cos2, tol)
+    angles = np.arccos(np.sqrt(cos2[: sines.size]))
+    small = sines < 0.5**0.5
+    angles[small] = np.arcsin(sines[small])
+    return PrincipalAngles(np.sort(angles), cos2, tol=tol)
+
+
 def principal_angles_svd(sp: Subspace, sq: Subspace, tol: ToleranceConfig = DEFAULT_TOL) -> PrincipalAngles:
-    """Angles as arccos of the singular values of ``Bp* @ Bq``."""
+    """Angles from the bases: cosines are the singular values of
+    ``Bp* Bq``, sines those of ``Bq - Bp (Bp* Bq)``."""
     _check_pair(sp, sq)
-    _, s, _ = svd(sp.basis.conj().T @ sq.basis)
-    cosines = _clamped_cos2(s, tol)  # singular values themselves live in [0,1]
-    angles = np.arccos(cosines)
+    overlap = sp.basis.conj().T @ sq.basis
+    cosines = singular_values(overlap)
+    sines = singular_values(sq.basis - sp.basis @ overlap)[::-1]
     cos2 = np.concatenate([cosines**2, np.zeros(sp.ambient_dim - sp.rank)])
-    return PrincipalAngles(angles, cos2, tol=tol)
+    return _combine(cos2, sines, tol)
 
 
 def principal_angles(p: Projection, q: Projection, tol: ToleranceConfig = DEFAULT_TOL) -> PrincipalAngles:
-    """Spectral-route angles, deferring to the SVD route at small angles.
-
-    ``arccos(sqrt(lambda))`` is ill-conditioned near lambda = 1, so when the
-    two routes disagree by more than 10x ``spec_tol`` on an angle below
-    ``SMALL_ANGLE`` radians, the SVD result is authoritative.
-    """
-    spectral = principal_angles_spectral(p, q, tol)
-    if p.rank == 0 or float(spectral.angles.min(initial=np.inf)) >= SMALL_ANGLE:
-        return spectral
-    stable = principal_angles_svd(subspace_from_projector(p, tol), subspace_from_projector(q, tol), tol)
-    if float(np.max(np.abs(stable.angles - spectral.angles))) > 10.0 * tol.spec_tol:
-        return stable
-    return spectral
+    """Angles from the projections: cosines are the singular values of
+    ``PQ`` (their squares are the spectrum of ``QPQ``), sines the top
+    ``rank`` singular values of ``Q - PQ``."""
+    _check_pair(p, q)
+    pq = p.matrix @ q.matrix
+    sines = singular_values(q.matrix - pq)[: p.rank][::-1]
+    return _combine(singular_values(pq) ** 2, sines, tol)
 
 
 def angles_equal(

@@ -1,5 +1,5 @@
-"""Dense linear-algebra kernel: Hermitian eigendecomposition, SVD,
-orthonormalization, and seeded Haar-random sampling.
+"""Dense linear-algebra kernel: Hermitian eigendecomposition, singular
+values, orthonormalization, and seeded Haar-random sampling.
 
 Every matrix in this package is a numpy ``complex128`` array.  The real
 field is a constraint (imaginary parts exactly zero), not a separate
@@ -33,7 +33,7 @@ def frobenius(m) -> float:
 
 
 def is_exactly_real(m) -> bool:
-    return bool(np.all(np.asarray(m).imag == 0.0))
+    return not np.asarray(m).imag.any()
 
 
 def hermitian_defect(m) -> float:
@@ -73,23 +73,13 @@ def hermitian_eig(m, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, np
     return w, v
 
 
-def svd(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Thin singular value decomposition ``m ~ u @ diag(s) @ w*``.
-
-    Singular values come back descending and nonnegative; ``u`` and ``w``
-    have orthonormal columns.
-    """
+def singular_values(m) -> np.ndarray:
+    """Singular values of a matrix, descending and nonnegative."""
     a = as_complex(m)
     try:
-        if is_exactly_real(a):
-            u, s, vh = np.linalg.svd(a.real, full_matrices=False)
-            u = u.astype(np.complex128)
-            vh = vh.astype(np.complex128)
-        else:
-            u, s, vh = np.linalg.svd(a, full_matrices=False)
+        return np.linalg.svd(a.real if is_exactly_real(a) else a, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"svd did not converge: {exc}") from exc
-    return u, s, vh.conj().T
 
 
 def _phase_fixed_qr(a: np.ndarray) -> np.ndarray:
@@ -123,7 +113,7 @@ def orthonormalize(m, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     a = as_complex(m)
     if a.shape[1] == 0 or a.shape[1] > a.shape[0]:
         raise RankDeficient(f"{a.shape[1]} columns cannot be independent in dimension {a.shape[0]}")
-    s = np.linalg.svd(a, compute_uv=False)
+    s = singular_values(a)
     if s[-1] <= tol.rank_tol * max(1.0, s[0]):
         raise RankDeficient(f"numerical rank < {a.shape[1]} (smallest singular value {s[-1]:.3e})")
     return _phase_fixed_qr(a)

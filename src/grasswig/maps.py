@@ -44,8 +44,8 @@ class MapSpec:
     parts: tuple["MapSpec", ...] = ()
 
     def __post_init__(self) -> None:
-        if self.kind == "noisy" and self.sigma < 0:
-            raise MatrixFormatError(f"sigma must be >= 0, got {self.sigma}")
+        if self.kind == "noisy" and (not math.isfinite(self.sigma) or self.sigma < 0):
+            raise MatrixFormatError(f"sigma must be a finite number >= 0, got {self.sigma}")
         # the noise is keyed on the seed's 8 bytes: a signed 64-bit integer
         if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
             raise MatrixFormatError(f"seed must be an integer, got {self.seed!r}")
@@ -74,7 +74,10 @@ def parse_map_spec(obj, base_dir: str = ".") -> MapSpec:
         if not isinstance(raw, dict):
             raise MatrixFormatError("conjugation needs a \"matrix\" (inline object or file path)")
         m, _ = matrix_from_obj(raw)
-        return MapSpec("conjugation", matrix=m, antiunitary=bool(obj.get("antiunitary", False)))
+        antiunitary = obj.get("antiunitary", False)
+        if not isinstance(antiunitary, bool):
+            raise MatrixFormatError(f"antiunitary must be true or false, got {antiunitary!r}")
+        return MapSpec("conjugation", matrix=m, antiunitary=antiunitary)
     if kind == "noisy":
         if "base" not in obj:
             raise MatrixFormatError("noisy needs a \"base\" map spec")

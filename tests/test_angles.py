@@ -155,15 +155,87 @@ def test_complement_preserves_angles_at_half_dimension():
         assert np.max(np.abs(before - after)) <= 1e-8
 
 
+SMALL_THETAS = (1e-6, 1e-9, 1e-12)
+
+
+def relative_errors(p, q, bp, bq, thetas):
+    return [
+        float(np.max(np.abs(route.angles - thetas) / thetas))
+        for route in (principal_angles(p, q), principal_angles_svd(Subspace(bp), Subspace(bq)))
+    ]
+
+
 def test_small_angles_remain_accurate():
-    eps = 1e-6
-    pa = principal_angles(line(0.0), line(eps))
-    assert abs(pa.angles[0] - eps) <= 1e-9
+    b0 = np.array([[1.0], [0.0]], dtype=np.complex128)
+    for theta in SMALL_THETAS:
+        b1 = np.array([[np.cos(theta)], [np.sin(theta)]], dtype=np.complex128)
+        assert max(relative_errors(line(0.0), line(theta), b0, b1, np.array([theta]))) <= 1e-9, theta
+
+
+def planted_pair(rng, d, thetas, field):
+    """Bases of two subspaces at the given angles, in permuted coordinate
+    planes with random phases.
+
+    The phases are fourth (real field: second) roots of unity, so every
+    stored entry is exact and the bases are orthonormal to the last bit.  A
+    generic unit phase is stored with ``|phase|^2`` off 1 by about 1e-16,
+    which moves a 1e-12 rad angle by a relative 3e-8 on every route, as
+    any rounding of the basis does.
+    """
+    n = thetas.size
+    perm = rng.permutation(d)
+    roots = [1.0, -1.0, 1j, -1j] if field == "complex" else [1.0, -1.0]
+    phases = rng.choice(np.array(roots, dtype=np.complex128), d)
+    bp = np.zeros((d, n), dtype=np.complex128)
+    bq = np.zeros((d, n), dtype=np.complex128)
+    for k, theta in enumerate(thetas):
+        i, j = perm[k], perm[n + k]
+        bp[i, k] = phases[i]
+        bq[i, k] = np.cos(theta) * phases[i]
+        bq[j, k] = np.sin(theta) * phases[j]
+    return bp, bq
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("theta", SMALL_THETAS)
+def test_small_planted_angles_remain_accurate(field, theta):
+    rng = np.random.default_rng([13, int(-np.log10(theta))])
+    for _ in range(20):
+        d = int(rng.integers(2, 17))
+        n = int(rng.integers(1, d // 2 + 1))
+        thetas = theta * (1.0 + np.arange(n))
+        bp, bq = planted_pair(rng, d, thetas, field)
+        p, q = Projection(bp @ bp.conj().T, rank=n), Projection(bq @ bq.conj().T, rank=n)
+        assert max(relative_errors(p, q, bp, bq, thetas)) <= 1e-9, (d, n)
+
+
+def test_angles_near_a_right_angle_are_accurate():
+    rng = np.random.default_rng(14)
+    for delta in (1e-5, 1e-9):
+        theta = np.pi / 2 - delta
+        u = haar_random_unitary(6, int(rng.integers(0, 10_000)))
+        bp = u[:, :2]
+        bq = np.column_stack([np.cos(theta) * u[:, 0] + np.sin(theta) * u[:, 2], u[:, 3]])
+        p, q = Projection(bp @ bp.conj().T), Projection(bq @ bq.conj().T)
+        for route in (principal_angles(p, q), principal_angles_svd(Subspace(bp), Subspace(bq))):
+            assert abs(route.angles[0] - theta) <= 1e-14
+
+
+def test_angle_check_has_no_floor_near_zero():
+    PrincipalAngles(np.array([1e-12]), np.array([1.0 - 4.4e-16, 0.0]))
+    with pytest.raises(InternalInconsistency):
+        PrincipalAngles(np.array([1e-3]), np.array([1.0, 0.0]))
 
 
 def test_spectrum_excursion_is_an_error():
     with pytest.raises(InternalInconsistency):
         PrincipalAngles(np.array([0.0]), np.array([1.1, 0.0]))
+
+
+def test_nan_in_angles_or_spectrum_is_an_error():
+    for angles, cos2 in (([0.3], [np.nan, 0.0]), ([0.3], [np.cos(0.3) ** 2, np.nan]), ([np.nan], [0.5, 0.0])):
+        with pytest.raises(InternalInconsistency):
+            PrincipalAngles(np.array(angles), np.array(cos2))
 
 
 def test_angles_pair_with_subspace_round_trip():

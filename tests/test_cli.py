@@ -126,6 +126,15 @@ def test_check_refuses_a_noisy_seed_that_is_no_64_bit_integer(tmp_path, capsys, 
     assert "seed" in err and "discrepancy" not in out
 
 
+@pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
+def test_check_refuses_a_noisy_sigma_that_is_not_finite(tmp_path, capsys, sigma):
+    spec = write_spec(tmp_path, "spec.json", {"type": "noisy", "sigma": sigma, "base": {"type": "identity"}})
+    assert "NaN" in spec.read_text() or "Infinity" in spec.read_text()
+    code, out, err = run_cli(capsys, "check", "--map", spec, "--dim", 4, "--rank", 2, "--witness-dir", tmp_path / "w")
+    assert code == 2
+    assert "sigma" in err and "Hermitian" not in err
+
+
 def test_check_noisy_fails_with_replayable_witness(tmp_path, capsys):
     spec = write_spec(
         tmp_path, "spec.json", {"type": "noisy", "base": {"type": "identity"}, "sigma": 0.01, "seed": 1}
@@ -164,6 +173,28 @@ def test_reconstruct_conjugation(tmp_path, capsys):
     assert payload["variant"] == "conjugation"
     assert payload["residual"] <= 1e-7
     assert json.loads(out_path.read_text()) == payload
+
+
+@pytest.mark.parametrize("flag", ["false", 1])
+def test_reconstruct_refuses_an_antiunitary_flag_that_is_no_boolean(tmp_path, capsys, flag):
+    save_matrix(tmp_path / "v.json", haar_random_unitary(4, 11))
+    spec = write_spec(tmp_path, "spec.json", {"type": "conjugation", "matrix": "v.json", "antiunitary": flag})
+    code, out, err = run_cli(capsys, "reconstruct", "--map", spec, "--dim", 4, "--rank", 2)
+    assert code == 2
+    assert "antiunitary" in err and out == ""
+
+
+@pytest.mark.parametrize("flag", [True, False, None])
+def test_reconstruct_reads_a_boolean_or_absent_antiunitary_flag(tmp_path, capsys, flag):
+    save_matrix(tmp_path / "v.json", haar_random_unitary(4, 11))
+    obj = {"type": "conjugation", "matrix": "v.json"}
+    if flag is not None:
+        obj["antiunitary"] = flag
+    code, out, _ = run_cli(capsys, "reconstruct", "--map", write_spec(tmp_path, "spec.json", obj), "--dim", 4, "--rank", 2)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["variant"] == "conjugation"
+    assert payload["antiunitary"] is bool(flag)
 
 
 def test_reconstruct_accepts_near_preserving_map(tmp_path, capsys):

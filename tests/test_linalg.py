@@ -3,13 +3,14 @@ import pytest
 
 from grasswig import (
     BadRank,
+    ConvergenceFailure,
     NonHermitian,
     RankDeficient,
     haar_random_unitary,
     hermitian_eig,
     orthonormalize,
     random_subspace,
-    svd,
+    singular_values,
 )
 from grasswig.linalg import REAL, frobenius, haar_unitaries_from_rng, haar_unitary_from_rng
 
@@ -64,13 +65,12 @@ def test_eig_ascending_and_reconstruction():
 
 
 def test_svd_zero_matrix():
-    _, s, _ = svd(np.zeros((3, 2)))
-    assert np.allclose(s, 0.0)
+    s = singular_values(np.zeros((3, 2)))
+    assert s.shape == (2,) and np.allclose(s, 0.0)
 
 
 def test_svd_identity():
-    _, s, _ = svd(np.eye(2))
-    assert np.allclose(s, [1.0, 1.0])
+    assert np.allclose(singular_values(np.eye(2)), [1.0, 1.0])
 
 
 def test_svd_unit_dyad():
@@ -79,20 +79,31 @@ def test_svd_unit_dyad():
     y = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     x /= np.linalg.norm(x)
     y /= np.linalg.norm(y)
-    _, s, _ = svd(np.outer(x, y.conj()))
+    s = singular_values(np.outer(x, y.conj()))
     assert abs(s[0] - 1.0) < 1e-12
     assert np.all(s[1:] < 1e-12)
 
 
-def test_svd_reconstruction():
+def test_singular_values_are_descending_and_square_to_the_gram_spectrum():
     rng = np.random.default_rng(11)
     for trial in range(200):
         rows = int(rng.integers(1, 13))
         cols = int(rng.integers(1, 13))
         m = gaussian(rng, rows, cols, REAL if trial % 2 else "complex")
-        u, s, w = svd(m)
+        s = singular_values(m)
+        assert s.shape == (min(rows, cols),)
         assert np.all(np.diff(s) <= 0) and np.all(s >= 0)
-        assert frobenius(m - u @ np.diag(s) @ w.conj().T) <= 1e-10 * max(1.0, frobenius(m))
+        gram = np.linalg.eigvalsh(m.conj().T @ m)[::-1][: s.size]
+        assert np.max(np.abs(s**2 - gram)) <= 1e-10 * max(1.0, frobenius(m) ** 2)
+
+
+def test_singular_values_raise_convergence_failure(monkeypatch):
+    def diverge(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", diverge)
+    with pytest.raises(ConvergenceFailure):
+        singular_values(np.eye(2))
 
 
 def test_orthonormalize_fixes_nothing_when_orthonormal():

@@ -235,3 +235,11 @@ def test_noisy_seed_must_be_a_signed_64_bit_integer():
         assert type(MapSpec("noisy", base=base, sigma=1e-3, seed=seed).seed) is int
     with pytest.raises(MatrixFormatError, match="seed"):
         parse_map_spec({"type": "noisy", "sigma": 1e-3, "seed": 2.7, "base": {"type": "complement"}})
+
+
+@pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
+def test_noisy_sigma_must_be_finite(sigma):
+    with pytest.raises(MatrixFormatError, match="sigma"):
+        MapSpec("noisy", base=MapSpec("identity"), sigma=sigma)
+    with pytest.raises(MatrixFormatError, match="sigma"):
+        parse_map_spec({"type": "noisy", "sigma": sigma, "base": {"type": "identity"}})

@@ -15,13 +15,17 @@ from grasswig import (
     align_phase,
     dualize,
     haar_random_unitary,
+    Subspace,
     principal_angles,
+    principal_angles_spectral,
+    principal_angles_svd,
     projection_rank,
     reconstruct,
     sample_projection,
     sample_projections,
 )
 from grasswig.extension import extend_orthonormal
+from grasswig.linalg import haar_frames_from_rng
 from grasswig.maps import MapSpec, instantiate
 
 # Few examples each: the suite's wall time stays within a few seconds.
@@ -105,6 +109,21 @@ def test_angles_are_invariant_under_unitary_and_antiunitary_conjugation(shape):
     )
     assert np.max(np.abs(before.angles - after.angles)) <= 1e-6
     assert np.max(np.abs(before.cos2_spectrum - after.cos2_spectrum)) <= 1e-10
+
+
+@SETTINGS
+@given(st.integers(1, 8), st.data())
+def test_projection_and_basis_routes_give_the_same_angles(d, data):
+    n = data.draw(st.integers(1, d))
+    field = data.draw(st.sampled_from(("real", "complex")))
+    bp, bq = haar_frames_from_rng(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))), 2, d, n, field)
+    p, q = Projection(bp @ bp.conj().T, rank=n), Projection(bq @ bq.conj().T, rank=n)
+    from_projections = principal_angles(p, q).angles
+    from_bases = principal_angles_svd(Subspace(bp), Subspace(bq)).angles
+    assert np.max(np.abs(from_projections - from_bases)) <= 1e-12
+    spectral = principal_angles_spectral(p, q).angles
+    assert np.max(np.abs(from_projections - spectral)) <= 1e-7
+    assert np.max(np.abs(from_bases - spectral)) <= 1e-7
 
 
 @SETTINGS
