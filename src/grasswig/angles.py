@@ -23,18 +23,23 @@ from .projections import Projection, Subspace
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
 
+def _slack(tol: ToleranceConfig) -> float:
+    """How far cos^2, and sin^2 + cos^2, may stray past 1: inputs validated
+    at ``eq_tol`` put either up to about 4 ``eq_tol`` past 1, and this allows
+    ``spec_tol`` plus twice that."""
+    return tol.spec_tol + 8.0 * tol.eq_tol
+
+
 def _clamped_cos2(values: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
     """Clamp a cos^2 spectrum into [0, 1], erroring on large excursions.
 
-    Silent clamping of anything beyond ``spec_tol`` would mask bugs, so the
+    Silent clamping of anything beyond ``_slack`` would mask bugs, so the
     excursion is measured first.
     """
     # a NaN makes both extremes NaN, and NaN fails the comparison below
     excursion = max(float(-values.min(initial=0.0)), float(values.max(initial=1.0) - 1.0))
-    if not excursion <= tol.spec_tol:
-        raise InternalInconsistency(
-            f"cos^2 spectrum leaves [0,1] by {excursion:.3e} (> {tol.spec_tol:.1e})"
-        )
+    if not excursion <= _slack(tol):
+        raise InternalInconsistency(f"cos^2 spectrum leaves [0,1] by {excursion:.3e} (> {_slack(tol):.1e})")
     return np.minimum(np.maximum(values, 0.0), 1.0)
 
 
@@ -45,8 +50,9 @@ class PrincipalAngles:
     ``cos2_spectrum`` is the complete d-element eigenvalue multiset of
     ``QPQ`` in descending order, zeros included; ``angles`` has one entry
     per dimension of the common rank.  ``cos^2`` of the angles must match
-    the top of the spectrum to ``spec_tol``: a 1-Lipschitz check with no
-    floor, which for an angle taken from its sine checks sin^2 + cos^2 = 1.
+    the top of the spectrum to ``_slack``; for an angle taken from its sine
+    that checks sin^2 + cos^2 = 1.  cos^2 is flat at 0, so the check bounds
+    an angle near 0 only to about ``sqrt(spec_tol)``.
     """
 
     angles: np.ndarray
@@ -61,7 +67,7 @@ class PrincipalAngles:
         if n > cos2.size:
             raise ValueError("more angles than spectrum entries")
         expected = _clamped_cos2(cos2, t)[:n]
-        if n and not float(np.max(np.abs(np.cos(np.sort(angles)) ** 2 - expected))) <= t.spec_tol:
+        if n and not float(np.max(np.abs(np.cos(np.sort(angles)) ** 2 - expected))) <= _slack(t):
             raise InternalInconsistency("angles do not match the top of the cos^2 spectrum")
         object.__setattr__(self, "angles", angles)
         object.__setattr__(self, "cos2_spectrum", cos2)
@@ -73,9 +79,7 @@ class PrincipalAngles:
 
 def _check_pair(p, q) -> None:
     if p.ambient_dim != q.ambient_dim:
-        raise DimensionMismatch(
-            f"ambient dimensions differ: {p.ambient_dim} vs {q.ambient_dim}"
-        )
+        raise DimensionMismatch(f"ambient dimensions differ: {p.ambient_dim} vs {q.ambient_dim}")
     if p.rank != q.rank:
         raise RankMismatch(f"ranks differ: {p.rank} vs {q.rank}")
 
@@ -152,13 +156,9 @@ def angles_equal(
     """
     for a, b in ((p, p2), (q, q2), (p, q2)):
         if a.ambient_dim != b.ambient_dim:
-            raise DimensionMismatch(
-                f"ambient dimensions differ: {a.ambient_dim} vs {b.ambient_dim}"
-            )
+            raise DimensionMismatch(f"ambient dimensions differ: {a.ambient_dim} vs {b.ambient_dim}")
     if p.rank != p2.rank or q.rank != q2.rank:
-        raise RankMismatch(
-            f"ranks differ: ({p.rank}, {q.rank}) vs ({p2.rank}, {q2.rank})"
-        )
+        raise RankMismatch(f"ranks differ: ({p.rank}, {q.rank}) vs ({p2.rank}, {q2.rank})")
     return spectrum_discrepancy(p, q, p2, q2) <= tol_value
 
 

@@ -221,7 +221,8 @@ def test_angles_near_a_right_angle_are_accurate():
             assert abs(route.angles[0] - theta) <= 1e-14
 
 
-def test_angle_check_has_no_floor_near_zero():
+def test_angle_check_accepts_a_tiny_angle_taken_from_its_sine():
+    # cos^2 is flat at 0: the check catches 1e-3 here, but not 5e-5
     PrincipalAngles(np.array([1e-12]), np.array([1.0 - 4.4e-16, 0.0]))
     with pytest.raises(InternalInconsistency):
         PrincipalAngles(np.array([1e-3]), np.array([1.0, 0.0]))

@@ -340,6 +340,26 @@ def test_gw_tol_env_override(tmp_path, capsys, monkeypatch):
     assert code == 2
 
 
+@pytest.mark.parametrize("theta", [0.3, 0.0])
+def test_angles_accept_the_defects_a_loose_gw_tol_lets_through(tmp_path, capsys, monkeypatch, theta):
+    # a basis of norm 1 + 1e-7 (projection of trace 1 + 2e-7) passes at
+    # eq_tol = 1e-6, and its defect moves sin^2 + cos^2 and cos^2 past 1
+    from grasswig import matrix_to_obj
+
+    monkeypatch.setenv("GW_TOL", "1e-6")
+    bp, bq = np.array([[1.0 + 1e-7], [0.0]]), np.array([[np.cos(theta)], [np.sin(theta)]])
+    paths = {}
+    for name, m in (("bp", bp), ("bq", bq), ("p", bp @ bp.T), ("q", bq @ bq.T)):
+        obj = matrix_to_obj(m.astype(complex))
+        if name in ("p", "q"):
+            obj.update({"kind": "projection", "rank": 1})
+        paths[name] = write_spec(tmp_path, f"{name}.json", obj)
+    for argv in (("--p", paths["bp"], "--q", paths["bq"], "--bases"), ("--p", paths["p"], "--q", paths["q"])):
+        code, out, err = run_cli(capsys, "angles", *argv, "--json")
+        assert code == 0, err
+        assert abs(json.loads(out)["angles_radians"][0] - theta) <= 1e-6
+
+
 def test_console_entry_point_runs():
     # the child imports the same grasswig as the suite, installed or not
     src = os.path.dirname(os.path.dirname(grasswig.__file__))
