@@ -5,7 +5,11 @@
 singular values and take each angle from its sine below pi/4 and from its
 cosine above (Bjorck & Golub, Math. Comp. 27, 1973; Knyazev & Argentati,
 SIAM J. Sci. Comput. 23, 2002), so an angle of 1e-12 rad, or one within
-1e-9 of pi/2, is as accurate as the stored matrices.
+1e-9 of pi/2, is as accurate as the stored matrices.  The routes take a
+basis or projection accepted at ``eq_tol`` as it is, so its Gram or
+idempotency defect adds an absolute angle error of about that defect: a
+basis ``[[1 + 1e-10], [0]]`` (defect 2e-10) reads a 1e-12 rad pair as
+2.0e-10 rad on both routes.
 ``principal_angles_spectral`` takes every angle from an eigenvalue of
 ``QPQ``, which costs up to a few 1e-8 rad near 0 and pi/2; it stays as an
 independent cross-check.

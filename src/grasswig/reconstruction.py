@@ -1,22 +1,26 @@
 """Recover the isometry behind an angle-preserving projection map.
 
 Given an oracle sending rank-n projections to rank-n projections, the
-pipeline (1) screens it for angle preservation on random pairs, (2) pushes
-the basis dyads ``e_i e_i*`` and one reference frame through the
-real-linear extension as one query plan (``extend_orthonormal``): in the
-complex field the first n+1 columns ``f_k`` of the unitary DFT matrix, in
-the real field ``f_0 = (1/sqrt(d)) sum e_j`` alone, (3) reads each basis
-image as a rank-1 projection ``v v*`` and keeps its vector ``v`` as a
-column of the candidate unitary (one stack of images at a time, by power
-steps from each image's largest-diagonal column, with no
-eigendecomposition); at d = 2n with n > 1, when basis image 0
-is no rank-1 projection, every image is read through
-``ext_{I - phi}(uu*) = I/n - ext_phi(uu*)`` instead, for the
+pipeline (1) pushes the basis dyads ``e_i e_i*`` and one reference frame
+through the real-linear extension as one query plan
+(``extend_orthonormal``): in the complex field the first n+1 columns
+``f_k`` of the unitary DFT matrix, in the real field
+``f_0 = (1/sqrt(d)) sum e_j`` alone, (2) reads each basis image as a
+rank-1 projection ``v v*`` and keeps its vector ``v`` as a column of the
+candidate unitary (one stack of images at a time, by power steps from each
+image's largest-diagonal column, with no eigendecomposition); at d = 2n
+with n > 1, when basis image 0 is no rank-1 projection, every image is
+read through ``ext_{I - phi}(uu*) = I/n - ext_phi(uu*)`` instead, for the
 complement-composed family (an image cannot be both, since
 ``I/n - v v*`` has the eigenvalue ``1/n - 1 < 0``); phase assembly then
 fixes every column's phase against the reference frame, whose image of
-``f_1`` also decides linear vs conjugate-linear, and (4) verifies the
-candidate on fresh random samples before accepting it.
+``f_1`` also decides linear vs conjugate-linear, (3) verifies the
+candidate on fresh random samples and returns it when it passes, and
+(4) only when no candidate passes, screens the map for angle preservation
+on random pairs to explain the failure.  Verification is the sole
+authority for acceptance: a map that matches ``V tau(P) V*``, or its
+complement, on fresh samples preserves angles, so screening it first
+would certify nothing more.
 
 Anything that passes screening but fits neither family is reported as
 ``preserving_unclassified`` rather than guessed at: at d = 2n with n > 1 a
@@ -118,7 +122,9 @@ class ReconstructionResult:
 @dataclass(frozen=True, eq=False)
 class ScreenReport:
     """Worst angle/trace-form discrepancy over the sampled pairs, with the
-    pair attaining it and the map's images of that pair."""
+    pair attaining it and the map's images of that pair.  ``reconstruct``
+    screens only a map it could not classify, to tell a non-preserver
+    (with this witness) from an unclassified preserver."""
 
     max_discrepancy: float
     witness_p: Projection | None
@@ -385,6 +391,13 @@ def reconstruct(
 ) -> ReconstructionResult:
     """Classify an angle-preserving map and recover its inducing isometry.
 
+    Classification and verification run first, and an accepted result is
+    returned as it comes, without screening.  Otherwise the map is
+    screened on ``cfg.screen_samples`` pairs from ``cfg.seed``: a
+    discrepancy above ``accept_tol`` returns ``not_angle_preserving`` with
+    the screen's witness, and else the classification's
+    ``preserving_unclassified`` result stands.
+
     Requires ``accept_tol >= 10 * spec_tol`` so structural checks sit well
     above the spectral comparison noise floor.
     """
@@ -397,6 +410,9 @@ def reconstruct(
     if not 1 <= n < d:
         raise BadRank(f"reconstruction needs 1 <= n < d, got n={n}, d={d}")
 
+    result = _classify(phi, cfg, tol)
+    if result.accepted:
+        return result
     report = screen_preservation(phi, cfg.screen_samples, cfg.seed, tol)
     if report.max_discrepancy > cfg.accept_tol:
         return ReconstructionResult(
@@ -407,22 +423,25 @@ def reconstruct(
             witness_phi_q=report.witness_phi_q,
             discrepancy=report.max_discrepancy,
         )
-    return _classify(phi, cfg, tol)
+    return result
 
 
 def dualize(phi: RankNMap, tol: ToleranceConfig = DEFAULT_TOL) -> RankNMap:
     """Complement-conjugated map on the complementary rank:
-    ``psi(P) = I - phi(I - P)`` acting on rank d - n.  Only phi's outputs
-    are validated, once each, by ``phi.evaluate``."""
+    ``psi(P) = I - phi(I - P)`` acting on rank d - n.  Each query returns
+    the raw ``I - phi(I - P)``, so the dual's ``evaluate_many`` validates
+    the outputs of a whole stack of queries at once: ``I - M`` has the
+    Hermitian and idempotency defects of ``M``."""
     d, n = phi.ambient_dim, phi.rank
     m = d - n
     if not 1 <= m <= d - 1:
         raise BadRank(f"dual rank d - n = {m} is outside [1, {d - 1}]")
 
-    def fn(p: Projection) -> Projection:
-        # phi validates its own output; the complements of an input and of
-        # that output are projections by construction, checked no further
-        return phi.evaluate(p.complement()).complement()
+    def fn(p: Projection) -> np.ndarray:
+        # the complement of a validated input is a projection by construction
+        out = phi._fn(p.complement())
+        out = out.matrix if isinstance(out, Projection) else as_complex(out)
+        return np.eye(d, dtype=np.complex128) - out if out.shape == (d, d) else out
 
     return RankNMap(d, m, fn, descriptor=f"dual({phi.descriptor})", field=phi.field, tol=tol)
 

@@ -21,6 +21,7 @@ from grasswig import (
     subspace_from_projector,
     trace_product,
 )
+from grasswig.linalg import frobenius
 
 
 def line(t, d=2):
@@ -219,6 +220,20 @@ def test_angles_near_a_right_angle_are_accurate():
         p, q = Projection(bp @ bp.conj().T), Projection(bq @ bq.conj().T)
         for route in (principal_angles(p, q), principal_angles_svd(Subspace(bp), Subspace(bq))):
             assert abs(route.angles[0] - theta) <= 1e-14
+
+
+def test_a_rounded_basis_moves_a_tiny_angle_by_about_its_defect():
+    # the routes trust a basis or projection accepted at eq_tol: a column of
+    # norm 1 + 1e-10 has Gram and idempotency defect 2e-10, and a 1e-12 rad
+    # pair built from it reads 2.0e-10 rad on both routes
+    theta = 1e-12
+    bp, bq = np.array([[1.0 + 1e-10], [0.0]]), np.array([[np.cos(theta)], [np.sin(theta)]])
+    p, q = Projection(bp @ bp.T), Projection(bq @ bq.T)
+    gram, idempotency = frobenius(bp.T @ bp - 1.0), frobenius(p.matrix @ p.matrix - p.matrix)
+    assert 1.9e-10 <= min(gram, idempotency)
+    routes = ((principal_angles_svd(Subspace(bp), Subspace(bq)), gram), (principal_angles(p, q), idempotency))
+    for route, defect in routes:
+        assert abs(route.angles[0] - theta) <= 1.1 * defect
 
 
 def test_angle_check_accepts_a_tiny_angle_taken_from_its_sine():

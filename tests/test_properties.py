@@ -12,6 +12,7 @@ from grasswig import (
     ReconstructionConfig,
     VARIANT_CONJUGATION,
     VARIANT_EXCEPTIONAL,
+    VARIANT_NOT_PRESERVING,
     align_phase,
     dualize,
     haar_random_unitary,
@@ -23,6 +24,7 @@ from grasswig import (
     reconstruct,
     sample_projection,
     sample_projections,
+    screen_preservation,
 )
 from grasswig.extension import extend_orthonormal
 from grasswig.linalg import haar_frames_from_rng
@@ -162,3 +164,40 @@ def test_reconstruct_recovers_a_planted_complement_of_a_conjugation(n, field, an
     assert result.variant == VARIANT_EXCEPTIONAL
     assert result.antiunitary is antiunitary
     assert np.max(np.abs(result.v - align_phase(result.v, v) * v)) <= 1e-7
+
+
+@st.composite
+def map_families(draw):
+    """(phi, seed): a conjugation, its d = 2n complement, or either with noise."""
+    d, n, field, antiunitary, seed = draw(shapes())
+    complement = d % 2 == 0 and draw(st.booleans())
+    n = d // 2 if complement else n
+    spec = MapSpec("conjugation", matrix=haar_random_unitary(d, seed, field), antiunitary=antiunitary)
+    if complement:
+        spec = MapSpec("compose", parts=(MapSpec("complement"), spec))
+    sigma = draw(st.sampled_from((None, 1e-9, 1e-8, 1e-7, 1e-5, 1e-3)))
+    if sigma is not None:
+        spec = MapSpec("noisy", base=spec, sigma=sigma, seed=seed)
+    return instantiate(spec, d, n, field), seed
+
+
+@SETTINGS
+@given(map_families())
+def test_a_rejection_carries_the_screen_witness_bit_for_bit(family):
+    # reconstruct screens only after classification fails; the witness it
+    # returns must be the one the screen alone finds
+    phi, seed = family
+    cfg = ReconstructionConfig(seed=seed % 1000)
+    result = reconstruct(phi, cfg)
+    if result.accepted:
+        assert result.residual <= cfg.accept_tol
+    if result.variant != VARIANT_NOT_PRESERVING:
+        return
+    report = screen_preservation(phi, cfg.screen_samples, cfg.seed)
+    assert result.discrepancy == report.max_discrepancy > cfg.accept_tol
+    pairs = zip(
+        (result.witness_p, result.witness_q, result.witness_phi_p, result.witness_phi_q),
+        (report.witness_p, report.witness_q, report.witness_phi_p, report.witness_phi_q),
+    )
+    for got, expected in pairs:
+        assert np.array_equal(got.matrix, expected.matrix)

@@ -6,6 +6,8 @@ import pytest
 
 from grasswig import (
     BadRank,
+    InternalInconsistency,
+    NotAProjection,
     Projection,
     RankNMap,
     ReconstructionConfig,
@@ -289,8 +291,9 @@ def counting(phi):
 
 
 def test_oracle_budget_at_large_dimension():
-    # 40 screening and 50 verification evaluations, the distinct inputs of
-    # the basis frames and the n + 1 reference columns f_k, in one frame.
+    # 50 verification evaluations, the distinct inputs of the basis frames
+    # and the n + 1 reference columns f_k, in one frame; an accepted map is
+    # not screened.
     # n = 8: 64 = 7 * 9 + 1, and the last frame {e63, e0..e7} repeats the
     # input e0..e7 of the first, so 71 of 72; n = 16: 64 = 3 * 17 + 13, 68.
     for n, anti, basis in ((8, False, 71), (16, True, 68)):
@@ -300,7 +303,7 @@ def test_oracle_budget_at_large_dimension():
         assert result.variant == VARIANT_CONJUGATION
         assert result.antiunitary is anti
         assert planted_deviation(result.v, v) <= 1e-7
-        assert len(calls) == 40 + 50 + basis + (n + 1), (n, len(calls))
+        assert len(calls) == 50 + basis + (n + 1), (n, len(calls))
         assert len(set(calls)) == len(calls)
 
 
@@ -323,8 +326,15 @@ def test_padded_frames_send_each_distinct_input_once():
         assert result.variant == VARIANT_CONJUGATION
         assert result.antiunitary is anti
         assert planted_deviation(result.v, v) <= 1e-10
-        assert len(calls) == 40 + 50 + basis + reference, (d, n, field, len(calls))
+        assert len(calls) == 50 + basis + reference, (d, n, field, len(calls))
         assert len(set(calls)) == len(calls)
+    # a rejected map pays its 6 basis and 3 reference inputs, then the 40
+    # screening evaluations that explain the failure, and no verification
+    noisy = instantiate(MapSpec("noisy", base=MapSpec("identity"), sigma=1e-3, seed=46), 6, 2)
+    phi, calls = counting(noisy)
+    assert reconstruct(phi).variant == VARIANT_NOT_PRESERVING
+    assert len(calls) == 6 + 3 + 40, len(calls)
+    assert len(set(calls)) == len(calls)
 
 
 def test_complement_branch_reuses_the_dyad_images():
@@ -549,12 +559,34 @@ def test_reconstruct_validates_only_the_oracle_outputs(monkeypatch):
 
 
 def test_dual_route_validates_no_complement(monkeypatch):
-    # the dual map queries phi on I - P and returns I - phi(I - P); neither
-    # complement is validated, only phi's outputs, once each
+    # the dual map queries phi on I - P and returns the raw I - phi(I - P);
+    # the input's complement is not validated, and phi's outputs are, once
+    # each, as the dual's output stacks (extension, dual and direct
+    # verification), never one query at a time
     shapes = validated_shapes(monkeypatch)
     phi, v, calls = raw_conjugation(8, 6, seed=44)
     result = reconstruct_via_dual(phi)
     assert result.variant == VARIANT_CONJUGATION
     assert planted_deviation(result.v, v) <= 1e-7
-    assert [shape for shape in shapes if len(shape) == 2] == []
+    assert [shape[0] for shape in shapes] == [12, 50, 50]
     assert sum(shape[0] for shape in shapes) == len(calls)
+
+
+def test_dual_names_the_bad_output_of_the_wrapped_map():
+    inputs = [sample_projection(np.random.default_rng(s), 4, 2) for s in range(3)]
+
+    def misbehaving(bad):
+        count = []
+
+        def fn(p):
+            count.append(1)
+            return bad if len(count) == 3 else p.matrix
+
+        return RankNMap(4, 2, fn)
+
+    with pytest.raises(NotAProjection, match="matrix 2: idempotency"):
+        dualize(misbehaving(np.diag([1.0, 1.0, 1e-6, 0.0]))).evaluate_many(inputs)
+    with pytest.raises(InternalInconsistency, match="input 2"):
+        dualize(misbehaving(np.diag([1.0, 0.0, 0.0, 0.0]))).evaluate_many(inputs)
+    with pytest.raises(InternalInconsistency, match="input 2"):
+        dualize(misbehaving(np.eye(3))).evaluate_many(inputs)
