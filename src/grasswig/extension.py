@@ -6,13 +6,14 @@ Hermitian matrix.  The route goes through rank-1 projections and a shared
 envelope: any n+1 orthonormal vectors ``u_k`` (a *frame*) span the rank-(n+1)
 projection ``E = sum u_k u_k*``, each ``P_k = E - u_k u_k*`` has rank n, and
 ``u_k u_k* = (1/n) sum_j P_j - P_k``.  So n+1 oracle evaluations give the
-images of all n+1 dyads of a frame (``extend_frame``); any orthonormal sets
-pack into such frames, whose distinct inputs reach the oracle once each, as
-one stack (``extend_orthonormal``), and the image of a single dyad is the
+images of all n+1 dyads of a frame (``extend_frame``); any orthonormal set
+packs into such frames, whose inputs reach the oracle as one stack
+(``extend_orthonormal``), and the image of a single dyad is the
 first image of the frame completing its vector (``extend_to_rank1``).
-Extending a map this way is what lets the reconstruction pipeline read off
-the images of the basis dyads and of its reference frame even though the
-map itself never sees a rank-1 input.
+Extending a map this way gives the images of dyads and of every Hermitian
+matrix (``extend_to_hermitian``) even though the map itself never sees a
+rank-1 input; it is the paper's route to the inducing isometry.  The
+reconstruction reads ``V`` from fewer queries, without the extension.
 """
 
 from __future__ import annotations
@@ -182,7 +183,7 @@ def extend_frame(phi: RankNMap, frame, tol: ToleranceConfig = DEFAULT_TOL) -> li
     d, n = phi.ambient_dim, phi.rank
     if u.shape != (d, n + 1):
         raise BadRank(f"frame has shape {u.shape}, map needs {d}x{n + 1} orthonormal columns")
-    return extend_orthonormal(phi, [u], tol)
+    return extend_orthonormal(phi, u, tol)
 
 
 def extend_to_rank1(phi: RankNMap, u, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
@@ -195,19 +196,16 @@ def extend_to_rank1(phi: RankNMap, u, tol: ToleranceConfig = DEFAULT_TOL) -> np.
     return extend_frame(phi, np.column_stack(_unit_frame(u, phi.rank, tol)), tol)[0]
 
 
-def extend_orthonormal(phi: RankNMap, sets: list, tol: ToleranceConfig = DEFAULT_TOL) -> list[np.ndarray]:
+def extend_orthonormal(phi: RankNMap, columns, tol: ToleranceConfig = DEFAULT_TOL) -> list[np.ndarray]:
     """Images of the dyads of orthonormal columns under the real-linear
     extension of ``phi``, in column order.
 
-    ``sets`` is a list of matrices with orthonormal columns (sets that need
-    not be orthogonal to one another).  Each set is packed n+1 columns to a
-    frame, its last frame padded by ``complete_orthonormal`` (the padding's
-    images are dropped).  Under a frame's envelope
-    ``E = sum u_k u_k*`` the image of ``u_k u_k*`` is
-    ``(1/n) sum_j phi(P_j) - phi(P_k)`` with ``P_k = E - u_k u_k*``.  The
-    distinct ``P_k`` of all frames (padded frames may repeat one bit for
-    bit) reach the oracle once each, as one ``evaluate_many`` stack.  The
-    frames' Gram defect is checked (``NotUnit`` above ``eq_tol``); the
+    The columns are packed n+1 to a frame, the last frame padded by
+    ``complete_orthonormal`` (the padding's images are dropped).  Under a
+    frame's envelope ``E = sum u_k u_k*`` the image of ``u_k u_k*`` is
+    ``(1/n) sum_j phi(P_j) - phi(P_k)`` with ``P_k = E - u_k u_k*``; the
+    ``P_k`` of all frames reach the oracle as one ``evaluate_many`` stack.
+    The frames' Gram defect is checked (``NotUnit`` above ``eq_tol``); the
     ``P_k``, projections onto n columns of a checked frame, are then
     wrapped with rank n without a d x d check of their own.
 
@@ -215,29 +213,20 @@ def extend_orthonormal(phi: RankNMap, sets: list, tol: ToleranceConfig = DEFAULT
     violation means the oracle itself is broken, not merely non-preserving.
     """
     d, n = phi.ambient_dim, phi.rank
-    frames, kept = [], []
-    for columns in sets:
-        columns = np.asarray(columns, dtype=np.complex128)
-        if columns.ndim != 2 or columns.shape[0] != d:
-            raise BadRank(f"vectors of shape {columns.shape[:1]}, map expects dim {d}")
-        for start in range(0, columns.shape[1], n + 1):
-            chunk = columns[:, start : start + n + 1]
-            frames.append(np.column_stack(complete_orthonormal(chunk, n + 1, tol)))
-            kept.append(chunk.shape[1])
-    if not frames:
+    columns = np.asarray(columns, dtype=np.complex128)
+    if columns.ndim != 2 or columns.shape[0] != d:
+        raise BadRank(f"vectors of shape {columns.shape[:1]}, map expects dim {d}")
+    r = columns.shape[1]
+    if r == 0:
         return []
-    frames = np.array(frames)
-    defect = np.max(np.linalg.norm(frames.conj().swapaxes(1, 2) @ frames - np.eye(n + 1), axis=(1, 2)))
+    vectors = np.array([complete_orthonormal(columns[:, i : i + n + 1], n + 1, tol) for i in range(0, r, n + 1)])
+    defect = np.max(np.linalg.norm(vectors.conj() @ vectors.swapaxes(1, 2) - np.eye(n + 1), axis=(1, 2)))
     if not defect <= tol.eq_tol:  # NaN fails too: the inputs below are not checked again
         raise NotUnit(f"frame columns are not orthonormal (defect {defect:.3e})")
-    vectors = frames.swapaxes(1, 2)
-    envelopes = frames @ frames.conj().swapaxes(1, 2)
+    envelopes = vectors.swapaxes(1, 2) @ vectors.conj()
     inputs = (envelopes[:, None] - vectors[..., :, None] * vectors.conj()[..., None, :]).reshape(-1, d, d)
-    slot_of: dict[bytes, int] = {}  # -0.0 folded into +0.0
-    slots = [slot_of.setdefault((m + 0.0).tobytes(), len(slot_of)) for m in inputs]
-    inputs = inputs[np.unique(slots, return_index=True)[1]]  # the full stack is freed here
     outputs = phi.evaluate_many(_wrap_stack(inputs, [n] * len(inputs)))
-    images = np.stack([outputs[s].matrix for s in slots]).reshape(len(frames), n + 1, d, d)
+    images = np.stack([out.matrix for out in outputs]).reshape(len(vectors), n + 1, d, d)
     images -= images.sum(axis=1, keepdims=True) / n  # in place: (1/n) sum_j phi(P_j) - phi(P_k),
     images *= -1.0  # negated, without a second stack
     traces = np.trace(images, axis1=2, axis2=3)
@@ -245,7 +234,7 @@ def extend_orthonormal(phi: RankNMap, sets: list, tol: ToleranceConfig = DEFAULT
     if bad.size:
         f, k = bad[0]
         raise InternalInconsistency(f"extension trace {complex(traces[f, k])!r} of frame {f} dyad {k} differs from 1")
-    return [image for frame, count in zip(images, kept) for image in frame[:count]]
+    return list(images.reshape(-1, d, d)[:r])  # only the last frame is padded, after its columns
 
 
 def extend_to_hermitian(phi: RankNMap, a, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
@@ -264,7 +253,7 @@ def extend_to_hermitian(phi: RankNMap, a, tol: ToleranceConfig = DEFAULT_TOL) ->
     w, v = hermitian_eig(a, tol)
     keep = np.abs(w) > 1e-14 * max(1.0, float(np.max(np.abs(w), initial=0.0)))
     out = np.zeros_like(a)
-    for mu, image in zip(w[keep], extend_orthonormal(phi, [v[:, keep]], tol)):
+    for mu, image in zip(w[keep], extend_orthonormal(phi, v[:, keep], tol)):
         out = out + mu * image
     trace_gap = abs(complex(out.trace()) - complex(a.trace()))
     if trace_gap > tol.spec_tol * max(1.0, norm):

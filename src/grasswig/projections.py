@@ -207,20 +207,26 @@ def sample_projections(
     (``haar_frames_from_rng``): the generator's stream is consumed as for
     whole unitaries, but only n columns are orthonormalized.  Equal, bit
     for bit, to ``count`` successive ``sample_projection`` draws.  A rank
-    outside ``[1, d]`` raises ``BadRank``.
-
-    The check is on the frames, not on the d x d products: each frame's
-    Gram defect ``||b* b - I||_F`` must be at most ``eq_tol``, else
-    ``NotAProjection`` names the frame.  That bounds both invariants of
-    ``b b*``: ``P^2 - P = b (b* b - I) b*`` and ``tr P = n + tr(b* b - I)``.
+    outside ``[1, d]`` raises ``BadRank``.  The frames are checked
+    (``_checked_frames``), not the d x d products.
     """
+    b = _checked_frames(rng, count, d, n, field, tol)
+    stack = b @ b.conj().swapaxes(-1, -2)
+    return stack, _wrap_stack(stack, [n] * count)
+
+
+def _checked_frames(rng: np.random.Generator, count: int, d: int, n: int, field: str, tol: ToleranceConfig):
+    """``haar_frames_from_rng`` with each frame's Gram defect
+    ``||b* b - I||_F`` checked: above ``eq_tol`` ``NotAProjection`` names the
+    frame.  The check bounds both invariants of ``b b*``,
+    ``P^2 - P = b (b* b - I) b*`` and ``tr P = n + tr(b* b - I)``, so a
+    checked frame's ``b b*`` is wrapped as a rank-n projection unchecked."""
     b = haar_frames_from_rng(rng, count, d, n, field)
     defects = np.linalg.norm(b.conj().swapaxes(-1, -2) @ b - np.eye(n), axis=(-2, -1))
     bad = np.flatnonzero(~(defects <= tol.eq_tol))
     if bad.size:
         raise NotAProjection(f"frame {bad[0]}: Gram defect {defects[bad[0]]:.3e} exceeds {tol.eq_tol:.1e}")
-    stack = b @ b.conj().swapaxes(-1, -2)
-    return stack, _wrap_stack(stack, [n] * count)
+    return b
 
 
 def sample_projection(rng: np.random.Generator, d: int, n: int, field: str = COMPLEX, tol: ToleranceConfig = DEFAULT_TOL) -> Projection:

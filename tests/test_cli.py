@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -240,7 +241,15 @@ def test_reconstruct_noisy_writes_witness(tmp_path, capsys):
     assert payload["discrepancy"] > 1e-7
     assert set(payload["witness_files"]) == {"p", "q", "phi_p", "phi_q"}
     for path in payload["witness_files"].values():
-        assert json.loads(open(path).read())["kind"] == "projection"
+        assert json.loads(Path(path).read_text())["kind"] == "projection"
+
+
+@pytest.mark.parametrize("base", [{"type": "identity"}, {"type": "noisy", "base": {"type": "identity"}, "sigma": 0.001, "seed": 2}])
+def test_reconstruct_refuses_a_negative_seed(tmp_path, capsys, base):
+    spec = write_spec(tmp_path, "spec.json", base)
+    code, out, err = run_cli(capsys, "reconstruct", "--map", spec, "--dim", 4, "--rank", 2, "--seed", -1)
+    assert code == 2 and out == ""
+    assert "seed must be an integer >= 0, got -1" in err
 
 
 def test_reconstruct_via_dual_writes_the_dual_witness(tmp_path, capsys):

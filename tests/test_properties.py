@@ -1,4 +1,5 @@
-"""Property-based tests over random (d, n, field) with d <= 8."""
+"""Property-based tests over random (d, n, field) with d <= 8, and d <= 12
+for the reconstruction's block query plan."""
 
 import numpy as np
 import pytest
@@ -71,7 +72,8 @@ def extension_inputs(d, n, field, sets):
         inputs.append(p)
         return p.matrix
 
-    extend_orthonormal(RankNMap(d, n, record, field=field), sets)
+    for columns in sets:
+        extend_orthonormal(RankNMap(d, n, record, field=field), columns)
     return inputs
 
 
@@ -164,6 +166,52 @@ def test_reconstruct_recovers_a_planted_complement_of_a_conjugation(n, field, an
     assert result.variant == VARIANT_EXCEPTIONAL
     assert result.antiunitary is antiunitary
     assert np.max(np.abs(result.v - align_phase(result.v, v) * v)) <= 1e-7
+
+
+def counted(phi):
+    """phi behind an oracle that records each input it is called with."""
+    calls = []
+
+    def fn(p):
+        calls.append((p.matrix + 0.0).tobytes())  # -0.0 and +0.0 count as one input
+        return phi.evaluate(p)
+
+    return RankNMap(phi.ambient_dim, phi.rank, fn, field=phi.field), calls
+
+
+def assert_block_plan_recovers(d, n, field, antiunitary, complement, seed):
+    """The planted V is recovered, with ceil(d/k) - 1 block queries, four
+    reference queries (five at d = 2n, n > 1) and 50 verification
+    evaluations, k = min(n, d - n), and no input twice."""
+    v = haar_random_unitary(d, seed, field)
+    spec = MapSpec("conjugation", matrix=v, antiunitary=antiunitary)
+    if complement:
+        spec = MapSpec("compose", parts=(MapSpec("complement"), spec))
+    phi, calls = counted(instantiate(spec, d, n, field))
+    result = reconstruct(phi, ReconstructionConfig(seed=seed % 1000))
+    assert result.variant == (VARIANT_EXCEPTIONAL if complement else VARIANT_CONJUGATION)
+    assert result.antiunitary is antiunitary
+    assert np.max(np.abs(result.v - align_phase(result.v, v) * v)) <= 1e-7
+    k = min(n, d - n)
+    assert len(calls) == -(-d // k) - 1 + (5 if d == 2 * n > 2 else 4) + 50
+    assert len(set(calls)) == len(calls)
+
+
+@SETTINGS
+@given(st.integers(2, 12), st.data())
+def test_block_plan_recovers_a_planted_isometry_at_its_exact_budget(d, data):
+    # partial last blocks, n > d/2 (read through the dual) and both d = 2n families
+    n = data.draw(st.integers(1, d - 1))
+    field = data.draw(st.sampled_from(("real", "complex")))
+    antiunitary = field == "complex" and data.draw(st.booleans())
+    complement = d == 2 * n > 2 and data.draw(st.booleans())
+    assert_block_plan_recovers(d, n, field, antiunitary, complement, data.draw(st.integers(0, 2**32 - 1)))
+
+
+@pytest.mark.parametrize("d", [64, 128])
+@pytest.mark.parametrize("n", [8, 16, 60])
+def test_block_plan_recovers_a_planted_isometry_at_large_dimension(d, n):
+    assert_block_plan_recovers(d, n, "complex", n == 16, False, d + n)
 
 
 @st.composite

@@ -30,7 +30,7 @@ from grasswig import (
 )
 from grasswig.linalg import REAL, frobenius
 from grasswig.maps import MapSpec, instantiate
-from grasswig.reconstruction import ASSEMBLY_GATE, _rank1_vectors
+from grasswig.reconstruction import _reading
 
 
 def conjugation(d, n, seed, antiunitary=False, field="complex"):
@@ -148,9 +148,9 @@ def test_near_preserving_map_is_accepted(d, sigma):
 
 
 def test_slightly_non_hermitian_oracle_is_classified():
-    # every output passes RankNMap's own Hermitian check (defect 0.9e-9 <= 1e-9),
-    # and each extension image sums n + 1 of them; reading the basis images
-    # must judge them at accept_tol, never re-check them at eq_tol and raise
+    # every output passes RankNMap's own Hermitian check (defect 0.9e-9 <= 1e-9);
+    # the reading must judge them by its fit's residual, never re-check them
+    # at eq_tol and raise
     d, n = 8, 4
     v = haar_random_unitary(d, 40)
     rng = np.random.default_rng(41)
@@ -192,6 +192,16 @@ def test_accept_tol_must_be_finite(accept_tol):
     # noisy(1e-2) at d = 6, n = 2 came back unclassified, with no witness
     with pytest.raises(ValueError, match="finite"):
         ReconstructionConfig(accept_tol=accept_tol)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("seed", -1), ("seed", 2.5), ("seed", True), ("verify_samples", 2.5), ("verify_samples", True),
+     ("screen_samples", 0), ("screen_samples", 20.0), ("verify_samples", None)],
+)
+def test_config_refuses_a_count_or_seed_that_is_no_integer_in_range(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        ReconstructionConfig(**{field: value})
 
 
 def test_apply_conjugation_basics():
@@ -290,35 +300,39 @@ def counting(phi):
     return RankNMap(phi.ambient_dim, phi.rank, fn, field=phi.field), calls
 
 
+def block_plan_calls(d, n):
+    """Oracle calls of the reading: ceil(d/k) - 1 block queries and four
+    reference queries (five at d = 2n, n > 1), at k = min(n, d - n)."""
+    k = min(n, d - n)
+    return -(-d // k) - 1 + (5 if d == 2 * n > 2 else 4)
+
+
 def test_oracle_budget_at_large_dimension():
-    # 50 verification evaluations, the distinct inputs of the basis frames
-    # and the n + 1 reference columns f_k, in one frame; an accepted map is
-    # not screened.
-    # n = 8: 64 = 7 * 9 + 1, and the last frame {e63, e0..e7} repeats the
-    # input e0..e7 of the first, so 71 of 72; n = 16: 64 = 3 * 17 + 13, 68.
-    for n, anti, basis in ((8, False, 71), (16, True, 68)):
+    # 50 verification evaluations and the reading's block and reference
+    # queries; an accepted map is not screened.
+    # n = 8: 7 + 4 + 50 = 61; n = 16: 3 + 4 + 50 = 57.
+    for n, anti, expected in ((8, False, 61), (16, True, 57)):
         planted, v = conjugation(64, n, seed=37 + n, antiunitary=anti)
         phi, calls = counting(planted)
         result = reconstruct(phi)
         assert result.variant == VARIANT_CONJUGATION
         assert result.antiunitary is anti
         assert planted_deviation(result.v, v) <= 1e-7
-        assert len(calls) == 50 + basis + (n + 1), (n, len(calls))
+        assert len(calls) == 50 + block_plan_calls(64, n) == expected, (n, len(calls))
         assert len(set(calls)) == len(calls)
 
 
-def test_padded_frames_send_each_distinct_input_once():
-    # (3, 1): basis frames {e0, e1} and {e2, e0} share the input e0 e0*, so
-    # 3 distinct of 4; (5, 3): {e0..e3} and {e4, e0, e1, e2} share
-    # e0 e0* + e1 e1* + e2 e2*, so 7 of 8.  At d = 2 the DFT columns are real
-    # and the probe frame (e0 +- i e1)/sqrt(2) costs n + 1 more.
-    for d, n, field, anti, basis, reference in (
-        (3, 1, "complex", False, 3, 2),
-        (3, 1, "real", False, 3, 2),
-        (5, 3, "complex", True, 7, 4),
-        (2, 1, "complex", True, 2, 4),
-        (2, 1, "complex", False, 2, 4),
-        (2, 1, "real", False, 2, 2),
+def test_block_plan_sends_each_distinct_input_once():
+    # (3, 1): blocks {e0}, {e1} and the complement {e2}, so 2 + 4 queries;
+    # (5, 3) is read through the dual at k = 2: blocks {e0, e1}, {e2, e3} and
+    # the partial {e4}, 2 + 4; d = 2: block {e0}, 1 + 4.
+    for d, n, field, anti, reading in (
+        (3, 1, "complex", False, 6),
+        (3, 1, "real", False, 6),
+        (5, 3, "complex", True, 6),
+        (2, 1, "complex", True, 5),
+        (2, 1, "complex", False, 5),
+        (2, 1, "real", False, 5),
     ):
         planted, v = conjugation(d, n, seed=40 + d + n, antiunitary=anti, field=field)
         phi, calls = counting(planted)
@@ -326,21 +340,38 @@ def test_padded_frames_send_each_distinct_input_once():
         assert result.variant == VARIANT_CONJUGATION
         assert result.antiunitary is anti
         assert planted_deviation(result.v, v) <= 1e-10
-        assert len(calls) == 50 + basis + reference, (d, n, field, len(calls))
+        assert len(calls) == 50 + reading == 50 + block_plan_calls(d, n), (d, n, field, len(calls))
         assert len(set(calls)) == len(calls)
-    # a rejected map pays its 6 basis and 3 reference inputs, then the 40
+    # a rejected map pays its 2 block and 4 reference queries, then the 40
     # screening evaluations that explain the failure, and no verification
     noisy = instantiate(MapSpec("noisy", base=MapSpec("identity"), sigma=1e-3, seed=46), 6, 2)
     phi, calls = counting(noisy)
     assert reconstruct(phi).variant == VARIANT_NOT_PRESERVING
-    assert len(calls) == 6 + 3 + 40, len(calls)
+    assert len(calls) == 2 + 4 + 40, len(calls)
     assert len(set(calls)) == len(calls)
 
 
+@pytest.mark.parametrize("sigma", [1e-5, 1e-3])
+def test_a_noisy_map_at_half_dimension_reaches_the_screen_after_its_reading(sigma):
+    # 1 block and 5 reference queries, no verification, then the 40
+    # screening evaluations; the witness is the screen's, bit for bit
+    v = haar_random_unitary(16, 47)
+    spec = MapSpec("noisy", base=MapSpec("conjugation", matrix=v), sigma=sigma, seed=48)
+    phi, calls = counting(instantiate(spec, 16, 8))
+    result = reconstruct(phi, ReconstructionConfig(seed=49))
+    assert result.variant == VARIANT_NOT_PRESERVING
+    assert len(calls) == 1 + 5 + 40 == block_plan_calls(16, 8) + 40, len(calls)
+    assert len(set(calls)) == len(calls)
+    report = screen_preservation(instantiate(spec, 16, 8), 20, seed=49)
+    assert result.discrepancy == report.max_discrepancy
+    for name in ("witness_p", "witness_q", "witness_phi_p", "witness_phi_q"):
+        assert np.array_equal(getattr(result, name).matrix, getattr(report, name).matrix)
+
+
 def test_complement_branch_reuses_the_dyad_images():
-    # the d = 2n pass reads ext_{I - phi} = I/n - ext_phi off the images the
-    # linear pass already has, so it costs no more oracle calls than a plain
-    # conjugation of the same size
+    # one fit on one set of outputs serves both families: the d = 2n
+    # complement reading fits I - M on the outputs the linear reading would
+    # fit, so it costs no more oracle calls than a plain conjugation
     v = haar_random_unitary(8, 38)
     eye = np.eye(8)
     plain, plain_calls = counting(conjugation(8, 4, seed=38)[0])
@@ -450,55 +481,58 @@ def test_sampled_stages_refuse_an_empty_sample():
             verify_conjugation(phi, np.eye(6), False, samples, seed=1)
 
 
-def eigh_rank1_reference(image):
-    """Top eigenvector of a Hermitian image, largest entry made positive real,
-    and its residual ``||image - v v*||_F``: one eigendecomposition per image."""
-    _, vecs = np.linalg.eigh(image.real if np.all(image.imag == 0) else image)
-    v = vecs[:, -1].astype(np.complex128)
-    pivot = v[np.argmax(np.abs(v))]
-    v = v * (abs(pivot) / pivot)
-    return v, frobenius(image - np.outer(v, v.conj()))
+def reading_map(d, n, complement, antiunitary, field="complex"):
+    v = haar_random_unitary(d, 50 + d, field)
+    spec = MapSpec("conjugation", matrix=v, antiunitary=antiunitary)
+    if complement:
+        spec = MapSpec("compose", parts=(MapSpec("complement"), spec))
+    return instantiate(spec, d, n, field), v
 
 
-def random_unit(rng, d, field):
-    x = rng.standard_normal(d) + (1j * rng.standard_normal(d) if field == "complex" else 0.0)
-    return x / np.linalg.norm(x)
+@pytest.mark.parametrize("d", [4, 6])
+@pytest.mark.parametrize("complement", [False, True])
+@pytest.mark.parametrize("antiunitary", [False, True])
+def test_bargmann_invariant_picks_each_reading(d, complement, antiunitary):
+    phi, v = reading_map(d, d // 2, complement, antiunitary)
+    frames = np.array([haar_random_unitary(d, 51 + t)[:, : d // 2] for t in range(3)])
+    images = np.array([phi.evaluate(Projection(b @ b.conj().T, rank=d // 2)).matrix for b in frames])
+    assert _reading(images, frames, "complex") == (complement, antiunitary)
+    result = reconstruct(phi)
+    assert result.variant == (VARIANT_EXCEPTIONAL if complement else VARIANT_CONJUGATION)
+    assert result.antiunitary is antiunitary
+    assert planted_deviation(result.v, v) <= 1e-10
 
 
-@pytest.mark.parametrize("field", ["real", "complex"])
-@pytest.mark.parametrize("d", [2, 3, 8, 32, 64])
-def test_stacked_rank1_reader_matches_eigh(d, field):
-    rng = np.random.default_rng(d)
-    images = []
-    for size in (0.0, 1e-9, 1e-7):
-        for _ in range(3):
-            v = random_unit(rng, d, field)
-            h = rng.standard_normal((d, d)) + (1j * rng.standard_normal((d, d)) if field == "complex" else 0.0)
-            h = h + h.conj().T
-            images.append(np.outer(v, v.conj()) + size * h / frobenius(h))
-    vectors, residuals = _rank1_vectors(np.array(images, dtype=np.complex128))
-    for image, v, residual in zip(images, vectors, residuals):
-        ref_v, ref_residual = eigh_rank1_reference(image)
-        assert np.max(np.abs(v - ref_v)) <= 1e-13
-        assert abs(residual - ref_residual) <= 1e-14
-        if field == "real":
-            assert np.all(v.imag == 0)
+def test_bargmann_invariant_reads_the_real_field_as_linear():
+    for complement in (False, True):
+        phi, v = reading_map(6, 3, complement, False, field=REAL)
+        result = reconstruct(phi)
+        assert result.variant == (VARIANT_EXCEPTIONAL if complement else VARIANT_CONJUGATION)
+        assert result.antiunitary is False
+        assert np.all(result.v.imag == 0.0)
+        assert planted_deviation(result.v, v) <= 1e-10
 
 
-def test_stacked_rank1_reader_fails_the_gate_on_bad_images_without_raising():
-    d = 6
-    v = random_unit(np.random.default_rng(0), d, "complex")
-    dyad = np.outer(v, v.conj())
-    rank2 = random_projection(d, 2, seed=1).matrix
-    skew = dyad.copy()
-    skew[0, 1] += 1e-2
-    bad = [np.full((d, d), np.nan), np.zeros((d, d)), rank2, skew]
-    bad += [np.eye(d) / n - dyad for n in (2, 3)]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        _, residuals = _rank1_vectors(np.array(bad, dtype=np.complex128))
-    assert residuals[0] == residuals[1] == np.inf
-    assert np.all(residuals > ASSEMBLY_GATE), residuals
+def hashed_projection_map(d, n, field="complex"):
+    """Valid rank-n projections that fit no reading: a Haar projection drawn
+    from a hash of the input."""
+    def fn(p):
+        seed = int.from_bytes(hashlib.sha256((p.matrix + 0.0).tobytes()).digest()[:8], "little")
+        return random_projection(d, n, seed=seed, field=field).matrix
+
+    return RankNMap(d, n, fn, field=field)
+
+
+@pytest.mark.parametrize("d, n, field", [(2, 1, "complex"), (4, 2, "complex"), (6, 3, "real"), (5, 2, "complex"), (7, 5, "complex"), (32, 8, "complex")])
+def test_outputs_that_fit_no_reading_are_refused_without_raising(d, n, field):
+    constant = random_projection(d, n, seed=55, field=field)
+    for phi in (RankNMap(d, n, lambda p: constant, field=field), hashed_projection_map(d, n, field)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = reconstruct(phi)
+            via = reconstruct_via_dual(phi)
+        assert not result.accepted and not via.accepted
+        assert result.variant == VARIANT_NOT_PRESERVING, result.notes
 
 
 def test_reconstruct_runs_no_eigendecomposition(monkeypatch):
@@ -561,14 +595,14 @@ def test_reconstruct_validates_only_the_oracle_outputs(monkeypatch):
 def test_dual_route_validates_no_complement(monkeypatch):
     # the dual map queries phi on I - P and returns the raw I - phi(I - P);
     # the input's complement is not validated, and phi's outputs are, once
-    # each, as the dual's output stacks (extension, dual and direct
+    # each, as the dual's output stacks (reading, dual and direct
     # verification), never one query at a time
     shapes = validated_shapes(monkeypatch)
     phi, v, calls = raw_conjugation(8, 6, seed=44)
     result = reconstruct_via_dual(phi)
     assert result.variant == VARIANT_CONJUGATION
     assert planted_deviation(result.v, v) <= 1e-7
-    assert [shape[0] for shape in shapes] == [12, 50, 50]
+    assert [shape[0] for shape in shapes] == [7, 50, 50]
     assert sum(shape[0] for shape in shapes) == len(calls)
 
 
