@@ -81,9 +81,7 @@ class RankNMap:
             outputs = projections_from_stack(np.array(matrices), self.tol)
         for i, out in enumerate(outputs):
             if (out.ambient_dim, out.rank) != (d, n):
-                raise InternalInconsistency(
-                    f"map {self.descriptor!r} returned rank {out.rank} in dim {out.ambient_dim} for input {i}"
-                )
+                raise InternalInconsistency(f"map {self.descriptor!r} returned rank {out.rank} in dim {out.ambient_dim} for input {i}")
         return outputs
 
     def __repr__(self) -> str:  # pragma: no cover

@@ -297,14 +297,19 @@ def _adjoint(a: np.ndarray) -> np.ndarray:
     return a.conj().swapaxes(-1, -2)
 
 
+def _ranges(images: np.ndarray, omega: np.ndarray) -> np.ndarray:
+    """Orthonormal bases of the ranges of a stack of rank-k images: one QR of
+    ``image @ omega`` (omega is d x k) and one subspace step, for all at once."""
+    return np.linalg.qr(images @ np.linalg.qr(images @ omega)[0])[0]
+
+
 def _fit(images: np.ndarray, frames: np.ndarray, omega: np.ndarray, k: int) -> np.ndarray:
     """V with ``images[q] = V b_q b_q* V*`` for the query frames ``b_q``
     (``_query_frames``, already conjugated for an antiunitary reading).
 
-    The range of each image is found from one QR of ``image @ omega`` and
-    one subspace step.  One complete QR of the block images' ranges gives a
-    unitary ``Y`` whose k-column blocks span ``V``'s, so
-    ``V = Y blockdiag(U_j)``.  A reference frame ``g`` has
+    The ranges of the images are read by ``_ranges``.  One complete QR of
+    the block images' ranges gives a unitary ``Y`` whose k-column blocks
+    span ``V``'s, so ``V = Y blockdiag(U_j)``.  A reference frame ``g`` has
     ``V g = z S`` for its image's range ``z`` and an unknown unitary S;
     matching the SVDs of block 0 of ``g`` and ``Y* z`` leaves S a diagonal
     of phases in their right singular bases, ``V g' = z' D``.  The phases
@@ -317,7 +322,7 @@ def _fit(images: np.ndarray, frames: np.ndarray, omega: np.ndarray, k: int) -> n
     """
     d = images.shape[-1]
     m = -(-d // k)
-    ranges = np.linalg.qr(images @ np.linalg.qr(images @ omega)[0])[0]
+    ranges = _ranges(images, omega)
     y = np.linalg.qr(np.concatenate(ranges[: m - 1], axis=1), mode="complete")[0]
     g, z = frames[m - 1 :], ranges[m - 1 :]
     right = _adjoint(np.linalg.svd(np.concatenate([g[:, :k], y[:, :k].conj().T @ z]))[2])
@@ -407,9 +412,7 @@ def reconstruct(
     """
     cfg = cfg or ReconstructionConfig()
     if cfg.accept_tol < 10.0 * tol.spec_tol:
-        raise ValueError(
-            f"accept_tol {cfg.accept_tol:.1e} must be >= 10x spec_tol {tol.spec_tol:.1e}"
-        )
+        raise ValueError(f"accept_tol {cfg.accept_tol:.1e} must be >= 10x spec_tol {tol.spec_tol:.1e}")
     d, n = phi.ambient_dim, phi.rank
     if not 1 <= n < d:
         raise BadRank(f"reconstruction needs 1 <= n < d, got n={n}, d={d}")
@@ -471,9 +474,7 @@ def reconstruct_via_dual(
         )
         if residual <= cfg.accept_tol:
             return replace(inner, residual=residual)
-        return _unclassified(
-            f"dual candidate fails direct verification (residual {residual:.3e} > {cfg.accept_tol:.1e})"
-        )
+        return _unclassified(f"dual candidate fails direct verification (residual {residual:.3e} > {cfg.accept_tol:.1e})")
     if inner.variant == VARIANT_NOT_PRESERVING:
         return replace(inner, notes=f"witness pair has dual rank {phi.ambient_dim - phi.rank}")
     return inner

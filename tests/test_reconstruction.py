@@ -30,7 +30,8 @@ from grasswig import (
 )
 from grasswig.linalg import REAL, frobenius
 from grasswig.maps import MapSpec, instantiate
-from grasswig.reconstruction import _reading
+from grasswig.reconstruction import FIT_GATE, _fit, _query_frames, _ranges, _reading
+from grasswig.tolerances import DEFAULT_TOL
 
 
 def conjugation(d, n, seed, antiunitary=False, field="complex"):
@@ -322,7 +323,8 @@ def test_oracle_budget_at_large_dimension():
         assert len(set(calls)) == len(calls)
 
 
-def test_block_plan_sends_each_distinct_input_once():
+def test_padded_frames_send_each_distinct_input_once():
+    # the block plan pads no frame and sends no input twice.
     # (3, 1): blocks {e0}, {e1} and the complement {e2}, so 2 + 4 queries;
     # (5, 3) is read through the dual at k = 2: blocks {e0, e1}, {e2, e3} and
     # the partial {e4}, 2 + 4; d = 2: block {e0}, 1 + 4.
@@ -533,6 +535,61 @@ def test_outputs_that_fit_no_reading_are_refused_without_raising(d, n, field):
             via = reconstruct_via_dual(phi)
         assert not result.accepted and not via.accepted
         assert result.variant == VARIANT_NOT_PRESERVING, result.notes
+
+
+def random_unit(rng, d, field):
+    x = rng.standard_normal(d) + (1j * rng.standard_normal(d) if field == "complex" else 0.0)
+    return x / np.linalg.norm(x)
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("d", [2, 3, 8, 32, 64])
+def test_stacked_rank1_reader_matches_eigh(d, field):
+    # at k = 1 the block reader reads every image's range in one stack
+    rng = np.random.default_rng(d)
+    images = []
+    for size in (0.0, 1e-9, 1e-7):
+        for _ in range(3):
+            v = random_unit(rng, d, field)
+            h = rng.standard_normal((d, d)) + (1j * rng.standard_normal((d, d)) if field == "complex" else 0.0)
+            h = h + h.conj().T
+            images.append(np.outer(v, v.conj()) + size * h / frobenius(h))
+    images = np.array(images, dtype=np.float64 if field == "real" else np.complex128)
+    ranges = _ranges(images, np.random.default_rng(0).standard_normal((d, 1)))
+    assert ranges.shape == (9, d, 1)
+    if field == "real":
+        assert ranges.dtype == np.float64
+    for image, x in zip(images, ranges[:, :, 0]):
+        ref = np.linalg.eigh(image)[1][:, -1]
+        assert np.max(np.abs(align_phase(ref, x) * x - ref)) <= 1e-13
+
+
+def test_stacked_rank1_reader_fails_the_gate_on_bad_images_without_raising():
+    # one bad image among the exact images of a rank-1 block plan drives the
+    # fit's residual on its own queries past the gate
+    d = 6
+    frames = _query_frames(np.random.default_rng(0), d, 1, "complex", DEFAULT_TOL)
+    omega = np.random.default_rng(1).standard_normal((d, 1))
+    w = haar_random_unitary(d, 2) @ frames
+    exact = w @ w.conj().swapaxes(-1, -2)
+    v = random_unit(np.random.default_rng(0), d, "complex")
+    dyad = np.outer(v, v.conj())
+    rank2 = random_projection(d, 2, seed=1).matrix
+    skew = dyad.copy()
+    skew[0, 1] += 1e-2
+    bad = [np.zeros((d, d)), rank2, skew] + [np.eye(d) / n - dyad for n in (2, 3)]
+    for q in (0, d - 1, d):  # a block, the first reference, the second
+        for image in bad:
+            images = exact.copy()
+            images[q] = image
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                w = _fit(images, frames, omega, 1) @ frames
+            residual = np.max(np.linalg.norm(images - w @ w.conj().swapaxes(-1, -2), axis=(-2, -1)))
+            assert residual > FIT_GATE * ReconstructionConfig().accept_tol, (q, residual)
+    # a NaN output never reaches the reader: it fails output validation
+    with pytest.raises(NotAProjection):
+        reconstruct(RankNMap(d, 1, lambda p: np.full((d, d), np.nan)))
 
 
 def test_reconstruct_runs_no_eigendecomposition(monkeypatch):
