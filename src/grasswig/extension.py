@@ -66,22 +66,32 @@ class RankNMap:
         projection ``NotAProjection``, one of the wrong rank or dimension
         ``InternalInconsistency``, each naming the index of its input.
         """
+        return self._validated(*self._outputs(projections))
+
+    def _outputs(self, projections: list[Projection], first: int = 0) -> tuple[list | None, np.ndarray]:
+        """``evaluate_many`` unvalidated: the outputs if all are ``Projection``s
+        (else ``None``) and the stack of their matrices; errors name ``first + i``."""
         d, n = self.ambient_dim, self.rank
         projections = list(projections)
         for i, p in enumerate(projections):
             if (p.ambient_dim, p.rank) != (d, n):
-                raise BadRank(f"input {i} has rank {p.rank} in dim {p.ambient_dim}, map expects rank {n} in dim {d}")
+                raise BadRank(f"input {first + i} has rank {p.rank} in dim {p.ambient_dim}, map expects rank {n} in dim {d}")
         outputs = [self._fn(p) for p in projections]
-        if not all(isinstance(out, Projection) for out in outputs):
-            matrices = [out.matrix if isinstance(out, Projection) else as_complex(out) for out in outputs]
-            for i, m in enumerate(matrices):
-                if m.shape != (d, d):
-                    error = NotAProjection if m.shape[0] != m.shape[1] else InternalInconsistency
-                    raise error(f"map {self.descriptor!r} returned a {m.shape[0]}x{m.shape[1]} matrix for input {i}")
-            outputs = projections_from_stack(np.array(matrices), self.tol)
+        matrices = [out.matrix if isinstance(out, Projection) else as_complex(out) for out in outputs]
+        for i, m in enumerate(matrices):
+            if m.shape != (d, d):
+                error = NotAProjection if m.shape[0] != m.shape[1] else InternalInconsistency
+                raise error(f"map {self.descriptor!r} returned a {m.shape[0]}x{m.shape[1]} matrix for input {first + i}")
+        return (outputs if all(isinstance(out, Projection) for out in outputs) else None), np.array(matrices)
+
+    def _validated(self, outputs: list | None, stack: np.ndarray, first: int = 0) -> list[Projection]:
+        """``_outputs`` as ``Projection``s of the map's rank: the oracle's own,
+        or the stack validated.  Errors name output ``first + i``."""
+        if outputs is None:
+            outputs = projections_from_stack(stack, self.tol, first)
         for i, out in enumerate(outputs):
-            if (out.ambient_dim, out.rank) != (d, n):
-                raise InternalInconsistency(f"map {self.descriptor!r} returned rank {out.rank} in dim {out.ambient_dim} for input {i}")
+            if out.rank != self.rank:
+                raise InternalInconsistency(f"map {self.descriptor!r} returned rank {out.rank} for input {first + i}")
         return outputs
 
     def __repr__(self) -> str:  # pragma: no cover

@@ -30,14 +30,14 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def projection_rank(m, tol: ToleranceConfig = DEFAULT_TOL):
+def projection_rank(m, tol: ToleranceConfig = DEFAULT_TOL, first: int = 0):
     """Rank of a projection matrix, read off its trace; for a ``(k, d, d)``
     stack, the array of the k ranks, from one pass over the whole stack.
 
     Validates the projection invariants (self-adjoint, idempotent, trace
     within ``rank_tol`` of an integer) and raises ``NotAProjection`` when
     any of them fails; for a stack, the message names the first matrix
-    that fails the check.
+    that fails the check, numbered from ``first``.
     """
     a = np.asarray(m, dtype=np.complex128)
     if a.ndim not in (2, 3):
@@ -48,7 +48,7 @@ def projection_rank(m, tol: ToleranceConfig = DEFAULT_TOL):
         raise NotAProjection(f"matrix is {stack.shape[-2]}x{d}, not square")
 
     def fail(i: int, message: str):
-        raise NotAProjection((f"matrix {i}: " if a.ndim == 3 else "") + message)
+        raise NotAProjection((f"matrix {first + i}: " if a.ndim == 3 else "") + message)
 
     def require_small(x: np.ndarray, defect: str) -> None:
         """Every matrix of x within eq_tol of 0 in Frobenius norm."""
@@ -171,24 +171,13 @@ def _wrap_stack(stack: np.ndarray, ranks) -> list[Projection]:
     return out
 
 
-def projections_from_stack(stack: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL, rank: int | None = None) -> list[Projection]:
-    """Validate a ``(k, d, d)`` stack in one pass (``projection_rank``) and
-    wrap each matrix in a ``Projection`` whose matrix is a view of the
-    stack, which is made read-only; with ``rank``, every matrix must have
-    that rank.
-
-    The stacked counterpart of the constructor, for matrices from outside
-    the package (oracle outputs): every matrix it wraps has just passed
-    the same validator.
-    """
-    stack = np.asarray(stack, dtype=np.complex128)
-    if stack.ndim != 3:
-        raise ValueError(f"expected a (k, d, d) stack, got shape {stack.shape}")
-    ranks = projection_rank(stack, tol).tolist()
-    for i, r in enumerate(ranks):
-        if rank is not None and r != rank:
-            raise NotAProjection(f"matrix {i}: declared rank {rank}, trace gives {r}")
-    return _wrap_stack(stack, ranks)
+def projections_from_stack(stack: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL, first: int = 0) -> list[Projection]:
+    """Validate a complex ``(k, d, d)`` stack in one pass (``projection_rank``,
+    a failure named from ``first``) and wrap each matrix in a ``Projection``
+    over a view of the stack, which is made read-only: the stacked
+    counterpart of the constructor, for matrices from outside the package
+    (oracle outputs, stacked by ``RankNMap``)."""
+    return _wrap_stack(stack, projection_rank(stack, tol, first).tolist())
 
 
 def sample_projections(

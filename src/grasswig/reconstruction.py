@@ -9,15 +9,14 @@ seeded reference frames (five at d = 2k, k > 1), (2) picks the reading,
 linear or antiunitary and, at d = 2k, plain or complement-composed, by
 comparing Bargmann's invariant ``tr phi(A) phi(B) phi(C)`` of three
 reference images with what each reading predicts, (3) fits
-``V = Y blockdiag(U_j)`` to those outputs (block ranges ``Y``, one phase
-synchronisation across references, a Procrustes step per block), gates
-the fit on its own queries and polishes it by least squares, (4) verifies
-the candidate on fresh random samples and returns it when it passes, and
-(5) only when no candidate passes, screens the map for angle preservation
-on random pairs to explain the failure.  Verification is the sole
-authority for acceptance: a map that matches ``V tau(P) V*``, or its
-complement, on fresh samples preserves angles, so screening it first
-would certify nothing more.  An accepted map costs
+``V = Y blockdiag(U_j)`` to those outputs, gates the fit on its own
+queries and polishes it by least squares, (4) verifies the candidate on
+fresh samples, each predicted from its Haar frame at d^2 n, where a
+residual within ``eq_tol / 4`` stands in for validating the output, and
+(5) only when no candidate passes, screens the map on random pairs to
+explain the failure; (4) and (5) share one sampled loop.  Verification is
+the sole authority for acceptance: a map that matches ``V tau(P) V*``, or
+its complement, on fresh samples preserves angles.  An accepted map costs
 ``ceil(d/k) - 1 + 4 (+1 at d = 2n, n > 1)`` reading calls plus the
 verification samples: ``7 + 4 + 50 = 61`` at d = 64, n = 8.
 
@@ -37,7 +36,7 @@ from .angles import qpq_spectrum
 from .errors import BadRank
 from .extension import RankNMap
 from .linalg import REAL, as_complex, frobenius, is_exactly_real
-from .projections import Projection, _checked_frames, _wrap_stack, sample_projections
+from .projections import Projection, _checked_frames, _wrap_stack
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
 VARIANT_CONJUGATION = "conjugation"
@@ -65,11 +64,6 @@ _READING_SEED = 2000
 # d = 8, 4 at d = 64): larger stacks save no time at large d but raise the
 # peak memory.
 _BLOCK_BYTES = 256 * 1024
-
-
-def _block_size(d: int) -> int:
-    """Samples per stack at dimension d."""
-    return max(1, _BLOCK_BYTES // (16 * d * d))
 
 
 @dataclass(frozen=True)
@@ -145,12 +139,25 @@ class ScreenReport:
     witness_phi_q: Projection | None
 
 
-def screen_preservation(
-    phi: RankNMap,
-    num_samples: int,
-    seed: int,
-    tol: ToleranceConfig = DEFAULT_TOL,
-) -> ScreenReport:
+def _sampled(phi: RankNMap, count: int, seed: int, tol: ToleranceConfig, group: int = 1):
+    """The loop screening and verification share: draw ``group * count``
+    Haar frames ``b`` from ``seed`` in stacks of at most ``_BLOCK_BYTES`` of
+    d x d matrices (a multiple of ``group``), and yield ``(first, b, inputs,
+    samples, outputs, mapped)``: the stack's first index in the run, then
+    ``RankNMap._outputs`` of the samples ``b b*``.  Fewer than one sample
+    raises ``ValueError``: an empty sample certifies nothing."""
+    if count < 1:
+        raise ValueError(f"a sampled check needs at least 1 sample{' pair' if group == 2 else ''}, got {count}")
+    d, n, rng = phi.ambient_dim, phi.rank, np.random.default_rng(seed)
+    size = group * max(1, _BLOCK_BYTES // (16 * d * d) // group)
+    for first in range(0, group * count, size):
+        b = _checked_frames(rng, min(size, group * count - first), d, n, phi.field, tol)
+        inputs = b @ _adjoint(b)
+        samples = _wrap_stack(inputs, [n] * len(b))
+        yield (first, b, inputs, samples, *phi._outputs(samples, first))
+
+
+def screen_preservation(phi: RankNMap, num_samples: int, seed: int, tol: ToleranceConfig = DEFAULT_TOL) -> ScreenReport:
     """Compare angles and trace form before and after the map on random pairs.
 
     The discrepancy per pair is the larger of the trace-form deviation and
@@ -158,76 +165,73 @@ def screen_preservation(
     image; both vanish exactly for an angle preserver.  The trace form is
     read off the same spectra: ``tr PQ = tr QPQ`` is the spectrum's sum.
     The witness is the last pair attaining the maximum.  Pairs are drawn,
-    evaluated and compared in stacks.  Fewer than one pair raises
-    ``ValueError``: an empty screen certifies nothing.
+    evaluated and compared in stacks (``_sampled``), and every output is
+    validated, since the witness images must be ``Projection``s; a failure
+    names the sample's index in the run (pair i is samples 2i, 2i + 1).
+    Fewer than one pair raises ``ValueError``: it would certify nothing.
     """
-    if num_samples < 1:
-        raise ValueError(f"screening needs at least 1 sample pair, got {num_samples}")
-    rng = np.random.default_rng(seed)
-    d, pairs = phi.ambient_dim, max(1, _block_size(phi.ambient_dim) // 2)
     worst, witness = 0.0, (None, None, None, None)
-    for start in range(0, num_samples, pairs):
-        count = min(pairs, num_samples - start)
-        stack, samples = sample_projections(rng, 2 * count, d, phi.rank, phi.field, tol)
-        images = phi.evaluate_many(samples)
-        mapped = np.stack([image.matrix for image in images])
-        before = qpq_spectrum(stack[0::2], stack[1::2])
+    for first, _, inputs, samples, outputs, mapped in _sampled(phi, num_samples, seed, tol, group=2):
+        images = phi._validated(outputs, mapped, first)
+        before = qpq_spectrum(inputs[0::2], inputs[1::2])
         after = qpq_spectrum(mapped[0::2], mapped[1::2])
         trace_dev = np.abs(after.sum(axis=-1) - before.sum(axis=-1))
         spec_dev = np.max(np.abs(before - after), axis=-1)
         discrepancy = np.maximum(trace_dev, spec_dev)
-        i = count - 1 - int(np.argmax(discrepancy[::-1]))
+        i = len(discrepancy) - 1 - int(np.argmax(discrepancy[::-1]))
         if discrepancy[i] >= worst:
             worst = float(discrepancy[i])
             witness = (samples[2 * i], samples[2 * i + 1], images[2 * i], images[2 * i + 1])
     return ScreenReport(worst, *witness)
 
 
-def _conjugate(v, antiunitary: bool, m: np.ndarray) -> np.ndarray:
-    """``V m V*`` (linear) or ``V conj(m) V*`` (antiunitary, conjugation in
-    the standard basis), as a raw matrix; for a stack ``m``, of each matrix."""
-    v = as_complex(v)
-    inner = m.conj() if antiunitary else m
-    return v @ inner @ v.conj().T
-
-
 def apply_conjugation(v, antiunitary: bool, p: Projection, tol: ToleranceConfig = DEFAULT_TOL) -> Projection:
     """``V P V*`` (linear) or ``V conj(P) V*`` (antiunitary, conjugation in
     the standard basis)."""
-    return Projection(_conjugate(v, antiunitary, p.matrix), rank=p.rank, tol=tol)
+    v = as_complex(v)
+    return Projection(v @ (p.matrix.conj() if antiunitary else p.matrix) @ v.conj().T, rank=p.rank, tol=tol)
 
 
 def verify_conjugation(
-    phi: RankNMap,
-    v,
-    antiunitary: bool,
-    num_samples: int,
-    seed: int,
-    tol: ToleranceConfig = DEFAULT_TOL,
-    complement: bool = False,
+    phi: RankNMap, v, antiunitary: bool, num_samples: int, seed: int,
+    tol: ToleranceConfig = DEFAULT_TOL, complement: bool = False,
 ) -> float:
     """Max Frobenius residual of ``phi(P) - V tau(P) V*`` over random samples,
     or of ``phi(P) - (I - V tau(P) V*)`` with ``complement``.
 
-    The prediction stays a raw matrix: a candidate V that is unitary only to
-    within the acceptance tolerance does not map P to an exact projection,
-    and the residual, not projection validation, is the test it must pass.
-    Samples are drawn, evaluated and compared in stacks.  Fewer than one
-    sample raises ``ValueError``: an empty verification certifies nothing.
+    Each sample ``P = b b*`` is predicted from its frame as ``Q = W W*``
+    (or ``I - W W*``), ``W = V tau(b)``, at d^2 n.  Q stays a raw matrix: a
+    V unitary only to within the acceptance tolerance maps P to no exact
+    projection, and the residual is the test it must pass.
+
+    The residual also stands in for the output's d^3 validation.  For an
+    output M let ``E = M - Q``, ``r = ||E||_F``, ``g = ||W* W - I||_F``.
+    ``W W*`` has eigenvalues in ``{0} u [1 - g, 1 + g]``, so
+    ``||Q - I/2||_2 <= 1/2 + g``; ``Q^2 - Q = W (W* W - I) W*`` in both
+    forms, and ``M^2 - M = Q^2 - Q + (Q - I/2) E + E (Q - I/2) + E^2``.  So
+    ``||M - M*||_F <= 2r``, ``||M^2 - M||_F <= (1 + g) g + (1 + 2g) r + r^2``
+    and, where Q has rank n (the complement only at d = 2n),
+    ``|tr M - n| <= sqrt(d) r + sqrt(n) g``: with ``r, g <= eq_tol / 4``
+    both defects are at most ``eq_tol / 2 + eq_tol^2 / 4`` and, while
+    ``(sqrt(d) + sqrt(n)) eq_tol <= 4 rank_tol`` (d < 1.6e7 by default),
+    M passes ``projection_rank`` with rank n.  A stack with any other
+    output (NaN and inf fail ``<=``) is validated whole, naming a failing
+    sample by its index in the run (samples come from ``_sampled``).
+    Fewer than one sample raises ``ValueError``: it would certify nothing.
     """
-    if num_samples < 1:
-        raise ValueError(f"verification needs at least 1 sample, got {num_samples}")
-    rng = np.random.default_rng(seed)
-    d, size = phi.ambient_dim, _block_size(phi.ambient_dim)
+    d, n = phi.ambient_dim, phi.rank
+    v, eye, cover = as_complex(v), np.eye(d, dtype=np.complex128), tol.eq_tol / 4
+    vouches = (not complement or d == 2 * n) and (np.sqrt(d) + np.sqrt(n)) * cover <= tol.rank_tol
     worst = 0.0
-    for start in range(0, num_samples, size):
-        stack, samples = sample_projections(rng, min(size, num_samples - start), d, phi.rank, phi.field, tol)
-        predicted = _conjugate(v, antiunitary, stack)
-        if complement:
-            predicted = np.eye(d, dtype=np.complex128) - predicted
-        mapped = np.stack([image.matrix for image in phi.evaluate_many(samples)])
-        worst = max(worst, float(np.max(np.linalg.norm(mapped - predicted, axis=(-2, -1)))))
-    return worst
+    for first, b, _, _, outputs, mapped in _sampled(phi, num_samples, seed, tol):
+        w = v @ (b.conj() if antiunitary else b)
+        predicted = w @ _adjoint(w)
+        residuals = np.linalg.norm(mapped - (eye - predicted if complement else predicted), axis=(-2, -1))
+        gram = np.linalg.norm(_adjoint(w) @ w - np.eye(n), axis=(-2, -1))
+        if not (vouches and np.all(residuals <= cover) and np.all(gram <= cover)):
+            phi._validated(outputs, mapped, first)
+        worst = np.maximum(worst, np.max(residuals))  # a NaN residual stays NaN
+    return float(worst)
 
 
 def canonicalize_global_phase(v: np.ndarray) -> np.ndarray:
@@ -354,13 +358,10 @@ def _classify(phi: RankNMap, cfg: ReconstructionConfig, tol: ToleranceConfig) ->
     """Block query plan -> Bargmann reading -> fit, gate, polish -> verification.
 
     The map is read at rank ``k = min(n, d - n)``, through ``dualize`` when
-    n > d/2 (a conjugation inducing the dual induces the map).  The
-    ``ceil(d/k) - 1`` block queries and the reference queries reach the
-    oracle as one stack.  The outputs, or their complements ``I - M`` for
-    the complement family, are fitted once in the reading ``_reading``
-    picks; the fit must match its own queries within ``FIT_GATE``
-    accept_tol before it is polished and verified on fresh samples against
-    the map itself.
+    n > d/2 (a conjugation inducing the dual induces the map), from one
+    stack of queries, and fitted once, in the reading ``_reading`` picks;
+    the fit must match its queries within ``FIT_GATE`` accept_tol before
+    it is polished and verified on fresh samples against the map itself.
     """
     d, n = phi.ambient_dim, phi.rank
     psi = dualize(phi, tol) if 2 * n > d else phi
@@ -388,7 +389,7 @@ def _classify(phi: RankNMap, cfg: ReconstructionConfig, tol: ToleranceConfig) ->
         return _unclassified(f"{label} fits its own queries only to {residual:.3e} > {FIT_GATE:g} x accept_tol")
     v = canonicalize_global_phase(as_complex(_polish(images, v, frames, _POLISH_STOP * cfg.accept_tol)))
     residual = verify_conjugation(phi, v, antiunitary, cfg.verify_samples, seed, tol, complement=complement)
-    if residual > cfg.accept_tol:
+    if not residual <= cfg.accept_tol:
         return _unclassified(f"{label} fails verification (residual {residual:.3e} > {cfg.accept_tol:.1e})")
     return ReconstructionResult(variant, v=v, antiunitary=antiunitary, residual=residual)
 

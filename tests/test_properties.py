@@ -1,12 +1,15 @@
 """Property-based tests over random (d, n, field) with d <= 8, and d <= 12
 for the reconstruction's block query plan."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grasswig import (
+    InternalInconsistency,
     NotAProjection,
     Projection,
     RankNMap,
@@ -26,10 +29,13 @@ from grasswig import (
     sample_projection,
     sample_projections,
     screen_preservation,
+    verify_conjugation,
 )
+import grasswig.projections
 from grasswig.extension import extend_orthonormal
 from grasswig.linalg import haar_frames_from_rng
 from grasswig.maps import MapSpec, instantiate
+from grasswig.tolerances import DEFAULT_TOL
 
 # Few examples each: the suite's wall time stays within a few seconds.
 SETTINGS = settings(max_examples=25, deadline=None, database=None)
@@ -249,3 +255,66 @@ def test_a_rejection_carries_the_screen_witness_bit_for_bit(family):
     )
     for got, expected in pairs:
         assert np.array_equal(got.matrix, expected.matrix)
+
+
+@SETTINGS
+@given(
+    shapes(),
+    st.sampled_from(("plain", "complement", "complement off d = 2n")),
+    st.sampled_from(("random", "skew", "aligned")),
+    st.floats(0.0, 0.98),
+    st.floats(0.0, 0.98),
+    st.sampled_from(("residual", "gram")),
+    st.floats(1.02, 4.0),
+)
+def test_a_residual_within_a_quarter_eq_tol_vouches_for_a_projection_of_rank_n(
+    shape, prediction, kind, r_scale, g_scale, outside, scale
+):
+    # verification skips projection_rank for an output M whose residual r
+    # against W W* (or I - W W*), W = V tau(b), and W's Gram defect g are
+    # both within eq_tol / 4.  Such an M must pass projection_rank with
+    # rank n; with r or g just past eq_tol / 4 the output must reach it.
+    d, n, field, anti, seed = shape
+    complement = prediction != "plain"
+    if prediction == "complement":
+        d = 2 * n
+    elif complement and d == 2 * n:
+        d, n = (3, 1) if d == 2 else (d, n - 1)
+    rng = np.random.default_rng(seed)
+    quarter = DEFAULT_TOL.eq_tol / 4
+    u = haar_random_unitary(d, seed % 997, field)
+
+    def run(r_scale, g_scale):
+        # V = sqrt(1 + t) U: W* W - I = t I_n, so g = t sqrt(n)
+        v = np.sqrt(1.0 + g_scale * quarter / np.sqrt(n)) * u
+        outputs = []
+
+        def fn(p):
+            q = v @ (p.matrix.conj() if anti else p.matrix) @ v.conj().T
+            q = np.eye(d) - q if complement else q
+            x = {
+                "random": rng.standard_normal((d, d)) + (1j * rng.standard_normal((d, d)) if field == "complex" else 0),
+                "skew": (lambda g: g - g.conj().T)(rng.standard_normal((d, d)) + 0j),
+                "aligned": q,  # moves the trace and the idempotency defect most
+            }[kind]
+            outputs.append(q + r_scale * quarter * x / np.linalg.norm(x))
+            return outputs[-1]
+
+        phi = RankNMap(d, n, fn, field=field)
+        with mock.patch.object(grasswig.projections, "projection_rank", wraps=grasswig.projections.projection_rank) as validate:
+            try:
+                verify_conjugation(phi, v, anti, 5, seed=1, complement=complement)
+            except NotAProjection:
+                pass
+        return outputs, validate.call_args_list
+
+    if prediction == "complement off d = 2n":
+        # I - W W* has rank d - n there: the residual vouches for nothing
+        with pytest.raises(InternalInconsistency, match=f"rank {d - n} for input 0"):
+            run(r_scale, g_scale)
+        return
+    outputs, validated = run(r_scale, g_scale)
+    assert validated == []
+    assert all(projection_rank(m) == n for m in outputs)
+    outputs, validated = run(scale if outside == "residual" else r_scale, scale if outside == "gram" else g_scale)
+    assert len(validated) == 1 and validated[0].args[0].shape == (5, d, d)

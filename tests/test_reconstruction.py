@@ -28,7 +28,7 @@ from grasswig import (
     trace_product,
     verify_conjugation,
 )
-from grasswig.linalg import REAL, frobenius
+from grasswig.linalg import REAL, frobenius, haar_frames_from_rng
 from grasswig.maps import MapSpec, instantiate
 from grasswig.reconstruction import FIT_GATE, _fit, _query_frames, _ranges, _reading
 from grasswig.tolerances import DEFAULT_TOL
@@ -404,14 +404,22 @@ def reference_screen(phi, num_samples, seed):
     return worst, wp, wq
 
 
-def reference_verify(phi, v, antiunitary, num_samples, seed, complement=False):
-    """Per-sample verification residual."""
+def reference_verify(phi, v, antiunitary, num_samples, seed, complement=False, frames=True):
+    """Per-sample verification residual: each sample ``P = b b*`` predicted
+    from its frame as ``W W*`` with ``W = V tau(b)`` or, without ``frames``,
+    as ``V tau(P) V*``."""
     rng = np.random.default_rng(seed)
-    eye = np.eye(phi.ambient_dim)
+    d, n = phi.ambient_dim, phi.rank
+    eye = np.eye(d)
     worst = 0.0
     for _ in range(num_samples):
-        p = sample_projection(rng, phi.ambient_dim, phi.rank, phi.field)
-        predicted = v @ (p.matrix.conj() if antiunitary else p.matrix) @ v.conj().T
+        b = haar_frames_from_rng(rng, 1, d, n, phi.field)
+        p = Projection((b @ b.conj().swapaxes(-1, -2))[0], rank=n)
+        if frames:
+            w = v @ (b[0].conj() if antiunitary else b[0])
+            predicted = w @ w.conj().T
+        else:
+            predicted = v @ (p.matrix.conj() if antiunitary else p.matrix) @ v.conj().T
         if complement:
             predicted = eye - predicted
         worst = max(worst, frobenius(phi.evaluate(p).matrix - predicted))
@@ -455,6 +463,11 @@ def test_stacked_verify_matches_the_per_sample_loop():
             stacked = verify_conjugation(phi, v, anti, samples, seed=4, complement=compl)
             looped = reference_verify(phi, v, anti, samples, seed=4, complement=compl)
             assert abs(stacked - looped) <= 1e-15 * max(1.0, looped)
+            # V tau(P) V* rounds differently from W W*: the residuals agree to
+            # d eps (measured: at most 6.3 eps, on the exact candidate at d = 40)
+            conjugated = reference_verify(phi, v, anti, samples, seed=4, complement=compl, frames=False)
+            eps = np.finfo(float).eps
+            assert abs(looped - conjugated) <= phi.ambient_dim * eps * max(1.0, looped)
 
 
 def test_sampled_stages_call_the_oracle_once_per_sample():
@@ -470,6 +483,39 @@ def test_sampled_stages_call_the_oracle_once_per_sample():
     assert len(calls) == 40
     verify_conjugation(phi, v, False, 50, seed=2)
     assert len(calls) == 90
+
+
+def test_sampled_stages_name_the_run_index_of_a_bad_output():
+    # at (40, 8) both stages draw 10 samples per stack, so sample 13 is
+    # output 3 of the second stack; the error names its index in the run
+    v = haar_random_unitary(40, 8)
+
+    def oracle(bad):
+        calls = []
+
+        def fn(p):
+            calls.append(1)
+            out = v @ p.matrix @ v.conj().T
+            return bad(out) if len(calls) == 14 else out
+
+        return RankNMap(40, 8, fn)
+
+    for bad, error, message in (
+        (lambda m: m + 1e-6 * np.eye(40), NotAProjection, "matrix 13: idempotency"),
+        (lambda m: np.diag([1.0] * 9 + [0.0] * 31), InternalInconsistency, "rank 9 for input 13"),
+    ):
+        with pytest.raises(error, match=message):
+            verify_conjugation(oracle(bad), v, False, 20, seed=1)
+        with pytest.raises(error, match=message):
+            screen_preservation(oracle(bad), 10, seed=1)
+
+
+def test_a_nan_candidate_fails_verification():
+    # a NaN residual must not read as 0: max(0.0, nan) is 0.0
+    phi, v, _ = raw_conjugation(6, 2, seed=2)
+    v = np.array(v)
+    v[0, 0] = np.nan
+    assert np.isnan(verify_conjugation(phi, v, False, 3, seed=1))
 
 
 def test_sampled_stages_refuse_an_empty_sample():
@@ -593,8 +639,8 @@ def test_stacked_rank1_reader_fails_the_gate_on_bad_images_without_raising():
 
 
 def test_reconstruct_runs_no_eigendecomposition(monkeypatch):
-    # the basis and reference images are read by power steps: one
-    # reconstruct at d = 32 used to run 32 + n + 1 eigh calls
+    # the block and reference images are read by range-finding QRs and the
+    # fit by SVDs: one reconstruct at d = 32 used to run 32 + n + 1 eigh calls
     calls = []
     eigh = np.linalg.eigh
 
@@ -638,29 +684,39 @@ def raw_conjugation(d, n, seed):
 
 
 def test_reconstruct_validates_only_the_oracle_outputs(monkeypatch):
-    # samples and extension inputs are projections by construction: the
-    # only matrices validated are the oracle's outputs, once each
+    # samples and reading inputs are projections by construction: the only
+    # matrices validated are oracle outputs, once each.  Verification lets a
+    # residual within eq_tol / 4 vouch for its output, so an exact map has
+    # only its reading stack validated (3 block + 4 reference queries at
+    # d = 32, n = 8); a map whose residuals exceed it but stay inside
+    # accept_tol has every verification output validated, in stacks of 16
     shapes = validated_shapes(monkeypatch)
     phi, v, calls = raw_conjugation(32, 8, seed=43)
     result = reconstruct(phi)
     assert result.variant == VARIANT_CONJUGATION
     assert planted_deviation(result.v, v) <= 1e-7
-    assert all(len(shape) == 3 for shape in shapes)
-    assert sum(shape[0] for shape in shapes) == len(calls)
+    assert shapes == [(7, 32, 32)] and len(calls) == 7 + 50
+    shapes.clear()
+    noisy = MapSpec("noisy", base=MapSpec("conjugation", matrix=v), sigma=3e-9, seed=5)
+    result = reconstruct(instantiate(noisy, 32, 8))
+    assert result.variant == VARIANT_CONJUGATION
+    assert DEFAULT_TOL.eq_tol / 4 < result.residual <= 1e-7
+    assert [shape[0] for shape in shapes] == [7, 16, 16, 16, 2]
 
 
 def test_dual_route_validates_no_complement(monkeypatch):
     # the dual map queries phi on I - P and returns the raw I - phi(I - P);
-    # the input's complement is not validated, and phi's outputs are, once
-    # each, as the dual's output stacks (reading, dual and direct
-    # verification), never one query at a time
+    # the input's complement is not validated, and phi's outputs are
+    # validated once each, as the dual's reading stack, never one query at a
+    # time; the exact outputs of both verifications (dual and direct) are
+    # vouched for by their residuals
     shapes = validated_shapes(monkeypatch)
     phi, v, calls = raw_conjugation(8, 6, seed=44)
     result = reconstruct_via_dual(phi)
     assert result.variant == VARIANT_CONJUGATION
     assert planted_deviation(result.v, v) <= 1e-7
-    assert [shape[0] for shape in shapes] == [7, 50, 50]
-    assert sum(shape[0] for shape in shapes) == len(calls)
+    assert [shape[0] for shape in shapes] == [7]
+    assert len(calls) == 7 + 50 + 50
 
 
 def test_dual_names_the_bad_output_of_the_wrapped_map():
