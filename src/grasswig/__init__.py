@@ -32,7 +32,7 @@ from .extension import (
     CombinationCertificate,
     RankNMap,
     combination_coefficients,
-    extend_frame,
+    extend_orthonormal,
     extend_to_hermitian,
     extend_to_rank1,
     rank1_combination,

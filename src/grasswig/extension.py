@@ -6,10 +6,10 @@ Hermitian matrix.  The route goes through rank-1 projections and a shared
 envelope: any n+1 orthonormal vectors ``u_k`` (a *frame*) span the rank-(n+1)
 projection ``E = sum u_k u_k*``, each ``P_k = E - u_k u_k*`` has rank n, and
 ``u_k u_k* = (1/n) sum_j P_j - P_k``.  So n+1 oracle evaluations give the
-images of all n+1 dyads of a frame (``extend_frame``); any orthonormal set
-packs into such frames, whose inputs reach the oracle as one stack
-(``extend_orthonormal``), and the image of a single dyad is the
-first image of the frame completing its vector (``extend_to_rank1``).
+images of all n+1 dyads of a frame; any orthonormal set packs into such
+frames, whose inputs reach the oracle as one stack (``extend_orthonormal``),
+and the image of a single dyad is the first image of the frame completing
+its vector (``extend_to_rank1``).
 Extending a map this way gives the images of dyads and of every Hermitian
 matrix (``extend_to_hermitian``) even though the map itself never sees a
 rank-1 input; it is the paper's route to the inducing isometry.  The
@@ -182,26 +182,14 @@ def rank1_combination(u, rank: int, tol: ToleranceConfig = DEFAULT_TOL) -> Combi
     return CombinationCertificate(combination_coefficients(rank), projections, target)
 
 
-def extend_frame(phi: RankNMap, frame, tol: ToleranceConfig = DEFAULT_TOL) -> list[np.ndarray]:
-    """Images of the n+1 dyads ``u_k u_k*`` of a d-by-(n+1) frame of
-    orthonormal columns under the real-linear extension of ``phi``, from one
-    oracle evaluation per dyad: the one-frame case of ``extend_orthonormal``.
-    """
-    u = np.asarray(frame, dtype=np.complex128)
-    d, n = phi.ambient_dim, phi.rank
-    if u.shape != (d, n + 1):
-        raise BadRank(f"frame has shape {u.shape}, map needs {d}x{n + 1} orthonormal columns")
-    return extend_orthonormal(phi, u, tol)
-
-
 def extend_to_rank1(phi: RankNMap, u, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Image of the dyad ``u u*`` under the real-linear extension of ``phi``:
-    the first image of ``extend_frame`` on the frame completing u.
+    the first image of ``extend_orthonormal`` on the frame completing u.
     """
     u = np.asarray(u, dtype=np.complex128).reshape(-1)
     if u.shape[0] != phi.ambient_dim:
         raise BadRank(f"vector lives in dim {u.shape[0]}, map expects {phi.ambient_dim}")
-    return extend_frame(phi, np.column_stack(_unit_frame(u, phi.rank, tol)), tol)[0]
+    return extend_orthonormal(phi, np.column_stack(_unit_frame(u, phi.rank, tol)), tol)[0]
 
 
 def extend_orthonormal(phi: RankNMap, columns, tol: ToleranceConfig = DEFAULT_TOL) -> list[np.ndarray]:

@@ -129,8 +129,8 @@ def haar_frames_from_rng(rng: np.random.Generator, count: int, d: int, n: int, f
     stack equals ``count`` successive one-matrix draws, bit for bit.  Only
     the first n Gaussian columns enter the stacked QR, because the first n
     columns of a phase-fixed Q depend on no others (Mezzadri, Notices AMS
-    54, 2007), so the result is the first n columns of the unitaries that
-    ``haar_unitaries_from_rng`` draws from the same state, up to roundoff.
+    54, 2007), so the result is, up to roundoff, the first n columns of the
+    unitaries the n = d call draws from the same state.
     """
     if d < 1:
         raise BadRank(f"dimension must be positive, got {d}")
@@ -145,23 +145,12 @@ def haar_frames_from_rng(rng: np.random.Generator, count: int, d: int, n: int, f
     return _phase_fixed_qr(np.asarray(z, dtype=np.complex128))
 
 
-def haar_unitaries_from_rng(rng: np.random.Generator, count: int, d: int, field: str = COMPLEX) -> np.ndarray:
-    """``count`` Haar-distributed unitaries (orthogonal in real mode) drawn
-    from ``rng``, as a ``(count, d, d)`` stack: the n = d case of
-    ``haar_frames_from_rng``."""
-    return haar_frames_from_rng(rng, count, d, d, field)
-
-
-def haar_unitary_from_rng(rng: np.random.Generator, d: int, field: str = COMPLEX) -> np.ndarray:
-    """Haar-distributed unitary (orthogonal in real mode) drawn from ``rng``."""
-    return haar_unitaries_from_rng(rng, 1, d, field)[0]
-
-
 def haar_random_unitary(d: int, seed: int, field: str = COMPLEX) -> np.ndarray:
     """Seeded Haar-random unitary: QR of a Gaussian matrix with the R
-    diagonal's phases absorbed into Q.  Deterministic per ``(d, seed, field)``.
+    diagonal's phases absorbed into Q, the n = d case of
+    ``haar_frames_from_rng``.  Deterministic per ``(d, seed, field)``.
     """
-    return haar_unitary_from_rng(np.random.default_rng(seed), d, field)
+    return haar_frames_from_rng(np.random.default_rng(seed), 1, d, d, field)[0]
 
 
 def random_subspace(d: int, n: int, seed: int, field: str = COMPLEX) -> np.ndarray:

@@ -66,21 +66,26 @@ _READING_SEED = 2000
 _BLOCK_BYTES = 256 * 1024
 
 
+# Random pairs a rejected map is screened on, and fresh samples a
+# candidate is verified on.
+_SCREEN_PAIRS = 20
+_VERIFY_SAMPLES = 50
+
+
+def _accept_tol(tol: ToleranceConfig) -> float:
+    """The acceptance threshold, ``10 spec_tol`` (1e-7 by default): well
+    above the spectral comparison noise floor."""
+    return 10.0 * tol.spec_tol
+
+
 @dataclass(frozen=True)
 class ReconstructionConfig:
-    accept_tol: float = 1e-7
-    screen_samples: int = 20
-    verify_samples: int = 50
     seed: int = 0
 
     def __post_init__(self) -> None:
         # seeds feed numpy generators, which refuse negative seeds
-        for name, least in (("screen_samples", 1), ("verify_samples", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-        if not 0.0 < self.accept_tol < float("inf"):
-            raise ValueError(f"accept_tol must be positive and finite, got {self.accept_tol!r}")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -363,7 +368,7 @@ def _classify(phi: RankNMap, cfg: ReconstructionConfig, tol: ToleranceConfig) ->
     the fit must match its queries within ``FIT_GATE`` accept_tol before
     it is polished and verified on fresh samples against the map itself.
     """
-    d, n = phi.ambient_dim, phi.rank
+    d, n, accept_tol = phi.ambient_dim, phi.rank, _accept_tol(tol)
     psi = dualize(phi, tol) if 2 * n > d else phi
     k = psi.rank
     rng = np.random.default_rng(_READING_SEED)
@@ -385,12 +390,12 @@ def _classify(phi: RankNMap, cfg: ReconstructionConfig, tol: ToleranceConfig) ->
     label = f"{'antiunitary' if antiunitary else 'linear'} {label} reading"
     w = v @ frames  # the fit's own predictions, V b b* V* = w w*
     residual = float(np.max(np.linalg.norm(images - w @ _adjoint(w), axis=(-2, -1))))
-    if not residual <= FIT_GATE * cfg.accept_tol:
+    if not residual <= FIT_GATE * accept_tol:
         return _unclassified(f"{label} fits its own queries only to {residual:.3e} > {FIT_GATE:g} x accept_tol")
-    v = canonicalize_global_phase(as_complex(_polish(images, v, frames, _POLISH_STOP * cfg.accept_tol)))
-    residual = verify_conjugation(phi, v, antiunitary, cfg.verify_samples, seed, tol, complement=complement)
-    if not residual <= cfg.accept_tol:
-        return _unclassified(f"{label} fails verification (residual {residual:.3e} > {cfg.accept_tol:.1e})")
+    v = canonicalize_global_phase(as_complex(_polish(images, v, frames, _POLISH_STOP * accept_tol)))
+    residual = verify_conjugation(phi, v, antiunitary, _VERIFY_SAMPLES, seed, tol, complement=complement)
+    if not residual <= accept_tol:
+        return _unclassified(f"{label} fails verification (residual {residual:.3e} > {accept_tol:.1e})")
     return ReconstructionResult(variant, v=v, antiunitary=antiunitary, residual=residual)
 
 
@@ -401,19 +406,14 @@ def reconstruct(
 ) -> ReconstructionResult:
     """Classify an angle-preserving map and recover its inducing isometry.
 
-    Classification and verification run first, and an accepted result is
-    returned as it comes, without screening.  Otherwise the map is
-    screened on ``cfg.screen_samples`` pairs from ``cfg.seed``: a
-    discrepancy above ``accept_tol`` returns ``not_angle_preserving`` with
-    the screen's witness, and else the classification's
-    ``preserving_unclassified`` result stands.
-
-    Requires ``accept_tol >= 10 * spec_tol`` so structural checks sit well
-    above the spectral comparison noise floor.
+    Classification and verification (on 50 fresh samples) run first, and
+    an accepted result is returned as it comes, without screening.
+    Otherwise the map is screened on 20 pairs from ``cfg.seed``: a
+    discrepancy above ``accept_tol = 10 spec_tol`` returns
+    ``not_angle_preserving`` with the screen's witness, and else the
+    classification's ``preserving_unclassified`` result stands.
     """
     cfg = cfg or ReconstructionConfig()
-    if cfg.accept_tol < 10.0 * tol.spec_tol:
-        raise ValueError(f"accept_tol {cfg.accept_tol:.1e} must be >= 10x spec_tol {tol.spec_tol:.1e}")
     d, n = phi.ambient_dim, phi.rank
     if not 1 <= n < d:
         raise BadRank(f"reconstruction needs 1 <= n < d, got n={n}, d={d}")
@@ -421,8 +421,8 @@ def reconstruct(
     result = _classify(phi, cfg, tol)
     if result.accepted:
         return result
-    report = screen_preservation(phi, cfg.screen_samples, cfg.seed, tol)
-    if report.max_discrepancy > cfg.accept_tol:
+    report = screen_preservation(phi, _SCREEN_PAIRS, cfg.seed, tol)
+    if report.max_discrepancy > _accept_tol(tol):
         return ReconstructionResult(
             VARIANT_NOT_PRESERVING,
             witness_p=report.witness_p,
@@ -461,21 +461,15 @@ def reconstruct_via_dual(
 ) -> ReconstructionResult:
     """Reconstruct through the dual map on rank d - n.
 
-    A conjugation inducing the dual induces the original map as well, so a
-    positive result carries over; it is still re-verified against the
-    original map directly before being returned.  A witness from dual
-    screening lives at rank d - n.
+    A conjugation inducing the dual induces the original map, in the same
+    family, and the dual's verification settles both: it queries phi on
+    ``I - P`` for Haar samples P of rank d - n, so on Haar samples of rank
+    n, validating phi's outputs under the same rules, and its residual is
+    the direct one, since ``||(I - M) - (I - Q)|| = ||M - Q||`` (up to the
+    polar factor's ``||I - V V*||``).  So a result is returned as the dual
+    gives it, a witness from dual screening at rank d - n.
     """
-    cfg = cfg or ReconstructionConfig()
     inner = reconstruct(dualize(phi, tol), cfg, tol)
-    if inner.accepted:
-        complement = inner.variant == VARIANT_EXCEPTIONAL
-        residual = verify_conjugation(
-            phi, inner.v, inner.antiunitary, cfg.verify_samples, cfg.seed + 3, tol, complement=complement
-        )
-        if residual <= cfg.accept_tol:
-            return replace(inner, residual=residual)
-        return _unclassified(f"dual candidate fails direct verification (residual {residual:.3e} > {cfg.accept_tol:.1e})")
     if inner.variant == VARIANT_NOT_PRESERVING:
         return replace(inner, notes=f"witness pair has dual rank {phi.ambient_dim - phi.rank}")
     return inner

@@ -10,7 +10,7 @@ from grasswig import (
     Projection,
     RankNMap,
     combination_coefficients,
-    extend_frame,
+    extend_orthonormal,
     extend_to_hermitian,
     extend_to_rank1,
     haar_random_unitary,
@@ -263,7 +263,7 @@ def frame_test_maps(d, n):
 
 
 def assert_frame_matches_rank1(phi, frame):
-    images = extend_frame(phi, frame)
+    images = extend_orthonormal(phi, frame)
     assert len(images) == frame.shape[1]
     for k, image in enumerate(images):
         assert frobenius(image - extend_to_rank1(phi, frame[:, k])) <= 1e-12
@@ -308,7 +308,7 @@ def test_frame_costs_one_oracle_call_per_dyad():
     phi = RankNMap(d, n, fn, descriptor="counting")
     unitary = haar_random_unitary(d, 81)
     for count, start in enumerate(range(0, 8, n + 1), start=1):
-        extend_frame(phi, unitary[:, start : start + n + 1])
+        extend_orthonormal(phi, unitary[:, start : start + n + 1])
         assert len(calls) == count * (n + 1)
 
 
@@ -317,7 +317,7 @@ def test_frame_rejects_wrong_trace_oracle():
     frame = haar_random_unitary(d, 82)[:, : n + 1]
     wrong_rank = RankNMap(d, n, lambda p: Projection(np.eye(d)[:, : n + 1] @ np.eye(d)[: n + 1]))
     with pytest.raises(InternalInconsistency):
-        extend_frame(wrong_rank, frame)
+        extend_orthonormal(wrong_rank, frame)
 
     class Unchecked:
         # an oracle seen without RankNMap's output validation
@@ -327,19 +327,17 @@ def test_frame_rejects_wrong_trace_oracle():
             return [Projection(np.diag([1.0, 1.0, 1.0, 0.0, 0.0])) for _ in projections]
 
     with pytest.raises(InternalInconsistency):
-        extend_frame(Unchecked(), frame)
+        extend_orthonormal(Unchecked(), frame)
 
 
 def test_frame_input_validation():
     phi = identity_map(5, 2)
-    with pytest.raises(BadRank):
-        extend_frame(phi, np.eye(5)[:, :2])
     with pytest.raises(NotUnit):
-        extend_frame(phi, np.eye(5)[:, :3] * 1.1)
+        extend_orthonormal(phi, np.eye(5)[:, :3] * 1.1)
     nan_frame = np.eye(5)[:, :3].astype(complex)
     nan_frame[0, 0] = np.nan
     with pytest.raises(NotUnit):
-        extend_frame(phi, nan_frame)
+        extend_orthonormal(phi, nan_frame)
 
 
 def test_evaluate_many_validates_outputs_as_one_stack():

@@ -12,7 +12,7 @@ from grasswig import (
     random_subspace,
     singular_values,
 )
-from grasswig.linalg import REAL, frobenius, haar_unitaries_from_rng, haar_unitary_from_rng
+from grasswig.linalg import REAL, frobenius, haar_frames_from_rng
 
 
 def gaussian(rng, rows, cols, field):
@@ -187,9 +187,9 @@ def reference_haar(rng, d, field):
 def test_haar_stack_equals_single_draws_bit_for_bit():
     for field in (REAL, "complex"):
         for d in (1, 3, 8, 17):
-            stack = haar_unitaries_from_rng(np.random.default_rng(d), 6, d, field)
+            stack = haar_frames_from_rng(np.random.default_rng(d), 6, d, d, field)
             rng = np.random.default_rng(d)
-            singles = np.stack([haar_unitary_from_rng(rng, d, field) for _ in range(6)])
+            singles = np.stack([haar_frames_from_rng(rng, 1, d, d, field)[0] for _ in range(6)])
             assert np.array_equal(stack, singles)
             rng = np.random.default_rng(d)
             assert np.array_equal(stack, np.stack([reference_haar(rng, d, field) for _ in range(6)]))

@@ -20,7 +20,7 @@ from grasswig import (
     subspace_from_projector,
     trace_product,
 )
-from grasswig.linalg import frobenius, haar_unitaries_from_rng
+from grasswig.linalg import frobenius, haar_frames_from_rng
 
 
 def diag_projection(bits):
@@ -228,7 +228,7 @@ def test_sample_projections_span_the_first_columns_of_haar_unitaries(field):
     for d, n in ((1, 1), (5, 1), (5, 3), (8, 8), (40, 8)):
         rng_p, rng_u = np.random.default_rng(11), np.random.default_rng(11)
         stack, _ = sample_projections(rng_p, 3, d, n, field)
-        b = haar_unitaries_from_rng(rng_u, 3, d, field)[..., :n]
+        b = haar_frames_from_rng(rng_u, 3, d, d, field)[..., :n]
         assert np.max(np.abs(stack - b @ b.conj().swapaxes(-1, -2))) <= 1e-14
         assert rng_p.random() == rng_u.random()  # the same stream consumed
 
