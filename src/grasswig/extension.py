@@ -23,8 +23,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import BadRank, InternalInconsistency, NonHermitian, NotAProjection, NotUnit, RankDeficient
-from .linalg import COMPLEX, as_complex, frobenius, hermitian_defect, hermitian_eig
+from .errors import BadRank, InternalInconsistency, NotAProjection, NotUnit, RankDeficient
+from .linalg import COMPLEX, as_complex, frobenius, hermitian_eig
 from .projections import Projection, _wrap_stack, projections_from_stack
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
@@ -160,7 +160,7 @@ def _unit_frame(u, rank: int, tol: ToleranceConfig) -> list[np.ndarray]:
     if d < rank + 1 or rank < 1:
         raise BadRank(f"need 1 <= rank <= d - 1 = {d - 1}, got rank={rank}")
     norm = float(np.linalg.norm(u))
-    if abs(norm - 1.0) > tol.eq_tol:
+    if not abs(norm - 1.0) <= tol.eq_tol:  # NaN fails too
         raise NotUnit(f"||u|| = {norm!r} is not 1 within {tol.eq_tol:.1e}")
     return complete_orthonormal(u / norm, rank + 1, tol)
 
@@ -243,15 +243,12 @@ def extend_to_hermitian(phi: RankNMap, a, tol: ToleranceConfig = DEFAULT_TOL) ->
     suite checks rather than assumes).
     """
     a = as_complex(a)
-    norm = frobenius(a)
-    if hermitian_defect(a) > tol.eq_tol * max(1.0, norm):
-        raise NonHermitian("input to the Hermitian extension must be Hermitian")
-    w, v = hermitian_eig(a, tol)
+    w, v = hermitian_eig(a, tol)  # refuses a non-Hermitian a
     keep = np.abs(w) > 1e-14 * max(1.0, float(np.max(np.abs(w), initial=0.0)))
     out = np.zeros_like(a)
     for mu, image in zip(w[keep], extend_orthonormal(phi, v[:, keep], tol)):
         out = out + mu * image
     trace_gap = abs(complex(out.trace()) - complex(a.trace()))
-    if trace_gap > tol.spec_tol * max(1.0, norm):
+    if not trace_gap <= tol.spec_tol * max(1.0, frobenius(a)):
         raise InternalInconsistency(f"extension changed the trace by {trace_gap:.3e}")
     return out

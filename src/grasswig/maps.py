@@ -153,8 +153,8 @@ def _matrix_fn(spec: MapSpec, d: int, n: int, field: str, tol: ToleranceConfig):
         v = as_complex(spec.matrix)
         if v.shape != (d, d):
             raise MatrixFormatError(f"conjugation matrix is {v.shape}, expected ({d}, {d})")
-        defect = frobenius(v.conj().T @ v - np.eye(d))
-        if defect > tol.eq_tol * d:
+        defect = frobenius(v.conj().T @ v - np.eye(d)) if np.isfinite(v).all() else np.nan
+        if not defect <= tol.eq_tol * d:
             raise MatrixFormatError(f"conjugation matrix is not unitary (defect {defect:.3e})")
         if field == REAL:
             if not is_exactly_real(v):

@@ -87,8 +87,8 @@ class Subspace:
         d, n = b.shape
         if not 1 <= n <= d:
             raise NotAProjection(f"basis shape {b.shape} does not define a subspace")
-        gram_defect = frobenius(b.conj().T @ b - np.eye(n))
-        if gram_defect > t.eq_tol:
+        gram_defect = frobenius(b.conj().T @ b - np.eye(n)) if np.isfinite(b).all() else np.nan
+        if not gram_defect <= t.eq_tol:
             raise NotAProjection(f"basis columns not orthonormal (defect {gram_defect:.3e})")
         object.__setattr__(self, "basis", _readonly(b))
 

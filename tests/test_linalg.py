@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -196,3 +198,31 @@ def test_haar_stack_equals_single_draws_bit_for_bit():
             assert frobenius(stack[-1].conj().T @ stack[-1] - np.eye(d)) <= 1e-12
             if field == REAL:
                 assert np.all(stack.imag == 0.0)
+
+
+def non_finite_cases():
+    import grasswig as gw
+    from grasswig.maps import MapSpec, instantiate
+
+    nan, inf = np.nan, np.inf
+    identity = instantiate(MapSpec("identity"), 4, 2)
+    for x in (nan, inf):
+        v = np.eye(4, dtype=np.complex128)
+        v[0, 1] = x
+        yield pytest.param(gw.NonHermitian, lambda x=x: hermitian_eig(np.diag([x, 1.0])), id=f"hermitian_eig-{x}")
+        yield pytest.param(gw.NotAProjection, lambda x=x: gw.Subspace(np.array([[x], [0.0]])), id=f"Subspace-{x}")
+        yield pytest.param(gw.MatrixFormatError, lambda v=v: instantiate(MapSpec("conjugation", matrix=v), 4, 2), id=f"conjugation-{x}")
+        yield pytest.param(gw.NotUnit, lambda x=x: gw.rank1_combination(np.array([x, 0, 0, 0]), 2), id=f"rank1_combination-{x}")
+        yield pytest.param(gw.NotUnit, lambda x=x: gw.extend_to_rank1(identity, np.array([x, 0, 0, 0])), id=f"extend_to_rank1-{x}")
+    yield pytest.param(gw.NonHermitian, lambda: hermitian_eig(np.diag([1 + inf * 1j, 1.0])), id="hermitian_eig-imaginary-inf")
+    yield pytest.param(gw.NonHermitian, lambda: gw.extend_to_hermitian(identity, np.diag([nan, 1, 0, 0])), id="extend_to_hermitian-nan")
+
+
+@pytest.mark.parametrize("error, call", non_finite_cases())
+def test_non_finite_input_raises_its_typed_error_without_a_warning(error, call):
+    # NaN fails every `x > tol` gate, and inf - inf warns: each trust
+    # boundary tests finiteness first, then passes only `x <= tol`
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error):
+            call()
