@@ -23,7 +23,6 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import BadRank, MatrixFormatError, UnknownInput
 from .linalg import COMPLEX, REAL, as_complex, frobenius, is_exactly_real
@@ -122,7 +121,10 @@ def _noise_unitary(m: np.ndarray, sigma: float, seed: int, field: str) -> np.nda
 
     Seeded from a hash of the canonical input bytes so the wrapped map stays
     deterministic per input while different inputs get independent kicks.
-    In real mode the generator is skew-symmetric, keeping the rotation real.
+    The unitary is the Cayley transform ``(I - A/2)^-1 (I + A/2)`` of a
+    skew-Hermitian generator A of size sigma, unitary for any such A and
+    equal to ``exp(A)`` up to O(sigma^3).  In real mode the generator is
+    skew-symmetric, keeping the rotation real.
     """
     digest = hashlib.blake2b(
         canonical_key(m) + seed.to_bytes(8, "little", signed=True),
@@ -136,7 +138,8 @@ def _noise_unitary(m: np.ndarray, sigma: float, seed: int, field: str) -> np.nda
     else:
         h = g + 1j * rng.standard_normal((d, d))
         generator = 1j * sigma * (h + h.conj().T) / 2.0
-    return np.asarray(scipy.linalg.expm(generator), dtype=np.complex128)
+    eye = np.eye(d)
+    return np.asarray(np.linalg.solve(eye - generator / 2.0, eye + generator / 2.0), dtype=np.complex128)
 
 
 def _matrix_fn(spec: MapSpec, d: int, n: int, field: str, tol: ToleranceConfig):

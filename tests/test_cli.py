@@ -378,3 +378,13 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "grasswig" in proc.stdout
+
+
+def test_the_cli_imports_no_scipy():
+    # numpy is the only dependency: scipy alone doubled the import time
+    src = os.path.dirname(os.path.dirname(grasswig.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    script = "import sys, grasswig.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
