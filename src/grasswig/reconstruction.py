@@ -65,17 +65,12 @@ _READING_SEED = 2000
 # peak memory.
 _BLOCK_BYTES = 256 * 1024
 
-
-# Random pairs a rejected map is screened on, and fresh samples a
-# candidate is verified on.
+# Random pairs a rejected map is screened on, fresh samples a candidate is
+# verified on, and accept_tol in units of spec_tol: 1e-7 at the defaults,
+# well above the spectral comparison noise floor.
 _SCREEN_PAIRS = 20
 _VERIFY_SAMPLES = 50
-
-
-def _accept_tol(tol: ToleranceConfig) -> float:
-    """The acceptance threshold, ``10 spec_tol`` (1e-7 by default): well
-    above the spectral comparison noise floor."""
-    return 10.0 * tol.spec_tol
+_ACCEPT_FACTOR = 10.0
 
 
 @dataclass(frozen=True)
@@ -359,7 +354,7 @@ def _polish(images: np.ndarray, v: np.ndarray, frames: np.ndarray, stop: float) 
     return v
 
 
-def _classify(phi: RankNMap, cfg: ReconstructionConfig, tol: ToleranceConfig) -> ReconstructionResult:
+def _classify(phi: RankNMap, cfg: ReconstructionConfig, tol: ToleranceConfig, accept_tol: float) -> ReconstructionResult:
     """Block query plan -> Bargmann reading -> fit, gate, polish -> verification.
 
     The map is read at rank ``k = min(n, d - n)``, through ``dualize`` when
@@ -368,7 +363,7 @@ def _classify(phi: RankNMap, cfg: ReconstructionConfig, tol: ToleranceConfig) ->
     the fit must match its queries within ``FIT_GATE`` accept_tol before
     it is polished and verified on fresh samples against the map itself.
     """
-    d, n, accept_tol = phi.ambient_dim, phi.rank, _accept_tol(tol)
+    d, n = phi.ambient_dim, phi.rank
     psi = dualize(phi, tol) if 2 * n > d else phi
     k = psi.rank
     rng = np.random.default_rng(_READING_SEED)
@@ -418,11 +413,12 @@ def reconstruct(
     if not 1 <= n < d:
         raise BadRank(f"reconstruction needs 1 <= n < d, got n={n}, d={d}")
 
-    result = _classify(phi, cfg, tol)
+    accept_tol = _ACCEPT_FACTOR * tol.spec_tol
+    result = _classify(phi, cfg, tol, accept_tol)
     if result.accepted:
         return result
     report = screen_preservation(phi, _SCREEN_PAIRS, cfg.seed, tol)
-    if report.max_discrepancy > _accept_tol(tol):
+    if report.max_discrepancy > accept_tol:
         return ReconstructionResult(
             VARIANT_NOT_PRESERVING,
             witness_p=report.witness_p,

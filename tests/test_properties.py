@@ -35,7 +35,7 @@ import grasswig.projections
 from grasswig.extension import extend_orthonormal
 from grasswig.linalg import haar_frames_from_rng
 from grasswig.maps import MapSpec, instantiate
-from grasswig.reconstruction import _SCREEN_PAIRS, _accept_tol
+from grasswig.reconstruction import _ACCEPT_FACTOR, _SCREEN_PAIRS
 from grasswig.tolerances import DEFAULT_TOL
 
 # Few examples each: the suite's wall time stays within a few seconds.
@@ -245,11 +245,11 @@ def test_a_rejection_carries_the_screen_witness_bit_for_bit(family):
     cfg = ReconstructionConfig(seed=seed % 1000)
     result = reconstruct(phi, cfg)
     if result.accepted:
-        assert result.residual <= _accept_tol(DEFAULT_TOL)
+        assert result.residual <= _ACCEPT_FACTOR * DEFAULT_TOL.spec_tol
     if result.variant != VARIANT_NOT_PRESERVING:
         return
     report = screen_preservation(phi, _SCREEN_PAIRS, cfg.seed)
-    assert result.discrepancy == report.max_discrepancy > _accept_tol(DEFAULT_TOL)
+    assert result.discrepancy == report.max_discrepancy > _ACCEPT_FACTOR * DEFAULT_TOL.spec_tol
     pairs = zip(
         (result.witness_p, result.witness_q, result.witness_phi_p, result.witness_phi_q),
         (report.witness_p, report.witness_q, report.witness_phi_p, report.witness_phi_q),

@@ -30,8 +30,10 @@ from grasswig import (
 )
 from grasswig.linalg import REAL, frobenius, haar_frames_from_rng
 from grasswig.maps import MapSpec, instantiate
-from grasswig.reconstruction import FIT_GATE, _accept_tol, _fit, _query_frames, _ranges, _reading
+from grasswig.reconstruction import _ACCEPT_FACTOR, FIT_GATE, _fit, _query_frames, _ranges, _reading
 from grasswig.tolerances import DEFAULT_TOL
+
+ACCEPT_TOL = _ACCEPT_FACTOR * DEFAULT_TOL.spec_tol
 
 
 def conjugation(d, n, seed, antiunitary=False, field="complex"):
@@ -251,7 +253,7 @@ def test_via_dual_matches_direct_route():
         assert planted_deviation(via.v, v) <= 1e-7
         assert planted_deviation(via.v, direct.v) <= 1e-9
         residual = verify_conjugation(phi, via.v, anti, 50, seed=3, complement=variant == VARIANT_EXCEPTIONAL)
-        assert residual <= _accept_tol(DEFAULT_TOL)
+        assert residual <= ACCEPT_TOL
 
 
 def test_via_dual_identity_map():
@@ -632,7 +634,7 @@ def test_stacked_rank1_reader_fails_the_gate_on_bad_images_without_raising():
                 warnings.simplefilter("error")
                 w = _fit(images, frames, omega, 1) @ frames
             residual = np.max(np.linalg.norm(images - w @ w.conj().swapaxes(-1, -2), axis=(-2, -1)))
-            assert residual > FIT_GATE * _accept_tol(DEFAULT_TOL), (q, residual)
+            assert residual > FIT_GATE * ACCEPT_TOL, (q, residual)
     # a NaN output never reaches the reader: it fails output validation
     with pytest.raises(NotAProjection):
         reconstruct(RankNMap(d, 1, lambda p: np.full((d, d), np.nan)))
