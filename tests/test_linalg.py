@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+import grasswig as gw
 from grasswig import (
     BadRank,
     ConvergenceFailure,
@@ -15,6 +16,7 @@ from grasswig import (
     singular_values,
 )
 from grasswig.linalg import REAL, frobenius, haar_frames_from_rng
+from grasswig.maps import MapSpec, instantiate
 
 
 def gaussian(rng, rows, cols, field):
@@ -201,9 +203,6 @@ def test_haar_stack_equals_single_draws_bit_for_bit():
 
 
 def non_finite_cases():
-    import grasswig as gw
-    from grasswig.maps import MapSpec, instantiate
-
     nan, inf = np.nan, np.inf
     identity = instantiate(MapSpec("identity"), 4, 2)
     for x in (nan, inf):
