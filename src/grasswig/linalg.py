@@ -120,17 +120,16 @@ def orthonormalize(m, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
 
 
 def haar_frames_from_rng(rng: np.random.Generator, count: int, d: int, n: int, field: str = COMPLEX) -> np.ndarray:
-    """The first ``n`` columns of ``count`` Haar-distributed unitaries
-    (orthogonal in real mode) drawn from ``rng``, as a ``(count, d, n)`` stack.
+    """``count`` Haar-distributed d x n orthonormal frames (real in real mode)
+    drawn from ``rng``, as a ``(count, d, n)`` stack.
 
-    One Gaussian block is drawn, ``(count, d, d)`` in real mode and
-    ``(count, 2, d, d)`` (real and imaginary parts) in complex mode, so the
-    generator's stream is consumed matrix by matrix whatever ``n`` is: the
-    stack equals ``count`` successive one-matrix draws, bit for bit.  Only
-    the first n Gaussian columns enter the stacked QR, because the first n
-    columns of a phase-fixed Q depend on no others (Mezzadri, Notices AMS
-    54, 2007), so the result is, up to roundoff, the first n columns of the
-    unitaries the n = d call draws from the same state.
+    One Gaussian block is drawn, ``(count, d, n)`` in real mode and
+    ``(count, 2, d, n)`` (real and imaginary parts) in complex mode, and its
+    phase-fixed QR is taken frame by frame: the stack equals ``count``
+    successive one-frame draws, bit for bit.  The first n columns of a
+    phase-fixed Q depend on no others, so each frame is distributed as the
+    first n columns of a Haar unitary (Mezzadri, Notices AMS 54, 2007); at
+    n = d the frames are the unitaries themselves.
     """
     if d < 1:
         raise BadRank(f"dimension must be positive, got {d}")
@@ -138,10 +137,10 @@ def haar_frames_from_rng(rng: np.random.Generator, count: int, d: int, n: int, f
         raise BadRank(f"need 1 <= n <= d, got n={n}, d={d}")
     check_field(field)
     if field == COMPLEX:
-        g = rng.standard_normal((count, 2, d, d))[..., :n]
+        g = rng.standard_normal((count, 2, d, n))
         z = (g[:, 0] + 1j * g[:, 1]) / np.sqrt(2.0)
     else:
-        z = rng.standard_normal((count, d, d))[..., :n]
+        z = rng.standard_normal((count, d, n))
     return _phase_fixed_qr(np.asarray(z, dtype=np.complex128))
 
 
@@ -154,7 +153,6 @@ def haar_random_unitary(d: int, seed: int, field: str = COMPLEX) -> np.ndarray:
 
 
 def random_subspace(d: int, n: int, seed: int, field: str = COMPLEX) -> np.ndarray:
-    """First ``n`` columns of ``haar_random_unitary(d, seed, field)``."""
-    if not 1 <= n <= d:
-        raise BadRank(f"need 1 <= n <= d, got n={n}, d={d}")
-    return haar_random_unitary(d, seed, field)[:, :n]
+    """Seeded Haar-random d x n orthonormal frame: ``haar_frames_from_rng``'s
+    one frame from ``default_rng(seed)``, spanning ``random_projection``'s."""
+    return haar_frames_from_rng(np.random.default_rng(seed), 1, d, n, field)[0]

@@ -61,6 +61,8 @@ def projection_rank(m, tol: ToleranceConfig = DEFAULT_TOL, first: int = 0):
         if bad.size:
             fail(int(bad[0]), f"{defect} defect {norms[bad[0]]:.3e} exceeds {tol.eq_tol:.1e}")
 
+    if not np.isfinite(stack).all():  # inf - inf would warn: name the first non-finite matrix
+        fail(int(np.argmin(np.isfinite(stack).all(axis=(1, 2)))), f"Hermitian defect nan exceeds {tol.eq_tol:.1e}")
     require_small(stack - stack.conj().swapaxes(1, 2), "Hermitian")
     require_small(stack @ stack - stack, "idempotency")
     ranks = []
@@ -192,10 +194,9 @@ def sample_projections(
     from a live generator: the read-only ``(count, d, d)`` stack and a
     ``Projection`` over each of its matrices.
 
-    The bases ``b`` are the first n columns of ``count`` Haar unitaries
-    (``haar_frames_from_rng``): the generator's stream is consumed as for
-    whole unitaries, but only n columns are orthonormalized.  Equal, bit
-    for bit, to ``count`` successive ``sample_projection`` draws.  A rank
+    The bases ``b`` are ``count`` Haar frames (``haar_frames_from_rng``),
+    each from d x n Gaussians.  Equal, bit for bit, to ``count`` successive
+    ``sample_projection`` draws.  A rank
     outside ``[1, d]`` raises ``BadRank``.  The frames are checked
     (``_checked_frames``), not the d x d products.
     """
@@ -225,8 +226,8 @@ def sample_projection(rng: np.random.Generator, d: int, n: int, field: str = COM
 
 
 def random_projection(d: int, n: int, seed: int, field: str = COMPLEX, tol: ToleranceConfig = DEFAULT_TOL) -> Projection:
-    """Projection onto a seeded Haar-random n-dimensional subspace: the
-    span of ``random_subspace(d, n, seed, field)``."""
+    """Projection onto a seeded Haar-random n-dimensional subspace: exactly
+    ``b b*`` for ``b = random_subspace(d, n, seed, field)``."""
     return sample_projection(np.random.default_rng(seed), d, n, field, tol)
 
 

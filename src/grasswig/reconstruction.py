@@ -226,7 +226,8 @@ def verify_conjugation(
     for first, b, _, _, outputs, mapped in _sampled(phi, num_samples, seed, tol):
         w = v @ (b.conj() if antiunitary else b)
         predicted = w @ _adjoint(w)
-        residuals = np.linalg.norm(mapped - (eye - predicted if complement else predicted), axis=(-2, -1))
+        with np.errstate(invalid="ignore"):  # a non-finite output's residual is NaN or inf
+            residuals = np.linalg.norm(mapped - (eye - predicted if complement else predicted), axis=(-2, -1))
         gram = np.linalg.norm(_adjoint(w) @ w - np.eye(n), axis=(-2, -1))
         if not (vouches and np.all(residuals <= cover) and np.all(gram <= cover)):
             phi._validated(outputs, mapped, first)

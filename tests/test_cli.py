@@ -317,6 +317,16 @@ def test_gen_projection_and_subspace(tmp_path, capsys):
     assert code == 2 and "rank" in err
 
 
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_gen_subspace_and_projection_with_one_seed_describe_one_subspace(tmp_path, capsys, field):
+    for what in ("subspace", "projection"):
+        args = ("--dim", 7, "--rank", 3, "--seed", 5, "--field", field, "--out", tmp_path / f"{what}.json")
+        assert run_cli(capsys, "gen", "--what", what, *args)[0] == 0
+    basis, _ = load_matrix(tmp_path / "subspace.json")
+    p, _ = load_projection(tmp_path / "projection.json")
+    assert np.array_equal(basis @ basis.conj().T, p.matrix)
+
+
 @pytest.mark.parametrize("rank", [0, -1, 5])
 def test_gen_projection_refuses_a_rank_outside_1_to_dim(tmp_path, capsys, rank):
     out = tmp_path / "p.json"

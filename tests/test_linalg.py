@@ -12,6 +12,7 @@ from grasswig import (
     haar_random_unitary,
     hermitian_eig,
     orthonormalize,
+    random_projection,
     random_subspace,
     singular_values,
 )
@@ -171,7 +172,12 @@ def test_random_subspace_full_and_single():
     assert np.array_equal(full, haar_random_unitary(3, 5))
     col = random_subspace(3, 1, 5)
     assert abs(np.linalg.norm(col) - 1.0) < 1e-12
-    assert np.array_equal(col, full[:, :1])
+    # a frame is drawn from d x n Gaussians, not cut from the d x d unitary
+    assert np.array_equal(col, reference_frame(np.random.default_rng(5), 3, 1, "complex"))
+    for field in (REAL, "complex"):
+        for d, n in ((3, 1), (6, 2), (9, 9)):
+            b = random_subspace(d, n, 4, field)
+            assert np.array_equal(b @ b.conj().T, random_projection(d, n, 4, field).matrix)
 
 
 def test_random_subspace_determinism_and_bounds():
@@ -180,9 +186,9 @@ def test_random_subspace_determinism_and_bounds():
         random_subspace(3, 4, 0)
 
 
-def reference_haar(rng, d, field):
-    """QR of one Gaussian draw, the R diagonal's phases moved into Q."""
-    g = gaussian(rng, d, d, field)
+def reference_frame(rng, d, n, field):
+    """QR of one d x n Gaussian draw, the R diagonal's phases moved into Q."""
+    g = gaussian(rng, d, n, field)
     q, r = np.linalg.qr(g.real if field == REAL else g)
     diag = np.diagonal(r).astype(np.complex128)
     return q.astype(np.complex128) * (diag / np.abs(diag))
@@ -190,14 +196,19 @@ def reference_haar(rng, d, field):
 
 def test_haar_stack_equals_single_draws_bit_for_bit():
     for field in (REAL, "complex"):
-        for d in (1, 3, 8, 17):
-            stack = haar_frames_from_rng(np.random.default_rng(d), 6, d, d, field)
+        for d, n in ((1, 1), (3, 3), (8, 8), (17, 17), (3, 1), (8, 3), (17, 5)):
+            rng_stack = np.random.default_rng(d)
+            stack = haar_frames_from_rng(rng_stack, 6, d, n, field)
             rng = np.random.default_rng(d)
-            singles = np.stack([haar_frames_from_rng(rng, 1, d, d, field)[0] for _ in range(6)])
+            singles = np.stack([haar_frames_from_rng(rng, 1, d, n, field)[0] for _ in range(6)])
             assert np.array_equal(stack, singles)
             rng = np.random.default_rng(d)
-            assert np.array_equal(stack, np.stack([reference_haar(rng, d, field) for _ in range(6)]))
-            assert frobenius(stack[-1].conj().T @ stack[-1] - np.eye(d)) <= 1e-12
+            assert np.array_equal(stack, np.stack([reference_frame(rng, d, n, field) for _ in range(6)]))
+            # the generator advanced by exactly 6 d n normals (twice that in complex)
+            reference = np.random.default_rng(d)
+            reference.standard_normal(6 * d * n * (1 if field == REAL else 2))
+            assert rng_stack.bit_generator.state == reference.bit_generator.state
+            assert frobenius(stack[-1].conj().T @ stack[-1] - np.eye(n)) <= 1e-12
             if field == REAL:
                 assert np.all(stack.imag == 0.0)
 

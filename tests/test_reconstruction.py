@@ -512,6 +512,28 @@ def test_sampled_stages_name_the_run_index_of_a_bad_output():
             screen_preservation(oracle(bad), 10, seed=1)
 
 
+@pytest.mark.parametrize("entry", [np.inf, -np.inf, complex(0.0, np.inf), np.nan])
+def test_a_non_finite_output_at_verification_sample_k_is_named_without_a_warning(entry):
+    # finiteness is tested before any arithmetic: inf - inf would warn, and
+    # under `filterwarnings = error` the warning would be what is raised
+    v = haar_random_unitary(40, 8)
+    calls = []
+
+    def fn(p):
+        calls.append(1)
+        out = v @ p.matrix @ v.conj().T
+        if len(calls) == 14:
+            out[2, 5] = entry
+        return out
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotAProjection, match="matrix 13: Hermitian defect nan"):
+            verify_conjugation(RankNMap(40, 8, fn), v, False, 20, seed=1)
+    with pytest.raises(NotAProjection, match="Hermitian defect nan"):
+        Projection(np.diag([entry, 0.0]))
+
+
 def test_a_nan_candidate_fails_verification():
     # a NaN residual must not read as 0: max(0.0, nan) is 0.0
     phi, v, _ = raw_conjugation(6, 2, seed=2)
