@@ -121,12 +121,10 @@ def orthonormalize(m, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
 
 def haar_frames_from_rng(rng: np.random.Generator, count: int, d: int, n: int, field: str = COMPLEX) -> np.ndarray:
     """``count`` Haar-distributed d x n orthonormal frames (real in real mode)
-    drawn from ``rng``, as a ``(count, d, n)`` stack.
-
-    One Gaussian block is drawn, ``(count, d, n)`` in real mode and
-    ``(count, 2, d, n)`` (real and imaginary parts) in complex mode, and its
-    phase-fixed QR is taken frame by frame: the stack equals ``count``
-    successive one-frame draws, bit for bit.  The first n columns of a
+    drawn from ``rng``, as a ``(count, d, n)`` stack: the phase-fixed QR of
+    one Gaussian block, ``(count, d, n)`` in real mode and ``(count, 2, d, n)``
+    (real and imaginary parts) in complex mode, equal bit for bit to
+    ``count`` successive one-frame draws.  The first n columns of a
     phase-fixed Q depend on no others, so each frame is distributed as the
     first n columns of a Haar unitary (Mezzadri, Notices AMS 54, 2007); at
     n = d the frames are the unitaries themselves.

@@ -4,6 +4,7 @@ predicates, and the joint splitting of a commuting pair.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import InitVar, dataclass
 
 import numpy as np
@@ -52,17 +53,19 @@ def projection_rank(m, tol: ToleranceConfig = DEFAULT_TOL, first: int = 0):
 
     def require_small(x: np.ndarray, defect: str) -> None:
         """Every matrix of x within eq_tol of 0 in Frobenius norm."""
-        flat = x.reshape(k, d * d)
         # the squared norms' sum bounds each one: one BLAS call clears a good stack
-        if np.vdot(flat, flat).real <= tol.eq_tol**2:
+        if np.vdot(x, x).real <= tol.eq_tol**2:
             return
-        norms = np.linalg.norm(flat, axis=1)
+        norms = np.linalg.norm(x.reshape(k, d * d), axis=1)
         bad = np.flatnonzero(~(norms <= tol.eq_tol))
         if bad.size:
             fail(int(bad[0]), f"{defect} defect {norms[bad[0]]:.3e} exceeds {tol.eq_tol:.1e}")
 
-    if not np.isfinite(stack).all():  # inf - inf would warn: name the first non-finite matrix
-        fail(int(np.argmin(np.isfinite(stack).all(axis=(1, 2)))), f"Hermitian defect nan exceeds {tol.eq_tol:.1e}")
+    # NaN or inf, by one BLAS sum of squares before any ufunc can warn (inf - inf)
+    if not cmath.isfinite(np.vdot(stack, stack)):  # also for entries above 1e154
+        finite = np.isfinite(stack).all(axis=(1, 2))
+        if not finite.all():
+            fail(int(np.argmin(finite)), f"Hermitian defect nan exceeds {tol.eq_tol:.1e}")
     require_small(stack - stack.conj().swapaxes(1, 2), "Hermitian")
     require_small(stack @ stack - stack, "idempotency")
     ranks = []
@@ -195,10 +198,9 @@ def sample_projections(
     ``Projection`` over each of its matrices.
 
     The bases ``b`` are ``count`` Haar frames (``haar_frames_from_rng``),
-    each from d x n Gaussians.  Equal, bit for bit, to ``count`` successive
-    ``sample_projection`` draws.  A rank
-    outside ``[1, d]`` raises ``BadRank``.  The frames are checked
-    (``_checked_frames``), not the d x d products.
+    each from d x n Gaussians: equal, bit for bit, to ``count`` successive
+    ``sample_projection`` draws.  A rank outside ``[1, d]`` raises
+    ``BadRank``.  The frames are checked (``_checked_frames``), not b b*.
     """
     b = _checked_frames(rng, count, d, n, field, tol)
     stack = b @ b.conj().swapaxes(-1, -2)

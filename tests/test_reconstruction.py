@@ -530,8 +530,8 @@ def test_a_non_finite_output_at_verification_sample_k_is_named_without_a_warning
         warnings.simplefilter("error")
         with pytest.raises(NotAProjection, match="matrix 13: Hermitian defect nan"):
             verify_conjugation(RankNMap(40, 8, fn), v, False, 20, seed=1)
-    with pytest.raises(NotAProjection, match="Hermitian defect nan"):
-        Projection(np.diag([entry, 0.0]))
+        with pytest.raises(NotAProjection, match="Hermitian defect nan"):
+            Projection(np.diag([entry, 0.0]))
 
 
 def test_a_nan_candidate_fails_verification():
