@@ -61,8 +61,8 @@ def projection_rank(m, tol: ToleranceConfig = DEFAULT_TOL, first: int = 0):
         if bad.size:
             fail(int(bad[0]), f"{defect} defect {norms[bad[0]]:.3e} exceeds {tol.eq_tol:.1e}")
 
-    # NaN or inf, by one BLAS sum of squares before any ufunc can warn (inf - inf)
-    if not cmath.isfinite(np.vdot(stack, stack)):  # also for entries above 1e154
+    # NaN or inf first: a BLAS sum of squares cannot warn, as inf - inf would
+    if not cmath.isfinite(np.vdot(stack, stack)):  # (or it overflowed, above 1e154)
         finite = np.isfinite(stack).all(axis=(1, 2))
         if not finite.all():
             fail(int(np.argmin(finite)), f"Hermitian defect nan exceeds {tol.eq_tol:.1e}")

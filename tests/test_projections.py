@@ -224,25 +224,17 @@ def test_sample_projection_is_the_first_of_a_stack():
 
 @pytest.mark.parametrize("field", ["real", "complex"])
 def test_sample_projections_span_the_first_columns_of_haar_unitaries(field):
-    # each frame is the phase-fixed QR of d x n Gaussians, distributed as the
-    # first n columns of a Haar unitary; at n = d it is the unitary itself
+    # each basis is a Haar frame, the phase-fixed QR of d x n Gaussians
+    # (pinned in test_linalg), distributed as the first n columns of a Haar
+    # unitary; the generator advances by exactly 3 d n normals (x2 complex)
     for d, n in ((1, 1), (5, 1), (5, 3), (8, 8), (40, 8)):
-        rng_p, rng_u = np.random.default_rng(11), np.random.default_rng(11)
-        stack, _ = sample_projections(rng_p, 3, d, n, field)
-        frames = []
-        for _ in range(3):
-            g = rng_u.standard_normal((d, n))
-            if field == "complex":
-                g = (g + 1j * rng_u.standard_normal((d, n))) / np.sqrt(2.0)
-            q, r = np.linalg.qr(g)
-            diag = np.diagonal(r).astype(np.complex128)
-            frames.append(q.astype(np.complex128) * (diag / np.abs(diag)))
-        b = np.stack(frames)
+        rng = np.random.default_rng(11)
+        stack, _ = sample_projections(rng, 3, d, n, field)
+        b = haar_frames_from_rng(np.random.default_rng(11), 3, d, n, field)
         assert np.array_equal(stack, b @ b.conj().swapaxes(-1, -2))
-        assert rng_p.bit_generator.state == rng_u.bit_generator.state  # 3 d n normals (x2 complex)
-        if n == d:
-            u = haar_frames_from_rng(np.random.default_rng(11), 3, d, d, field)
-            assert np.array_equal(stack, u @ u.conj().swapaxes(-1, -2))
+        reference = np.random.default_rng(11)
+        reference.standard_normal(3 * d * n * (2 if field == "complex" else 1))
+        assert rng.bit_generator.state == reference.bit_generator.state
 
 
 @pytest.mark.parametrize("n", [0, -1, 5])

@@ -514,8 +514,8 @@ def test_sampled_stages_name_the_run_index_of_a_bad_output():
 
 @pytest.mark.parametrize("entry", [np.inf, -np.inf, complex(0.0, np.inf), np.nan])
 def test_a_non_finite_output_at_verification_sample_k_is_named_without_a_warning(entry):
-    # finiteness is tested before any arithmetic: inf - inf would warn, and
-    # under `filterwarnings = error` the warning would be what is raised
+    # no warning on the way to projection_rank (inf - inf and inf * 0 would
+    # warn, and under `filterwarnings = error` the warning would be raised)
     v = haar_random_unitary(40, 8)
     calls = []
 
