@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import BadRank, InternalInconsistency, NotAProjection, NotUnit, RankDeficient
-from .linalg import COMPLEX, as_complex, frobenius, hermitian_eig
+from .linalg import COMPLEX, as_complex, frobenius, frobenius_stack, hermitian_eig
 from .projections import Projection, _wrap_stack, projections_from_stack
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
@@ -216,7 +216,7 @@ def extend_orthonormal(phi: RankNMap, columns, tol: ToleranceConfig = DEFAULT_TO
     if r == 0:
         return []
     vectors = np.array([complete_orthonormal(columns[:, i : i + n + 1], n + 1, tol) for i in range(0, r, n + 1)])
-    defect = np.max(np.linalg.norm(vectors.conj() @ vectors.swapaxes(1, 2) - np.eye(n + 1), axis=(1, 2)))
+    defect = np.max(frobenius_stack(vectors.conj() @ vectors.swapaxes(1, 2) - np.eye(n + 1)))
     if not defect <= tol.eq_tol:  # NaN fails too: the inputs below are not checked again
         raise NotUnit(f"frame columns are not orthonormal (defect {defect:.3e})")
     envelopes = vectors.swapaxes(1, 2) @ vectors.conj()

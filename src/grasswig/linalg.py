@@ -32,6 +32,12 @@ def frobenius(m) -> float:
     return float(np.linalg.norm(m))
 
 
+def frobenius_stack(a: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix of a stack: one fused sum of squares, no warning."""
+    f = np.ascontiguousarray(a, dtype=np.result_type(a, np.float64)).view(np.float64).reshape(len(a), -1)
+    return np.sqrt(np.einsum("ki,ki->k", f, f))
+
+
 def is_exactly_real(m) -> bool:
     return not np.asarray(m).imag.any()
 

@@ -4,7 +4,6 @@ predicates, and the joint splitting of a commuting pair.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import InitVar, dataclass
 
 import numpy as np
@@ -19,6 +18,7 @@ from .linalg import (
     COMPLEX,
     as_complex,
     frobenius,
+    frobenius_stack,
     hermitian_eig,
     haar_frames_from_rng,
 )
@@ -56,16 +56,18 @@ def projection_rank(m, tol: ToleranceConfig = DEFAULT_TOL, first: int = 0):
         # the squared norms' sum bounds each one: one BLAS call clears a good stack
         if np.vdot(x, x).real <= tol.eq_tol**2:
             return
-        norms = np.linalg.norm(x.reshape(k, d * d), axis=1)
+        norms = frobenius_stack(x)
         bad = np.flatnonzero(~(norms <= tol.eq_tol))
         if bad.size:
             fail(int(bad[0]), f"{defect} defect {norms[bad[0]]:.3e} exceeds {tol.eq_tol:.1e}")
 
-    # NaN or inf first: a BLAS sum of squares cannot warn, as inf - inf would
-    if not cmath.isfinite(np.vdot(stack, stack)):  # (or it overflowed, above 1e154)
-        finite = np.isfinite(stack).all(axis=(1, 2))
-        if not finite.all():
-            fail(int(np.argmin(finite)), f"Hermitian defect nan exceeds {tol.eq_tol:.1e}")
+    # NaN, inf and entries whose products overflow first, before arithmetic that
+    # warns (a BLAS sum of squares cannot): ||P||_F^2 = rank <= d, and < 2d near P
+    if not abs(np.vdot(stack, stack)) <= k * d:
+        norms = frobenius_stack(stack)
+        for i in np.flatnonzero(~(norms <= np.sqrt(2 * d)))[:1].tolist():
+            too_large = f"Frobenius norm {norms[i]:.3e} exceeds sqrt(2d) = {np.sqrt(2 * d):.3e}"
+            fail(i, too_large if np.isfinite(stack[i]).all() else f"Hermitian defect nan exceeds {tol.eq_tol:.1e}")
     require_small(stack - stack.conj().swapaxes(1, 2), "Hermitian")
     require_small(stack @ stack - stack, "idempotency")
     ranks = []
@@ -214,7 +216,7 @@ def _checked_frames(rng: np.random.Generator, count: int, d: int, n: int, field:
     ``P^2 - P = b (b* b - I) b*`` and ``tr P = n + tr(b* b - I)``, so a
     checked frame's ``b b*`` is wrapped as a rank-n projection unchecked."""
     b = haar_frames_from_rng(rng, count, d, n, field)
-    defects = np.linalg.norm(b.conj().swapaxes(-1, -2) @ b - np.eye(n), axis=(-2, -1))
+    defects = frobenius_stack(b.conj().swapaxes(-1, -2) @ b - np.eye(n))
     bad = np.flatnonzero(~(defects <= tol.eq_tol))
     if bad.size:
         raise NotAProjection(f"frame {bad[0]}: Gram defect {defects[bad[0]]:.3e} exceeds {tol.eq_tol:.1e}")

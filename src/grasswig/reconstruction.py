@@ -10,13 +10,14 @@ linear or antiunitary and, at d = 2k, plain or complement-composed, by
 comparing Bargmann's invariant ``tr phi(A) phi(B) phi(C)`` of three
 reference images with what each reading predicts, (3) fits
 ``V = Y blockdiag(U_j)`` to those outputs, gates the fit on its own
-queries and polishes it by least squares, (4) verifies the candidate on
-fresh samples, each predicted from its Haar frame at d^2 n, where a
-residual within ``eq_tol / 4`` stands in for validating the output, and
-(5) only when no candidate passes, screens the map on random pairs to
-explain the failure; (4) and (5) share one sampled loop.  Verification is
-the sole authority for acceptance: a map that matches ``V tau(P) V*``, or
-its complement, on fresh samples preserves angles.  An accepted map costs
+queries and polishes it by least squares unless it fits them to roundoff,
+(4) verifies the candidate on fresh samples, each predicted from its Haar
+frame at d^2 n, and (5) only when no candidate passes, screens the map on
+random pairs to explain the failure; (4) and (5) share one sampled loop.
+In (3) and (4) a residual within ``eq_tol / 4`` stands in for validating
+the output.  Verification is the sole authority for acceptance: a map
+that matches ``V tau(P) V*``, or its complement, on fresh samples
+preserves angles.  An accepted map costs
 ``ceil(d/k) - 1 + 4 (+1 at d = 2n, n > 1)`` reading calls plus the
 verification samples: ``7 + 4 + 50 = 61`` at d = 64, n = 8.
 
@@ -35,7 +36,7 @@ import numpy as np
 from .angles import qpq_spectrum
 from .errors import BadRank
 from .extension import RankNMap
-from .linalg import REAL, as_complex, frobenius, is_exactly_real
+from .linalg import REAL, as_complex, frobenius, frobenius_stack, is_exactly_real
 from .projections import Projection, _checked_frames, _wrap_stack
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
@@ -51,8 +52,8 @@ VARIANT_UNCLASSIFIED = "preserving_unclassified"
 # that fails it goes straight to the screen.
 FIT_GATE = 10.0
 
-# The polish stops once a step moves V by at most this many accept_tol
-# (after one step on an exact map), or after _POLISH_STEPS steps.
+# A fit within this many accept_tol of its queries is not polished (an exact
+# map's fits to about 1e-14); a polish stops once a step moves V by as little.
 _POLISH_STOP = 1e-3
 _POLISH_STEPS = 64
 
@@ -202,37 +203,40 @@ def verify_conjugation(
     Each sample ``P = b b*`` is predicted from its frame as ``Q = W W*``
     (or ``I - W W*``), ``W = V tau(b)``, at d^2 n.  Q stays a raw matrix: a
     V unitary only to within the acceptance tolerance maps P to no exact
-    projection, and the residual is the test it must pass.
-
-    The residual also stands in for the output's d^3 validation.  For an
-    output M let ``E = M - Q``, ``r = ||E||_F``, ``g = ||W* W - I||_F``.
-    ``W W*`` has eigenvalues in ``{0} u [1 - g, 1 + g]``, so
-    ``||Q - I/2||_2 <= 1/2 + g``; ``Q^2 - Q = W (W* W - I) W*`` in both
-    forms, and ``M^2 - M = Q^2 - Q + (Q - I/2) E + E (Q - I/2) + E^2``.  So
-    ``||M - M*||_F <= 2r``, ``||M^2 - M||_F <= (1 + g) g + (1 + 2g) r + r^2``
-    and, where Q has rank n (the complement only at d = 2n),
-    ``|tr M - n| <= sqrt(d) r + sqrt(n) g``: with ``r, g <= eq_tol / 4``
-    both defects are at most ``eq_tol / 2 + eq_tol^2 / 4`` and, while
-    ``(sqrt(d) + sqrt(n)) eq_tol <= 4 rank_tol`` (d < 1.6e7 by default),
-    M passes ``projection_rank`` with rank n.  A stack with any other
-    output (NaN and inf fail ``<=``) is validated whole, naming a failing
-    sample by its index in the run (samples come from ``_sampled``).
+    projection, and the residual is the test it must pass.  It also stands
+    in for the output's d^3 validation (``_checked_residuals``); a stack it
+    does not vouch for is validated whole, naming a failing sample by its
+    index in the run.
     Fewer than one sample raises ``ValueError``: it would certify nothing.
     """
-    d, n = phi.ambient_dim, phi.rank
-    v, eye, cover = as_complex(v), np.eye(d, dtype=np.complex128), tol.eq_tol / 4
-    vouches = (not complement or d == 2 * n) and (np.sqrt(d) + np.sqrt(n)) * cover <= tol.rank_tol
-    worst = 0.0
+    v, worst = as_complex(v), 0.0
     for first, b, _, _, outputs, mapped in _sampled(phi, num_samples, seed, tol):
         w = v @ (b.conj() if antiunitary else b)
-        predicted = w @ _adjoint(w)
-        with np.errstate(invalid="ignore"):  # a non-finite output's residual is NaN or inf
-            residuals = np.linalg.norm(mapped - (eye - predicted if complement else predicted), axis=(-2, -1))
-        gram = np.linalg.norm(_adjoint(w) @ w - np.eye(n), axis=(-2, -1))
-        if not (vouches and np.all(residuals <= cover) and np.all(gram <= cover)):
-            phi._validated(outputs, mapped, first)
+        residuals = _checked_residuals(phi, outputs, mapped, first, w, complement, tol)
         worst = np.maximum(worst, np.max(residuals))  # a NaN residual stays NaN
     return float(worst)
+
+
+def _checked_residuals(phi: RankNMap, outputs, mapped, first: int, w, complement: bool, tol: ToleranceConfig) -> np.ndarray:
+    """Frobenius residuals of a stack of ``phi``'s outputs M against
+    ``Q = W W*`` (or ``I - W W*`` with ``complement``), after
+    ``phi._validated(outputs, mapped, first)`` unless the residuals r vouch
+    for every M.  Let ``E = M - Q``, ``g = ||W* W - I||_F``.  ``W W*`` has
+    eigenvalues in ``{0} u [1 - g, 1 + g]``, so ``||Q - I/2||_2 <= 1/2 + g``;
+    ``Q^2 - Q = W (W* W - I) W*`` in both forms, and
+    ``M^2 - M = Q^2 - Q + (Q - I/2) E + E (Q - I/2) + E^2``.  So
+    ``||M - M*||_F <= 2r``, ``||M^2 - M||_F <= (1 + g) g + (1 + 2g) r + r^2``
+    and, where Q has rank n, ``|tr M - n| <= sqrt(d) r + sqrt(n) g``: with
+    ``r, g <= eq_tol / 4`` both defects are at most ``eq_tol (2 + eq_tol) / 4``
+    and, while ``(sqrt(d) + sqrt(n)) eq_tol <= 4 rank_tol`` (d < 1.6e7 by
+    default), M passes ``projection_rank`` with rank n; NaN fails ``<=``."""
+    (d, n), cover = w.shape[-2:], tol.eq_tol / 4
+    predicted = w @ _adjoint(w)
+    residuals = frobenius_stack(mapped - (np.eye(d) - predicted if complement else predicted))
+    vouches = (not complement or d == 2 * n) and (np.sqrt(d) + np.sqrt(n)) * cover <= tol.rank_tol
+    if not (vouches and np.all(residuals <= cover) and np.all(frobenius_stack(_adjoint(w) @ w - np.eye(n)) <= cover)):
+        phi._validated(outputs, mapped, first)
+    return residuals
 
 
 def canonicalize_global_phase(v: np.ndarray) -> np.ndarray:
@@ -280,9 +284,9 @@ def _reading(images: np.ndarray, frames: np.ndarray, field: str) -> tuple[bool, 
     f0, f1, f2 = frames
     d, k = f0.shape
     a, b, c = f0.conj().T @ f1, f1.conj().T @ f2, f2.conj().T @ f0
-    t = complex(np.trace(a @ b @ c))
+    t = _trace3(a, b, c)
     pairs = frobenius(a) ** 2 + frobenius(b) ** 2 + frobenius(c) ** 2
-    invariant = complex(np.einsum("ij,jk,ki->", *images))
+    invariant = _trace3(*images)
     readings = [(False, False, t)]
     if field != REAL:
         readings.append((False, True, t.conjugate()))
@@ -290,6 +294,10 @@ def _reading(images: np.ndarray, frames: np.ndarray, field: str) -> tuple[bool, 
         readings += [(True, anti, d - 3 * k + pairs - x) for _, anti, x in readings]
     complement, antiunitary, _ = min(readings, key=lambda r: abs(invariant - r[2]))
     return complement, antiunitary
+
+
+def _trace3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> complex:
+    return complex(np.sum((a @ b) * c.T))  # tr(ABC) from one matrix product
 
 
 def _polar(a: np.ndarray) -> np.ndarray:
@@ -371,9 +379,11 @@ def _classify(phi: RankNMap, cfg: ReconstructionConfig, tol: ToleranceConfig, ac
     frames = _query_frames(rng, d, k, phi.field, tol)
     omega = rng.standard_normal((d, k))
     inputs = frames @ _adjoint(frames)
-    outputs = np.stack([p.matrix for p in psi.evaluate_many(_wrap_stack(inputs, [k] * len(inputs)))])
-    if phi.field == REAL and is_exactly_real(outputs):
-        outputs, frames = outputs.real, frames.real
+    raw, mapped = psi._outputs(_wrap_stack(inputs, [k] * len(inputs)))
+    if not abs(np.vdot(mapped, mapped)) <= len(mapped) * d:  # NaN, inf or too large to fit:
+        psi._validated(raw, mapped)  # raises, as ||P||_F^2 = k <= d/2; else the fit vouches
+    real = phi.field == REAL and is_exactly_real(mapped)
+    outputs, frames = (mapped.real, frames.real) if real else (mapped, frames)
     m = -(-d // k)
     complement, antiunitary = _reading(outputs[m - 1 : m + 2], frames[m - 1 : m + 2], phi.field)
     images = np.eye(d) - outputs if complement else outputs
@@ -385,10 +395,12 @@ def _classify(phi: RankNMap, cfg: ReconstructionConfig, tol: ToleranceConfig, ac
         variant, label, seed = VARIANT_CONJUGATION, "conjugation", cfg.seed + 1
     label = f"{'antiunitary' if antiunitary else 'linear'} {label} reading"
     w = v @ frames  # the fit's own predictions, V b b* V* = w w*
-    residual = float(np.max(np.linalg.norm(images - w @ _adjoint(w), axis=(-2, -1))))
+    residual = float(np.max(_checked_residuals(psi, raw, mapped, 0, w, complement, tol)))
     if not residual <= FIT_GATE * accept_tol:
         return _unclassified(f"{label} fits its own queries only to {residual:.3e} > {FIT_GATE:g} x accept_tol")
-    v = canonicalize_global_phase(as_complex(_polish(images, v, frames, _POLISH_STOP * accept_tol)))
+    if residual > _POLISH_STOP * accept_tol:
+        v = _polish(images, v, frames, _POLISH_STOP * accept_tol)
+    v = canonicalize_global_phase(as_complex(v))
     residual = verify_conjugation(phi, v, antiunitary, _VERIFY_SAMPLES, seed, tol, complement=complement)
     if not residual <= accept_tol:
         return _unclassified(f"{label} fails verification (residual {residual:.3e} > {accept_tol:.1e})")

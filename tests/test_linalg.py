@@ -16,7 +16,7 @@ from grasswig import (
     random_subspace,
     singular_values,
 )
-from grasswig.linalg import REAL, frobenius, haar_frames_from_rng
+from grasswig.linalg import REAL, frobenius, frobenius_stack, haar_frames_from_rng
 from grasswig.maps import MapSpec, instantiate
 
 
@@ -236,3 +236,22 @@ def test_non_finite_input_raises_its_typed_error_without_a_warning(error, call):
         warnings.simplefilter("error")
         with pytest.raises(error):
             call()
+
+
+def test_frobenius_stack_matches_numpy_norm_without_a_warning():
+    rng = np.random.default_rng(8)
+    for field in (REAL, "complex"):
+        a = np.array([gaussian(rng, 7, 7, field) for _ in range(5)])
+        a = a.real if field == REAL else a
+        # contiguous, strided, transposed and a stack of views
+        for stack in (a, a[:, ::2, 1:], a.swapaxes(1, 2), a[::2]):
+            reference = np.linalg.norm(stack, axis=(-2, -1))
+            assert np.allclose(frobenius_stack(stack), reference, rtol=1e-14, atol=0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for entry, expected in ((np.inf, np.inf), (complex(0.0, -np.inf), np.inf), (np.nan, np.nan), (1e200, np.inf)):
+            stack = np.zeros((3, 4, 4), dtype=np.complex128)
+            stack[1, 2, 3] = entry
+            norms = frobenius_stack(stack)
+            assert norms[0] == norms[2] == 0.0
+            assert np.isnan(norms[1]) if np.isnan(expected) else norms[1] == expected

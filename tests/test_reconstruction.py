@@ -30,7 +30,7 @@ from grasswig import (
 )
 from grasswig.linalg import REAL, frobenius, haar_frames_from_rng
 from grasswig.maps import MapSpec, instantiate
-from grasswig.reconstruction import _ACCEPT_FACTOR, FIT_GATE, _fit, _query_frames, _ranges, _reading
+from grasswig.reconstruction import _ACCEPT_FACTOR, FIT_GATE, _fit, _query_frames, _ranges, _reading, _trace3
 from grasswig.tolerances import DEFAULT_TOL
 
 ACCEPT_TOL = _ACCEPT_FACTOR * DEFAULT_TOL.spec_tol
@@ -553,6 +553,106 @@ def test_sampled_stages_refuse_an_empty_sample():
             verify_conjugation(phi, np.eye(6), False, samples, seed=1)
 
 
+@pytest.mark.parametrize("entry", [1e80, 1e200])
+def test_an_output_too_large_to_square_is_refused_by_index_without_a_warning(entry):
+    # entries whose products overflow are refused before any arithmetic that
+    # would warn: by the Projection constructor, at verification sample 13
+    # (d = 40, 10 samples per stack) and at reading query 2 (d = 8, n = 2)
+    v = haar_random_unitary(40, 8)
+
+    def oracle(d, n, at):
+        calls = []
+
+        def fn(p):
+            calls.append(1)
+            out = v[:d, :d] @ p.matrix @ v[:d, :d].conj().T
+            return np.diag([entry] + [0.0] * (d - 1)) if len(calls) == at else out
+
+        return RankNMap(d, n, fn)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotAProjection, match="Frobenius norm"):
+            Projection(np.diag([entry, 0.0]))
+        with pytest.raises(NotAProjection, match="matrix 13: Frobenius norm"):
+            verify_conjugation(oracle(40, 8, 14), v, False, 20, seed=1)
+        for route in (reconstruct, reconstruct_via_dual):
+            with pytest.raises(NotAProjection, match="matrix 2: Frobenius norm"):
+                route(oracle(8, 2, 3))
+
+
+@pytest.mark.parametrize("route", ["direct", "dual"])
+@pytest.mark.parametrize("n", [2, 6])
+def test_a_bad_output_at_reading_query_i_raises_as_when_the_stack_was_validated_first(route, n):
+    # the reading's outputs are validated only when the fit's residuals do
+    # not vouch for them, before its gate: a bad output at query 2 raises
+    # the error, naming the index, that validating the stack first raised
+    d = 8
+    u = haar_random_unitary(d, 45)
+    # rank k + 1 = 3 where the reading is taken, on phi or on its dual
+    wrong_rank = random_projection(d, n + 1 if 2 * n < d else n - 1, seed=3).matrix
+    cases = [
+        (lambda m: m + 1e-6 * np.eye(d), NotAProjection, "matrix 2: idempotency"),
+        (lambda m: m + 1e-3 * np.triu(np.ones((d, d)), 1), NotAProjection, "matrix 2: Hermitian"),
+        (lambda m: np.where(np.eye(d) > 0, np.nan, m), NotAProjection, "matrix 2: Hermitian defect nan"),
+        (lambda m: np.where(np.eye(d) > 0, np.inf, m), NotAProjection, "matrix 2: Hermitian defect nan"),
+        (lambda m: wrong_rank, InternalInconsistency, "returned rank 3 for input 2"),
+    ]
+    for bad, error, message in cases:
+        calls = []
+
+        def fn(p):
+            calls.append(1)
+            out = u @ p.matrix @ u.conj().T
+            return bad(out) if len(calls) == 3 else out
+
+        phi = RankNMap(d, n, fn)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error, match=message):
+                (reconstruct if route == "direct" else reconstruct_via_dual)(phi)
+        assert len(calls) == 7  # the whole reading stack: 3 block and 4 reference queries
+
+
+def test_an_exact_fit_is_not_polished(monkeypatch):
+    # an exact map's fit matches its queries to roundoff, which the polish
+    # would not improve; a noisy map inside the fit gate is polished
+    import grasswig.reconstruction as reconstruction
+
+    calls = []
+    polish = reconstruction._polish
+
+    def counted(*args):
+        calls.append(1)
+        return polish(*args)
+
+    monkeypatch.setattr(reconstruction, "_polish", counted)
+    phi, v, _ = raw_conjugation(32, 8, seed=43)
+    result = reconstruct(phi)
+    assert result.variant == VARIANT_CONJUGATION and planted_deviation(result.v, v) <= 1e-12
+    assert calls == []
+    noisy = MapSpec("noisy", base=MapSpec("conjugation", matrix=v), sigma=3e-9, seed=5)
+    assert reconstruct(instantiate(noisy, 32, 8)).variant == VARIANT_CONJUGATION
+    assert len(calls) >= 1
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_bargmann_invariant_is_the_trace_of_the_triple_product(field):
+    # tr(ABC) from one product and an entrywise sum, for the images of
+    # three reference queries and for general matrices
+    rng = np.random.default_rng(6)
+    for d in (2, 5, 16):
+        phi, _ = reading_map(d, max(1, d // 3), False, False, field)
+        images = [phi.evaluate(random_projection(d, phi.rank, seed=s, field=field)).matrix for s in range(3)]
+        general = rng.standard_normal((3, d, d)) + (1j * rng.standard_normal((3, d, d)) if field == "complex" else 0.0)
+        for a, b, c in (images, general):
+            if field == REAL:
+                a, b, c = a.real, b.real, c.real
+            reference = complex(np.trace(a @ b @ c))
+            scale = np.linalg.norm(a) * np.linalg.norm(b) * np.linalg.norm(c)
+            assert abs(_trace3(a, b, c) - reference) <= 8 * d * np.finfo(float).eps * scale
+
+
 def reading_map(d, n, complement, antiunitary, field="complex"):
     v = haar_random_unitary(d, 50 + d, field)
     spec = MapSpec("conjugation", matrix=v, antiunitary=antiunitary)
@@ -709,17 +809,18 @@ def raw_conjugation(d, n, seed):
 
 def test_reconstruct_validates_only_the_oracle_outputs(monkeypatch):
     # samples and reading inputs are projections by construction: the only
-    # matrices validated are oracle outputs, once each.  Verification lets a
-    # residual within eq_tol / 4 vouch for its output, so an exact map has
-    # only its reading stack validated (3 block + 4 reference queries at
-    # d = 32, n = 8); a map whose residuals exceed it but stay inside
-    # accept_tol has every verification output validated, in stacks of 16
+    # matrices validated are oracle outputs, once each.  The reading and
+    # verification let a residual within eq_tol / 4 vouch for an output, so
+    # an exact map has nothing validated (3 block + 4 reference queries at
+    # d = 32, n = 8, then 50 samples); a map whose residuals exceed it but
+    # stay inside accept_tol has its reading stack and every verification
+    # output validated, in stacks of 16
     shapes = validated_shapes(monkeypatch)
     phi, v, calls = raw_conjugation(32, 8, seed=43)
     result = reconstruct(phi)
     assert result.variant == VARIANT_CONJUGATION
     assert planted_deviation(result.v, v) <= 1e-7
-    assert shapes == [(7, 32, 32)] and len(calls) == 7 + 50
+    assert shapes == [] and len(calls) == 7 + 50
     shapes.clear()
     noisy = MapSpec("noisy", base=MapSpec("conjugation", matrix=v), sigma=3e-9, seed=5)
     result = reconstruct(instantiate(noisy, 32, 8))
@@ -730,16 +831,16 @@ def test_reconstruct_validates_only_the_oracle_outputs(monkeypatch):
 
 def test_dual_route_validates_no_complement(monkeypatch):
     # the dual map queries phi on I - P and returns the raw I - phi(I - P);
-    # the input's complement is not validated, and phi's outputs are
-    # validated once each, as the dual's reading stack, never one query at a
-    # time; the exact outputs of the dual's verification, the only one, are
-    # vouched for by their residuals
+    # the input's complement is not validated, and phi's outputs are never
+    # validated one query at a time; the exact outputs of the dual's reading
+    # and of its verification, the only one, are vouched for by their
+    # residuals
     shapes = validated_shapes(monkeypatch)
     phi, v, calls = raw_conjugation(8, 6, seed=44)
     result = reconstruct_via_dual(phi)
     assert result.variant == VARIANT_CONJUGATION
     assert planted_deviation(result.v, v) <= 1e-7
-    assert [shape[0] for shape in shapes] == [7]
+    assert shapes == []
     assert len(calls) == 7 + 50
 
 
