@@ -26,7 +26,6 @@ from .errors import (
     NotUnit,
     RankDeficient,
     RankMismatch,
-    UnknownInput,
 )
 from .extension import (
     CombinationCertificate,
@@ -42,11 +41,10 @@ from .linalg import (
     REAL,
     haar_random_unitary,
     hermitian_eig,
-    orthonormalize,
     random_subspace,
     singular_values,
 )
-from .maps import MapSpec, instantiate, load_map_spec, map_from_table, map_to_table, parse_map_spec
+from .maps import MapSpec, instantiate, load_map_spec, parse_map_spec
 from .matio import (
     canonical_key,
     load_matrix,

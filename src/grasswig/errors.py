@@ -48,6 +48,3 @@ class InternalInconsistency(GrasswigError):
 class MatrixFormatError(GrasswigError):
     """Malformed matrix or map-spec JSON."""
 
-
-class UnknownInput(GrasswigError):
-    """A table-backed map was queried with an input it has no entry for."""

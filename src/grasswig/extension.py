@@ -25,23 +25,23 @@ import numpy as np
 
 from .errors import BadRank, InternalInconsistency, NotAProjection, NotUnit, RankDeficient
 from .linalg import COMPLEX, as_complex, frobenius, frobenius_stack, hermitian_eig
-from .projections import Projection, _wrap_stack, projections_from_stack
+from .projections import Projection, _wrap_stack, projection_rank
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
 
 class RankNMap:
     """Deterministic oracle sending rank-n projections to rank-n projections.
 
-    Every query reaches the oracle; nothing is stored.  ``evaluate_many``
-    makes one oracle call per input and validates the outputs as one
-    stack; ``evaluate`` is its one-input case.
+    The oracle returns a matrix or a ``Projection``, either checked as its
+    matrix: ``evaluate_many`` makes one oracle call per input, stores nothing
+    and validates the outputs as one stack; ``evaluate`` is its one-input case.
     """
 
     def __init__(
         self,
         ambient_dim: int,
         rank: int,
-        fn: Callable[[Projection], Projection],
+        fn: Callable[[Projection], "np.ndarray | Projection"],
         descriptor: str = "external",
         field: str = COMPLEX,
         tol: ToleranceConfig = DEFAULT_TOL,
@@ -61,38 +61,37 @@ class RankNMap:
     def evaluate_many(self, projections: list[Projection]) -> list[Projection]:
         """Outputs for the inputs in order, one oracle call each.
 
-        Raw matrix outputs are validated as one stack; an input of the wrong
-        rank or dimension raises ``BadRank``, an output that is not a
-        projection ``NotAProjection``, one of the wrong rank or dimension
+        The outputs are validated as one stack; an input of the wrong rank
+        or dimension raises ``BadRank``, an output that is not a projection
+        ``NotAProjection``, one of the wrong rank or dimension
         ``InternalInconsistency``, each naming the index of its input.
         """
-        return self._validated(*self._outputs(projections))
+        return self._validated(self._outputs(projections))
 
-    def _outputs(self, projections: list[Projection], first: int = 0) -> tuple[list | None, np.ndarray]:
-        """``evaluate_many`` unvalidated: the outputs if all are ``Projection``s
-        (else ``None``) and the stack of their matrices; errors name ``first + i``."""
+    def _outputs(self, projections: list[Projection], first: int = 0) -> np.ndarray:
+        """``evaluate_many`` unvalidated: the ``(k, d, d)`` stack of the outputs,
+        a ``Projection`` read as its matrix; errors name ``first + i``."""
         d, n = self.ambient_dim, self.rank
         projections = list(projections)
         for i, p in enumerate(projections):
             if (p.ambient_dim, p.rank) != (d, n):
                 raise BadRank(f"input {first + i} has rank {p.rank} in dim {p.ambient_dim}, map expects rank {n} in dim {d}")
-        outputs = [self._fn(p) for p in projections]
-        matrices = [out.matrix if isinstance(out, Projection) else as_complex(out) for out in outputs]
+        matrices = [out.matrix if isinstance(out, Projection) else as_complex(out) for out in map(self._fn, projections)]
         for i, m in enumerate(matrices):
             if m.shape != (d, d):
                 error = NotAProjection if m.shape[0] != m.shape[1] else InternalInconsistency
                 raise error(f"map {self.descriptor!r} returned a {m.shape[0]}x{m.shape[1]} matrix for input {first + i}")
-        return (outputs if all(isinstance(out, Projection) for out in outputs) else None), np.array(matrices)
+        return np.array(matrices).reshape(len(matrices), d, d)  # (0, d, d) for no inputs
 
-    def _validated(self, outputs: list | None, stack: np.ndarray, first: int = 0) -> list[Projection]:
-        """``_outputs`` as ``Projection``s of the map's rank: the oracle's own,
-        or the stack validated.  Errors name output ``first + i``."""
-        if outputs is None:
-            outputs = projections_from_stack(stack, self.tol, first)
-        for i, out in enumerate(outputs):
-            if out.rank != self.rank:
-                raise InternalInconsistency(f"map {self.descriptor!r} returned rank {out.rank} for input {first + i}")
-        return outputs
+    def _validated(self, stack: np.ndarray, first: int = 0) -> list[Projection]:
+        """An ``_outputs`` stack validated in one pass (``projection_rank``) and
+        wrapped as ``Projection``s over views of it, which is made read-only;
+        an output not of the map's rank raises.  Errors name output ``first + i``."""
+        ranks = projection_rank(stack, self.tol, first).tolist()
+        for i, rank in enumerate(ranks):
+            if rank != self.rank:
+                raise InternalInconsistency(f"map {self.descriptor!r} returned rank {rank} for input {first + i}")
+        return _wrap_stack(stack, ranks)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"RankNMap(d={self.ambient_dim}, n={self.rank}, {self.descriptor})"

@@ -1,5 +1,5 @@
 """Dense linear-algebra kernel: Hermitian eigendecomposition, singular
-values, orthonormalization, and seeded Haar-random sampling.
+values, and seeded Haar-random sampling.
 
 Every matrix in this package is a numpy ``complex128`` array.  The real
 field is a constraint (imaginary parts exactly zero), not a separate
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import BadRank, ConvergenceFailure, NonHermitian, RankDeficient
+from .errors import BadRank, ConvergenceFailure, NonHermitian
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
 REAL = "real"
@@ -38,14 +38,15 @@ def frobenius_stack(a: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ki,ki->k", f, f))
 
 
+def scaled(a: np.ndarray) -> tuple[np.ndarray, float]:
+    """``a`` over its largest real or imaginary part in modulus, and that scale
+    (1 when it is 0 or not finite): products of the scaled entries cannot overflow."""
+    scale = float(max(np.abs(a.real).max(initial=0.0), np.abs(a.imag).max(initial=0.0)))
+    return (a / scale, scale) if 0.0 < scale < np.inf else (a, 1.0)
+
+
 def is_exactly_real(m) -> bool:
     return not np.asarray(m).imag.any()
-
-
-def hermitian_defect(m) -> float:
-    """Frobenius distance from a square matrix to its adjoint."""
-    a = as_complex(m)
-    return frobenius(a - a.conj().T)
 
 
 def check_field(field: str) -> str:
@@ -65,9 +66,10 @@ def hermitian_eig(m, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, np
     a = as_complex(m)
     if a.shape[0] != a.shape[1]:
         raise NonHermitian(f"matrix is {a.shape[0]}x{a.shape[1]}, not square")
-    defect = hermitian_defect(a) if np.isfinite(a).all() else np.nan  # inf - inf would warn
-    if not defect <= tol.eq_tol * max(1.0, frobenius(a)):
-        raise NonHermitian(f"Hermitian defect {defect:.3e} exceeds tolerance")
+    x, scale = scaled(a)  # defect(x) <= eq_tol max(1, ||a||) / scale, without overflow
+    defect = frobenius(x - x.conj().T) if np.isfinite(a).all() else np.nan  # inf - inf would warn
+    if not defect <= tol.eq_tol * max(1.0 / scale, frobenius(x)):
+        raise NonHermitian(f"Hermitian defect {defect * scale:.3e} exceeds tolerance")
     try:
         if is_exactly_real(a):
             w, v = np.linalg.eigh(a.real)
@@ -107,22 +109,6 @@ def _phase_fixed_qr(a: np.ndarray) -> np.ndarray:
     # caller screens out beforehand; keep the phase neutral in that case.
     diag[diag == 0] = 1.0
     return q * (diag / np.abs(diag))[..., None, :]
-
-
-def orthonormalize(m, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis with the same column span as the input.
-
-    Raises ``RankDeficient`` when the columns are numerically dependent
-    relative to ``rank_tol``.  Already-orthonormal input is returned
-    unchanged up to roundoff.
-    """
-    a = as_complex(m)
-    if a.shape[1] == 0 or a.shape[1] > a.shape[0]:
-        raise RankDeficient(f"{a.shape[1]} columns cannot be independent in dimension {a.shape[0]}")
-    s = singular_values(a)
-    if s[-1] <= tol.rank_tol * max(1.0, s[0]):
-        raise RankDeficient(f"numerical rank < {a.shape[1]} (smallest singular value {s[-1]:.3e})")
-    return _phase_fixed_qr(a)
 
 
 def haar_frames_from_rng(rng: np.random.Generator, count: int, d: int, n: int, field: str = COMPLEX) -> np.ndarray:

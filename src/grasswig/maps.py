@@ -24,11 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadRank, MatrixFormatError, UnknownInput
+from .errors import BadRank, MatrixFormatError
 from .linalg import COMPLEX, REAL, as_complex, frobenius, is_exactly_real
-from .matio import canonical_key, matrix_from_obj, matrix_to_obj
+from .matio import canonical_key, matrix_from_obj
 from .extension import RankNMap
-from .projections import Projection
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
 
@@ -194,55 +193,3 @@ def instantiate(spec: MapSpec, d: int, n: int, field: str = COMPLEX, tol: Tolera
     Its oracle returns raw matrices, which the map validates as one stack."""
     fn = _matrix_fn(spec, d, n, field, tol)
     return RankNMap(d, n, lambda p: fn(p.matrix), descriptor=_describe(spec), field=field, tol=tol)
-
-
-def map_to_table(phi: RankNMap, inputs: list[Projection]) -> list[dict]:
-    """Capture input/output pairs as JSON-ready fixtures."""
-    return [
-        {
-            "input": matrix_to_obj(p.matrix),
-            "output": matrix_to_obj(phi.evaluate(p).matrix),
-        }
-        for p in inputs
-    ]
-
-
-def map_from_table(
-    d: int,
-    n: int,
-    entries: list[dict],
-    field: str = COMPLEX,
-    tol: ToleranceConfig = DEFAULT_TOL,
-) -> RankNMap:
-    """Table-backed map: known inputs replay, unknown inputs raise.
-
-    An input matches the stored input nearest to it in Frobenius distance
-    when that distance is at most ``eq_tol``.  Stored inputs are bucketed
-    on a fixed generic real functional of norm 1 in buckets ``2 eq_tol``
-    wide: a match moves the functional by at most ``eq_tol`` (plus
-    roundoff), so it lies in the query's bucket or in one of its two
-    neighbours.
-    """
-    weights = np.random.default_rng(0).standard_normal((2, d, d))
-    weights /= np.linalg.norm(weights)
-
-    def bucket(m: np.ndarray) -> int:
-        return math.floor(float(np.sum(weights[0] * m.real + weights[1] * m.imag)) / (2.0 * tol.eq_tol))
-
-    table: dict[int, list[tuple[np.ndarray, Projection]]] = {}
-    for i, entry in enumerate(entries):
-        pin, _ = matrix_from_obj(entry["input"])
-        pout, _ = matrix_from_obj(entry["output"])
-        if pin.shape != (d, d):
-            raise MatrixFormatError(f"table entry {i} has a {pin.shape[0]}x{pin.shape[1]} input, expected {d}x{d}")
-        table.setdefault(bucket(pin), []).append((pin, Projection(pout, rank=n, tol=tol)))
-
-    def fn(p: Projection) -> Projection:
-        b = bucket(p.matrix)
-        candidates = [c for key in (b - 1, b, b + 1) for c in table.get(key, ())]
-        distances = [frobenius(stored - p.matrix) for stored, _ in candidates]
-        if not distances or min(distances) > tol.eq_tol:
-            raise UnknownInput("table-backed map has no entry for this projection")
-        return candidates[int(np.argmin(distances))][1]
-
-    return RankNMap(d, n, fn, descriptor="table", field=field, tol=tol)

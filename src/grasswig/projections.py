@@ -21,6 +21,7 @@ from .linalg import (
     frobenius_stack,
     hermitian_eig,
     haar_frames_from_rng,
+    scaled,
 )
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
@@ -66,8 +67,10 @@ def projection_rank(m, tol: ToleranceConfig = DEFAULT_TOL, first: int = 0):
     if not abs(np.vdot(stack, stack)) <= k * d:
         norms = frobenius_stack(stack)
         for i in np.flatnonzero(~(norms <= np.sqrt(2 * d)))[:1].tolist():
-            too_large = f"Frobenius norm {norms[i]:.3e} exceeds sqrt(2d) = {np.sqrt(2 * d):.3e}"
-            fail(i, too_large if np.isfinite(stack[i]).all() else f"Hermitian defect nan exceeds {tol.eq_tol:.1e}")
+            if not np.isfinite(stack[i]).all():
+                fail(i, f"Hermitian defect nan exceeds {tol.eq_tol:.1e}")
+            x, scale = scaled(stack[i])  # the norm reported without overflow
+            fail(i, f"Frobenius norm {scale * frobenius(x):.3e} exceeds sqrt(2d) = {np.sqrt(2 * d):.3e}")
     require_small(stack - stack.conj().swapaxes(1, 2), "Hermitian")
     require_small(stack @ stack - stack, "idempotency")
     ranks = []
@@ -94,7 +97,10 @@ class Subspace:
         d, n = b.shape
         if not 1 <= n <= d:
             raise NotAProjection(f"basis shape {b.shape} does not define a subspace")
-        gram_defect = frobenius(b.conj().T @ b - np.eye(n)) if np.isfinite(b).all() else np.nan
+        if not abs(np.vdot(b, b)) <= 2 * n:  # ||b||_F^2 = n: NaN, inf and overflow, before matmul warns
+            x, scale = scaled(b)
+            raise NotAProjection(f"basis Frobenius norm {scale * frobenius(x):.3e} exceeds sqrt(2n) = {np.sqrt(2 * n):.3e}")
+        gram_defect = frobenius(b.conj().T @ b - np.eye(n))
         if not gram_defect <= t.eq_tol:
             raise NotAProjection(f"basis columns not orthonormal (defect {gram_defect:.3e})")
         object.__setattr__(self, "basis", _readonly(b))
@@ -176,15 +182,6 @@ def _wrap_stack(stack: np.ndarray, ranks) -> list[Projection]:
         object.__setattr__(p, "rank", r)
         out.append(p)
     return out
-
-
-def projections_from_stack(stack: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL, first: int = 0) -> list[Projection]:
-    """Validate a complex ``(k, d, d)`` stack in one pass (``projection_rank``,
-    a failure named from ``first``) and wrap each matrix in a ``Projection``
-    over a view of the stack, which is made read-only: the stacked
-    counterpart of the constructor, for matrices from outside the package
-    (oracle outputs, stacked by ``RankNMap``)."""
-    return _wrap_stack(stack, projection_rank(stack, tol, first).tolist())
 
 
 def sample_projections(

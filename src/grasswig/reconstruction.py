@@ -144,7 +144,7 @@ def _sampled(phi: RankNMap, count: int, seed: int, tol: ToleranceConfig, group: 
     """The loop screening and verification share: draw ``group * count``
     Haar frames ``b`` from ``seed`` in stacks of at most ``_BLOCK_BYTES`` of
     d x d matrices (a multiple of ``group``), and yield ``(first, b, inputs,
-    samples, outputs, mapped)``: the stack's first index in the run, then
+    samples, mapped)``: the stack's first index in the run, then the stack
     ``RankNMap._outputs`` of the samples ``b b*``.  Fewer than one sample
     raises ``ValueError``: an empty sample certifies nothing."""
     if count < 1:
@@ -155,7 +155,7 @@ def _sampled(phi: RankNMap, count: int, seed: int, tol: ToleranceConfig, group: 
         b = _checked_frames(rng, min(size, group * count - first), d, n, phi.field, tol)
         inputs = b @ _adjoint(b)
         samples = _wrap_stack(inputs, [n] * len(b))
-        yield (first, b, inputs, samples, *phi._outputs(samples, first))
+        yield first, b, inputs, samples, phi._outputs(samples, first)
 
 
 def screen_preservation(phi: RankNMap, num_samples: int, seed: int, tol: ToleranceConfig = DEFAULT_TOL) -> ScreenReport:
@@ -172,8 +172,8 @@ def screen_preservation(phi: RankNMap, num_samples: int, seed: int, tol: Toleran
     Fewer than one pair raises ``ValueError``: it would certify nothing.
     """
     worst, witness = 0.0, (None, None, None, None)
-    for first, _, inputs, samples, outputs, mapped in _sampled(phi, num_samples, seed, tol, group=2):
-        images = phi._validated(outputs, mapped, first)
+    for first, _, inputs, samples, mapped in _sampled(phi, num_samples, seed, tol, group=2):
+        images = phi._validated(mapped, first)
         before = qpq_spectrum(inputs[0::2], inputs[1::2])
         after = qpq_spectrum(mapped[0::2], mapped[1::2])
         trace_dev = np.abs(after.sum(axis=-1) - before.sum(axis=-1))
@@ -210,17 +210,17 @@ def verify_conjugation(
     Fewer than one sample raises ``ValueError``: it would certify nothing.
     """
     v, worst = as_complex(v), 0.0
-    for first, b, _, _, outputs, mapped in _sampled(phi, num_samples, seed, tol):
+    for first, b, _, _, mapped in _sampled(phi, num_samples, seed, tol):
         w = v @ (b.conj() if antiunitary else b)
-        residuals = _checked_residuals(phi, outputs, mapped, first, w, complement, tol)
+        residuals = _checked_residuals(phi, mapped, first, w, complement, tol)
         worst = np.maximum(worst, np.max(residuals))  # a NaN residual stays NaN
     return float(worst)
 
 
-def _checked_residuals(phi: RankNMap, outputs, mapped, first: int, w, complement: bool, tol: ToleranceConfig) -> np.ndarray:
-    """Frobenius residuals of a stack of ``phi``'s outputs M against
+def _checked_residuals(phi: RankNMap, mapped, first: int, w, complement: bool, tol: ToleranceConfig) -> np.ndarray:
+    """Frobenius residuals of a stack ``mapped`` of ``phi``'s outputs M against
     ``Q = W W*`` (or ``I - W W*`` with ``complement``), after
-    ``phi._validated(outputs, mapped, first)`` unless the residuals r vouch
+    ``phi._validated(mapped, first)`` unless the residuals r vouch
     for every M.  Let ``E = M - Q``, ``g = ||W* W - I||_F``.  ``W W*`` has
     eigenvalues in ``{0} u [1 - g, 1 + g]``, so ``||Q - I/2||_2 <= 1/2 + g``;
     ``Q^2 - Q = W (W* W - I) W*`` in both forms, and
@@ -235,7 +235,7 @@ def _checked_residuals(phi: RankNMap, outputs, mapped, first: int, w, complement
     residuals = frobenius_stack(mapped - (np.eye(d) - predicted if complement else predicted))
     vouches = (not complement or d == 2 * n) and (np.sqrt(d) + np.sqrt(n)) * cover <= tol.rank_tol
     if not (vouches and np.all(residuals <= cover) and np.all(frobenius_stack(_adjoint(w) @ w - np.eye(n)) <= cover)):
-        phi._validated(outputs, mapped, first)
+        phi._validated(mapped, first)
     return residuals
 
 
@@ -379,9 +379,9 @@ def _classify(phi: RankNMap, cfg: ReconstructionConfig, tol: ToleranceConfig, ac
     frames = _query_frames(rng, d, k, phi.field, tol)
     omega = rng.standard_normal((d, k))
     inputs = frames @ _adjoint(frames)
-    raw, mapped = psi._outputs(_wrap_stack(inputs, [k] * len(inputs)))
+    mapped = psi._outputs(_wrap_stack(inputs, [k] * len(inputs)))
     if not abs(np.vdot(mapped, mapped)) <= len(mapped) * d:  # NaN, inf or too large to fit:
-        psi._validated(raw, mapped)  # raises, as ||P||_F^2 = k <= d/2; else the fit vouches
+        psi._validated(mapped)  # raises, as ||P||_F^2 = k <= d/2; else the fit vouches
     real = phi.field == REAL and is_exactly_real(mapped)
     outputs, frames = (mapped.real, frames.real) if real else (mapped, frames)
     m = -(-d // k)
@@ -395,7 +395,7 @@ def _classify(phi: RankNMap, cfg: ReconstructionConfig, tol: ToleranceConfig, ac
         variant, label, seed = VARIANT_CONJUGATION, "conjugation", cfg.seed + 1
     label = f"{'antiunitary' if antiunitary else 'linear'} {label} reading"
     w = v @ frames  # the fit's own predictions, V b b* V* = w w*
-    residual = float(np.max(_checked_residuals(psi, raw, mapped, 0, w, complement, tol)))
+    residual = float(np.max(_checked_residuals(psi, mapped, 0, w, complement, tol)))
     if not residual <= FIT_GATE * accept_tol:
         return _unclassified(f"{label} fits its own queries only to {residual:.3e} > {FIT_GATE:g} x accept_tol")
     if residual > _POLISH_STOP * accept_tol:

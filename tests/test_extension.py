@@ -22,6 +22,7 @@ from grasswig import (
 from grasswig.extension import complete_orthonormal
 from grasswig.linalg import REAL, frobenius
 from grasswig.maps import MapSpec, instantiate
+from grasswig.tolerances import ToleranceConfig
 
 
 def unit_vector(rng, d, real=False):
@@ -365,15 +366,20 @@ def test_evaluate_many_names_the_bad_output():
     def malformed(p):
         return p.matrix + 1e-6 * np.eye(4) if p.matrix is target else p.matrix
 
-    with pytest.raises(NotAProjection, match="matrix 2: idempotency"):
-        RankNMap(4, 2, malformed).evaluate_many(inputs)
+    def loosely_malformed(p):
+        # every output a Projection checked only at eq_tol 5e-3: the map checks it again
+        return Projection(malformed(p), tol=ToleranceConfig(eq_tol=5e-3, rank_tol=5e-3))
+
+    for oracle in (malformed, loosely_malformed):
+        with pytest.raises(NotAProjection, match="matrix 2: idempotency"):
+            RankNMap(4, 2, oracle).evaluate_many(inputs)
+        with pytest.raises(NotAProjection, match="matrix 0: idempotency"):
+            RankNMap(4, 2, oracle).evaluate(inputs[2])
 
     def wrong_rank(p):
         return np.diag([1.0, 0.0, 0.0, 0.0]) if p.matrix is target else p
 
     with pytest.raises(InternalInconsistency, match="input 2"):
         RankNMap(4, 2, wrong_rank).evaluate_many(inputs)
-    with pytest.raises(NotAProjection):
-        RankNMap(4, 2, malformed).evaluate(inputs[2])
     with pytest.raises(InternalInconsistency):
         RankNMap(4, 2, wrong_rank).evaluate(inputs[2])

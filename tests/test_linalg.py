@@ -8,10 +8,8 @@ from grasswig import (
     BadRank,
     ConvergenceFailure,
     NonHermitian,
-    RankDeficient,
     haar_random_unitary,
     hermitian_eig,
-    orthonormalize,
     random_projection,
     random_subspace,
     singular_values,
@@ -56,6 +54,19 @@ def test_eig_rejects_non_hermitian():
         hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(NonHermitian):
         hermitian_eig(np.ones((2, 3)))
+
+
+def test_eig_of_entries_too_large_to_square_without_a_warning():
+    # the Hermitian defect is tested on the matrix over its largest entry,
+    # at the unchanged bound eq_tol max(1, ||a||), so no product overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w, _ = hermitian_eig(np.diag([1e200, 0.0]))
+        assert w.tolist() == [0.0, 1e200]
+        for entry in (1.0, 1e160, 1e200):
+            hermitian_eig(np.array([[entry, 1e-10 * entry], [0.0, 0.0]]))
+            with pytest.raises(NonHermitian):
+                hermitian_eig(np.array([[entry, 1e-8 * entry], [0.0, 0.0]]))
 
 
 def test_eig_ascending_and_reconstruction():
@@ -109,31 +120,6 @@ def test_singular_values_raise_convergence_failure(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", diverge)
     with pytest.raises(ConvergenceFailure):
         singular_values(np.eye(2))
-
-
-def test_orthonormalize_fixes_nothing_when_orthonormal():
-    u = haar_random_unitary(5, 3)[:, :2]
-    assert frobenius(orthonormalize(u) - u) <= 1e-12
-
-
-def test_orthonormalize_single_column():
-    out = orthonormalize(np.array([[2.0], [0.0], [0.0]]))
-    assert np.allclose(out, [[1.0], [0.0], [0.0]])
-
-
-def test_orthonormalize_spans_plane():
-    m = np.array([[1.0, 1.0], [0.0, 1.0]])
-    out = orthonormalize(m)
-    assert frobenius(out.conj().T @ out - np.eye(2)) <= 1e-12
-    # same span: mutual projectors coincide
-    pm = m @ np.linalg.inv(m.conj().T @ m) @ m.conj().T
-    po = out @ out.conj().T
-    assert frobenius(pm - po) <= 1e-12
-
-
-def test_orthonormalize_rejects_dependent_columns():
-    with pytest.raises(RankDeficient):
-        orthonormalize(np.array([[1.0, 2.0], [1.0, 2.0]]))
 
 
 def test_haar_scalar_case():

@@ -7,15 +7,11 @@ from grasswig import (
     BadRank,
     MatrixFormatError,
     Projection,
-    UnknownInput,
     angles_equal,
     haar_random_unitary,
-    map_from_table,
-    map_to_table,
     projection_distance,
     random_projection,
     sample_projection,
-    sample_projections,
 )
 from grasswig.linalg import REAL
 from grasswig.maps import MapSpec, instantiate, load_map_spec, parse_map_spec
@@ -157,61 +153,22 @@ def test_parse_rejects_malformed_specs():
         parse_map_spec(MapSpec)
 
 
-def test_table_round_trip():
-    phi = instantiate(MapSpec("conjugation", matrix=haar_random_unitary(4, 10)), 4, 2)
-    inputs = [random_projection(4, 2, seed=s) for s in range(5)]
-    table = map_to_table(phi, inputs)
-    assert all(set(e) == {"input", "output"} for e in table)
-    replay = map_from_table(4, 2, table)
-    for p in inputs:
-        assert projection_distance(replay.evaluate(p), phi.evaluate(p)) <= 1e-12
-    with pytest.raises(UnknownInput):
-        replay.evaluate(random_projection(4, 2, seed=99))
-
-
-def test_table_matches_at_rounded_precision():
-    phi = instantiate(MapSpec("identity"), 3, 1)
-    p = random_projection(3, 1, seed=11)
-    replay = map_from_table(3, 1, map_to_table(phi, [p]))
-    wiggled = Projection(p.matrix + 1e-14)
-    assert projection_distance(replay.evaluate(wiggled), p) <= 1e-12
-
-
-def test_table_lookup_tolerates_roundoff_on_every_input():
-    # At 12-decimal keys, 185 of these 2,000 noisy queries straddled a
-    # rounding boundary and missed.
-    rng = np.random.default_rng(0)
-    phi = instantiate(MapSpec("conjugation", matrix=haar_random_unitary(4, 10)), 4, 2)
-    _, inputs = sample_projections(rng, 2000, 4, 2)
-    replay = map_from_table(4, 2, map_to_table(phi, inputs))
-    misses = 0
-    for p in inputs:
-        g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        try:
-            out = replay.evaluate(Projection(p.matrix + 1e-14 * (g + g.conj().T) / 2.0))
-        except UnknownInput:
-            misses += 1
-            continue
-        assert projection_distance(out, phi.evaluate(p)) == 0.0
-    assert misses == 0
-
-
 def test_map_outputs_are_validated_once_as_a_stack(monkeypatch):
     # the oracles return raw matrices: a 20-pair screen validates their 40
     # images as one stack, with no single-matrix validation inside the
     # oracle; the 40 samples are projections by construction (their frames
     # are checked instead) and are not validated
-    import grasswig.projections as projections
+    import grasswig.extension as extension
     from grasswig.reconstruction import screen_preservation
 
     shapes = []
-    validate = projections.projection_rank
+    validate = extension.projection_rank
 
     def counted(m, *args, **kwargs):
         shapes.append(np.shape(m))
         return validate(m, *args, **kwargs)
 
-    monkeypatch.setattr(projections, "projection_rank", counted)
+    monkeypatch.setattr(extension, "projection_rank", counted)
     v = haar_random_unitary(6, 4)
     for spec in (
         MapSpec("conjugation", matrix=v),

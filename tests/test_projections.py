@@ -1,3 +1,6 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 
@@ -62,6 +65,16 @@ def test_subspace_round_trip():
 def test_subspace_validates_orthonormality():
     with pytest.raises(NotAProjection):
         Subspace(np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+
+@pytest.mark.parametrize("entry", [1e160, 1e200])
+def test_a_basis_too_large_to_square_is_refused_without_a_warning(entry):
+    # ||b||_F^2 > 2n is refused by one BLAS sum of squares, before the Gram
+    # matrix's product would overflow; the norm is reported as it is
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotAProjection, match=re.escape(f"basis Frobenius norm {entry:.3e} exceeds")):
+            Subspace(np.array([[entry], [0.0]]))
 
 
 def test_projection_rank_examples():

@@ -31,7 +31,7 @@ from grasswig import (
     screen_preservation,
     verify_conjugation,
 )
-import grasswig.projections
+import grasswig.extension
 from grasswig.extension import extend_orthonormal
 from grasswig.linalg import haar_frames_from_rng
 from grasswig.maps import MapSpec, instantiate
@@ -302,7 +302,7 @@ def test_a_residual_within_a_quarter_eq_tol_vouches_for_a_projection_of_rank_n(
             return outputs[-1]
 
         phi = RankNMap(d, n, fn, field=field)
-        with mock.patch.object(grasswig.projections, "projection_rank", wraps=grasswig.projections.projection_rank) as validate:
+        with mock.patch.object(grasswig.extension, "projection_rank", wraps=grasswig.extension.projection_rank) as validate:
             try:
                 verify_conjugation(phi, v, anti, 5, seed=1, complement=complement)
             except NotAProjection:
