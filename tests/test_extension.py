@@ -359,6 +359,32 @@ def test_evaluate_many_validates_outputs_as_one_stack():
         phi.evaluate_many([inputs[0], sample_projection(np.random.default_rng(1), 5, 3)])
 
 
+def test_a_projection_output_is_read_as_its_matrix():
+    # an oracle returning Projections gives the outputs, ranks and shape
+    # errors of one returning the same matrices raw
+    v = haar_random_unitary(5, 3)
+    inputs = [sample_projection(np.random.default_rng(s), 5, 2) for s in range(4)]
+
+    def raw(p):
+        return v @ p.matrix @ v.conj().T
+
+    def wrapped(p):
+        return Projection(raw(p))
+
+    expected = RankNMap(5, 2, raw).evaluate_many(inputs)
+    got = RankNMap(5, 2, wrapped).evaluate_many(inputs)
+    for out, ref in zip(got, expected):
+        assert out.rank == ref.rank == 2 and np.array_equal(out.matrix, ref.matrix)
+
+    small = np.diag([1.0, 1.0, 0.0])
+    for wrap in (np.asarray, lambda m: Projection(m)):
+        def fn(p, wrap=wrap):
+            return wrap(small if p is inputs[1] else raw(p))
+
+        with pytest.raises(InternalInconsistency, match="returned a 3x3 matrix for input 1"):
+            RankNMap(5, 2, fn).evaluate_many(inputs)
+
+
 def test_evaluate_many_names_the_bad_output():
     inputs = [sample_projection(np.random.default_rng(s), 4, 2) for s in range(3)]
     target = inputs[2].matrix

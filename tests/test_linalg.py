@@ -14,7 +14,7 @@ from grasswig import (
     random_subspace,
     singular_values,
 )
-from grasswig.linalg import REAL, frobenius, frobenius_stack, haar_frames_from_rng
+from grasswig.linalg import REAL, frobenius, frobenius_stack, haar_frames_from_rng, scaled
 from grasswig.maps import MapSpec, instantiate
 
 
@@ -67,6 +67,20 @@ def test_eig_of_entries_too_large_to_square_without_a_warning():
             hermitian_eig(np.array([[entry, 1e-10 * entry], [0.0, 0.0]]))
             with pytest.raises(NonHermitian):
                 hermitian_eig(np.array([[entry, 1e-8 * entry], [0.0, 0.0]]))
+
+
+def test_scaled_divides_by_the_largest_real_or_imaginary_part():
+    # the scale is the largest |Re| or |Im|, so products of the scaled
+    # entries cannot overflow; a zero or non-finite matrix comes back as it is
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        a = np.array([[1e200, -3e200j], [0.0, 2e199]])
+        x, scale = scaled(a)
+        assert scale == 3e200 and np.array_equal(x, a / 3e200)
+        assert np.abs(x).max() == 1.0 and np.isfinite(np.vdot(x, x))
+        for special in (np.zeros((2, 2)), np.diag([np.inf, 0.0]), np.diag([np.nan, 1.0]), np.diag([complex(0.0, np.inf), 0.0])):
+            x, scale = scaled(special)
+            assert scale == 1.0 and x is special
 
 
 def test_eig_ascending_and_reconstruction():

@@ -77,6 +77,16 @@ def test_a_basis_too_large_to_square_is_refused_without_a_warning(entry):
             Subspace(np.array([[entry], [0.0]]))
 
 
+@pytest.mark.parametrize("entry", [np.inf, complex(0.0, np.inf), np.nan])
+def test_a_non_finite_basis_is_refused_by_its_norm_without_a_warning(entry):
+    # the sum of squares is not finite, so the basis is refused before its
+    # Gram product, with its norm reported unscaled
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotAProjection, match="^basis Frobenius norm (inf|nan) exceeds sqrt"):
+            Subspace(np.array([[entry, 0.0], [0.0, 1.0], [0.0, 0.0]]))
+
+
 def test_projection_rank_examples():
     assert projection_rank(np.diag([1.0, 1.0, 0.0])) == 2
     assert projection_rank(np.zeros((3, 3))) == 0
