@@ -119,7 +119,7 @@ def cmd_reconstruct(args, tol: ToleranceConfig) -> int:
     spec = load_map_spec(args.map)
     phi = instantiate(spec, args.dim, args.rank, args.field, tol)
     cfg = ReconstructionConfig(seed=args.seed)
-    # a witness from dual screening lives at rank d - n, with its dual images
+    # a witness of the dual lives at rank d - n, with its dual images
     result = (reconstruct_via_dual if args.via_dual else reconstruct)(phi, cfg, tol)
     payload = result.to_obj()
     if result.variant == VARIANT_NOT_PRESERVING:

@@ -12,8 +12,9 @@ reference images with what each reading predicts, (3) fits
 ``V = Y blockdiag(U_j)`` to those outputs, gates the fit on its own
 queries and polishes it by least squares unless it fits them to roundoff,
 (4) verifies the candidate on fresh samples, each predicted from its Haar
-frame at d^2 n, and (5) only when no candidate passes, screens the map on
-random pairs to explain the failure; (4) and (5) share one sampled loop.
+frame at d^2 n, and (5) only when no candidate passes, explains the
+failure by its worst pair of reference queries or, failing that, by
+random pairs; (4) and (5) share one sampled loop.
 In (3) and (4) a residual within ``eq_tol / 4`` stands in for validating
 the output.  Verification is the sole authority for acceptance: a map
 that matches ``V tau(P) V*``, or its complement, on fresh samples
@@ -128,10 +129,10 @@ class ReconstructionResult:
 
 @dataclass(frozen=True, eq=False)
 class ScreenReport:
-    """Worst angle/trace-form discrepancy over the sampled pairs, with the
-    pair attaining it and the map's images of that pair.  ``reconstruct``
-    screens only a map it could not classify, to tell a non-preserver
-    (with this witness) from an unclassified preserver."""
+    """Worst angle/trace-form discrepancy over the scored pairs, with the
+    pair attaining it and the map's images of that pair.  For a map it
+    could not classify, ``reconstruct`` scores the reading's reference
+    pairs, and screens fresh ones only if none of them clears accept_tol."""
 
     max_discrepancy: float
     witness_p: Projection | None
@@ -158,32 +159,48 @@ def _sampled(phi: RankNMap, count: int, seed: int, tol: ToleranceConfig, group: 
         yield first, b, inputs, samples, phi._outputs(samples, first)
 
 
+def _worst_pair(p: np.ndarray, q: np.ndarray, fp: np.ndarray, fq: np.ndarray) -> tuple[int, float]:
+    """Index and discrepancy of the worst of the pairs ``(p[i], q[i])``
+    mapped to ``(fp[i], fq[i])``, the last on a tie: the larger of the
+    trace-form deviation and the max entrywise gap between the sorted full
+    spectra of QPQ and its image, which both vanish exactly for an angle
+    preserver (the trace form ``tr PQ = tr QPQ`` is the spectrum's sum)."""
+    before, after = qpq_spectrum(p, q), qpq_spectrum(fp, fq)
+    discrepancy = np.maximum(np.abs(after.sum(axis=-1) - before.sum(axis=-1)), np.max(np.abs(before - after), axis=-1))
+    i = len(discrepancy) - 1 - int(np.argmax(discrepancy[::-1]))
+    return i, float(discrepancy[i])
+
+
 def screen_preservation(phi: RankNMap, num_samples: int, seed: int, tol: ToleranceConfig = DEFAULT_TOL) -> ScreenReport:
     """Compare angles and trace form before and after the map on random pairs.
 
-    The discrepancy per pair is the larger of the trace-form deviation and
-    the max entrywise gap between the sorted full spectra of QPQ and its
-    image; both vanish exactly for an angle preserver.  The trace form is
-    read off the same spectra: ``tr PQ = tr QPQ`` is the spectrum's sum.
-    The witness is the last pair attaining the maximum.  Pairs are drawn,
-    evaluated and compared in stacks (``_sampled``), and every output is
-    validated, since the witness images must be ``Projection``s; a failure
-    names the sample's index in the run (pair i is samples 2i, 2i + 1).
+    Pairs are scored by ``_worst_pair``, the witness being the last pair
+    attaining the maximum.  They are drawn, evaluated and compared in stacks
+    (``_sampled``), and every output is validated, since the witness images
+    must be ``Projection``s; a failure names the sample's index in the run
+    (pair i is samples 2i, 2i + 1).
     Fewer than one pair raises ``ValueError``: it would certify nothing.
     """
     worst, witness = 0.0, (None, None, None, None)
     for first, _, inputs, samples, mapped in _sampled(phi, num_samples, seed, tol, group=2):
         images = phi._validated(mapped, first)
-        before = qpq_spectrum(inputs[0::2], inputs[1::2])
-        after = qpq_spectrum(mapped[0::2], mapped[1::2])
-        trace_dev = np.abs(after.sum(axis=-1) - before.sum(axis=-1))
-        spec_dev = np.max(np.abs(before - after), axis=-1)
-        discrepancy = np.maximum(trace_dev, spec_dev)
-        i = len(discrepancy) - 1 - int(np.argmax(discrepancy[::-1]))
-        if discrepancy[i] >= worst:
-            worst = float(discrepancy[i])
-            witness = (samples[2 * i], samples[2 * i + 1], images[2 * i], images[2 * i + 1])
+        i, discrepancy = _worst_pair(inputs[0::2], inputs[1::2], mapped[0::2], mapped[1::2])
+        if discrepancy >= worst:
+            worst, witness = discrepancy, (samples[2 * i], samples[2 * i + 1], images[2 * i], images[2 * i + 1])
     return ScreenReport(worst, *witness)
+
+
+def _reference_report(inputs: np.ndarray, mapped: np.ndarray, rank: int, dual: bool) -> ScreenReport:
+    """``_worst_pair`` over every pair of the reading's reference queries
+    ``inputs`` and their outputs ``mapped``, which the reading validated or
+    its fit vouched for, so the witness is wrapped unchecked.  A dual
+    reading's witness is the rank-n pair ``I - A``, ``I - B``, mapped to
+    ``I - psi(A)``, ``I - psi(B)``."""
+    if dual:
+        inputs, mapped = np.eye(inputs.shape[-1]) - inputs, np.eye(inputs.shape[-1]) - mapped
+    a, b = np.triu_indices(len(inputs), 1)
+    i, worst = _worst_pair(inputs[a], inputs[b], mapped[a], mapped[b])
+    return ScreenReport(worst, *_wrap_stack(np.stack([inputs[a[i]], inputs[b[i]], mapped[a[i]], mapped[b[i]]]), [rank] * 4))
 
 
 def apply_conjugation(v, antiunitary: bool, p: Projection, tol: ToleranceConfig = DEFAULT_TOL) -> Projection:
@@ -250,10 +267,6 @@ def align_phase(a: np.ndarray, b: np.ndarray) -> complex:
     """Unimodular c minimizing ``||a - c b||`` (for same-shape arrays)."""
     t = complex(np.vdot(b, a))
     return t / abs(t) if t != 0 else 1.0 + 0j
-
-
-def _unclassified(notes: str) -> ReconstructionResult:
-    return ReconstructionResult(VARIANT_UNCLASSIFIED, notes=notes)
 
 
 def _query_frames(rng: np.random.Generator, d: int, k: int, field: str, tol: ToleranceConfig) -> np.ndarray:
@@ -363,7 +376,9 @@ def _polish(images: np.ndarray, v: np.ndarray, frames: np.ndarray, stop: float) 
     return v
 
 
-def _classify(phi: RankNMap, cfg: ReconstructionConfig, tol: ToleranceConfig, accept_tol: float) -> ReconstructionResult:
+def _classify(
+    phi: RankNMap, cfg: ReconstructionConfig, tol: ToleranceConfig, accept_tol: float
+) -> tuple[ReconstructionResult, ScreenReport | None]:
     """Block query plan -> Bargmann reading -> fit, gate, polish -> verification.
 
     The map is read at rank ``k = min(n, d - n)``, through ``dualize`` when
@@ -371,6 +386,7 @@ def _classify(phi: RankNMap, cfg: ReconstructionConfig, tol: ToleranceConfig, ac
     stack of queries, and fitted once, in the reading ``_reading`` picks;
     the fit must match its queries within ``FIT_GATE`` accept_tol before
     it is polished and verified on fresh samples against the map itself.
+    A failure comes with ``_reference_report`` of the reading's outputs.
     """
     d, n = phi.ambient_dim, phi.rank
     psi = dualize(phi, tol) if 2 * n > d else phi
@@ -397,14 +413,17 @@ def _classify(phi: RankNMap, cfg: ReconstructionConfig, tol: ToleranceConfig, ac
     w = v @ frames  # the fit's own predictions, V b b* V* = w w*
     residual = float(np.max(_checked_residuals(psi, mapped, 0, w, complement, tol)))
     if not residual <= FIT_GATE * accept_tol:
-        return _unclassified(f"{label} fits its own queries only to {residual:.3e} > {FIT_GATE:g} x accept_tol")
-    if residual > _POLISH_STOP * accept_tol:
-        v = _polish(images, v, frames, _POLISH_STOP * accept_tol)
-    v = canonicalize_global_phase(as_complex(v))
-    residual = verify_conjugation(phi, v, antiunitary, _VERIFY_SAMPLES, seed, tol, complement=complement)
-    if not residual <= accept_tol:
-        return _unclassified(f"{label} fails verification (residual {residual:.3e} > {accept_tol:.1e})")
-    return ReconstructionResult(variant, v=v, antiunitary=antiunitary, residual=residual)
+        notes = f"{label} fits its own queries only to {residual:.3e} > {FIT_GATE:g} x accept_tol"
+    else:
+        if residual > _POLISH_STOP * accept_tol:
+            v = _polish(images, v, frames, _POLISH_STOP * accept_tol)
+        v = canonicalize_global_phase(as_complex(v))
+        residual = verify_conjugation(phi, v, antiunitary, _VERIFY_SAMPLES, seed, tol, complement=complement)
+        if residual <= accept_tol:
+            return ReconstructionResult(variant, v=v, antiunitary=antiunitary, residual=residual), None
+        notes = f"{label} fails verification (residual {residual:.3e} > {accept_tol:.1e})"
+    report = _reference_report(inputs[m - 1 :], mapped[m - 1 :], n, psi is not phi)
+    return ReconstructionResult(VARIANT_UNCLASSIFIED, notes=notes), report
 
 
 def reconstruct(
@@ -416,9 +435,10 @@ def reconstruct(
 
     Classification and verification (on 50 fresh samples) run first, and
     an accepted result is returned as it comes, without screening.
-    Otherwise the map is screened on 20 pairs from ``cfg.seed``: a
-    discrepancy above ``accept_tol = 10 spec_tol`` returns
-    ``not_angle_preserving`` with the screen's witness, and else the
+    Otherwise a discrepancy above ``accept_tol = 10 spec_tol`` returns
+    ``not_angle_preserving`` with the witness of the reading's reference
+    pairs (set by the reading's seed, not ``cfg.seed``) or, if none of
+    them clears it, of 20 pairs screened from ``cfg.seed``; else the
     classification's ``preserving_unclassified`` result stands.
     """
     cfg = cfg or ReconstructionConfig()
@@ -427,20 +447,17 @@ def reconstruct(
         raise BadRank(f"reconstruction needs 1 <= n < d, got n={n}, d={d}")
 
     accept_tol = _ACCEPT_FACTOR * tol.spec_tol
-    result = _classify(phi, cfg, tol, accept_tol)
+    result, report = _classify(phi, cfg, tol, accept_tol)
     if result.accepted:
         return result
-    report = screen_preservation(phi, _SCREEN_PAIRS, cfg.seed, tol)
-    if report.max_discrepancy > accept_tol:
-        return ReconstructionResult(
-            VARIANT_NOT_PRESERVING,
-            witness_p=report.witness_p,
-            witness_q=report.witness_q,
-            witness_phi_p=report.witness_phi_p,
-            witness_phi_q=report.witness_phi_q,
-            discrepancy=report.max_discrepancy,
-        )
-    return result
+    if not report.max_discrepancy > accept_tol:
+        report = screen_preservation(phi, _SCREEN_PAIRS, cfg.seed, tol)
+    if not report.max_discrepancy > accept_tol:
+        return result
+    return ReconstructionResult(
+        VARIANT_NOT_PRESERVING, witness_p=report.witness_p, witness_q=report.witness_q,
+        witness_phi_p=report.witness_phi_p, witness_phi_q=report.witness_phi_q, discrepancy=report.max_discrepancy,
+    )
 
 
 def dualize(phi: RankNMap, tol: ToleranceConfig = DEFAULT_TOL) -> RankNMap:
@@ -476,7 +493,7 @@ def reconstruct_via_dual(
     n, validating phi's outputs under the same rules, and its residual is
     the direct one, since ``||(I - M) - (I - Q)|| = ||M - Q||`` (up to the
     polar factor's ``||I - V V*||``).  So a result is returned as the dual
-    gives it, a witness from dual screening at rank d - n.
+    gives it, a witness of the dual at rank d - n.
     """
     inner = reconstruct(dualize(phi, tol), cfg, tol)
     if inner.variant == VARIANT_NOT_PRESERVING:

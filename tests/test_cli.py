@@ -20,6 +20,7 @@ from grasswig import (
 )
 from grasswig.cli import main
 from grasswig.linalg import haar_random_unitary
+from grasswig.reconstruction import _worst_pair
 
 
 def run_cli(capsys, *argv):
@@ -242,6 +243,9 @@ def test_reconstruct_noisy_writes_witness(tmp_path, capsys):
     assert set(payload["witness_files"]) == {"p", "q", "phi_p", "phi_q"}
     for path in payload["witness_files"].values():
         assert json.loads(Path(path).read_text())["kind"] == "projection"
+    # the reloaded witness rescores to the printed discrepancy exactly
+    witness = [load_projection(payload["witness_files"][name])[0].matrix for name in ("p", "q", "phi_p", "phi_q")]
+    assert _worst_pair(*(m[None] for m in witness))[1] == payload["discrepancy"]
 
 
 @pytest.mark.parametrize("base", [{"type": "identity"}, {"type": "noisy", "base": {"type": "identity"}, "sigma": 0.001, "seed": 2}])

@@ -32,10 +32,11 @@ from grasswig import (
     verify_conjugation,
 )
 import grasswig.extension
+import grasswig.reconstruction
 from grasswig.extension import extend_orthonormal
 from grasswig.linalg import haar_frames_from_rng
 from grasswig.maps import MapSpec, instantiate
-from grasswig.reconstruction import _ACCEPT_FACTOR, _SCREEN_PAIRS
+from grasswig.reconstruction import _ACCEPT_FACTOR, _SCREEN_PAIRS, _worst_pair
 from grasswig.tolerances import DEFAULT_TOL
 
 # Few examples each: the suite's wall time stays within a few seconds.
@@ -239,21 +240,26 @@ def map_families(draw):
 @SETTINGS
 @given(map_families())
 def test_a_rejection_carries_the_screen_witness_bit_for_bit(family):
-    # reconstruct screens only after classification fails; the witness it
-    # returns must be the one the screen alone finds
+    # a rejection's witness replays: its four matrices rescore to the
+    # reported discrepancy exactly.  It is the worst reference pair of the
+    # reading when that pair clears accept_tol, and otherwise the fallback
+    # screen's witness, bit for bit
     phi, seed = family
     cfg = ReconstructionConfig(seed=seed % 1000)
-    result = reconstruct(phi, cfg)
+    with mock.patch.object(grasswig.reconstruction, "screen_preservation", wraps=screen_preservation) as screen:
+        result = reconstruct(phi, cfg)
     if result.accepted:
         assert result.residual <= _ACCEPT_FACTOR * DEFAULT_TOL.spec_tol
     if result.variant != VARIANT_NOT_PRESERVING:
         return
+    witness = (result.witness_p, result.witness_q, result.witness_phi_p, result.witness_phi_q)
+    _, rescored = _worst_pair(*(w.matrix[None] for w in witness))
+    assert result.discrepancy == rescored > _ACCEPT_FACTOR * DEFAULT_TOL.spec_tol
+    if not screen.called:
+        return
     report = screen_preservation(phi, _SCREEN_PAIRS, cfg.seed)
-    assert result.discrepancy == report.max_discrepancy > _ACCEPT_FACTOR * DEFAULT_TOL.spec_tol
-    pairs = zip(
-        (result.witness_p, result.witness_q, result.witness_phi_p, result.witness_phi_q),
-        (report.witness_p, report.witness_q, report.witness_phi_p, report.witness_phi_q),
-    )
+    assert result.discrepancy == report.max_discrepancy
+    pairs = zip(witness, (report.witness_p, report.witness_q, report.witness_phi_p, report.witness_phi_q))
     for got, expected in pairs:
         assert np.array_equal(got.matrix, expected.matrix)
 

@@ -31,7 +31,7 @@ from grasswig import (
 )
 from grasswig.linalg import REAL, frobenius, haar_frames_from_rng
 from grasswig.maps import MapSpec, instantiate
-from grasswig.reconstruction import _ACCEPT_FACTOR, FIT_GATE, _fit, _query_frames, _ranges, _reading, _trace3
+from grasswig.reconstruction import _ACCEPT_FACTOR, FIT_GATE, _fit, _query_frames, _ranges, _reading, _trace3, _worst_pair
 from grasswig.tolerances import DEFAULT_TOL, ToleranceConfig
 
 ACCEPT_TOL = _ACCEPT_FACTOR * DEFAULT_TOL.spec_tol
@@ -352,27 +352,62 @@ def test_padded_frames_send_each_distinct_input_once():
         assert planted_deviation(result.v, v) <= 1e-10
         assert len(calls) == 50 + reading == 50 + block_plan_calls(d, n), (d, n, field, len(calls))
         assert len(set(calls)) == len(calls)
-    # a rejected map pays its 2 block and 4 reference queries, then the 40
-    # screening evaluations that explain the failure, and no verification
+    # a rejected map pays its 2 block and 4 reference queries and nothing
+    # more: a pair of reference queries explains the failure, with no
+    # verification and no screen
     noisy = instantiate(MapSpec("noisy", base=MapSpec("identity"), sigma=1e-3, seed=46), 6, 2)
     phi, calls = counting(noisy)
     assert reconstruct(phi).variant == VARIANT_NOT_PRESERVING
-    assert len(calls) == 2 + 4 + 40, len(calls)
+    assert len(calls) == 2 + 4, len(calls)
     assert len(set(calls)) == len(calls)
 
 
 @pytest.mark.parametrize("sigma", [1e-5, 1e-3])
 def test_a_noisy_map_at_half_dimension_reaches_the_screen_after_its_reading(sigma):
-    # 1 block and 5 reference queries, no verification, then the 40
-    # screening evaluations; the witness is the screen's, bit for bit
+    # 1 block and 5 reference queries, then no verification and no screen:
+    # the witness is a pair of the reference queries, its images the
+    # oracle's outputs for them, and it rescores to the discrepancy exactly
     v = haar_random_unitary(16, 47)
     spec = MapSpec("noisy", base=MapSpec("conjugation", matrix=v), sigma=sigma, seed=48)
     phi, calls = counting(instantiate(spec, 16, 8))
     result = reconstruct(phi, ReconstructionConfig(seed=49))
     assert result.variant == VARIANT_NOT_PRESERVING
-    assert len(calls) == 1 + 5 + 40 == block_plan_calls(16, 8) + 40, len(calls)
+    assert len(calls) == 1 + 5 == block_plan_calls(16, 8), len(calls)
     assert len(set(calls)) == len(calls)
-    report = screen_preservation(instantiate(spec, 16, 8), 20, seed=49)
+    witness = rescored_witness(result)
+    assert (witness[0] + 0.0).tobytes() in calls[1:] and (witness[1] + 0.0).tobytes() in calls[1:]
+    assert witness[0].tobytes() != witness[1].tobytes()
+    fresh = instantiate(spec, 16, 8).evaluate_many([result.witness_p, result.witness_q])
+    assert np.array_equal(fresh[0].matrix, witness[2]) and np.array_equal(fresh[1].matrix, witness[3])
+
+
+def rescored_witness(result):
+    """A rejection's four witness matrices, after checking that they rescore
+    to its discrepancy exactly and that it exceeds accept_tol."""
+    witness = [getattr(result, f"witness_{name}").matrix for name in ("p", "q", "phi_p", "phi_q")]
+    assert _worst_pair(*(m[None] for m in witness))[1] == result.discrepancy > ACCEPT_TOL
+    return witness
+
+
+def test_a_map_exact_on_its_reading_is_rejected_by_the_fallback_screen():
+    # the reading's queries are answered exactly, every later query with
+    # noise: the fit passes its gate, verification fails and no reference
+    # pair clears accept_tol, so the map is screened on 20 fresh pairs, and
+    # the witness is the screen's, bit for bit
+    d, n, seed = 6, 2, 50
+    v = haar_random_unitary(d, seed)
+    exact = instantiate(MapSpec("conjugation", matrix=v), d, n)
+    noisy = instantiate(MapSpec("noisy", base=MapSpec("conjugation", matrix=v), sigma=1e-3, seed=seed), d, n)
+    calls = []
+
+    def fn(p):
+        calls.append(1)
+        return (exact if len(calls) <= block_plan_calls(d, n) else noisy).evaluate(p)
+
+    result = reconstruct(RankNMap(d, n, fn), ReconstructionConfig(seed=51))
+    assert result.variant == VARIANT_NOT_PRESERVING
+    assert len(calls) == block_plan_calls(d, n) + 50 + 40 == 96
+    report = screen_preservation(noisy, 20, seed=51)
     assert result.discrepancy == report.max_discrepancy
     for name in ("witness_p", "witness_q", "witness_phi_p", "witness_phi_q"):
         assert np.array_equal(getattr(result, name).matrix, getattr(report, name).matrix)
@@ -855,6 +890,29 @@ def test_dual_route_validates_no_complement(monkeypatch):
     assert planted_deviation(result.v, v) <= 1e-7
     assert shapes == []
     assert len(calls) == 7 + 50
+
+
+@pytest.mark.parametrize("n", [5, 2])
+def test_a_rejected_reading_is_validated_once_and_its_witness_replays(monkeypatch, n):
+    # (7, 5) is read through the dual at rank 2: its witness is the rank-5
+    # pair I - A, I - B of two reference queries, mapped to I - psi(A),
+    # I - psi(B), which match phi's outputs to roundoff; (7, 2) is read
+    # directly, and its witness images are phi's outputs.  Either reading
+    # costs 3 block and 4 reference queries, validated as one stack
+    shapes = validated_shapes(monkeypatch)
+    spec = MapSpec("noisy", base=MapSpec("conjugation", matrix=haar_random_unitary(7, 52)), sigma=1e-3, seed=53)
+    raw, calls = instantiate(spec, 7, n)._fn, []
+    result = reconstruct(RankNMap(7, n, lambda p: calls.append(1) or raw(p)))
+    assert result.variant == VARIANT_NOT_PRESERVING
+    assert shapes == [(7, 7, 7)] and len(calls) == 7
+    p, q, phi_p, phi_q = rescored_witness(result)
+    assert result.witness_p.rank == result.witness_phi_q.rank == n
+    assert np.trace(p).real == pytest.approx(n) and np.trace(phi_q).real == pytest.approx(n)
+    fresh = [out.matrix for out in instantiate(spec, 7, n).evaluate_many([result.witness_p, result.witness_q])]
+    if n == 5:
+        assert np.max(np.abs(fresh[0] - phi_p)) <= 1e-14 and np.max(np.abs(fresh[1] - phi_q)) <= 1e-14
+    else:
+        assert np.array_equal(fresh[0], phi_p) and np.array_equal(fresh[1], phi_q)
 
 
 def test_dual_names_the_bad_output_of_the_wrapped_map():
