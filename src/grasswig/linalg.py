@@ -127,8 +127,12 @@ def haar_frames_from_rng(rng: np.random.Generator, count: int, d: int, n: int, f
         raise BadRank(f"need 1 <= n <= d, got n={n}, d={d}")
     check_field(field)
     if field == COMPLEX:
+        # (g0 + 1j g1) / sqrt(2) bit for bit: numpy divides by a real scalar
+        # as a multiply by its reciprocal, done here in place
         g = rng.standard_normal((count, 2, d, n))
-        z = (g[:, 0] + 1j * g[:, 1]) / np.sqrt(2.0)
+        g *= 1.0 / np.sqrt(2.0)
+        z = np.empty((count, d, n), dtype=np.complex128)
+        z.real, z.imag = g[:, 0], g[:, 1]
     else:
         z = rng.standard_normal((count, d, n))
     return _phase_fixed_qr(np.asarray(z, dtype=np.complex128))

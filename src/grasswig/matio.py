@@ -87,8 +87,7 @@ def save_matrix(path, m, field: str | None = None, extra: dict[str, Any] | None 
     if extra:
         obj.update(extra)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh)
-        fh.write("\n")
+        fh.write(json.dumps(obj) + "\n")  # json.dump never takes the C encoder; the same bytes
 
 
 def load_matrix(path) -> tuple[np.ndarray, str]:
@@ -110,8 +109,7 @@ def projection_to_obj(p, field: str | None = None) -> dict[str, Any]:
 
 def save_projection(path, p, field: str | None = None) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(projection_to_obj(p, field), fh)
-        fh.write("\n")
+        fh.write(json.dumps(projection_to_obj(p, field)) + "\n")
 
 
 def projection_from_obj(obj: Any, tol: ToleranceConfig = DEFAULT_TOL):

@@ -14,7 +14,7 @@ from grasswig import (
     random_subspace,
     singular_values,
 )
-from grasswig.linalg import REAL, frobenius, frobenius_stack, haar_frames_from_rng, scaled
+from grasswig.linalg import REAL, _phase_fixed_qr, frobenius, frobenius_stack, haar_frames_from_rng, scaled
 from grasswig.maps import MapSpec, instantiate
 
 
@@ -255,3 +255,15 @@ def test_frobenius_stack_matches_numpy_norm_without_a_warning():
             norms = frobenius_stack(stack)
             assert norms[0] == norms[2] == 0.0
             assert np.isnan(norms[1]) if np.isnan(expected) else norms[1] == expected
+
+
+@pytest.mark.parametrize("field", [REAL, "complex"])
+def test_haar_frames_scale_the_gaussians_as_the_quotient_does_bit_for_bit(field):
+    # the complex block is scaled in place; numpy divides by a real scalar as
+    # a multiply by its reciprocal, so the frames are those of (g0 + 1j g1) / sqrt(2)
+    for count, d, n in ((4, 64, 8), (50, 8, 4), (3, 5, 5), (1, 1, 1)):
+        g = np.random.default_rng(count + d).standard_normal((count, d, n) if field == REAL else (count, 2, d, n))
+        z = g if field == REAL else (g[:, 0] + 1j * g[:, 1]) / np.sqrt(2.0)
+        expected = _phase_fixed_qr(np.asarray(z, dtype=np.complex128))
+        got = haar_frames_from_rng(np.random.default_rng(count + d), count, d, n, field)
+        assert got.dtype == np.complex128 and got.tobytes() == expected.tobytes()

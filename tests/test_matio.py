@@ -14,6 +14,7 @@ from grasswig import (
     save_matrix,
     save_projection,
 )
+from grasswig.matio import projection_to_obj
 
 
 def test_round_trip_complex(tmp_path):
@@ -113,3 +114,19 @@ def test_canonical_key_folds_negative_zero():
     a = np.array([[0.0]], dtype=complex)
     b = np.array([[-0.0]], dtype=complex)
     assert canonical_key(a) == canonical_key(b)
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_saved_files_equal_the_streaming_encoders_bytes(tmp_path, field):
+    # files are written through json.dumps: byte for byte what json.dump
+    # and a newline wrote, signed zeros and extreme exponents included
+    p = random_projection(6, 2, seed=5, field=field)
+    m = np.array([[complex(-0.0, 1e-17), complex(1e-300, -0.0)], [complex(1.0 / 3.0, 7.0), -2.5e17]])
+    m = m if field == "complex" else m.real
+    save_matrix(tmp_path / "m.json", m, field, extra={"kind": "note"})
+    save_projection(tmp_path / "p.json", p, field)
+    for name, obj in (("m.json", {**matrix_to_obj(m, field), "kind": "note"}), ("p.json", projection_to_obj(p, field))):
+        with open(tmp_path / f"old-{name}", "w", encoding="utf-8") as fh:
+            json.dump(obj, fh)
+            fh.write("\n")
+        assert (tmp_path / name).read_bytes() == (tmp_path / f"old-{name}").read_bytes()

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import warnings
 
@@ -24,6 +25,7 @@ from grasswig import (
     trace_product,
 )
 from grasswig.linalg import frobenius, haar_frames_from_rng
+from grasswig.projections import _wrap_stack
 
 
 def diag_projection(bits):
@@ -290,3 +292,17 @@ def test_complement_is_wrapped_with_the_complementary_rank():
         assert c.rank == d - n and projection_rank(c.matrix) == d - n
         assert np.array_equal(c.matrix, np.eye(d) - p.matrix)
         assert not c.matrix.flags.writeable
+
+
+def test_wrapped_projections_stay_frozen_over_a_read_only_stack():
+    stack = np.array([np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 1.0, 1.0])], dtype=np.complex128)
+    wrapped = _wrap_stack(stack, [1, 2])
+    assert not stack.flags.writeable
+    for i, p in enumerate(wrapped):
+        assert type(p) is Projection and set(vars(p)) == {"matrix", "rank"} and p.rank == i + 1
+        assert np.shares_memory(p.matrix, stack) and not p.matrix.flags.writeable
+        with pytest.raises(ValueError):
+            p.matrix[0, 0] = 5.0
+        for name, value in (("matrix", np.eye(3)), ("rank", 3)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(p, name, value)

@@ -31,7 +31,8 @@ from grasswig import (
 )
 from grasswig.linalg import REAL, frobenius, haar_frames_from_rng
 from grasswig.maps import MapSpec, instantiate
-from grasswig.reconstruction import _ACCEPT_FACTOR, FIT_GATE, _fit, _query_frames, _ranges, _reading, _trace3, _worst_pair
+import grasswig.reconstruction as reconstruction
+from grasswig.reconstruction import _ACCEPT_FACTOR, FIT_GATE, _fit, _plan, _query_frames, _ranges, _reading, _trace3, _worst_pair
 from grasswig.tolerances import DEFAULT_TOL, ToleranceConfig
 
 ACCEPT_TOL = _ACCEPT_FACTOR * DEFAULT_TOL.spec_tol
@@ -933,3 +934,76 @@ def test_dual_names_the_bad_output_of_the_wrapped_map():
         dualize(misbehaving(np.diag([1.0, 0.0, 0.0, 0.0]))).evaluate_many(inputs)
     with pytest.raises(InternalInconsistency, match="input 2"):
         dualize(misbehaving(np.eye(3))).evaluate_many(inputs)
+
+
+@pytest.fixture
+def fresh_plan():
+    """An empty reading-plan cache, emptied again afterwards."""
+    _plan.cache_clear()
+    yield
+    _plan.cache_clear()
+
+
+def test_the_reading_plan_is_drawn_once_per_key(monkeypatch, fresh_plan):
+    keys, query_frames = [], reconstruction._query_frames
+
+    def counted(rng, d, k, field, tol):
+        keys.append((d, k, field))
+        return query_frames(rng, d, k, field, tol)
+
+    monkeypatch.setattr(reconstruction, "_query_frames", counted)
+    maps = [conjugation(d, n, seed, field=field)[0] for d, n, seed, field in
+            ((6, 2, 3, "complex"), (6, 4, 4, "complex"), (6, 2, 5, REAL), (6, 3, 6, "complex"), (20, 5, 7, "complex"))]
+    for _ in range(3):
+        for phi in maps:
+            assert reconstruct(phi).variant == VARIANT_CONJUGATION
+    # (6, 4) is read through its dual at rank 2, so it shares (6, 2)'s plan;
+    # d = 20 is above _PLAN_CACHE_DIM, so its plan is drawn on every call
+    assert keys == [(6, 2, "complex"), (6, 2, "real"), (6, 3, "complex")] + [(20, 5, "complex")] * 3
+    assert _plan.cache_info().currsize == 3
+
+
+def result_fields(result):
+    witnesses = [None if w is None else w.matrix.tobytes() for w in (result.witness_p, result.witness_q, result.witness_phi_p, result.witness_phi_q)]
+    v = None if result.v is None else result.v.tobytes()
+    return result.variant, result.antiunitary, v, result.residual, result.discrepancy, witnesses, result.notes
+
+
+@pytest.mark.parametrize(
+    "spec, d, n, field",
+    [
+        (MapSpec("conjugation", matrix=haar_random_unitary(5, 60)), 5, 2, "complex"),
+        (MapSpec("conjugation", matrix=haar_random_unitary(6, 61, REAL)), 6, 3, REAL),
+        (MapSpec("compose", parts=(MapSpec("complement"), MapSpec("conjugation", matrix=haar_random_unitary(6, 62), antiunitary=True))), 6, 3, "complex"),
+        (MapSpec("noisy", base=MapSpec("conjugation", matrix=haar_random_unitary(6, 63)), sigma=1e-3, seed=64), 6, 2, "complex"),
+        (MapSpec("conjugation", matrix=haar_random_unitary(7, 65), antiunitary=True), 7, 5, "complex"),
+    ],
+)
+def test_a_warm_plan_sends_the_queries_and_returns_the_results_of_a_cold_one(fresh_plan, spec, d, n, field):
+    # cold, warm, then cold again after cache_clear: the oracle sees the same
+    # inputs bit for bit and both routes return the same results
+    runs = []
+    for clear in (True, False, True):
+        if clear:
+            _plan.cache_clear()
+        phi, calls = counting(instantiate(spec, d, n, field))
+        runs.append((calls, [result_fields(route(phi)) for route in (reconstruct, reconstruct_via_dual)]))
+    assert runs[0] == runs[1] == runs[2]
+    assert len(runs[0][0]) > 0
+
+
+def test_the_reading_plan_is_keyed_on_field_and_tolerance_and_read_only(fresh_plan):
+    loose = ToleranceConfig(eq_tol=2e-9)
+    frames, omega = _plan(6, 2, "complex", DEFAULT_TOL)
+    same = _plan(6, 2, "complex", ToleranceConfig())  # an equal config is the same key
+    assert same[0] is frames and same[1] is omega
+    real, loose_plan = _plan(6, 2, REAL, DEFAULT_TOL), _plan(6, 2, "complex", loose)
+    assert _plan.cache_info().currsize == 3
+    assert real[0] is not frames and np.all(real[0].imag == 0.0) and np.any(frames.imag != 0.0)
+    # the tolerance only checks the frames: a separate entry, the same draw
+    assert loose_plan[0] is not frames and np.array_equal(loose_plan[0], frames)
+    assert frames.shape == (2 + 4, 6, 2) and omega.shape == (6, 2)
+    for a in (*real, *loose_plan, frames, omega):
+        assert a.flags.writeable is False
+        with pytest.raises(ValueError):
+            a[0, 0] = 0.0
