@@ -66,22 +66,27 @@ class RankNMap:
         ``NotAProjection``, one of the wrong rank or dimension
         ``InternalInconsistency``, each naming the index of its input.
         """
-        return self._validated(self._outputs(projections))
-
-    def _outputs(self, projections: list[Projection], first: int = 0) -> np.ndarray:
-        """``evaluate_many`` unvalidated: the ``(k, d, d)`` stack of the outputs,
-        a ``Projection`` read as its matrix; errors name ``first + i``."""
         d, n = self.ambient_dim, self.rank
         projections = list(projections)
         for i, p in enumerate(projections):
             if (p.ambient_dim, p.rank) != (d, n):
-                raise BadRank(f"input {first + i} has rank {p.rank} in dim {p.ambient_dim}, map expects rank {n} in dim {d}")
-        matrices = [out.matrix if isinstance(out, Projection) else as_complex(out) for out in map(self._fn, projections)]
-        for i, m in enumerate(matrices):
+                raise BadRank(f"input {i} has rank {p.rank} in dim {p.ambient_dim}, map expects rank {n} in dim {d}")
+        return self._validated(self._outputs(projections))
+
+    def _outputs(self, projections: list[Projection], first: int = 0) -> np.ndarray:
+        """``evaluate_many`` unvalidated, for inputs of the map's rank and
+        dimension: the ``(k, d, d)`` stack of the outputs, each written into
+        it as it arrives, a ``Projection`` read as its matrix; errors name
+        ``first + i``."""
+        d = self.ambient_dim
+        stack = np.empty((len(projections), d, d), dtype=np.complex128)
+        for i, out in enumerate(map(self._fn, projections)):
+            m = out.matrix if isinstance(out, Projection) else as_complex(out)
             if m.shape != (d, d):
                 error = NotAProjection if m.shape[0] != m.shape[1] else InternalInconsistency
                 raise error(f"map {self.descriptor!r} returned a {m.shape[0]}x{m.shape[1]} matrix for input {first + i}")
-        return np.array(matrices).reshape(len(matrices), d, d)  # (0, d, d) for no inputs
+            stack[i] = m
+        return stack
 
     def _validated(self, stack: np.ndarray, first: int = 0) -> list[Projection]:
         """An ``_outputs`` stack validated in one pass (``projection_rank``) and

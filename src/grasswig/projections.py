@@ -212,8 +212,10 @@ def _checked_frames(rng: np.random.Generator, count: int, d: int, n: int, field:
     """``haar_frames_from_rng`` with each frame's Gram defect
     ``||b* b - I||_F`` checked: above ``eq_tol`` ``NotAProjection`` names the
     frame.  The check bounds both invariants of ``b b*``,
-    ``P^2 - P = b (b* b - I) b*`` and ``tr P = n + tr(b* b - I)``, so a
-    checked frame's ``b b*`` is wrapped as a rank-n projection unchecked."""
+    ``P^2 - P = b (b* b - I) b*`` and ``tr P = n + tr(b* b - I)``, and of
+    ``I - b b*``, with the same ``P^2 - P`` and ``tr P = d - n - tr(b* b - I)``,
+    so a checked frame's ``b b*`` is wrapped as a rank-n projection, and
+    ``I - b b*`` as one of rank d - n, unchecked."""
     b = haar_frames_from_rng(rng, count, d, n, field)
     defects = frobenius_stack(b.conj().swapaxes(-1, -2) @ b - np.eye(n))
     bad = np.flatnonzero(~(defects <= tol.eq_tol))

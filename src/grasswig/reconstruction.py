@@ -11,10 +11,11 @@ comparing Bargmann's invariant ``tr phi(A) phi(B) phi(C)`` of three
 reference images with what each reading predicts, (3) fits
 ``V = Y blockdiag(U_j)`` to those outputs, gates the fit on its own
 queries and polishes it by least squares unless it fits them to roundoff,
-(4) verifies the candidate on fresh samples, each predicted from its Haar
-frame at d^2 n, and (5) only when no candidate passes, explains the
-failure by its worst pair of reference queries or, failing that, by
-random pairs; (4) and (5) share one sampled loop.
+(4) verifies the candidate on fresh samples, ``b b*`` or ``I - b b*``
+for Haar d x k frames b, each predicted from its frame at d^2 k, and (5)
+only when no candidate passes, explains the failure by its worst pair of
+reference queries or, failing that, by random pairs; (4) and (5) share
+one sampled loop.
 The frames of (1) and the range finder of (3) depend on (d, k, field,
 tol) only, so up to d = 16 they are drawn once per key and kept read-only
 (``_plan``, 64 entries); the query stack is rebuilt on every call, and no
@@ -153,18 +154,25 @@ class ScreenReport:
 
 def _sampled(phi: RankNMap, count: int, seed: int, tol: ToleranceConfig, group: int = 1):
     """The loop screening and verification share: draw ``group * count``
-    Haar frames ``b`` from ``seed`` in stacks of at most ``_BLOCK_BYTES`` of
-    d x d matrices (a multiple of ``group``), and yield ``(first, b, inputs,
-    samples, mapped)``: the stack's first index in the run, then the stack
-    ``RankNMap._outputs`` of the samples ``b b*``.  Fewer than one sample
-    raises ``ValueError``: an empty sample certifies nothing."""
+    Haar d x k frames ``b`` from ``seed``, at ``k = min(n, d - n)`` (n at
+    n = d), in stacks of at most ``_BLOCK_BYTES`` of d x d matrices (a
+    multiple of ``group``), and yield ``(first, b, inputs, samples,
+    mapped)``: the stack's first index in the run, then the stack
+    ``RankNMap._outputs`` of the rank-n samples, ``b b*`` or, when k < n,
+    ``I - b b*``.  The complement of a Haar (d - n)-subspace is a Haar
+    n-subspace, so both give one distribution, and each sample costs d^2 k.
+    Fewer than one sample raises ``ValueError``: an empty sample certifies
+    nothing."""
     if count < 1:
         raise ValueError(f"a sampled check needs at least 1 sample{' pair' if group == 2 else ''}, got {count}")
     d, n, rng = phi.ambient_dim, phi.rank, np.random.default_rng(seed)
+    k = d - n if 0 < d - n < n else n
     size = group * max(1, _BLOCK_BYTES // (16 * d * d) // group)
     for first in range(0, group * count, size):
-        b = _checked_frames(rng, min(size, group * count - first), d, n, phi.field, tol)
+        b = _checked_frames(rng, min(size, group * count - first), d, k, phi.field, tol)
         inputs = b @ _adjoint(b)
+        if k < n:  # a checked frame's I - b b* is a projection of rank d - k (_checked_frames)
+            np.subtract(np.eye(d), inputs, out=inputs)
         samples = _wrap_stack(inputs, [n] * len(b))
         yield first, b, inputs, samples, phi._outputs(samples, first)
 
@@ -186,9 +194,10 @@ def screen_preservation(phi: RankNMap, num_samples: int, seed: int, tol: Toleran
 
     Pairs are scored by ``_worst_pair``, the witness being the last pair
     attaining the maximum.  They are drawn, evaluated and compared in stacks
-    (``_sampled``), and every output is validated, since the witness images
-    must be ``Projection``s; a failure names the sample's index in the run
-    (pair i is samples 2i, 2i + 1).
+    (``_sampled``: ``b b*`` or, when n > d/2, ``I - b b*`` from d x k
+    frames, scored as the rank-n inputs they are), and every output is
+    validated, since the witness images must be ``Projection``s; a failure
+    names the sample's index in the run (pair i is samples 2i, 2i + 1).
     Fewer than one pair raises ``ValueError``: it would certify nothing.
     """
     worst, witness = 0.0, (None, None, None, None)
@@ -200,12 +209,13 @@ def screen_preservation(phi: RankNMap, num_samples: int, seed: int, tol: Toleran
     return ScreenReport(worst, *witness)
 
 
-def _reference_report(inputs: np.ndarray, mapped: np.ndarray, rank: int, dual: bool) -> ScreenReport:
+def _reference_report(frames: np.ndarray, mapped: np.ndarray, rank: int, dual: bool) -> ScreenReport:
     """``_worst_pair`` over every pair of the reading's reference queries
-    ``inputs`` and their outputs ``mapped``, which the reading validated or
-    its fit vouched for, so the witness is wrapped unchecked.  A dual
-    reading's witness is the rank-n pair ``I - A``, ``I - B``, mapped to
-    ``I - psi(A)``, ``I - psi(B)``."""
+    ``b b*``, rebuilt bit for bit from their frames b, and their outputs
+    ``mapped``, which the reading validated or its fit vouched for, so the
+    witness is wrapped unchecked.  A dual reading's witness is the rank-n
+    pair ``I - A``, ``I - B``, mapped to ``I - psi(A)``, ``I - psi(B)``."""
+    inputs = frames @ _adjoint(frames)
     if dual:
         inputs, mapped = np.eye(inputs.shape[-1]) - inputs, np.eye(inputs.shape[-1]) - mapped
     a, b = np.triu_indices(len(inputs), 1)
@@ -227,41 +237,49 @@ def verify_conjugation(
     """Max Frobenius residual of ``phi(P) - V tau(P) V*`` over random samples,
     or of ``phi(P) - (I - V tau(P) V*)`` with ``complement``.
 
-    Each sample ``P = b b*`` is predicted from its frame as ``Q = W W*``
-    (or ``I - W W*``), ``W = V tau(b)``, at d^2 n.  Q stays a raw matrix: a
-    V unitary only to within the acceptance tolerance maps P to no exact
-    projection, and the residual is the test it must pass.  It also stands
-    in for the output's d^3 validation (``_checked_residuals``); a stack it
-    does not vouch for is validated whole, naming a failing sample by its
-    index in the run.
+    Each sample is ``P = b b*`` or, when n > d/2, ``I - b b*``, for a d x k
+    frame b at ``k = min(n, d - n)`` (``_sampled``).  It is predicted from
+    its frame at d^2 k, with ``W = V tau(b)``, as ``Q = W W*``, or as
+    ``I - W W*`` for a complement sample of a plain map or a plain sample
+    of a complement map.  For ``P = I - b b*``, ``I - W W*`` is
+    ``V tau(P) V* + I - V V*``, so the residual is the one above up to
+    ``||I - V V*||_F``, about 1e-15 for a polar factor.  Q stays a raw
+    matrix: a V unitary only to within the acceptance tolerance maps P to
+    no exact projection, and the residual is the test it must pass.  It
+    also stands in for the output's d^3 validation (``_checked_residuals``);
+    a stack it does not vouch for is validated whole, naming a failing
+    sample by its index in the run.
     Fewer than one sample raises ``ValueError``: it would certify nothing.
     """
     v, worst = as_complex(v), 0.0
     for first, b, _, _, mapped in _sampled(phi, num_samples, seed, tol):
         w = v @ (b.conj() if antiunitary else b)
-        residuals = _checked_residuals(phi, mapped, first, w, complement, tol)
+        flipped = b.shape[-1] != phi.rank
+        residuals = _checked_residuals(phi, mapped, first, w, complement != flipped, tol)
         worst = np.maximum(worst, np.max(residuals))  # a NaN residual stays NaN
     return float(worst)
 
 
 def _checked_residuals(phi: RankNMap, mapped, first: int, w, complement: bool, tol: ToleranceConfig) -> np.ndarray:
     """Frobenius residuals of a stack ``mapped`` of ``phi``'s outputs M against
-    ``Q = W W*`` (or ``I - W W*`` with ``complement``), after
-    ``phi._validated(mapped, first)`` unless the residuals r vouch
+    ``Q = W W*`` (or ``I - W W*`` with ``complement``) for d x k frames W,
+    after ``phi._validated(mapped, first)`` unless the residuals r vouch
     for every M.  Let ``E = M - Q``, ``g = ||W* W - I||_F``.  ``W W*`` has
     eigenvalues in ``{0} u [1 - g, 1 + g]``, so ``||Q - I/2||_2 <= 1/2 + g``;
     ``Q^2 - Q = W (W* W - I) W*`` in both forms, and
     ``M^2 - M = Q^2 - Q + (Q - I/2) E + E (Q - I/2) + E^2``.  So
-    ``||M - M*||_F <= 2r``, ``||M^2 - M||_F <= (1 + g) g + (1 + 2g) r + r^2``
-    and, where Q has rank n, ``|tr M - n| <= sqrt(d) r + sqrt(n) g``: with
+    ``||M - M*||_F <= 2r`` and ``||M^2 - M||_F <= (1 + g) g + (1 + 2g) r + r^2``.
+    Q has rank ``k`` (``W W*``) or ``d - k`` (``I - W W*``), and
+    ``tr Q - rank = +-tr(W* W - I)`` in both forms, so where that rank is
+    the map's n, ``|tr M - n| <= sqrt(d) r + sqrt(k) g``: with
     ``r, g <= eq_tol / 4`` both defects are at most ``eq_tol (2 + eq_tol) / 4``
-    and, while ``(sqrt(d) + sqrt(n)) eq_tol <= 4 rank_tol`` (d < 1.6e7 by
+    and, while ``(sqrt(d) + sqrt(k)) eq_tol <= 4 rank_tol`` (d < 1.6e7 by
     default), M passes ``projection_rank`` with rank n; NaN fails ``<=``."""
-    (d, n), cover = w.shape[-2:], tol.eq_tol / 4
+    (d, k), cover = w.shape[-2:], tol.eq_tol / 4
     predicted = w @ _adjoint(w)
     residuals = frobenius_stack(mapped - (np.eye(d) - predicted if complement else predicted))
-    vouches = (not complement or d == 2 * n) and (np.sqrt(d) + np.sqrt(n)) * cover <= tol.rank_tol
-    if not (vouches and np.all(residuals <= cover) and np.all(frobenius_stack(_adjoint(w) @ w - np.eye(n)) <= cover)):
+    vouches = (d - k if complement else k) == phi.rank and (np.sqrt(d) + np.sqrt(k)) * cover <= tol.rank_tol
+    if not (vouches and np.all(residuals <= cover) and np.all(frobenius_stack(_adjoint(w) @ w - np.eye(k)) <= cover)):
         phi._validated(mapped, first)
     return residuals
 
@@ -401,10 +419,41 @@ def _polish(images: np.ndarray, v: np.ndarray, frames: np.ndarray, stop: float) 
     return v
 
 
+def _fitted(psi: RankNMap, tol: ToleranceConfig, accept_tol: float):
+    """Block query plan -> Bargmann reading -> fit, gate, polish, for a map
+    ``psi`` of rank ``k <= d/2``: ``(complement, antiunitary, v, residual,
+    reference)``.  ``v`` is the polished, phase-fixed fit, or ``None`` when
+    its ``residual`` on its own queries exceeds ``FIT_GATE`` accept_tol;
+    ``reference`` holds the reference frames and a copy of their outputs
+    for ``_reference_report``, so the reading's whole stacks are released
+    before verification."""
+    d, k = psi.ambient_dim, psi.rank
+    m = -(-d // k)
+    plan, omega = (_plan if d <= _PLAN_CACHE_DIM else _plan.__wrapped__)(d, k, psi.field, tol)
+    inputs = plan @ _adjoint(plan)
+    mapped = psi._outputs(_wrap_stack(inputs, [k] * len(inputs)))
+    if not abs(np.vdot(mapped, mapped)) <= len(mapped) * d:  # NaN, inf or too large to fit:
+        psi._validated(mapped)  # raises, as ||P||_F^2 = k <= d/2; else the fit vouches
+    real = psi.field == REAL and is_exactly_real(mapped)
+    outputs, frames = (mapped.real, plan.real) if real else (mapped, plan)
+    complement, antiunitary = _reading(outputs[m - 1 : m + 2], frames[m - 1 : m + 2], psi.field)
+    images = np.eye(d) - outputs if complement else outputs
+    frames = frames.conj() if antiunitary else frames
+    v = _fit(images, frames, omega, k)
+    w = v @ frames  # the fit's own predictions, V b b* V* = w w*
+    residual = float(np.max(_checked_residuals(psi, mapped, 0, w, complement, tol)))
+    reference = plan[m - 1 :], np.array(mapped[m - 1 :])
+    if not residual <= FIT_GATE * accept_tol:
+        return complement, antiunitary, None, residual, reference
+    if residual > _POLISH_STOP * accept_tol:
+        v = _polish(images, v, frames, _POLISH_STOP * accept_tol)
+    return complement, antiunitary, canonicalize_global_phase(as_complex(v)), residual, reference
+
+
 def _classify(
     phi: RankNMap, cfg: ReconstructionConfig, tol: ToleranceConfig, accept_tol: float
 ) -> tuple[ReconstructionResult, ScreenReport | None]:
-    """Block query plan -> Bargmann reading -> fit, gate, polish -> verification.
+    """``_fitted`` -> verification.
 
     The map is read at rank ``k = min(n, d - n)``, through ``dualize`` when
     n > d/2 (a conjugation inducing the dual induces the map), from one
@@ -415,38 +464,20 @@ def _classify(
     """
     d, n = phi.ambient_dim, phi.rank
     psi = dualize(phi, tol) if 2 * n > d else phi
-    k = psi.rank
-    frames, omega = (_plan if d <= _PLAN_CACHE_DIM else _plan.__wrapped__)(d, k, phi.field, tol)
-    inputs = frames @ _adjoint(frames)
-    mapped = psi._outputs(_wrap_stack(inputs, [k] * len(inputs)))
-    if not abs(np.vdot(mapped, mapped)) <= len(mapped) * d:  # NaN, inf or too large to fit:
-        psi._validated(mapped)  # raises, as ||P||_F^2 = k <= d/2; else the fit vouches
-    real = phi.field == REAL and is_exactly_real(mapped)
-    outputs, frames = (mapped.real, frames.real) if real else (mapped, frames)
-    m = -(-d // k)
-    complement, antiunitary = _reading(outputs[m - 1 : m + 2], frames[m - 1 : m + 2], phi.field)
-    images = np.eye(d) - outputs if complement else outputs
-    frames = frames.conj() if antiunitary else frames
-    v = _fit(images, frames, omega, k)
+    complement, antiunitary, v, residual, reference = _fitted(psi, tol, accept_tol)
     if complement:
         variant, label, seed = VARIANT_EXCEPTIONAL, "complement-composed", cfg.seed + 2
     else:
         variant, label, seed = VARIANT_CONJUGATION, "conjugation", cfg.seed + 1
     label = f"{'antiunitary' if antiunitary else 'linear'} {label} reading"
-    w = v @ frames  # the fit's own predictions, V b b* V* = w w*
-    residual = float(np.max(_checked_residuals(psi, mapped, 0, w, complement, tol)))
-    if not residual <= FIT_GATE * accept_tol:
+    if v is None:
         notes = f"{label} fits its own queries only to {residual:.3e} > {FIT_GATE:g} x accept_tol"
     else:
-        if residual > _POLISH_STOP * accept_tol:
-            v = _polish(images, v, frames, _POLISH_STOP * accept_tol)
-        v = canonicalize_global_phase(as_complex(v))
         residual = verify_conjugation(phi, v, antiunitary, _VERIFY_SAMPLES, seed, tol, complement=complement)
         if residual <= accept_tol:
             return ReconstructionResult(variant, v=v, antiunitary=antiunitary, residual=residual), None
         notes = f"{label} fails verification (residual {residual:.3e} > {accept_tol:.1e})"
-    report = _reference_report(inputs[m - 1 :], mapped[m - 1 :], n, psi is not phi)
-    return ReconstructionResult(VARIANT_UNCLASSIFIED, notes=notes), report
+    return ReconstructionResult(VARIANT_UNCLASSIFIED, notes=notes), _reference_report(*reference, n, psi is not phi)
 
 
 def reconstruct(
@@ -515,11 +546,12 @@ def reconstruct_via_dual(
 
     A conjugation inducing the dual induces the original map, in the same
     family, and the dual's verification settles both: it queries phi on
-    ``I - P`` for Haar samples P of rank d - n, so on Haar samples of rank
-    n, validating phi's outputs under the same rules, and its residual is
-    the direct one, since ``||(I - M) - (I - Q)|| = ||M - Q||`` (up to the
-    polar factor's ``||I - V V*||``).  So a result is returned as the dual
-    gives it, a witness of the dual at rank d - n.
+    ``I - P`` for Haar samples P of rank d - n, ``b b*`` or ``I - b b*``
+    from d x k frames (``_sampled``), so on Haar samples of rank n,
+    validating phi's outputs under the same rules, at d^2 k per sample, and
+    its residual is the direct one, since ``||(I - M) - (I - Q)|| =
+    ||M - Q||`` (up to the polar factor's ``||I - V V*||``).  So a result
+    is returned as the dual gives it, a witness of the dual at rank d - n.
     """
     inner = reconstruct(dualize(phi, tol), cfg, tol)
     if inner.variant == VARIANT_NOT_PRESERVING:

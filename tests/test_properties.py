@@ -291,13 +291,17 @@ def test_a_residual_within_a_quarter_eq_tol_vouches_for_a_projection_of_rank_n(
     quarter = DEFAULT_TOL.eq_tol / 4
     u = haar_random_unitary(d, seed % 997, field)
 
+    k = min(n, d - n)  # the width of verification's frames b
+
     def run(r_scale, g_scale):
-        # V = sqrt(1 + t) U: W* W - I = t I_n, so g = t sqrt(n)
-        v = np.sqrt(1.0 + g_scale * quarter / np.sqrt(n)) * u
+        # V = sqrt(1 + t) U: W* W - I = t I_k, so g = t sqrt(k)
+        v = np.sqrt(1.0 + g_scale * quarter / np.sqrt(k)) * u
         outputs = []
 
         def fn(p):
             q = v @ (p.matrix.conj() if anti else p.matrix) @ v.conj().T
+            if k < n:  # P = I - b b*, predicted as I - W W* = V tau(P) V* + I - V V*
+                q = q + np.eye(d) - v @ v.conj().T
             q = np.eye(d) - q if complement else q
             x = {
                 "random": rng.standard_normal((d, d)) + (1j * rng.standard_normal((d, d)) if field == "complex" else 0),

@@ -31,6 +31,7 @@ from grasswig import (
 )
 from grasswig.linalg import REAL, frobenius, haar_frames_from_rng
 from grasswig.maps import MapSpec, instantiate
+from grasswig.projections import projection_rank
 import grasswig.reconstruction as reconstruction
 from grasswig.reconstruction import _ACCEPT_FACTOR, FIT_GATE, _fit, _plan, _query_frames, _ranges, _reading, _trace3, _worst_pair
 from grasswig.tolerances import DEFAULT_TOL, ToleranceConfig
@@ -431,13 +432,23 @@ def test_complement_branch_reuses_the_dyad_images():
     assert len(composed_calls) <= len(plain_calls)
 
 
+def reference_sample(rng, d, n, field):
+    """One sample drawn as the sampled stages draw it, with its frame b: a
+    Haar d x k frame at k = min(n, d - n), and ``b b*`` or, when k < n, its
+    complement ``I - b b*``, of rank n either way."""
+    k = min(n, d - n)
+    b = haar_frames_from_rng(rng, 1, d, k, field)
+    p = (b @ b.conj().swapaxes(-1, -2))[0]
+    return b[0], Projection(np.eye(d) - p if k < n else p, rank=n)
+
+
 def reference_screen(phi, num_samples, seed):
     """Per-pair screen: the loop the stacked screen must reproduce exactly."""
     rng = np.random.default_rng(seed)
     worst, wp, wq = 0.0, None, None
     for _ in range(num_samples):
-        p = sample_projection(rng, phi.ambient_dim, phi.rank, phi.field)
-        q = sample_projection(rng, phi.ambient_dim, phi.rank, phi.field)
+        p = reference_sample(rng, phi.ambient_dim, phi.rank, phi.field)[1]
+        q = reference_sample(rng, phi.ambient_dim, phi.rank, phi.field)[1]
         fp, fq = phi.evaluate(p), phi.evaluate(q)
         before = np.linalg.eigvalsh(q.matrix @ p.matrix @ q.matrix)
         after = np.linalg.eigvalsh(fq.matrix @ fp.matrix @ fq.matrix)
@@ -449,30 +460,33 @@ def reference_screen(phi, num_samples, seed):
 
 
 def reference_verify(phi, v, antiunitary, num_samples, seed, complement=False, frames=True):
-    """Per-sample verification residual: each sample ``P = b b*`` predicted
-    from its frame as ``W W*`` with ``W = V tau(b)`` or, without ``frames``,
-    as ``V tau(P) V*``."""
+    """Per-sample verification residual: each sample P (``reference_sample``)
+    predicted from its frame as ``W W*`` with ``W = V tau(b)``, or as
+    ``I - W W*`` when P = I - b b*, or, without ``frames``, as
+    ``V tau(P) V*``; each prediction complemented with ``complement``."""
     rng = np.random.default_rng(seed)
     d, n = phi.ambient_dim, phi.rank
     eye = np.eye(d)
     worst = 0.0
     for _ in range(num_samples):
-        b = haar_frames_from_rng(rng, 1, d, n, phi.field)
-        p = Projection((b @ b.conj().swapaxes(-1, -2))[0], rank=n)
+        b, p = reference_sample(rng, d, n, phi.field)
         if frames:
-            w = v @ (b[0].conj() if antiunitary else b[0])
+            w = v @ (b.conj() if antiunitary else b)
             predicted = w @ w.conj().T
+            if complement != (b.shape[1] < n):
+                predicted = eye - predicted
         else:
             predicted = v @ (p.matrix.conj() if antiunitary else p.matrix) @ v.conj().T
-        if complement:
-            predicted = eye - predicted
+            if complement:
+                predicted = eye - predicted
         worst = max(worst, frobenius(phi.evaluate(p).matrix - predicted))
     return worst
 
 
 def test_stacked_screen_matches_the_per_pair_loop():
     # d = 40 puts 5 pairs in a stack, so 7 and 20 pairs span several stacks;
-    # the identity ties every pair at 0, which pins the last-pair rule
+    # the identity ties every pair at 0, which pins the last-pair rule; at
+    # (5, 3) the samples are complements of d x 2 frames
     for d, n, spec, pairs in (
         (6, 2, "noisy", 20),
         (5, 3, "conjugation", 20),
@@ -495,7 +509,7 @@ def test_stacked_screen_matches_the_per_pair_loop():
 
 def test_stacked_verify_matches_the_per_sample_loop():
     cases = []
-    for d, n, anti in ((7, 3, False), (7, 3, True), (40, 8, True)):
+    for d, n, anti in ((7, 3, False), (7, 3, True), (40, 8, True), (7, 5, False), (7, 5, True)):
         phi, v = conjugation(d, n, seed=d, antiunitary=anti)
         cases.append((phi, v, anti, False))
         cases.append((phi, haar_random_unitary(d, 1), anti, False))  # a wrong candidate
@@ -508,10 +522,62 @@ def test_stacked_verify_matches_the_per_sample_loop():
             looped = reference_verify(phi, v, anti, samples, seed=4, complement=compl)
             assert abs(stacked - looped) <= 1e-15 * max(1.0, looped)
             # V tau(P) V* rounds differently from W W*: the residuals agree to
-            # d eps (measured: at most 6.3 eps, on the exact candidate at d = 40)
+            # d eps (measured: at most 6.3 eps, on the exact candidate at d = 40,
+            # and 5.0 eps at (7, 5), where I - W W* also carries ||I - V V*||)
             conjugated = reference_verify(phi, v, anti, samples, seed=4, complement=compl, frames=False)
             eps = np.finfo(float).eps
             assert abs(looped - conjugated) <= phi.ambient_dim * eps * max(1.0, looped)
+
+
+def spied_frames(monkeypatch):
+    """Each ``(d, k)`` and stack of frames the reconstruction draws with
+    ``_checked_frames``."""
+    drawn, checked_frames = [], reconstruction._checked_frames
+
+    def spy(rng, count, d, k, field, tol):
+        drawn.append(((d, k), checked_frames(rng, count, d, k, field, tol)))
+        return drawn[-1][1]
+
+    monkeypatch.setattr(reconstruction, "_checked_frames", spy)
+    return drawn
+
+
+@pytest.mark.parametrize("d, n", [(7, 5), (40, 30), (7, 3), (8, 4)])
+def test_samples_above_half_rank_complement_frames_of_rank_d_minus_n(monkeypatch, d, n):
+    # both sampled stages draw d x k frames, k = min(n, d - n), and send the
+    # oracle I - b b* when k < n (b b* otherwise), bit for bit: projections
+    # of rank n.  At d = 40 a stack holds 10 samples, so both stages span two
+    drawn = spied_frames(monkeypatch)
+    phi, v = conjugation(d, n, seed=d + n, antiunitary=True)
+    sent = []
+    counted = RankNMap(d, n, lambda p: sent.append(p) or phi.evaluate(p))
+    assert verify_conjugation(counted, v, True, 13, seed=3) <= 1e-12
+    assert screen_preservation(counted, 7, seed=4).max_discrepancy <= 1e-12
+    k = d - n if 2 * n > d else n
+    assert {shape for shape, _ in drawn} == {(d, k)}
+    frames = np.concatenate([b for _, b in drawn])
+    assert len(frames) == len(sent) == 13 + 14
+    products = frames @ frames.conj().swapaxes(-1, -2)
+    expected = np.eye(d) - products if k < n else products
+    for p, m in zip(sent, expected):
+        assert p.rank == n and np.array_equal(p.matrix, m)
+        assert projection_rank(p.matrix) == n
+
+
+@pytest.mark.parametrize("d, n, anti, field", [(8, 3, False, "complex"), (7, 2, True, "complex"), (9, 4, False, REAL)])
+def test_the_dual_route_verifies_through_flipped_frames_of_the_dual(monkeypatch, d, n, anti, field):
+    # psi = dualize(phi) has rank d - n > d/2, so its verification samples are
+    # I - b b* with d x n frames; the dual route still recovers the planted V,
+    # with the direct route's residual up to roundoff
+    drawn = spied_frames(monkeypatch)
+    phi, v = conjugation(d, n, seed=70 + d, antiunitary=anti, field=field)
+    via = reconstruct_via_dual(phi)
+    assert via.variant == VARIANT_CONJUGATION and via.antiunitary is anti
+    assert planted_deviation(via.v, v) <= 1e-7
+    assert {shape for shape, _ in drawn} == {(d, n)}
+    assert sum(len(b) for _, b in drawn) >= 50  # the verification frames among them
+    direct = reconstruct(phi)
+    assert abs(via.residual - direct.residual) <= 1e-12
 
 
 def test_sampled_stages_call_the_oracle_once_per_sample():
