@@ -82,12 +82,11 @@ def parse_map_spec(obj, base_dir: str = ".") -> MapSpec:
         sigma = obj.get("sigma", 0.0)
         if isinstance(sigma, bool) or not isinstance(sigma, (int, float)):
             raise MatrixFormatError(f"sigma must be a number, got {sigma!r}")
-        return MapSpec(
-            "noisy",
-            base=parse_map_spec(obj["base"], base_dir),
-            sigma=float(sigma),
-            seed=obj.get("seed", 0),
-        )
+        try:
+            sigma = float(sigma)
+        except OverflowError:  # a JSON integer beyond the float range
+            raise MatrixFormatError("sigma must be a finite number >= 0, got an integer too large for a float") from None
+        return MapSpec("noisy", base=parse_map_spec(obj["base"], base_dir), sigma=sigma, seed=obj.get("seed", 0))
     if kind == "compose":
         raw_parts = obj.get("maps")
         if not isinstance(raw_parts, list) or not raw_parts:

@@ -73,7 +73,10 @@ def matrix_from_obj(obj: Any) -> tuple[np.ndarray, str]:
             or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in entry)
         ):
             raise MatrixFormatError(f"data[{i}] must be a [re, im] pair of numbers")
-        re, im = float(entry[0]), float(entry[1])
+        try:
+            re, im = float(entry[0]), float(entry[1])
+        except OverflowError:  # a JSON integer beyond the float range
+            raise MatrixFormatError(f"data[{i}] is too large for a float") from None
         if not (np.isfinite(re) and np.isfinite(im)):
             raise MatrixFormatError(f"data[{i}] is not finite")
         if field == REAL and im != 0.0:

@@ -3,9 +3,9 @@
 Given an oracle sending rank-n projections to rank-n projections, the
 pipeline (1) reads the map at rank ``k = min(n, d - n)``, through
 ``dualize`` when n > d/2, from one ``evaluate_many`` stack of
-``ceil(d/k) + 3`` queries: the coordinate projections of every k-block
-but the last, whose range is the complement of the others, and four fixed
-seeded reference frames (five at d = 2k, k > 1), (2) picks the reading,
+``ceil(d/k) + 2`` queries: the coordinate projections of every k-block
+but the last, whose range is the complement of the others, and three fixed
+seeded reference frames (four at d = 2k, k > 1), (2) picks the reading,
 linear or antiunitary and, at d = 2k, plain or complement-composed, by
 comparing Bargmann's invariant ``tr phi(A) phi(B) phi(C)`` of three
 reference images with what each reading predicts, (3) fits
@@ -13,9 +13,10 @@ reference images with what each reading predicts, (3) fits
 queries and polishes it by least squares unless it fits them to roundoff,
 (4) verifies the candidate on fresh samples, ``b b*`` or ``I - b b*``
 for Haar d x k frames b, each predicted from its frame at d^2 k, and (5)
-only when no candidate passes, explains the failure by its worst pair of
-reference queries or, failing that, by random pairs; (4) and (5) share
-one sampled loop.
+only when no candidate passes, explains the failure by the worst of at
+most 20 pairs of its reading queries, reference-reference and
+block-reference, or, failing that, by random pairs; (4) and (5) share one
+sampled loop.
 The frames of (1) and the range finder of (3) depend on (d, k, field,
 tol) only, so up to d = 16 they are drawn once per key and kept read-only
 (``_plan``, 64 entries); the query stack is rebuilt on every call, and no
@@ -24,8 +25,8 @@ In (3) and (4) a residual within ``eq_tol / 4`` stands in for validating
 the output.  Verification is the sole authority for acceptance: a map
 that matches ``V tau(P) V*``, or its complement, on fresh samples
 preserves angles.  An accepted map costs
-``ceil(d/k) - 1 + 4 (+1 at d = 2n, n > 1)`` reading calls plus the
-verification samples: ``7 + 4 + 50 = 61`` at d = 64, n = 8.
+``ceil(d/k) - 1 + 3 (+1 at d = 2n, n > 1)`` reading calls plus the
+verification samples: ``7 + 3 + 50 = 60`` at d = 64, n = 8.
 
 Anything that passes screening but fits neither family is reported as
 ``preserving_unclassified`` rather than guessed at: at d = 2n with n > 1 a
@@ -68,14 +69,15 @@ _POLISH_STEPS = 64
 _READING_SEED = 2000
 
 # Reading plans are cached up to this dimension, so the cache holds at most
-# 64 x 52 x 16^2 bytes = 852 KB; a larger plan is drawn on every call, where
-# the draw is at most about 3 % of the call (1-2 % at d = 64).
+# 64 x 44 x 16^2 bytes = 721 KB (_plan); a larger plan is drawn on every
+# call, where the draw is at most about 3 % of the call (1-2 % at d = 64).
 _PLAN_CACHE_DIM = 16
 
 # Screening and verification draw, evaluate and compare their samples in
 # stacks of at most this many bytes of d x d matrices (256 matrices at
-# d = 8, 4 at d = 64): larger stacks save no time at large d but raise the
-# peak memory.
+# d = 8, 4 at d = 64, 1 from d = 91): larger stacks save no time at large d
+# but raise the peak memory; a floor of 4 samples a stack made verification
+# 1.2-1.35x slower at d = 104..128 (2-core x86, OpenBLAS).
 _BLOCK_BYTES = 256 * 1024
 
 # Random pairs a rejected map is screened on, fresh samples a candidate is
@@ -142,8 +144,9 @@ class ReconstructionResult:
 class ScreenReport:
     """Worst angle/trace-form discrepancy over the scored pairs, with the
     pair attaining it and the map's images of that pair.  For a map it
-    could not classify, ``reconstruct`` scores the reading's reference
-    pairs, and screens fresh ones only if none of them clears accept_tol."""
+    could not classify, ``reconstruct`` scores pairs of the reading's
+    queries (``_report_pairs``), and screens fresh ones only if none of
+    them clears accept_tol."""
 
     max_discrepancy: float
     witness_p: Projection | None
@@ -209,18 +212,40 @@ def screen_preservation(phi: RankNMap, num_samples: int, seed: int, tol: Toleran
     return ScreenReport(worst, *witness)
 
 
-def _reference_report(frames: np.ndarray, mapped: np.ndarray, rank: int, dual: bool) -> ScreenReport:
-    """``_worst_pair`` over every pair of the reading's reference queries
-    ``b b*``, rebuilt bit for bit from their frames b, and their outputs
-    ``mapped``, which the reading validated or its fit vouched for, so the
-    witness is wrapped unchecked.  A dual reading's witness is the rank-n
-    pair ``I - A``, ``I - B``, mapped to ``I - psi(A)``, ``I - psi(B)``."""
+@functools.lru_cache(maxsize=256)
+def _report_pairs(m: int, refs: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs of the reading's queries (the ``m - 1`` blocks, then
+    ``refs`` references) that ``_reference_report`` scores: every pair of
+    references, then each block with every reference, block by block, at
+    most ``_SCREEN_PAIRS`` in all.  Two blocks are orthogonal, so their
+    pair is left out.  Returns ``(used, pairs)``, read-only and built once
+    per key: the sorted indices of the queries the pairs use, and the
+    pairs as a ``(2, pairs)`` index array into ``used``."""
+    references, (first, second) = np.arange(m - 1, m - 1 + refs), np.triu_indices(refs, 1)
+    first = np.concatenate([references[first], np.repeat(np.arange(m - 1), refs)])
+    second = np.concatenate([references[second], np.tile(references, m - 1)])
+    pairs = np.stack([first, second])[:, :_SCREEN_PAIRS]
+    used, inverse = np.unique(pairs, return_inverse=True)
+    inverse = inverse.reshape(pairs.shape)
+    used.setflags(write=False)
+    inverse.setflags(write=False)
+    return used, inverse
+
+
+def _reference_report(frames: np.ndarray, mapped: np.ndarray, pairs: np.ndarray, rank: int, dual: bool) -> ScreenReport:
+    """``_worst_pair`` over ``pairs``, a ``(2, pairs)`` index array into
+    some of the reading's queries ``b b*`` (``_report_pairs``), rebuilt bit
+    for bit from their frames b, and their outputs ``mapped``, which the
+    reading validated or its fit vouched for, so the witness is wrapped
+    unchecked.  A dual reading's witness is the rank-n pair ``I - A``,
+    ``I - B``, mapped to ``I - psi(A)``, ``I - psi(B)``."""
     inputs = frames @ _adjoint(frames)
     if dual:
         inputs, mapped = np.eye(inputs.shape[-1]) - inputs, np.eye(inputs.shape[-1]) - mapped
-    a, b = np.triu_indices(len(inputs), 1)
-    i, worst = _worst_pair(inputs[a], inputs[b], mapped[a], mapped[b])
-    return ScreenReport(worst, *_wrap_stack(np.stack([inputs[a[i]], inputs[b[i]], mapped[a[i]], mapped[b[i]]]), [rank] * 4))
+    first, second = pairs
+    i, worst = _worst_pair(inputs[first], inputs[second], mapped[first], mapped[second])
+    witness = np.stack([inputs[first[i]], inputs[second[i]], mapped[first[i]], mapped[second[i]]])
+    return ScreenReport(worst, *_wrap_stack(witness, [rank] * 4))
 
 
 def apply_conjugation(v, antiunitary: bool, p: Projection, tol: ToleranceConfig = DEFAULT_TOL) -> Projection:
@@ -301,14 +326,16 @@ def _query_frames(rng: np.random.Generator, d: int, k: int, field: str, tol: Tol
     """The reading's query plan, as a ``(q, d, k)`` stack of frames ``b``
     whose projections ``b b*`` are the queries: the coordinate frames of
     the k-blocks ``[jk, jk + k)`` of all ``ceil(d/k)`` blocks but the last,
-    whose range is the complement of the others, then four Haar reference
-    frames drawn from ``rng``, five at d = 2k with k > 1, where the
-    complement family is read as well."""
+    whose range is the complement of the others, then three Haar reference
+    frames drawn from ``rng``, four at d = 2k with k > 1, where the
+    complement family is read as well.  Three references are what the
+    reading needs (Bargmann's invariant of their images, ``_reading``) and
+    what the fit's phase synchronisation needs (``_fit``)."""
     m = -(-d // k)
     i = np.arange((m - 1) * k)
     blocks = np.zeros((m - 1, d, k), dtype=np.complex128)
     blocks[i // k, i, i % k] = 1.0
-    return np.concatenate([blocks, _checked_frames(rng, 5 if d == 2 * k > 2 else 4, d, k, field, tol)])
+    return np.concatenate([blocks, _checked_frames(rng, 4 if d == 2 * k > 2 else 3, d, k, field, tol)])
 
 
 @functools.lru_cache(maxsize=64)
@@ -316,8 +343,9 @@ def _plan(d: int, k: int, field: str, tol: ToleranceConfig) -> tuple[np.ndarray,
     """The reading's ``_query_frames`` and its d x k range-finder matrix
     ``omega``, drawn in that order from ``default_rng(_READING_SEED)`` and
     made read-only.  They depend on nothing but the key, so each key up to
-    ``_PLAN_CACHE_DIM`` is drawn once; an entry holds at most ``52 d^2``
-    bytes (at most ``3d`` frame columns of complex d-vectors, and omega)."""
+    ``_PLAN_CACHE_DIM`` is drawn once; an entry holds at most ``44 d^2``
+    bytes (at most ``5d/2`` frame columns of complex d-vectors, ``5k`` at
+    d = 2k, and the real omega, at most ``d^2 / 2`` entries)."""
     rng = np.random.default_rng(_READING_SEED)
     frames = _query_frames(rng, d, k, field, tol)
     omega = rng.standard_normal((d, k))
@@ -424,7 +452,8 @@ def _fitted(psi: RankNMap, tol: ToleranceConfig, accept_tol: float):
     ``psi`` of rank ``k <= d/2``: ``(complement, antiunitary, v, residual,
     reference)``.  ``v`` is the polished, phase-fixed fit, or ``None`` when
     its ``residual`` on its own queries exceeds ``FIT_GATE`` accept_tol;
-    ``reference`` holds the reference frames and a copy of their outputs
+    ``reference`` holds the frames and a copy of the outputs of the queries
+    that ``_report_pairs`` scores, and those pairs as indices into them,
     for ``_reference_report``, so the reading's whole stacks are released
     before verification."""
     d, k = psi.ambient_dim, psi.rank
@@ -442,7 +471,8 @@ def _fitted(psi: RankNMap, tol: ToleranceConfig, accept_tol: float):
     v = _fit(images, frames, omega, k)
     w = v @ frames  # the fit's own predictions, V b b* V* = w w*
     residual = float(np.max(_checked_residuals(psi, mapped, 0, w, complement, tol)))
-    reference = plan[m - 1 :], np.array(mapped[m - 1 :])
+    used, pairs = _report_pairs(m, len(plan) - m + 1)
+    reference = plan[used], mapped[used], pairs  # copies: the reading's stacks are released
     if not residual <= FIT_GATE * accept_tol:
         return complement, antiunitary, None, residual, reference
     if residual > _POLISH_STOP * accept_tol:
@@ -490,10 +520,11 @@ def reconstruct(
     Classification and verification (on 50 fresh samples) run first, and
     an accepted result is returned as it comes, without screening.
     Otherwise a discrepancy above ``accept_tol = 10 spec_tol`` returns
-    ``not_angle_preserving`` with the witness of the reading's reference
-    pairs (set by the reading's seed, not ``cfg.seed``) or, if none of
-    them clears it, of 20 pairs screened from ``cfg.seed``; else the
-    classification's ``preserving_unclassified`` result stands.
+    ``not_angle_preserving`` with the witness of at most 20 pairs of the
+    reading's queries (``_report_pairs``, set by the reading's seed, not
+    ``cfg.seed``) or, if none of them clears it, of 20 pairs screened from
+    ``cfg.seed``; else the classification's ``preserving_unclassified``
+    result stands.
     """
     cfg = cfg or ReconstructionConfig()
     d, n = phi.ambient_dim, phi.rank

@@ -90,6 +90,26 @@ def test_angles_malformed_file(tmp_path, capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("part", [0, 1])
+def test_angles_refuses_an_integer_entry_too_large_for_a_float(tmp_path, capsys, part):
+    # Python's JSON reader keeps a 400-digit integer exact; float() of it
+    # overflows, which is an input error (exit 2), not a negative finding
+    p = write_projection(tmp_path, "p.json", 2, 1, seed=1)
+    obj = json.loads(p.read_text())
+    obj["data"][1][part] = 10**400
+    p.write_text(json.dumps(obj))
+    code, out, err = run_cli(capsys, "angles", "--p", p, "--q", p)
+    assert code == 2 and out == ""
+    assert "data[1] is too large for a float" in err and "Traceback" not in err
+
+
+def test_check_refuses_an_integer_sigma_too_large_for_a_float(tmp_path, capsys):
+    spec = write_spec(tmp_path, "spec.json", {"type": "noisy", "sigma": 10**400, "base": {"type": "identity"}})
+    code, out, err = run_cli(capsys, "check", "--map", spec, "--dim", 4, "--rank", 2, "--witness-dir", tmp_path / "w")
+    assert code == 2 and out == ""
+    assert "sigma" in err and "too large for a float" in err
+
+
 def test_check_conjugation_passes(tmp_path, capsys):
     v = tmp_path / "v.json"
     save_matrix(v, haar_random_unitary(4, 7))

@@ -1,6 +1,7 @@
 import hashlib
 import re
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -33,7 +34,9 @@ from grasswig.linalg import REAL, frobenius, haar_frames_from_rng
 from grasswig.maps import MapSpec, instantiate
 from grasswig.projections import projection_rank
 import grasswig.reconstruction as reconstruction
-from grasswig.reconstruction import _ACCEPT_FACTOR, FIT_GATE, _fit, _plan, _query_frames, _ranges, _reading, _trace3, _worst_pair
+from grasswig.reconstruction import (
+    _ACCEPT_FACTOR, FIT_GATE, _fit, _plan, _query_frames, _ranges, _reading, _report_pairs, _trace3, _worst_pair,
+)
 from grasswig.tolerances import DEFAULT_TOL, ToleranceConfig
 
 ACCEPT_TOL = _ACCEPT_FACTOR * DEFAULT_TOL.spec_tol
@@ -312,17 +315,17 @@ def counting(phi):
 
 
 def block_plan_calls(d, n):
-    """Oracle calls of the reading: ceil(d/k) - 1 block queries and four
-    reference queries (five at d = 2n, n > 1), at k = min(n, d - n)."""
+    """Oracle calls of the reading: ceil(d/k) - 1 block queries and three
+    reference queries (four at d = 2n, n > 1), at k = min(n, d - n)."""
     k = min(n, d - n)
-    return -(-d // k) - 1 + (5 if d == 2 * n > 2 else 4)
+    return -(-d // k) - 1 + (4 if d == 2 * n > 2 else 3)
 
 
 def test_oracle_budget_at_large_dimension():
     # 50 verification evaluations and the reading's block and reference
     # queries; an accepted map is not screened.
-    # n = 8: 7 + 4 + 50 = 61; n = 16: 3 + 4 + 50 = 57.
-    for n, anti, expected in ((8, False, 61), (16, True, 57)):
+    # n = 8: 7 + 3 + 50 = 60; n = 16: 3 + 3 + 50 = 56.
+    for n, anti, expected in ((8, False, 60), (16, True, 56)):
         planted, v = conjugation(64, n, seed=37 + n, antiunitary=anti)
         phi, calls = counting(planted)
         result = reconstruct(phi)
@@ -335,16 +338,16 @@ def test_oracle_budget_at_large_dimension():
 
 def test_padded_frames_send_each_distinct_input_once():
     # the block plan pads no frame and sends no input twice.
-    # (3, 1): blocks {e0}, {e1} and the complement {e2}, so 2 + 4 queries;
+    # (3, 1): blocks {e0}, {e1} and the complement {e2}, so 2 + 3 queries;
     # (5, 3) is read through the dual at k = 2: blocks {e0, e1}, {e2, e3} and
-    # the partial {e4}, 2 + 4; d = 2: block {e0}, 1 + 4.
+    # the partial {e4}, 2 + 3; d = 2: block {e0}, 1 + 3.
     for d, n, field, anti, reading in (
-        (3, 1, "complex", False, 6),
-        (3, 1, "real", False, 6),
-        (5, 3, "complex", True, 6),
-        (2, 1, "complex", True, 5),
-        (2, 1, "complex", False, 5),
-        (2, 1, "real", False, 5),
+        (3, 1, "complex", False, 5),
+        (3, 1, "real", False, 5),
+        (5, 3, "complex", True, 5),
+        (2, 1, "complex", True, 4),
+        (2, 1, "complex", False, 4),
+        (2, 1, "real", False, 4),
     ):
         planted, v = conjugation(d, n, seed=40 + d + n, antiunitary=anti, field=field)
         phi, calls = counting(planted)
@@ -354,30 +357,30 @@ def test_padded_frames_send_each_distinct_input_once():
         assert planted_deviation(result.v, v) <= 1e-10
         assert len(calls) == 50 + reading == 50 + block_plan_calls(d, n), (d, n, field, len(calls))
         assert len(set(calls)) == len(calls)
-    # a rejected map pays its 2 block and 4 reference queries and nothing
-    # more: a pair of reference queries explains the failure, with no
+    # a rejected map pays its 2 block and 3 reference queries and nothing
+    # more: a pair of reading queries explains the failure, with no
     # verification and no screen
     noisy = instantiate(MapSpec("noisy", base=MapSpec("identity"), sigma=1e-3, seed=46), 6, 2)
     phi, calls = counting(noisy)
     assert reconstruct(phi).variant == VARIANT_NOT_PRESERVING
-    assert len(calls) == 2 + 4, len(calls)
+    assert len(calls) == 2 + 3, len(calls)
     assert len(set(calls)) == len(calls)
 
 
 @pytest.mark.parametrize("sigma", [1e-5, 1e-3])
 def test_a_noisy_map_at_half_dimension_reaches_the_screen_after_its_reading(sigma):
-    # 1 block and 5 reference queries, then no verification and no screen:
-    # the witness is a pair of the reference queries, its images the
+    # 1 block and 4 reference queries, then no verification and no screen:
+    # the witness is a pair of the reading's queries, its images the
     # oracle's outputs for them, and it rescores to the discrepancy exactly
     v = haar_random_unitary(16, 47)
     spec = MapSpec("noisy", base=MapSpec("conjugation", matrix=v), sigma=sigma, seed=48)
     phi, calls = counting(instantiate(spec, 16, 8))
     result = reconstruct(phi, ReconstructionConfig(seed=49))
     assert result.variant == VARIANT_NOT_PRESERVING
-    assert len(calls) == 1 + 5 == block_plan_calls(16, 8), len(calls)
+    assert len(calls) == 1 + 4 == block_plan_calls(16, 8), len(calls)
     assert len(set(calls)) == len(calls)
     witness = rescored_witness(result)
-    assert (witness[0] + 0.0).tobytes() in calls[1:] and (witness[1] + 0.0).tobytes() in calls[1:]
+    assert (witness[0] + 0.0).tobytes() in calls and (witness[1] + 0.0).tobytes() in calls
     assert witness[0].tobytes() != witness[1].tobytes()
     fresh = instantiate(spec, 16, 8).evaluate_many([result.witness_p, result.witness_q])
     assert np.array_equal(fresh[0].matrix, witness[2]) and np.array_equal(fresh[1].matrix, witness[3])
@@ -408,11 +411,78 @@ def test_a_map_exact_on_its_reading_is_rejected_by_the_fallback_screen():
 
     result = reconstruct(RankNMap(d, n, fn), ReconstructionConfig(seed=51))
     assert result.variant == VARIANT_NOT_PRESERVING
-    assert len(calls) == block_plan_calls(d, n) + 50 + 40 == 96
+    assert len(calls) == block_plan_calls(d, n) + 50 + 40 == 95
     report = screen_preservation(noisy, 20, seed=51)
     assert result.discrepancy == report.max_discrepancy
     for name in ("witness_p", "witness_q", "witness_phi_p", "witness_phi_q"):
         assert np.array_equal(getattr(result, name).matrix, getattr(report, name).matrix)
+
+
+@pytest.mark.parametrize("d", range(2, 17))
+def test_each_route_reads_with_three_references_or_four_at_half_dimension(monkeypatch, d):
+    # every n and both fields: the reading sends ceil(d/k) - 1 blocks and
+    # three references (four at d = 2k > 2), all distinct, before the 50
+    # verification queries; the dual route reads the dual at the same k
+    before_verification = []
+    verify = reconstruction.verify_conjugation
+    monkeypatch.setattr(
+        reconstruction, "verify_conjugation", lambda phi, *a, **kw: before_verification.append(len(calls)) or verify(phi, *a, **kw)
+    )
+    for n in range(1, d):
+        reading = block_plan_calls(d, n)
+        for field in ("complex", REAL):
+            for route in (reconstruct, reconstruct_via_dual):
+                phi, calls = counting(conjugation(d, n, seed=d + 17 * n, field=field)[0])
+                before_verification.clear()
+                assert route(phi).variant == VARIANT_CONJUGATION
+                assert before_verification == [reading] and len(calls) == reading + 50, (d, n, field, route)
+                assert len(set(calls[:reading])) == reading
+
+
+def test_a_kicked_block_image_is_rejected_by_a_block_reference_pair():
+    # an exact map except that block query 0's image is turned by a unitary
+    # near I (a Cayley transform of size 1e-4 h): every reference pair is
+    # exact, but the fit fails its gate and the pairs of block 0 with the
+    # references carry the kick, so the reading alone rejects the map, with
+    # no verification and no screen; the witness is block 0 and a reference
+    d, n = 8, 2
+    planted, _ = conjugation(d, n, seed=70)
+    h = np.random.default_rng(71).standard_normal((d, d))
+    kick = np.linalg.solve(np.eye(d) - 5e-5j * (h + h.T), np.eye(d) + 5e-5j * (h + h.T))  # Cayley: unitary
+    block0 = np.diag([1.0, 1.0] + [0.0] * (d - 2))
+
+    def fn(p):
+        out = planted.evaluate(p).matrix
+        return kick @ out @ kick.conj().T if np.array_equal(p.matrix, block0) else out
+
+    phi, calls = counting(RankNMap(d, n, fn))
+    with mock.patch.object(reconstruction, "screen_preservation", wraps=screen_preservation) as screened:
+        result = reconstruct(phi)
+    assert result.variant == VARIANT_NOT_PRESERVING and not screened.called
+    assert len(calls) == block_plan_calls(d, n) == 3 + 3
+    p, q, phi_p, phi_q = rescored_witness(result)
+    assert np.array_equal(p, block0) and (q + 0.0).tobytes() in calls[3:]
+    assert np.array_equal(phi_p, fn(result.witness_p)) and np.array_equal(phi_q, fn(result.witness_q))
+
+
+def test_the_scored_reading_pairs_are_reference_pairs_then_block_reference_pairs():
+    # queries 0..m-2 are blocks, m-1 on references; never two blocks, never
+    # a pair twice, at most the 20 pairs of a fresh screen, and only the
+    # queries those pairs use are kept
+    def query_pairs(m, refs):
+        used, pairs = _report_pairs(m, refs)
+        assert not used.flags.writeable and not pairs.flags.writeable
+        assert np.array_equal(np.unique(pairs), np.arange(len(used)))
+        return used[pairs]
+
+    assert query_pairs(2, 3).tolist() == [[1, 1, 2, 0, 0, 0], [2, 3, 3, 1, 2, 3]]
+    assert query_pairs(3, 3).shape == (2, 3 + 6) and query_pairs(2, 4).shape == (2, 6 + 4)
+    for m, refs in ((8, 3), (64, 3), (3, 4)):
+        first, second = pairs = query_pairs(m, refs)
+        assert pairs.shape[1] == min(20, refs * (refs - 1) // 2 + (m - 1) * refs)
+        assert np.all(second >= m - 1) and np.all(first < second)
+        assert len(set(zip(first.tolist(), second.tolist()))) == pairs.shape[1]
+    assert _report_pairs(8, 3)[0].tolist() == [0, 1, 2, 3, 4, 5, 7, 8, 9]  # blocks 0-5 and the references
 
 
 def test_complement_branch_reuses_the_dyad_images():
@@ -726,7 +796,7 @@ def test_a_bad_output_at_reading_query_i_raises_as_when_the_stack_was_validated_
             warnings.simplefilter("error")
             with pytest.raises(error, match=message):
                 (reconstruct if route == "direct" else reconstruct_via_dual)(phi)
-        assert len(calls) == 7  # the whole reading stack: 3 block and 4 reference queries
+        assert len(calls) == 6  # the whole reading stack: 3 block and 3 reference queries
 
 
 def test_an_exact_fit_is_not_polished(monkeypatch):
@@ -926,7 +996,7 @@ def test_reconstruct_validates_only_the_oracle_outputs(monkeypatch):
     # samples and reading inputs are projections by construction: the only
     # matrices validated are oracle outputs, once each.  The reading and
     # verification let a residual within eq_tol / 4 vouch for an output, so
-    # an exact map has nothing validated (3 block + 4 reference queries at
+    # an exact map has nothing validated (3 block + 3 reference queries at
     # d = 32, n = 8, then 50 samples); a map whose residuals exceed it but
     # stay inside accept_tol has its reading stack and every verification
     # output validated, in stacks of 16
@@ -935,13 +1005,13 @@ def test_reconstruct_validates_only_the_oracle_outputs(monkeypatch):
     result = reconstruct(phi)
     assert result.variant == VARIANT_CONJUGATION
     assert planted_deviation(result.v, v) <= 1e-7
-    assert shapes == [] and len(calls) == 7 + 50
+    assert shapes == [] and len(calls) == 6 + 50
     shapes.clear()
     noisy = MapSpec("noisy", base=MapSpec("conjugation", matrix=v), sigma=3e-9, seed=5)
     result = reconstruct(instantiate(noisy, 32, 8))
     assert result.variant == VARIANT_CONJUGATION
     assert DEFAULT_TOL.eq_tol / 4 < result.residual <= 1e-7
-    assert [shape[0] for shape in shapes] == [7, 16, 16, 16, 2]
+    assert [shape[0] for shape in shapes] == [6, 16, 16, 16, 2]
 
 
 def test_dual_route_validates_no_complement(monkeypatch):
@@ -956,22 +1026,22 @@ def test_dual_route_validates_no_complement(monkeypatch):
     assert result.variant == VARIANT_CONJUGATION
     assert planted_deviation(result.v, v) <= 1e-7
     assert shapes == []
-    assert len(calls) == 7 + 50
+    assert len(calls) == 6 + 50
 
 
 @pytest.mark.parametrize("n", [5, 2])
 def test_a_rejected_reading_is_validated_once_and_its_witness_replays(monkeypatch, n):
     # (7, 5) is read through the dual at rank 2: its witness is the rank-5
-    # pair I - A, I - B of two reference queries, mapped to I - psi(A),
+    # pair I - A, I - B of two reading queries, mapped to I - psi(A),
     # I - psi(B), which match phi's outputs to roundoff; (7, 2) is read
     # directly, and its witness images are phi's outputs.  Either reading
-    # costs 3 block and 4 reference queries, validated as one stack
+    # costs 3 block and 3 reference queries, validated as one stack
     shapes = validated_shapes(monkeypatch)
     spec = MapSpec("noisy", base=MapSpec("conjugation", matrix=haar_random_unitary(7, 52)), sigma=1e-3, seed=53)
     raw, calls = instantiate(spec, 7, n)._fn, []
     result = reconstruct(RankNMap(7, n, lambda p: calls.append(1) or raw(p)))
     assert result.variant == VARIANT_NOT_PRESERVING
-    assert shapes == [(7, 7, 7)] and len(calls) == 7
+    assert shapes == [(6, 7, 7)] and len(calls) == 6
     p, q, phi_p, phi_q = rescored_witness(result)
     assert result.witness_p.rank == result.witness_phi_q.rank == n
     assert np.trace(p).real == pytest.approx(n) and np.trace(phi_q).real == pytest.approx(n)
@@ -1068,7 +1138,7 @@ def test_the_reading_plan_is_keyed_on_field_and_tolerance_and_read_only(fresh_pl
     assert real[0] is not frames and np.all(real[0].imag == 0.0) and np.any(frames.imag != 0.0)
     # the tolerance only checks the frames: a separate entry, the same draw
     assert loose_plan[0] is not frames and np.array_equal(loose_plan[0], frames)
-    assert frames.shape == (2 + 4, 6, 2) and omega.shape == (6, 2)
+    assert frames.shape == (2 + 3, 6, 2) and omega.shape == (6, 2)
     for a in (*real, *loose_plan, frames, omega):
         assert a.flags.writeable is False
         with pytest.raises(ValueError):
