@@ -29,7 +29,6 @@ from .errors import (
 )
 from .extension import (
     CombinationCertificate,
-    RankNMap,
     combination_coefficients,
     extend_orthonormal,
     extend_to_hermitian,
@@ -44,7 +43,7 @@ from .linalg import (
     random_subspace,
     singular_values,
 )
-from .maps import MapSpec, instantiate, load_map_spec, parse_map_spec
+from .maps import MapSpec, RankNMap, instantiate, load_map_spec, parse_map_spec
 from .matio import (
     canonical_key,
     load_matrix,
@@ -77,7 +76,6 @@ from .reconstruction import (
     VARIANT_NOT_PRESERVING,
     VARIANT_UNCLASSIFIED,
     align_phase,
-    apply_conjugation,
     canonicalize_global_phase,
     dualize,
     reconstruct,

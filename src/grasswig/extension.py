@@ -19,87 +19,14 @@ reconstruction reads ``V`` from fewer queries, without the extension.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .errors import BadRank, InternalInconsistency, NotAProjection, NotUnit, RankDeficient
-from .linalg import COMPLEX, as_complex, frobenius, frobenius_stack, hermitian_eig
-from .projections import Projection, _wrap_stack, projection_rank
+from .errors import BadRank, InternalInconsistency, NotUnit, RankDeficient
+from .linalg import as_complex, frobenius, frobenius_stack, hermitian_eig
+from .maps import RankNMap
+from .projections import Projection, _wrap_stack
 from .tolerances import DEFAULT_TOL, ToleranceConfig
-
-
-class RankNMap:
-    """Deterministic oracle sending rank-n projections to rank-n projections.
-
-    The oracle returns a matrix or a ``Projection``, either checked as its
-    matrix: ``evaluate_many`` makes one oracle call per input, stores nothing
-    and validates the outputs as one stack; ``evaluate`` is its one-input case.
-    """
-
-    def __init__(
-        self,
-        ambient_dim: int,
-        rank: int,
-        fn: Callable[[Projection], "np.ndarray | Projection"],
-        descriptor: str = "external",
-        field: str = COMPLEX,
-        tol: ToleranceConfig = DEFAULT_TOL,
-    ) -> None:
-        if not 1 <= rank <= ambient_dim:
-            raise BadRank(f"need 1 <= rank <= dim, got rank={rank}, dim={ambient_dim}")
-        self.ambient_dim = ambient_dim
-        self.rank = rank
-        self.field = field
-        self.descriptor = descriptor
-        self.tol = tol
-        self._fn = fn
-
-    def evaluate(self, p: Projection) -> Projection:
-        return self.evaluate_many([p])[0]
-
-    def evaluate_many(self, projections: list[Projection]) -> list[Projection]:
-        """Outputs for the inputs in order, one oracle call each.
-
-        The outputs are validated as one stack; an input of the wrong rank
-        or dimension raises ``BadRank``, an output that is not a projection
-        ``NotAProjection``, one of the wrong rank or dimension
-        ``InternalInconsistency``, each naming the index of its input.
-        """
-        d, n = self.ambient_dim, self.rank
-        projections = list(projections)
-        for i, p in enumerate(projections):
-            if (p.ambient_dim, p.rank) != (d, n):
-                raise BadRank(f"input {i} has rank {p.rank} in dim {p.ambient_dim}, map expects rank {n} in dim {d}")
-        return self._validated(self._outputs(projections))
-
-    def _outputs(self, projections: list[Projection], first: int = 0) -> np.ndarray:
-        """``evaluate_many`` unvalidated, for inputs of the map's rank and
-        dimension: the ``(k, d, d)`` stack of the outputs, each written into
-        it as it arrives, a ``Projection`` read as its matrix; errors name
-        ``first + i``."""
-        d = self.ambient_dim
-        stack = np.empty((len(projections), d, d), dtype=np.complex128)
-        for i, out in enumerate(map(self._fn, projections)):
-            m = out.matrix if isinstance(out, Projection) else as_complex(out)
-            if m.shape != (d, d):
-                error = NotAProjection if m.shape[0] != m.shape[1] else InternalInconsistency
-                raise error(f"map {self.descriptor!r} returned a {m.shape[0]}x{m.shape[1]} matrix for input {first + i}")
-            stack[i] = m
-        return stack
-
-    def _validated(self, stack: np.ndarray, first: int = 0) -> list[Projection]:
-        """An ``_outputs`` stack validated in one pass (``projection_rank``) and
-        wrapped as ``Projection``s over views of it, which is made read-only;
-        an output not of the map's rank raises.  Errors name output ``first + i``."""
-        ranks = projection_rank(stack, self.tol, first).tolist()
-        for i, rank in enumerate(ranks):
-            if rank != self.rank:
-                raise InternalInconsistency(f"map {self.descriptor!r} returned rank {rank} for input {first + i}")
-        return _wrap_stack(stack, ranks)
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"RankNMap(d={self.ambient_dim}, n={self.rank}, {self.descriptor})"
 
 
 @dataclass(frozen=True, eq=False)

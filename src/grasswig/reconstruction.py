@@ -1,11 +1,12 @@
 """Recover the isometry behind an angle-preserving projection map.
 
 Given an oracle sending rank-n projections to rank-n projections, the
-pipeline (1) reads the map at rank ``k = min(n, d - n)``, through
-``dualize`` when n > d/2, from one ``evaluate_many`` stack of
-``ceil(d/k) + 2`` queries: the coordinate projections of every k-block
-but the last, whose range is the complement of the others, and three fixed
-seeded reference frames (four at d = 2k, k > 1), (2) picks the reading,
+pipeline (1) reads the map at rank ``k = min(n, d - n)`` from one stack
+of ``ceil(d/k) + 2`` queries ``b b*`` for d x k frames b or, when
+n > d/2, ``I - b b*``, whose outputs it reads as ``I - phi(I - b b*)``:
+the coordinate frames of every k-block but the last, whose range is the
+complement of the others, and three fixed seeded reference frames (four at
+d = 2k, k > 1), (2) picks the reading,
 linear or antiunitary and, at d = 2k, plain or complement-composed, by
 comparing Bargmann's invariant ``tr phi(A) phi(B) phi(C)`` of three
 reference images with what each reading predicts, (3) fits
@@ -43,8 +44,8 @@ import numpy as np
 
 from .angles import qpq_spectrum
 from .errors import BadRank
-from .extension import RankNMap
 from .linalg import REAL, as_complex, frobenius, frobenius_stack, is_exactly_real
+from .maps import RankNMap
 from .projections import Projection, _checked_frames, _wrap_stack
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
@@ -161,9 +162,9 @@ def _sampled(phi: RankNMap, count: int, seed: int, tol: ToleranceConfig, group: 
     n = d), in stacks of at most ``_BLOCK_BYTES`` of d x d matrices (a
     multiple of ``group``), and yield ``(first, b, inputs, samples,
     mapped)``: the stack's first index in the run, then the stack
-    ``RankNMap._outputs`` of the rank-n samples, ``b b*`` or, when k < n,
-    ``I - b b*``.  The complement of a Haar (d - n)-subspace is a Haar
-    n-subspace, so both give one distribution, and each sample costs d^2 k.
+    ``RankNMap._outputs`` of the rank-n samples ``_queries(b, n)``.  The
+    complement of a Haar (d - n)-subspace is a Haar n-subspace, so both
+    forms give one distribution, and each sample costs d^2 k.
     Fewer than one sample raises ``ValueError``: an empty sample certifies
     nothing."""
     if count < 1:
@@ -173,11 +174,19 @@ def _sampled(phi: RankNMap, count: int, seed: int, tol: ToleranceConfig, group: 
     size = group * max(1, _BLOCK_BYTES // (16 * d * d) // group)
     for first in range(0, group * count, size):
         b = _checked_frames(rng, min(size, group * count - first), d, k, phi.field, tol)
-        inputs = b @ _adjoint(b)
-        if k < n:  # a checked frame's I - b b* is a projection of rank d - k (_checked_frames)
-            np.subtract(np.eye(d), inputs, out=inputs)
+        inputs = _queries(b, n)
         samples = _wrap_stack(inputs, [n] * len(b))
         yield first, b, inputs, samples, phi._outputs(samples, first)
+
+
+def _queries(b: np.ndarray, n: int) -> np.ndarray:
+    """The rank-n projections of a stack of checked d x k frames ``b``:
+    ``b b*``, or ``I - b b*`` when k < n, a projection of rank d - k
+    (``_checked_frames``)."""
+    inputs = b @ _adjoint(b)
+    if b.shape[-1] < n:
+        np.subtract(np.eye(b.shape[-2]), inputs, out=inputs)
+    return inputs
 
 
 def _worst_pair(p: np.ndarray, q: np.ndarray, fp: np.ndarray, fq: np.ndarray) -> tuple[int, float]:
@@ -232,27 +241,17 @@ def _report_pairs(m: int, refs: int) -> tuple[np.ndarray, np.ndarray]:
     return used, inverse
 
 
-def _reference_report(frames: np.ndarray, mapped: np.ndarray, pairs: np.ndarray, rank: int, dual: bool) -> ScreenReport:
+def _reference_report(frames: np.ndarray, mapped: np.ndarray, pairs: np.ndarray, rank: int) -> ScreenReport:
     """``_worst_pair`` over ``pairs``, a ``(2, pairs)`` index array into
-    some of the reading's queries ``b b*`` (``_report_pairs``), rebuilt bit
-    for bit from their frames b, and their outputs ``mapped``, which the
-    reading validated or its fit vouched for, so the witness is wrapped
-    unchecked.  A dual reading's witness is the rank-n pair ``I - A``,
-    ``I - B``, mapped to ``I - psi(A)``, ``I - psi(B)``."""
-    inputs = frames @ _adjoint(frames)
-    if dual:
-        inputs, mapped = np.eye(inputs.shape[-1]) - inputs, np.eye(inputs.shape[-1]) - mapped
+    some of the reading's queries ``_queries(b, rank)`` (``_report_pairs``),
+    rebuilt bit for bit from their frames b, and the map's own outputs
+    ``mapped`` for them, which the reading validated or its fit vouched
+    for, so the witness is wrapped unchecked."""
+    inputs = _queries(frames, rank)
     first, second = pairs
     i, worst = _worst_pair(inputs[first], inputs[second], mapped[first], mapped[second])
     witness = np.stack([inputs[first[i]], inputs[second[i]], mapped[first[i]], mapped[second[i]]])
     return ScreenReport(worst, *_wrap_stack(witness, [rank] * 4))
-
-
-def apply_conjugation(v, antiunitary: bool, p: Projection, tol: ToleranceConfig = DEFAULT_TOL) -> Projection:
-    """``V P V*`` (linear) or ``V conj(P) V*`` (antiunitary, conjugation in
-    the standard basis)."""
-    v = as_complex(v)
-    return Projection(v @ (p.matrix.conj() if antiunitary else p.matrix) @ v.conj().T, rank=p.rank, tol=tol)
 
 
 def verify_conjugation(
@@ -447,30 +446,34 @@ def _polish(images: np.ndarray, v: np.ndarray, frames: np.ndarray, stop: float) 
     return v
 
 
-def _fitted(psi: RankNMap, tol: ToleranceConfig, accept_tol: float):
-    """Block query plan -> Bargmann reading -> fit, gate, polish, for a map
-    ``psi`` of rank ``k <= d/2``: ``(complement, antiunitary, v, residual,
-    reference)``.  ``v`` is the polished, phase-fixed fit, or ``None`` when
-    its ``residual`` on its own queries exceeds ``FIT_GATE`` accept_tol;
-    ``reference`` holds the frames and a copy of the outputs of the queries
-    that ``_report_pairs`` scores, and those pairs as indices into them,
-    for ``_reference_report``, so the reading's whole stacks are released
-    before verification."""
-    d, k = psi.ambient_dim, psi.rank
+def _fitted(phi: RankNMap, tol: ToleranceConfig, accept_tol: float):
+    """Block query plan -> Bargmann reading -> fit, gate, polish, at rank
+    ``k = min(n, d - n)``: ``(complement, antiunitary, v, residual,
+    reference)``.  The plan's d x k frames b reach ``phi`` as
+    ``_queries(b, n)``; when k < n the fit reads the images ``I - phi(I -
+    b b*)`` of ``b b*`` under the dual, and its gate checks ``phi``'s own
+    outputs against ``I - W W*``, as verification does.  ``v`` is the
+    polished, phase-fixed fit, or ``None`` when its ``residual`` on its own
+    queries exceeds ``FIT_GATE`` accept_tol; ``reference`` holds the frames
+    and a copy of the outputs of the queries that ``_report_pairs`` scores,
+    and those pairs as indices into them, for ``_reference_report``, so the
+    reading's whole stacks are released before verification."""
+    d, n = phi.ambient_dim, phi.rank
+    k = min(n, d - n)
     m = -(-d // k)
-    plan, omega = (_plan if d <= _PLAN_CACHE_DIM else _plan.__wrapped__)(d, k, psi.field, tol)
-    inputs = plan @ _adjoint(plan)
-    mapped = psi._outputs(_wrap_stack(inputs, [k] * len(inputs)))
+    plan, omega = (_plan if d <= _PLAN_CACHE_DIM else _plan.__wrapped__)(d, k, phi.field, tol)
+    mapped = phi._outputs(_wrap_stack(_queries(plan, n), [n] * len(plan)))
     if not abs(np.vdot(mapped, mapped)) <= len(mapped) * d:  # NaN, inf or too large to fit:
-        psi._validated(mapped)  # raises, as ||P||_F^2 = k <= d/2; else the fit vouches
-    real = psi.field == REAL and is_exactly_real(mapped)
-    outputs, frames = (mapped.real, plan.real) if real else (mapped, plan)
-    complement, antiunitary = _reading(outputs[m - 1 : m + 2], frames[m - 1 : m + 2], psi.field)
+        phi._validated(mapped)  # raises, as ||P||_F^2 = n < d; else the fit vouches
+    outputs = np.eye(d) - mapped if k < n else mapped
+    real = phi.field == REAL and is_exactly_real(outputs)
+    outputs, frames = (outputs.real, plan.real) if real else (outputs, plan)
+    complement, antiunitary = _reading(outputs[m - 1 : m + 2], frames[m - 1 : m + 2], phi.field)
     images = np.eye(d) - outputs if complement else outputs
     frames = frames.conj() if antiunitary else frames
     v = _fit(images, frames, omega, k)
     w = v @ frames  # the fit's own predictions, V b b* V* = w w*
-    residual = float(np.max(_checked_residuals(psi, mapped, 0, w, complement, tol)))
+    residual = float(np.max(_checked_residuals(phi, mapped, 0, w, complement != (k < n), tol)))
     used, pairs = _report_pairs(m, len(plan) - m + 1)
     reference = plan[used], mapped[used], pairs  # copies: the reading's stacks are released
     if not residual <= FIT_GATE * accept_tol:
@@ -485,16 +488,15 @@ def _classify(
 ) -> tuple[ReconstructionResult, ScreenReport | None]:
     """``_fitted`` -> verification.
 
-    The map is read at rank ``k = min(n, d - n)``, through ``dualize`` when
-    n > d/2 (a conjugation inducing the dual induces the map), from one
-    stack of queries, and fitted once, in the reading ``_reading`` picks;
-    the fit must match its queries within ``FIT_GATE`` accept_tol before
-    it is polished and verified on fresh samples against the map itself.
-    A failure comes with ``_reference_report`` of the reading's outputs.
+    The map is read at rank ``k = min(n, d - n)``, through the complement
+    queries ``I - b b*`` when n > d/2 (a conjugation inducing the dual
+    ``I - phi(I - P)`` induces the map), from one stack of queries, and
+    fitted once, in the reading ``_reading`` picks; the fit must match its
+    queries within ``FIT_GATE`` accept_tol before it is polished and
+    verified on fresh samples.  A failure comes with ``_reference_report``
+    of the map's outputs for the reading's queries.
     """
-    d, n = phi.ambient_dim, phi.rank
-    psi = dualize(phi, tol) if 2 * n > d else phi
-    complement, antiunitary, v, residual, reference = _fitted(psi, tol, accept_tol)
+    complement, antiunitary, v, residual, reference = _fitted(phi, tol, accept_tol)
     if complement:
         variant, label, seed = VARIANT_EXCEPTIONAL, "complement-composed", cfg.seed + 2
     else:
@@ -507,7 +509,7 @@ def _classify(
         if residual <= accept_tol:
             return ReconstructionResult(variant, v=v, antiunitary=antiunitary, residual=residual), None
         notes = f"{label} fails verification (residual {residual:.3e} > {accept_tol:.1e})"
-    return ReconstructionResult(VARIANT_UNCLASSIFIED, notes=notes), _reference_report(*reference, n, psi is not phi)
+    return ReconstructionResult(VARIANT_UNCLASSIFIED, notes=notes), _reference_report(*reference, phi.rank)
 
 
 def reconstruct(
@@ -525,6 +527,14 @@ def reconstruct(
     ``cfg.seed``) or, if none of them clears it, of 20 pairs screened from
     ``cfg.seed``; else the classification's ``preserving_unclassified``
     result stands.
+
+    An acceptance is the "no false positives" bound, and no more: a map
+    that differs from the returned conjugation by more than ``accept_tol``
+    on a set of Haar measure eps is accepted with probability at most
+    ``(1 - eps)^50`` per ``cfg.seed``, at most 5 % once eps >= 0.058.
+    Verification draws from ``cfg.seed + 1`` (``+ 2`` for the complement
+    reading); the reading's plan is fixed (``_READING_SEED``), so a map
+    can be exact on every reading query.
     """
     cfg = cfg or ReconstructionConfig()
     d, n = phi.ambient_dim, phi.rank
@@ -547,10 +557,12 @@ def reconstruct(
 
 def dualize(phi: RankNMap, tol: ToleranceConfig = DEFAULT_TOL) -> RankNMap:
     """Complement-conjugated map on the complementary rank:
-    ``psi(P) = I - phi(I - P)`` acting on rank d - n.  Each query returns
-    the raw ``I - phi(I - P)``, so the dual's ``evaluate_many`` validates
-    the outputs of a whole stack of queries at once: ``I - M`` has the
-    Hermitian and idempotency defects of ``M``."""
+    ``psi(P) = I - phi(I - P)`` acting on rank d - n, the map
+    ``reconstruct_via_dual`` reconstructs (``reconstruct`` reads a map of
+    rank n > d/2 through complement queries of its own).  Each query
+    returns the raw ``I - phi(I - P)``, so the dual's ``evaluate_many``
+    validates the outputs of a whole stack of queries at once: ``I - M``
+    has the Hermitian and idempotency defects of ``M``."""
     d, n = phi.ambient_dim, phi.rank
     m = d - n
     if not 1 <= m <= d - 1:

@@ -9,7 +9,6 @@ from grasswig import (
     RankMismatch,
     Subspace,
     angles_equal,
-    apply_conjugation,
     haar_random_unitary,
     principal_angles,
     principal_angles_spectral,
@@ -113,8 +112,8 @@ def test_conjugation_invariance():
         p = sample_projection(rng, d, n)
         q = sample_projection(rng, d, n)
         u = haar_random_unitary(d, int(rng.integers(0, 10_000)))
-        up = apply_conjugation(u, False, p)
-        uq = apply_conjugation(u, False, q)
+        up = Projection(u @ p.matrix @ u.conj().T, rank=n)
+        uq = Projection(u @ q.matrix @ u.conj().T, rank=n)
         assert spectrum_discrepancy(p, q, up, uq) <= 1e-9
 
 

@@ -7,6 +7,7 @@ from grasswig import (
     BadRank,
     MatrixFormatError,
     Projection,
+    RankNMap,
     angles_equal,
     haar_random_unitary,
     projection_distance,
@@ -158,17 +159,17 @@ def test_map_outputs_are_validated_once_as_a_stack(monkeypatch):
     # images as one stack, with no single-matrix validation inside the
     # oracle; the 40 samples are projections by construction (their frames
     # are checked instead) and are not validated
-    import grasswig.extension as extension
+    import grasswig.maps as maps
     from grasswig.reconstruction import screen_preservation
 
     shapes = []
-    validate = extension.projection_rank
+    validate = maps.projection_rank
 
     def counted(m, *args, **kwargs):
         shapes.append(np.shape(m))
         return validate(m, *args, **kwargs)
 
-    monkeypatch.setattr(extension, "projection_rank", counted)
+    monkeypatch.setattr(maps, "projection_rank", counted)
     v = haar_random_unitary(6, 4)
     for spec in (
         MapSpec("conjugation", matrix=v),
@@ -200,3 +201,19 @@ def test_noisy_sigma_must_be_finite(sigma):
         MapSpec("noisy", base=MapSpec("identity"), sigma=sigma)
     with pytest.raises(MatrixFormatError, match="sigma"):
         parse_map_spec({"type": "noisy", "sigma": sigma, "base": {"type": "identity"}})
+
+
+@pytest.mark.parametrize("d, n", [(4.0, 2), (4, True), (True, 1), (4, 2.0), ("4", 2), (4, None)])
+def test_a_rank_n_map_refuses_a_dimension_or_rank_that_is_no_integer(d, n):
+    # refused when built, before any query could fail inside numpy
+    with pytest.raises(BadRank, match="must be an integer"):
+        RankNMap(d, n, lambda p: p)
+
+
+def test_a_rank_n_map_refuses_an_unknown_field_and_keeps_numpy_integers():
+    with pytest.raises(ValueError, match="^field must be one of"):
+        RankNMap(4, 2, lambda p: p, field="quaternion")
+    phi = RankNMap(np.int64(4), np.int32(2), lambda p: p, field=REAL)
+    assert (phi.ambient_dim, phi.rank) == (4, 2)
+    p = random_projection(4, 2, seed=1)
+    assert phi.evaluate(p).matrix.tolist() == p.matrix.tolist()

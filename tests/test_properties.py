@@ -31,7 +31,7 @@ from grasswig import (
     screen_preservation,
     verify_conjugation,
 )
-import grasswig.extension
+import grasswig.maps
 import grasswig.reconstruction
 from grasswig.extension import extend_orthonormal
 from grasswig.linalg import haar_frames_from_rng
@@ -210,7 +210,7 @@ def assert_block_plan_recovers(d, n, field, antiunitary, complement, seed):
 @SETTINGS
 @given(st.integers(2, 12), st.data())
 def test_block_plan_recovers_a_planted_isometry_at_its_exact_budget(d, data):
-    # partial last blocks, n > d/2 (read through the dual) and both d = 2n families
+    # partial last blocks, n > d/2 (read through complement queries) and both d = 2n families
     n = data.draw(st.integers(1, d - 1))
     field = data.draw(st.sampled_from(("real", "complex")))
     antiunitary = field == "complex" and data.draw(st.booleans())
@@ -320,7 +320,7 @@ def test_a_residual_within_a_quarter_eq_tol_vouches_for_a_projection_of_rank_n(
             return outputs[-1]
 
         phi = RankNMap(d, n, fn, field=field)
-        with mock.patch.object(grasswig.extension, "projection_rank", wraps=grasswig.extension.projection_rank) as validate:
+        with mock.patch.object(grasswig.maps, "projection_rank", wraps=grasswig.maps.projection_rank) as validate:
             try:
                 verify_conjugation(phi, v, anti, 5, seed=1, complement=complement)
             except NotAProjection:

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import re
 import warnings
 from unittest import mock
@@ -17,7 +18,6 @@ from grasswig import (
     VARIANT_EXCEPTIONAL,
     VARIANT_NOT_PRESERVING,
     align_phase,
-    apply_conjugation,
     dualize,
     haar_random_unitary,
     projection_distance,
@@ -200,16 +200,6 @@ def test_config_refuses_a_count_or_seed_that_is_no_integer_in_range(field, value
         ReconstructionConfig(**{field: value})
 
 
-def test_apply_conjugation_basics():
-    p = random_projection(4, 2, seed=28)
-    assert projection_distance(apply_conjugation(np.eye(4), False, p), p) == 0.0
-    real_p = random_projection(4, 2, seed=29, field=REAL)
-    assert projection_distance(apply_conjugation(np.eye(4), True, real_p), real_p) == 0.0
-    v = haar_random_unitary(4, 30)
-    out = apply_conjugation(v, True, p)
-    assert out.rank == 2  # conjugation preserves the projection invariants
-
-
 def test_dualize_of_conjugation_is_same_conjugation():
     phi, v = conjugation(5, 2, seed=31)
     psi = dualize(phi)
@@ -217,7 +207,7 @@ def test_dualize_of_conjugation_is_same_conjugation():
     rng = np.random.default_rng(0)
     for _ in range(10):
         p = sample_projection(rng, 5, 3)
-        expected = apply_conjugation(v, False, p)
+        expected = Projection(v @ p.matrix @ v.conj().T, rank=3)
         assert projection_distance(psi.evaluate(p), expected) <= 1e-12
 
 
@@ -339,8 +329,8 @@ def test_oracle_budget_at_large_dimension():
 def test_padded_frames_send_each_distinct_input_once():
     # the block plan pads no frame and sends no input twice.
     # (3, 1): blocks {e0}, {e1} and the complement {e2}, so 2 + 3 queries;
-    # (5, 3) is read through the dual at k = 2: blocks {e0, e1}, {e2, e3} and
-    # the partial {e4}, 2 + 3; d = 2: block {e0}, 1 + 3.
+    # (5, 3) is read through complement queries at k = 2: blocks {e0, e1},
+    # {e2, e3} and the partial {e4}, 2 + 3; d = 2: block {e0}, 1 + 3.
     for d, n, field, anti, reading in (
         (3, 1, "complex", False, 5),
         (3, 1, "real", False, 5),
@@ -493,7 +483,7 @@ def test_complement_branch_reuses_the_dyad_images():
     eye = np.eye(8)
     plain, plain_calls = counting(conjugation(8, 4, seed=38)[0])
     composed, composed_calls = counting(
-        RankNMap(8, 4, lambda p: Projection(eye - apply_conjugation(v, False, p).matrix, rank=4))
+        RankNMap(8, 4, lambda p: Projection(eye - v @ p.matrix @ v.conj().T, rank=4))
     )
     assert reconstruct(plain).variant == VARIANT_CONJUGATION
     result = reconstruct(composed)
@@ -634,6 +624,27 @@ def test_samples_above_half_rank_complement_frames_of_rank_d_minus_n(monkeypatch
         assert projection_rank(p.matrix) == n
 
 
+@pytest.mark.parametrize("d, n", [(d, n) for d in range(2, 9) for n in range(1, d)] + [(20, 15)])
+def test_reconstruct_reads_a_map_above_half_rank_through_complement_queries(monkeypatch, d, n):
+    # no dual wrapper: reconstruct never calls dualize, accepting or
+    # rejecting; its reading sends phi the plan's frames b, d x k at
+    # k = min(n, d - n), as I - b b* when k < n (b b* otherwise), in plan
+    # order and bit for bit, then 50 verification samples
+    monkeypatch.setattr(reconstruction, "dualize", mock.Mock(side_effect=AssertionError("dualize called")))
+    phi, v = conjugation(d, n, seed=d + n, antiunitary=True)
+    sent = []
+    result = reconstruct(RankNMap(d, n, lambda p: sent.append(p.matrix) or phi._fn(p)))
+    assert result.variant == VARIANT_CONJUGATION and planted_deviation(result.v, v) <= 1e-7
+    k = min(n, d - n)
+    plan = _plan.__wrapped__(d, k, "complex", DEFAULT_TOL)[0]
+    products = plan @ plan.conj().swapaxes(-1, -2)
+    expected = np.eye(d) - products if k < n else products
+    assert len(sent) == len(plan) + 50
+    assert all(np.array_equal(p, m) for p, m in zip(sent, expected))
+    noisy = MapSpec("noisy", base=MapSpec("conjugation", matrix=v), sigma=1e-3, seed=d)
+    assert reconstruct(instantiate(noisy, d, n)).variant == VARIANT_NOT_PRESERVING
+
+
 @pytest.mark.parametrize("d, n, anti, field", [(8, 3, False, "complex"), (7, 2, True, "complex"), (9, 4, False, REAL)])
 def test_the_dual_route_verifies_through_flipped_frames_of_the_dual(monkeypatch, d, n, anti, field):
     # psi = dualize(phi) has rank d - n > d/2, so its verification samples are
@@ -770,18 +781,22 @@ def test_a_bad_output_at_reading_query_i_raises_as_when_the_stack_was_validated_
     # the error, naming the index, that validating the stack first raised
     d = 8
     u = haar_random_unitary(d, 45)
-    # rank k + 1 = 3 where the reading is taken, on phi or on its dual
-    wrong_rank = random_projection(d, n + 1 if 2 * n < d else n - 1, seed=3).matrix
+    # rank n + 1 = 3 at n = 2 and n - 1 = 5 at n = 6; the reading is taken
+    # on the outputs of the map it is given, phi or its dual, so the dual
+    # route sees the complement's rank 8 - 3 = 5 or 8 - 5 = 3
+    wrong = n + 1 if 2 * n < d else n - 1
+    wrong_rank = random_projection(d, wrong, seed=3).matrix
+    seen = f"returned rank {wrong if route == 'direct' else d - wrong} for input 2"
     raw = np.asarray
     cases = [
         (raw, lambda m: m + 1e-6 * np.eye(d), NotAProjection, "matrix 2: idempotency"),
         (raw, lambda m: m + 1e-3 * np.triu(np.ones((d, d)), 1), NotAProjection, "matrix 2: Hermitian"),
         (raw, lambda m: np.where(np.eye(d) > 0, np.nan, m), NotAProjection, "matrix 2: Hermitian defect nan"),
         (raw, lambda m: np.where(np.eye(d) > 0, np.inf, m), NotAProjection, "matrix 2: Hermitian defect nan"),
-        (raw, lambda m: wrong_rank, InternalInconsistency, "returned rank 3 for input 2"),
+        (raw, lambda m: wrong_rank, InternalInconsistency, seen),
         # every output a Projection checked only at eq_tol 5e-3: judged as the raw matrix
         (loosely, lambda m: m + 1e-6 * np.eye(d), NotAProjection, "matrix 2: idempotency"),
-        (loosely, lambda m: wrong_rank, InternalInconsistency, "returned rank 3 for input 2"),
+        (loosely, lambda m: wrong_rank, InternalInconsistency, seen),
     ]
     for wrap, bad, error, message in cases:
         calls = []
@@ -967,16 +982,16 @@ def test_reconstruct_runs_no_eigendecomposition(monkeypatch):
 
 def validated_shapes(monkeypatch):
     """Shapes of the arrays passed to ``projection_rank``, recorded."""
-    import grasswig.extension as extension
+    import grasswig.maps as maps
 
     shapes = []
-    validate = extension.projection_rank
+    validate = maps.projection_rank
 
     def counted(m, *args, **kwargs):
         shapes.append(np.shape(m))
         return validate(m, *args, **kwargs)
 
-    monkeypatch.setattr(extension, "projection_rank", counted)
+    monkeypatch.setattr(maps, "projection_rank", counted)
     return shapes
 
 
@@ -1031,24 +1046,24 @@ def test_dual_route_validates_no_complement(monkeypatch):
 
 @pytest.mark.parametrize("n", [5, 2])
 def test_a_rejected_reading_is_validated_once_and_its_witness_replays(monkeypatch, n):
-    # (7, 5) is read through the dual at rank 2: its witness is the rank-5
-    # pair I - A, I - B of two reading queries, mapped to I - psi(A),
-    # I - psi(B), which match phi's outputs to roundoff; (7, 2) is read
-    # directly, and its witness images are phi's outputs.  Either reading
+    # (7, 5) is read at rank 2 through complement queries: its witness is
+    # the rank-5 pair I - A, I - B of two reading queries; (7, 2) is read
+    # directly.  Either way the witness images are phi's own outputs, bit
+    # for bit (at V seed 54 a witness image has a diagonal entry below 1/2,
+    # which I - (I - phi(P)) would not give back exactly), and the reading
     # costs 3 block and 3 reference queries, validated as one stack
     shapes = validated_shapes(monkeypatch)
-    spec = MapSpec("noisy", base=MapSpec("conjugation", matrix=haar_random_unitary(7, 52)), sigma=1e-3, seed=53)
-    raw, calls = instantiate(spec, 7, n)._fn, []
-    result = reconstruct(RankNMap(7, n, lambda p: calls.append(1) or raw(p)))
-    assert result.variant == VARIANT_NOT_PRESERVING
-    assert shapes == [(6, 7, 7)] and len(calls) == 6
-    p, q, phi_p, phi_q = rescored_witness(result)
-    assert result.witness_p.rank == result.witness_phi_q.rank == n
-    assert np.trace(p).real == pytest.approx(n) and np.trace(phi_q).real == pytest.approx(n)
-    fresh = [out.matrix for out in instantiate(spec, 7, n).evaluate_many([result.witness_p, result.witness_q])]
-    if n == 5:
-        assert np.max(np.abs(fresh[0] - phi_p)) <= 1e-14 and np.max(np.abs(fresh[1] - phi_q)) <= 1e-14
-    else:
+    for v_seed in (52, 54):
+        spec = MapSpec("noisy", base=MapSpec("conjugation", matrix=haar_random_unitary(7, v_seed)), sigma=1e-3, seed=53)
+        raw, calls = instantiate(spec, 7, n)._fn, []
+        shapes.clear()
+        result = reconstruct(RankNMap(7, n, lambda p: calls.append(1) or raw(p)))
+        assert result.variant == VARIANT_NOT_PRESERVING
+        assert shapes == [(6, 7, 7)] and len(calls) == 6
+        p, q, phi_p, phi_q = rescored_witness(result)
+        assert result.witness_p.rank == result.witness_phi_q.rank == n
+        assert np.trace(p).real == pytest.approx(n) and np.trace(phi_q).real == pytest.approx(n)
+        fresh = [out.matrix for out in instantiate(spec, 7, n).evaluate_many([result.witness_p, result.witness_q])]
         assert np.array_equal(fresh[0], phi_p) and np.array_equal(fresh[1], phi_q)
 
 
@@ -1143,3 +1158,55 @@ def test_the_reading_plan_is_keyed_on_field_and_tolerance_and_read_only(fresh_pl
         assert a.flags.writeable is False
         with pytest.raises(ValueError):
             a[0, 0] = 0.0
+
+
+def beta_quantile(a, b, q):
+    """The q quantile of Beta(a, b) for integers a, b >= 1, by bisection on
+    its closed-form CDF ``P(Beta(a, b) <= x) = P(Bin(a + b - 1, x) >= a)``."""
+    m, j = a + b - 1, np.arange(a, a + b)
+    weights = np.array([math.comb(m, int(i)) for i in j], dtype=float)
+    lo, hi = 0.0, 1.0
+    for _ in range(60):
+        x = (lo + hi) / 2
+        if np.sum(weights * x**j * (1 - x) ** (m - j)) < q:
+            lo = x
+        else:
+            hi = x
+    return (lo + hi) / 2
+
+
+def patchwork(eps, d=16, n=2):
+    """``P -> V' P V'*`` where ``||P e||^2`` exceeds its (1 - eps) Haar
+    quantile, ``V P V*`` elsewhere: for a Haar rank-n P and a fixed unit e,
+    ``||P e||^2`` is Beta(n, d - n) distributed, so the map differs from
+    every conjugation by O(1) on a set of Haar measure eps."""
+    v, v_other = haar_random_unitary(d, 42), haar_random_unitary(d, 43)
+    rng = np.random.default_rng(42)
+    e = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    e /= np.linalg.norm(e)
+    cut = beta_quantile(n, d - n, 1 - eps)
+
+    def fn(p):
+        u = v_other if np.vdot(e, p.matrix @ e).real > cut else v
+        return u @ p.matrix @ u.conj().T
+
+    return RankNMap(d, n, fn)
+
+
+def test_beta_quantile_matches_the_closed_forms():
+    assert abs(beta_quantile(1, 15, 0.9) - (1 - 0.1 ** (1 / 15))) <= 1e-12  # CDF 1 - (1 - x)^b
+    assert abs(beta_quantile(3, 1, 0.5) - 0.5 ** (1 / 3)) <= 1e-12  # CDF x^a
+    assert abs(beta_quantile(2, 2, 0.5) - 0.5) <= 1e-12  # symmetric
+
+
+def test_a_map_off_on_a_tenth_of_the_samples_is_rarely_accepted():
+    # the README's guarantee: a map more than accept_tol off the returned
+    # conjugation on a set of Haar measure eps passes verification's 50
+    # fresh samples with probability at most (1 - eps)^50, 0.00515 at
+    # eps = 0.1; over 60 seeds, 4 or more acceptances would have
+    # probability P(Bin(60, 0.00515) >= 4) ~ 3.4e-4.  An acceptance is
+    # still a verified one
+    phi = patchwork(0.1)
+    accepted = [r for r in (reconstruct(phi, ReconstructionConfig(seed=s)) for s in range(60)) if r.accepted]
+    assert len(accepted) <= 3
+    assert all(r.residual <= ACCEPT_TOL for r in accepted)
