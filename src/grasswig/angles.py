@@ -21,9 +21,9 @@ from dataclasses import InitVar, dataclass
 
 import numpy as np
 
-from .errors import ConvergenceFailure, DimensionMismatch, InternalInconsistency, RankMismatch
+from .errors import ConvergenceFailure, InternalInconsistency, RankMismatch
 from .linalg import singular_values
-from .projections import Projection, Subspace
+from .projections import Projection, Subspace, _check_same_dim
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
 
@@ -82,8 +82,7 @@ class PrincipalAngles:
 
 
 def _check_pair(p, q) -> None:
-    if p.ambient_dim != q.ambient_dim:
-        raise DimensionMismatch(f"ambient dimensions differ: {p.ambient_dim} vs {q.ambient_dim}")
+    _check_same_dim(p, q)
     if p.rank != q.rank:
         raise RankMismatch(f"ranks differ: {p.rank} vs {q.rank}")
 
@@ -151,19 +150,29 @@ def angles_equal(
     q2: Projection,
     tol_value: float,
 ) -> bool:
-    """Whether the two pairs subtend the same principal angles.
+    """Whether the two pairs subtend the same principal angles: whether
+    ``spectrum_discrepancy`` is at most ``tol_value``.
 
-    Compares the full d-element eigenvalue multisets of ``QPQ`` and
-    ``Q2 P2 Q2`` entrywise after sorting: Hermitian operators are unitarily
-    equivalent exactly when their spectra (with multiplicity) coincide, and
-    for equal-rank pairs that criterion reduces to equality of angles.
+    Hermitian operators are unitarily equivalent exactly when their spectra
+    (with multiplicity) coincide, and for equal-rank pairs that criterion
+    reduces to equality of angles.
     """
     for a, b in ((p, p2), (q, q2), (p, q2)):
-        if a.ambient_dim != b.ambient_dim:
-            raise DimensionMismatch(f"ambient dimensions differ: {a.ambient_dim} vs {b.ambient_dim}")
+        _check_same_dim(a, b)
     if p.rank != p2.rank or q.rank != q2.rank:
         raise RankMismatch(f"ranks differ: ({p.rank}, {q.rank}) vs ({p2.rank}, {q2.rank})")
     return spectrum_discrepancy(p, q, p2, q2) <= tol_value
+
+
+def spectrum_gaps(p: np.ndarray, q: np.ndarray, p2: np.ndarray, q2: np.ndarray) -> np.ndarray:
+    """How far the pair of projection matrices ``(p2, q2)`` is from
+    subtending the angles of ``(p, q)``, or, for matching ``(k, d, d)``
+    stacks, row i's: the larger of the trace-form gap
+    ``|tr P2 Q2 - tr PQ|``, the difference of the ``qpq_spectrum`` sums,
+    and the largest entrywise gap between the two sorted spectra.  Both
+    vanish exactly for a pair mapped by an angle preserver."""
+    before, after = qpq_spectrum(p, q), qpq_spectrum(p2, q2)
+    return np.maximum(np.abs(after.sum(axis=-1) - before.sum(axis=-1)), np.max(np.abs(before - after), axis=-1))
 
 
 def spectrum_discrepancy(
@@ -172,5 +181,7 @@ def spectrum_discrepancy(
     p2: Projection,
     q2: Projection,
 ) -> float:
-    """Max entrywise gap between the sorted spectra of ``QPQ`` and ``Q2 P2 Q2``."""
-    return float(np.max(np.abs(qpq_spectrum(p.matrix, q.matrix) - qpq_spectrum(p2.matrix, q2.matrix))))
+    """``spectrum_gaps`` of ``(p, q)`` and ``(p2, q2)``: the larger of the
+    trace-form gap and the max entrywise gap between the sorted spectra of
+    ``QPQ`` and ``Q2 P2 Q2``."""
+    return float(spectrum_gaps(p.matrix, q.matrix, p2.matrix, q2.matrix))

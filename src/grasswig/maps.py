@@ -18,7 +18,6 @@ across different inputs.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import os
 from dataclasses import dataclass
@@ -28,7 +27,7 @@ import numpy as np
 
 from .errors import BadRank, InternalInconsistency, MatrixFormatError, NotAProjection
 from .linalg import COMPLEX, REAL, as_complex, check_field, frobenius, is_exactly_real
-from .matio import canonical_key, matrix_from_obj
+from .matio import canonical_key, matrix_from_obj, read_json
 from .projections import Projection, _wrap_stack, projection_rank
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
@@ -147,8 +146,7 @@ def parse_map_spec(obj, base_dir: str = ".") -> MapSpec:
         raw = obj.get("matrix")
         if isinstance(raw, str):
             path = raw if os.path.isabs(raw) else os.path.join(base_dir, raw)
-            with open(path, encoding="utf-8") as fh:
-                raw = json.load(fh)
+            raw = read_json(path)
         if not isinstance(raw, dict):
             raise MatrixFormatError("conjugation needs a \"matrix\" (inline object or file path)")
         m, _ = matrix_from_obj(raw)
@@ -176,12 +174,7 @@ def parse_map_spec(obj, base_dir: str = ".") -> MapSpec:
 
 
 def load_map_spec(path) -> MapSpec:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise MatrixFormatError(f"{path}: not valid JSON ({exc})") from exc
-    return parse_map_spec(obj, base_dir=os.path.dirname(os.path.abspath(path)))
+    return parse_map_spec(read_json(path), base_dir=os.path.dirname(os.path.abspath(path)))
 
 
 def _describe(spec: MapSpec) -> str:

@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import MatrixFormatError
 from .linalg import COMPLEX, FIELDS, REAL, as_complex, is_exactly_real
+from .projections import Projection
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
 
@@ -93,13 +94,19 @@ def save_matrix(path, m, field: str | None = None, extra: dict[str, Any] | None 
         fh.write(json.dumps(obj) + "\n")  # json.dump never takes the C encoder; the same bytes
 
 
-def load_matrix(path) -> tuple[np.ndarray, str]:
+def read_json(path) -> Any:
+    """The JSON value in a UTF-8 file; malformed JSON, bytes that are not
+    UTF-8 or nesting deeper than the parser's recursion limit raise
+    ``MatrixFormatError`` naming the path."""
     with open(path, encoding="utf-8") as fh:
         try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise MatrixFormatError(f"{path}: not valid JSON ({exc})") from exc
-    return matrix_from_obj(obj)
+            return json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+            raise MatrixFormatError(f"{path}: not valid UTF-8 JSON ({exc})") from exc
+
+
+def load_matrix(path) -> tuple[np.ndarray, str]:
+    return matrix_from_obj(read_json(path))
 
 
 def projection_to_obj(p, field: str | None = None) -> dict[str, Any]:
@@ -117,8 +124,6 @@ def save_projection(path, p, field: str | None = None) -> None:
 
 def projection_from_obj(obj: Any, tol: ToleranceConfig = DEFAULT_TOL):
     """Parse a ``kind: projection`` object, validating invariants and rank."""
-    from .projections import Projection  # deferred to avoid an import cycle
-
     m, field = matrix_from_obj(obj)
     if obj.get("kind") != "projection":
         raise MatrixFormatError("expected \"kind\": \"projection\"")
@@ -132,12 +137,7 @@ def projection_from_obj(obj: Any, tol: ToleranceConfig = DEFAULT_TOL):
 
 
 def load_projection(path, tol: ToleranceConfig = DEFAULT_TOL):
-    with open(path, encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise MatrixFormatError(f"{path}: not valid JSON ({exc})") from exc
-    return projection_from_obj(obj, tol)
+    return projection_from_obj(read_json(path), tol)
 
 
 def canonical_key(m) -> bytes:

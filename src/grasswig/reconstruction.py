@@ -1,23 +1,23 @@
 """Recover the isometry behind an angle-preserving projection map.
 
 Given an oracle sending rank-n projections to rank-n projections, the
-pipeline (1) reads the map at rank ``k = min(n, d - n)`` from one stack
-of ``ceil(d/k) + 2`` queries ``b b*`` for d x k frames b or, when
-n > d/2, ``I - b b*``, whose outputs it reads as ``I - phi(I - b b*)``:
-the coordinate frames of every k-block but the last, whose range is the
-complement of the others, and three fixed seeded reference frames (four at
-d = 2k, k > 1), (2) picks the reading,
-linear or antiunitary and, at d = 2k, plain or complement-composed, by
-comparing Bargmann's invariant ``tr phi(A) phi(B) phi(C)`` of three
+pipeline works at rank ``k = min(n, d - n)``: each query it sends is built
+from a d x k frame b as ``b b*`` or, when k < n (n > d/2), as the rank-n
+``I - b b*`` (``_queries``).  It (1) reads the map from one stack of
+``ceil(d/k) + 2`` queries, reading an output M of a complement query as
+``I - M``, the dual's image of ``b b*``: the coordinate frames of every
+k-block but the last, whose range is the complement of the others, and
+three fixed seeded reference frames (four at d = 2k, k > 1), (2) picks the
+reading, linear or antiunitary and, at d = 2k, plain or complement-composed,
+by comparing Bargmann's invariant ``tr phi(A) phi(B) phi(C)`` of three
 reference images with what each reading predicts, (3) fits
 ``V = Y blockdiag(U_j)`` to those outputs, gates the fit on its own
 queries and polishes it by least squares unless it fits them to roundoff,
-(4) verifies the candidate on fresh samples, ``b b*`` or ``I - b b*``
-for Haar d x k frames b, each predicted from its frame at d^2 k, and (5)
-only when no candidate passes, explains the failure by the worst of at
-most 20 pairs of its reading queries, reference-reference and
-block-reference, or, failing that, by random pairs; (4) and (5) share one
-sampled loop.
+(4) verifies the candidate on fresh samples from Haar d x k frames, each
+predicted from its frame at d^2 k, and (5) only when no candidate passes,
+explains the failure by the ``_witness`` of at most 20 pairs of its
+reading queries, reference-reference and block-reference, or, failing
+that, of random pairs; (4) and (5) share one sampled loop.
 The frames of (1) and the range finder of (3) depend on (d, k, field,
 tol) only, so up to d = 16 they are drawn once per key and kept read-only
 (``_plan``, 64 entries); the query stack is rebuilt on every call, and no
@@ -42,10 +42,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .angles import qpq_spectrum
+from .angles import spectrum_gaps
 from .errors import BadRank
 from .linalg import REAL, as_complex, frobenius, frobenius_stack, is_exactly_real
 from .maps import RankNMap
+from .matio import matrix_to_obj
 from .projections import Projection, _checked_frames, _wrap_stack
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
@@ -126,8 +127,6 @@ class ReconstructionResult:
         return self.variant in (VARIANT_CONJUGATION, VARIANT_EXCEPTIONAL)
 
     def to_obj(self) -> dict:
-        from .matio import matrix_to_obj
-
         obj: dict = {"variant": self.variant}
         if self.v is not None:
             obj["V"] = matrix_to_obj(self.v)
@@ -143,11 +142,8 @@ class ReconstructionResult:
 
 @dataclass(frozen=True, eq=False)
 class ScreenReport:
-    """Worst angle/trace-form discrepancy over the scored pairs, with the
-    pair attaining it and the map's images of that pair.  For a map it
-    could not classify, ``reconstruct`` scores pairs of the reading's
-    queries (``_report_pairs``), and screens fresh ones only if none of
-    them clears accept_tol."""
+    """Worst ``spectrum_gaps`` over the scored pairs, with the pair
+    attaining it and the map's images of that pair (``_witness``)."""
 
     max_discrepancy: float
     witness_p: Projection | None
@@ -158,13 +154,12 @@ class ScreenReport:
 
 def _sampled(phi: RankNMap, count: int, seed: int, tol: ToleranceConfig, group: int = 1):
     """The loop screening and verification share: draw ``group * count``
-    Haar d x k frames ``b`` from ``seed``, at ``k = min(n, d - n)`` (n at
-    n = d), in stacks of at most ``_BLOCK_BYTES`` of d x d matrices (a
-    multiple of ``group``), and yield ``(first, b, inputs, samples,
-    mapped)``: the stack's first index in the run, then the stack
-    ``RankNMap._outputs`` of the rank-n samples ``_queries(b, n)``.  The
-    complement of a Haar (d - n)-subspace is a Haar n-subspace, so both
-    forms give one distribution, and each sample costs d^2 k.
+    Haar d x k frames ``b`` from ``seed`` in stacks of at most
+    ``_BLOCK_BYTES`` of d x d matrices (a multiple of ``group``), and yield
+    ``(first, b, inputs, mapped)``: the stack's first index in the run, its
+    rank-n samples ``_queries(b, n)`` and their ``RankNMap._outputs``.  The
+    complement of a Haar (d - n)-subspace is a Haar n-subspace, so every
+    sample is Haar, and each costs d^2 k.
     Fewer than one sample raises ``ValueError``: an empty sample certifies
     nothing."""
     if count < 1:
@@ -175,61 +170,59 @@ def _sampled(phi: RankNMap, count: int, seed: int, tol: ToleranceConfig, group: 
     for first in range(0, group * count, size):
         b = _checked_frames(rng, min(size, group * count - first), d, k, phi.field, tol)
         inputs = _queries(b, n)
-        samples = _wrap_stack(inputs, [n] * len(b))
-        yield first, b, inputs, samples, phi._outputs(samples, first)
+        yield first, b, inputs, phi._outputs(_wrap_stack(inputs, [n] * len(b)), first)
 
 
 def _queries(b: np.ndarray, n: int) -> np.ndarray:
-    """The rank-n projections of a stack of checked d x k frames ``b``:
-    ``b b*``, or ``I - b b*`` when k < n, a projection of rank d - k
-    (``_checked_frames``)."""
+    """The rank-n queries of a stack of checked d x k frames ``b``, in the
+    module docstring's form (``_checked_frames`` bounds both)."""
     inputs = b @ _adjoint(b)
     if b.shape[-1] < n:
         np.subtract(np.eye(b.shape[-2]), inputs, out=inputs)
     return inputs
 
 
-def _worst_pair(p: np.ndarray, q: np.ndarray, fp: np.ndarray, fq: np.ndarray) -> tuple[int, float]:
-    """Index and discrepancy of the worst of the pairs ``(p[i], q[i])``
-    mapped to ``(fp[i], fq[i])``, the last on a tie: the larger of the
-    trace-form deviation and the max entrywise gap between the sorted full
-    spectra of QPQ and its image, which both vanish exactly for an angle
-    preserver (the trace form ``tr PQ = tr QPQ`` is the spectrum's sum)."""
-    before, after = qpq_spectrum(p, q), qpq_spectrum(fp, fq)
-    discrepancy = np.maximum(np.abs(after.sum(axis=-1) - before.sum(axis=-1)), np.max(np.abs(before - after), axis=-1))
-    i = len(discrepancy) - 1 - int(np.argmax(discrepancy[::-1]))
-    return i, float(discrepancy[i])
+def _witness(inputs: np.ndarray, mapped: np.ndarray, first: np.ndarray, second: np.ndarray, rank: int) -> ScreenReport:
+    """The worst, by ``spectrum_gaps``, of the pairs ``(inputs[first[i]],
+    inputs[second[i]])`` of rank-``rank`` projections mapped to the same
+    pairs of ``mapped``, the last on a tie.  The witness is copied out of
+    the stacks and wrapped unchecked: the caller validated ``mapped``, or
+    its fit vouched for it."""
+    gaps = spectrum_gaps(inputs[first], inputs[second], mapped[first], mapped[second])
+    i = len(gaps) - 1 - int(np.argmax(gaps[::-1]))
+    witness = np.stack([inputs[first[i]], inputs[second[i]], mapped[first[i]], mapped[second[i]]])
+    return ScreenReport(float(gaps[i]), *_wrap_stack(witness, [rank] * 4))
 
 
 def screen_preservation(phi: RankNMap, num_samples: int, seed: int, tol: ToleranceConfig = DEFAULT_TOL) -> ScreenReport:
     """Compare angles and trace form before and after the map on random pairs.
 
-    Pairs are scored by ``_worst_pair``, the witness being the last pair
-    attaining the maximum.  They are drawn, evaluated and compared in stacks
-    (``_sampled``: ``b b*`` or, when n > d/2, ``I - b b*`` from d x k
-    frames, scored as the rank-n inputs they are), and every output is
-    validated, since the witness images must be ``Projection``s; a failure
-    names the sample's index in the run (pair i is samples 2i, 2i + 1).
+    Pairs of ``_sampled`` rank-n samples are scored stack by stack by
+    ``_witness``, the witness being the last pair attaining the maximum.
+    Every output is validated, since the witness images must be
+    projections; a failure names the sample's index in the run (pair i is
+    samples 2i, 2i + 1).
     Fewer than one pair raises ``ValueError``: it would certify nothing.
     """
-    worst, witness = 0.0, (None, None, None, None)
-    for first, _, inputs, samples, mapped in _sampled(phi, num_samples, seed, tol, group=2):
-        images = phi._validated(mapped, first)
-        i, discrepancy = _worst_pair(inputs[0::2], inputs[1::2], mapped[0::2], mapped[1::2])
-        if discrepancy >= worst:
-            worst, witness = discrepancy, (samples[2 * i], samples[2 * i + 1], images[2 * i], images[2 * i + 1])
-    return ScreenReport(worst, *witness)
+    report = ScreenReport(0.0, None, None, None, None)
+    for first, _, inputs, mapped in _sampled(phi, num_samples, seed, tol, group=2):
+        phi._validated(mapped, first)
+        stack = _witness(inputs, mapped, *np.arange(len(inputs)).reshape(-1, 2).T, phi.rank)
+        if stack.max_discrepancy >= report.max_discrepancy:
+            report = stack
+    return report
 
 
 @functools.lru_cache(maxsize=256)
 def _report_pairs(m: int, refs: int) -> tuple[np.ndarray, np.ndarray]:
     """The pairs of the reading's queries (the ``m - 1`` blocks, then
-    ``refs`` references) that ``_reference_report`` scores: every pair of
-    references, then each block with every reference, block by block, at
-    most ``_SCREEN_PAIRS`` in all.  Two blocks are orthogonal, so their
-    pair is left out.  Returns ``(used, pairs)``, read-only and built once
-    per key: the sorted indices of the queries the pairs use, and the
-    pairs as a ``(2, pairs)`` index array into ``used``."""
+    ``refs`` references) that a map with no accepted candidate is scored
+    on first: every pair of references, then each block with every
+    reference, block by block, at most ``_SCREEN_PAIRS`` in all.  Two
+    blocks are orthogonal, so their pair is left out.  Returns ``(used,
+    pairs)``, read-only and built once per key: the sorted indices of the
+    queries the pairs use, and the pairs as a ``(2, pairs)`` index array
+    into ``used``."""
     references, (first, second) = np.arange(m - 1, m - 1 + refs), np.triu_indices(refs, 1)
     first = np.concatenate([references[first], np.repeat(np.arange(m - 1), refs)])
     second = np.concatenate([references[second], np.tile(references, m - 1)])
@@ -239,19 +232,6 @@ def _report_pairs(m: int, refs: int) -> tuple[np.ndarray, np.ndarray]:
     used.setflags(write=False)
     inverse.setflags(write=False)
     return used, inverse
-
-
-def _reference_report(frames: np.ndarray, mapped: np.ndarray, pairs: np.ndarray, rank: int) -> ScreenReport:
-    """``_worst_pair`` over ``pairs``, a ``(2, pairs)`` index array into
-    some of the reading's queries ``_queries(b, rank)`` (``_report_pairs``),
-    rebuilt bit for bit from their frames b, and the map's own outputs
-    ``mapped`` for them, which the reading validated or its fit vouched
-    for, so the witness is wrapped unchecked."""
-    inputs = _queries(frames, rank)
-    first, second = pairs
-    i, worst = _worst_pair(inputs[first], inputs[second], mapped[first], mapped[second])
-    witness = np.stack([inputs[first[i]], inputs[second[i]], mapped[first[i]], mapped[second[i]]])
-    return ScreenReport(worst, *_wrap_stack(witness, [rank] * 4))
 
 
 def verify_conjugation(
@@ -276,7 +256,7 @@ def verify_conjugation(
     Fewer than one sample raises ``ValueError``: it would certify nothing.
     """
     v, worst = as_complex(v), 0.0
-    for first, b, _, _, mapped in _sampled(phi, num_samples, seed, tol):
+    for first, b, _, mapped in _sampled(phi, num_samples, seed, tol):
         w = v @ (b.conj() if antiunitary else b)
         flipped = b.shape[-1] != phi.rank
         residuals = _checked_residuals(phi, mapped, first, w, complement != flipped, tol)
@@ -449,15 +429,14 @@ def _polish(images: np.ndarray, v: np.ndarray, frames: np.ndarray, stop: float) 
 def _fitted(phi: RankNMap, tol: ToleranceConfig, accept_tol: float):
     """Block query plan -> Bargmann reading -> fit, gate, polish, at rank
     ``k = min(n, d - n)``: ``(complement, antiunitary, v, residual,
-    reference)``.  The plan's d x k frames b reach ``phi`` as
-    ``_queries(b, n)``; when k < n the fit reads the images ``I - phi(I -
-    b b*)`` of ``b b*`` under the dual, and its gate checks ``phi``'s own
-    outputs against ``I - W W*``, as verification does.  ``v`` is the
-    polished, phase-fixed fit, or ``None`` when its ``residual`` on its own
-    queries exceeds ``FIT_GATE`` accept_tol; ``reference`` holds the frames
-    and a copy of the outputs of the queries that ``_report_pairs`` scores,
-    and those pairs as indices into them, for ``_reference_report``, so the
-    reading's whole stacks are released before verification."""
+    reference)``.  When k < n the fit reads the images of ``b b*`` under
+    the dual, and its gate checks ``phi``'s own outputs against
+    ``I - W W*``, as verification does.  ``v`` is the polished, phase-fixed
+    fit, or ``None`` when its ``residual`` on its own queries exceeds
+    ``FIT_GATE`` accept_tol; ``reference`` holds the frames and a copy of
+    the outputs of the queries that ``_report_pairs`` scores, and those
+    pairs as indices into them, so the reading's whole stacks are released
+    before verification."""
     d, n = phi.ambient_dim, phi.rank
     k = min(n, d - n)
     m = -(-d // k)
@@ -483,35 +462,6 @@ def _fitted(phi: RankNMap, tol: ToleranceConfig, accept_tol: float):
     return complement, antiunitary, canonicalize_global_phase(as_complex(v)), residual, reference
 
 
-def _classify(
-    phi: RankNMap, cfg: ReconstructionConfig, tol: ToleranceConfig, accept_tol: float
-) -> tuple[ReconstructionResult, ScreenReport | None]:
-    """``_fitted`` -> verification.
-
-    The map is read at rank ``k = min(n, d - n)``, through the complement
-    queries ``I - b b*`` when n > d/2 (a conjugation inducing the dual
-    ``I - phi(I - P)`` induces the map), from one stack of queries, and
-    fitted once, in the reading ``_reading`` picks; the fit must match its
-    queries within ``FIT_GATE`` accept_tol before it is polished and
-    verified on fresh samples.  A failure comes with ``_reference_report``
-    of the map's outputs for the reading's queries.
-    """
-    complement, antiunitary, v, residual, reference = _fitted(phi, tol, accept_tol)
-    if complement:
-        variant, label, seed = VARIANT_EXCEPTIONAL, "complement-composed", cfg.seed + 2
-    else:
-        variant, label, seed = VARIANT_CONJUGATION, "conjugation", cfg.seed + 1
-    label = f"{'antiunitary' if antiunitary else 'linear'} {label} reading"
-    if v is None:
-        notes = f"{label} fits its own queries only to {residual:.3e} > {FIT_GATE:g} x accept_tol"
-    else:
-        residual = verify_conjugation(phi, v, antiunitary, _VERIFY_SAMPLES, seed, tol, complement=complement)
-        if residual <= accept_tol:
-            return ReconstructionResult(variant, v=v, antiunitary=antiunitary, residual=residual), None
-        notes = f"{label} fails verification (residual {residual:.3e} > {accept_tol:.1e})"
-    return ReconstructionResult(VARIANT_UNCLASSIFIED, notes=notes), _reference_report(*reference, phi.rank)
-
-
 def reconstruct(
     phi: RankNMap,
     cfg: ReconstructionConfig | None = None,
@@ -519,14 +469,16 @@ def reconstruct(
 ) -> ReconstructionResult:
     """Classify an angle-preserving map and recover its inducing isometry.
 
-    Classification and verification (on 50 fresh samples) run first, and
-    an accepted result is returned as it comes, without screening.
+    The map is read and fitted once (``_fitted``), in the reading
+    ``_reading`` picks; a fit that matches its queries within ``FIT_GATE``
+    accept_tol is polished and verified on 50 fresh samples, and an
+    accepted result is returned as it comes, without screening.
     Otherwise a discrepancy above ``accept_tol = 10 spec_tol`` returns
-    ``not_angle_preserving`` with the witness of at most 20 pairs of the
-    reading's queries (``_report_pairs``, set by the reading's seed, not
-    ``cfg.seed``) or, if none of them clears it, of 20 pairs screened from
-    ``cfg.seed``; else the classification's ``preserving_unclassified``
-    result stands.
+    ``not_angle_preserving`` with the ``_witness`` of at most 20 pairs of
+    the reading's queries (``_report_pairs``, set by the reading's seed,
+    not ``cfg.seed``) or, if none of them clears it, of 20 pairs screened
+    from ``cfg.seed``; else ``preserving_unclassified``, with a note on
+    the gate the reading failed.
 
     An acceptance is the "no false positives" bound, and no more: a map
     that differs from the returned conjugation by more than ``accept_tol``
@@ -542,13 +494,24 @@ def reconstruct(
         raise BadRank(f"reconstruction needs 1 <= n < d, got n={n}, d={d}")
 
     accept_tol = _ACCEPT_FACTOR * tol.spec_tol
-    result, report = _classify(phi, cfg, tol, accept_tol)
-    if result.accepted:
-        return result
+    complement, antiunitary, v, residual, (frames, outputs, pairs) = _fitted(phi, tol, accept_tol)
+    if complement:
+        variant, label, seed = VARIANT_EXCEPTIONAL, "complement-composed", cfg.seed + 2
+    else:
+        variant, label, seed = VARIANT_CONJUGATION, "conjugation", cfg.seed + 1
+    label = f"{'antiunitary' if antiunitary else 'linear'} {label} reading"
+    if v is None:
+        notes = f"{label} fits its own queries only to {residual:.3e} > {FIT_GATE:g} x accept_tol"
+    else:
+        residual = verify_conjugation(phi, v, antiunitary, _VERIFY_SAMPLES, seed, tol, complement=complement)
+        if residual <= accept_tol:
+            return ReconstructionResult(variant, v=v, antiunitary=antiunitary, residual=residual)
+        notes = f"{label} fails verification (residual {residual:.3e} > {accept_tol:.1e})"
+    report = _witness(_queries(frames, n), outputs, *pairs, n)
     if not report.max_discrepancy > accept_tol:
         report = screen_preservation(phi, _SCREEN_PAIRS, cfg.seed, tol)
     if not report.max_discrepancy > accept_tol:
-        return result
+        return ReconstructionResult(VARIANT_UNCLASSIFIED, notes=notes)
     return ReconstructionResult(
         VARIANT_NOT_PRESERVING, witness_p=report.witness_p, witness_q=report.witness_q,
         witness_phi_p=report.witness_phi_p, witness_phi_q=report.witness_phi_q, discrepancy=report.max_discrepancy,

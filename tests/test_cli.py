@@ -9,6 +9,7 @@ import pytest
 
 import grasswig
 from grasswig import (
+    MatrixFormatError,
     Projection,
     instantiate,
     load_map_spec,
@@ -17,10 +18,10 @@ from grasswig import (
     random_projection,
     save_matrix,
     save_projection,
+    spectrum_discrepancy,
 )
 from grasswig.cli import main
 from grasswig.linalg import haar_random_unitary
-from grasswig.reconstruction import _worst_pair
 
 
 def run_cli(capsys, *argv):
@@ -88,6 +89,33 @@ def test_angles_malformed_file(tmp_path, capsys):
     code, _, err = run_cli(capsys, "angles", "--p", bad, "--q", p)
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize("content", [b'{"type": "identity"\xff}', b"[" * 100_000], ids=["not-utf8", "too-deep"])
+def test_an_unreadable_json_file_is_named_in_the_error(tmp_path, capsys, content):
+    # a stray 0xff byte, or nesting past the parser's recursion limit, is an
+    # input error naming its file (exit 2), for every reader
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    p = write_projection(tmp_path, "p.json", 2, 1, seed=1)
+    for argv in (("angles", "--p", bad, "--q", p), ("check", "--map", bad, "--dim", 4, "--rank", 2)):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert f"error: {bad}: not valid UTF-8 JSON" in err and "Traceback" not in err
+    for load in (load_matrix, load_projection, load_map_spec):
+        with pytest.raises(MatrixFormatError, match="not valid UTF-8 JSON"):
+            load(bad)
+
+
+def test_a_malformed_conjugation_matrix_file_is_named_in_the_error(tmp_path, capsys):
+    matrix = tmp_path / "V.json"
+    matrix.write_text('{"rows" 2}')
+    spec = write_spec(tmp_path, "spec.json", {"type": "conjugation", "matrix": "V.json"})
+    with pytest.raises(MatrixFormatError, match="V.json: not valid UTF-8 JSON"):
+        load_map_spec(spec)
+    code, out, err = run_cli(capsys, "check", "--map", spec, "--dim", 2, "--rank", 1)
+    assert code == 2 and out == ""
+    assert f"error: {matrix}: not valid UTF-8 JSON" in err
 
 
 @pytest.mark.parametrize("part", [0, 1])
@@ -264,8 +292,8 @@ def test_reconstruct_noisy_writes_witness(tmp_path, capsys):
     for path in payload["witness_files"].values():
         assert json.loads(Path(path).read_text())["kind"] == "projection"
     # the reloaded witness rescores to the printed discrepancy exactly
-    witness = [load_projection(payload["witness_files"][name])[0].matrix for name in ("p", "q", "phi_p", "phi_q")]
-    assert _worst_pair(*(m[None] for m in witness))[1] == payload["discrepancy"]
+    witness = [load_projection(payload["witness_files"][name])[0] for name in ("p", "q", "phi_p", "phi_q")]
+    assert spectrum_discrepancy(*witness) == payload["discrepancy"]
 
 
 @pytest.mark.parametrize("base", [{"type": "identity"}, {"type": "noisy", "base": {"type": "identity"}, "sigma": 0.001, "seed": 2}])

@@ -29,6 +29,7 @@ from grasswig import (
     sample_projection,
     sample_projections,
     screen_preservation,
+    spectrum_discrepancy,
     verify_conjugation,
 )
 import grasswig.maps
@@ -36,7 +37,7 @@ import grasswig.reconstruction
 from grasswig.extension import extend_orthonormal
 from grasswig.linalg import haar_frames_from_rng
 from grasswig.maps import MapSpec, instantiate
-from grasswig.reconstruction import _ACCEPT_FACTOR, _SCREEN_PAIRS, _worst_pair
+from grasswig.reconstruction import _ACCEPT_FACTOR, _SCREEN_PAIRS
 from grasswig.tolerances import DEFAULT_TOL
 
 # Few examples each: the suite's wall time stays within a few seconds.  The
@@ -255,8 +256,7 @@ def test_a_rejection_carries_the_screen_witness_bit_for_bit(family):
     if result.variant != VARIANT_NOT_PRESERVING:
         return
     witness = (result.witness_p, result.witness_q, result.witness_phi_p, result.witness_phi_q)
-    _, rescored = _worst_pair(*(w.matrix[None] for w in witness))
-    assert result.discrepancy == rescored > _ACCEPT_FACTOR * DEFAULT_TOL.spec_tol
+    assert result.discrepancy == spectrum_discrepancy(*witness) > _ACCEPT_FACTOR * DEFAULT_TOL.spec_tol
     if not screen.called:
         return
     report = screen_preservation(phi, _SCREEN_PAIRS, cfg.seed)

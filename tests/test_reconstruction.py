@@ -35,7 +35,7 @@ from grasswig.maps import MapSpec, instantiate
 from grasswig.projections import projection_rank
 import grasswig.reconstruction as reconstruction
 from grasswig.reconstruction import (
-    _ACCEPT_FACTOR, FIT_GATE, _fit, _plan, _query_frames, _ranges, _reading, _report_pairs, _trace3, _worst_pair,
+    _ACCEPT_FACTOR, FIT_GATE, _fit, _plan, _query_frames, _ranges, _reading, _report_pairs, _trace3,
 )
 from grasswig.tolerances import DEFAULT_TOL, ToleranceConfig
 
@@ -379,17 +379,14 @@ def test_a_noisy_map_at_half_dimension_reaches_the_screen_after_its_reading(sigm
 def rescored_witness(result):
     """A rejection's four witness matrices, after checking that they rescore
     to its discrepancy exactly and that it exceeds accept_tol."""
-    witness = [getattr(result, f"witness_{name}").matrix for name in ("p", "q", "phi_p", "phi_q")]
-    assert _worst_pair(*(m[None] for m in witness))[1] == result.discrepancy > ACCEPT_TOL
-    return witness
+    witness = [getattr(result, f"witness_{name}") for name in ("p", "q", "phi_p", "phi_q")]
+    assert spectrum_discrepancy(*witness) == result.discrepancy > ACCEPT_TOL
+    return [w.matrix for w in witness]
 
 
-def test_a_map_exact_on_its_reading_is_rejected_by_the_fallback_screen():
-    # the reading's queries are answered exactly, every later query with
-    # noise: the fit passes its gate, verification fails and no reference
-    # pair clears accept_tol, so the map is screened on 20 fresh pairs, and
-    # the witness is the screen's, bit for bit
-    d, n, seed = 6, 2, 50
+def exact_on_its_reading(d, n, seed):
+    """A conjugation that answers the reading's queries exactly and every
+    later query with noise (sigma 1e-3), the noisy map, and the call log."""
     v = haar_random_unitary(d, seed)
     exact = instantiate(MapSpec("conjugation", matrix=v), d, n)
     noisy = instantiate(MapSpec("noisy", base=MapSpec("conjugation", matrix=v), sigma=1e-3, seed=seed), d, n)
@@ -399,13 +396,38 @@ def test_a_map_exact_on_its_reading_is_rejected_by_the_fallback_screen():
         calls.append(1)
         return (exact if len(calls) <= block_plan_calls(d, n) else noisy).evaluate(p)
 
-    result = reconstruct(RankNMap(d, n, fn), ReconstructionConfig(seed=51))
+    return RankNMap(d, n, fn), noisy, calls
+
+
+def test_a_map_exact_on_its_reading_is_rejected_by_the_fallback_screen():
+    # the reading's queries are answered exactly, every later query with
+    # noise: the fit passes its gate, verification fails and no reference
+    # pair clears accept_tol, so the map is screened on 20 fresh pairs, and
+    # the witness is the screen's, bit for bit
+    phi, noisy, calls = exact_on_its_reading(6, 2, 50)
+    result = reconstruct(phi, ReconstructionConfig(seed=51))
     assert result.variant == VARIANT_NOT_PRESERVING
-    assert len(calls) == block_plan_calls(d, n) + 50 + 40 == 95
+    assert len(calls) == block_plan_calls(6, 2) + 50 + 40 == 95
     report = screen_preservation(noisy, 20, seed=51)
     assert result.discrepancy == report.max_discrepancy
     for name in ("witness_p", "witness_q", "witness_phi_p", "witness_phi_q"):
         assert np.array_equal(getattr(result, name).matrix, getattr(report, name).matrix)
+
+
+def test_every_kind_of_witness_rescores_to_its_discrepancy_through_the_public_api():
+    # spectrum_discrepancy is the statistic every witness is chosen by, so a
+    # witness from the reading's pairs, from the fallback screen, from the
+    # dual route and from screen_preservation rescores to it bit for bit
+    noisy = instantiate(MapSpec("noisy", base=MapSpec("identity"), sigma=1e-2, seed=25), 5, 2)
+    runs = ((reconstruct, noisy, 0), (reconstruct, exact_on_its_reading(6, 2, 50)[0], 51), (reconstruct_via_dual, noisy, 0))
+    for route, phi, seed in runs:
+        with mock.patch.object(reconstruction, "screen_preservation", wraps=screen_preservation) as screened:
+            result = route(phi, ReconstructionConfig(seed=seed))
+        assert result.variant == VARIANT_NOT_PRESERVING and screened.called == (seed == 51)
+        rescored_witness(result)
+    report = screen_preservation(noisy, 20, seed=0)
+    witness = (report.witness_p, report.witness_q, report.witness_phi_p, report.witness_phi_q)
+    assert spectrum_discrepancy(*witness) == report.max_discrepancy > ACCEPT_TOL
 
 
 @pytest.mark.parametrize("d", range(2, 17))
