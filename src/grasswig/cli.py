@@ -6,11 +6,17 @@ preserving, not classified), 2 usage or input error, 3 numerical failure.
 Every command is deterministic given its full argument list (seeds
 included).  The ``GW_TOL`` environment variable overrides the default
 entrywise comparison tolerance.
+
+``main`` builds its parser once per process, on its first call, so a
+program calling it repeatedly pays argparse's construction once (a shell
+user pays it once either way); ``build_parser`` returns a fresh one.
+``GW_TOL`` and the output streams are read on every call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -231,14 +237,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)  # built by the first ``main`` call
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.command == "demo-exceptional" and args.n < 2:
         parser.error("--n must be at least 2: at n = 1 the complement map is an ordinary conjugation")
     if getattr(args, "dim", None) is not None and args.dim < 1:
         parser.error("--dim must be positive")
     try:
+        if getattr(args, "seed", 0) < 0:
+            raise ValueError(f"--seed must be an integer >= 0, got {args.seed}")
+        if getattr(args, "samples", 1) < 1:
+            raise ValueError(f"--samples must be at least 1, got {args.samples}")
         tol = _tolerances()
         return args.func(args, tol)
     except (ConvergenceFailure, InternalInconsistency) as exc:

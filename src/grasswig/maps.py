@@ -79,7 +79,9 @@ class RankNMap:
         for i, p in enumerate(projections):
             if (p.ambient_dim, p.rank) != (d, n):
                 raise BadRank(f"input {i} has rank {p.rank} in dim {p.ambient_dim}, map expects rank {n} in dim {d}")
-        return self._validated(self._outputs(projections))
+        stack = self._outputs(projections)
+        self._check(stack)
+        return _wrap_stack(stack, [n] * len(stack))
 
     def _outputs(self, projections: list[Projection], first: int = 0) -> np.ndarray:
         """``evaluate_many`` unvalidated, for inputs of the map's rank and
@@ -96,15 +98,13 @@ class RankNMap:
             stack[i] = m
         return stack
 
-    def _validated(self, stack: np.ndarray, first: int = 0) -> list[Projection]:
-        """An ``_outputs`` stack validated in one pass (``projection_rank``) and
-        wrapped as ``Projection``s over views of it, which is made read-only;
-        an output not of the map's rank raises.  Errors name output ``first + i``."""
-        ranks = projection_rank(stack, self.tol, first).tolist()
-        for i, rank in enumerate(ranks):
+    def _check(self, stack: np.ndarray, first: int = 0) -> None:
+        """Validate an ``_outputs`` stack in one pass (``projection_rank``),
+        wrapping nothing: an output not of the map's rank raises.  Errors
+        name output ``first + i``."""
+        for i, rank in enumerate(projection_rank(stack, self.tol, first).tolist()):
             if rank != self.rank:
                 raise InternalInconsistency(f"map {self.descriptor!r} returned rank {rank} for input {first + i}")
-        return _wrap_stack(stack, ranks)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"RankNMap(d={self.ambient_dim}, n={self.rank}, {self.descriptor})"

@@ -186,7 +186,7 @@ def _witness(inputs: np.ndarray, mapped: np.ndarray, first: np.ndarray, second: 
     """The worst, by ``spectrum_gaps``, of the pairs ``(inputs[first[i]],
     inputs[second[i]])`` of rank-``rank`` projections mapped to the same
     pairs of ``mapped``, the last on a tie.  The witness is copied out of
-    the stacks and wrapped unchecked: the caller validated ``mapped``, or
+    the stacks and wrapped unchecked: the caller checked ``mapped``, or
     its fit vouched for it."""
     gaps = spectrum_gaps(inputs[first], inputs[second], mapped[first], mapped[second])
     i = len(gaps) - 1 - int(np.argmax(gaps[::-1]))
@@ -199,14 +199,15 @@ def screen_preservation(phi: RankNMap, num_samples: int, seed: int, tol: Toleran
 
     Pairs of ``_sampled`` rank-n samples are scored stack by stack by
     ``_witness``, the witness being the last pair attaining the maximum.
-    Every output is validated, since the witness images must be
-    projections; a failure names the sample's index in the run (pair i is
+    Each stack of outputs is validated whole (``RankNMap._check``), since
+    the witness images must be projections, and only the witness is
+    wrapped; a failure names the sample's index in the run (pair i is
     samples 2i, 2i + 1).
     Fewer than one pair raises ``ValueError``: it would certify nothing.
     """
     report = ScreenReport(0.0, None, None, None, None)
     for first, _, inputs, mapped in _sampled(phi, num_samples, seed, tol, group=2):
-        phi._validated(mapped, first)
+        phi._check(mapped, first)
         stack = _witness(inputs, mapped, *np.arange(len(inputs)).reshape(-1, 2).T, phi.rank)
         if stack.max_discrepancy >= report.max_discrepancy:
             report = stack
@@ -267,7 +268,7 @@ def verify_conjugation(
 def _checked_residuals(phi: RankNMap, mapped, first: int, w, complement: bool, tol: ToleranceConfig) -> np.ndarray:
     """Frobenius residuals of a stack ``mapped`` of ``phi``'s outputs M against
     ``Q = W W*`` (or ``I - W W*`` with ``complement``) for d x k frames W,
-    after ``phi._validated(mapped, first)`` unless the residuals r vouch
+    after ``phi._check(mapped, first)`` unless the residuals r vouch
     for every M.  Let ``E = M - Q``, ``g = ||W* W - I||_F``.  ``W W*`` has
     eigenvalues in ``{0} u [1 - g, 1 + g]``, so ``||Q - I/2||_2 <= 1/2 + g``;
     ``Q^2 - Q = W (W* W - I) W*`` in both forms, and
@@ -284,7 +285,7 @@ def _checked_residuals(phi: RankNMap, mapped, first: int, w, complement: bool, t
     residuals = frobenius_stack(mapped - (np.eye(d) - predicted if complement else predicted))
     vouches = (d - k if complement else k) == phi.rank and (np.sqrt(d) + np.sqrt(k)) * cover <= tol.rank_tol
     if not (vouches and np.all(residuals <= cover) and np.all(frobenius_stack(_adjoint(w) @ w - np.eye(k)) <= cover)):
-        phi._validated(mapped, first)
+        phi._check(mapped, first)
     return residuals
 
 
@@ -443,7 +444,7 @@ def _fitted(phi: RankNMap, tol: ToleranceConfig, accept_tol: float):
     plan, omega = (_plan if d <= _PLAN_CACHE_DIM else _plan.__wrapped__)(d, k, phi.field, tol)
     mapped = phi._outputs(_wrap_stack(_queries(plan, n), [n] * len(plan)))
     if not abs(np.vdot(mapped, mapped)) <= len(mapped) * d:  # NaN, inf or too large to fit:
-        phi._validated(mapped)  # raises, as ||P||_F^2 = n < d; else the fit vouches
+        phi._check(mapped)  # raises, as ||P||_F^2 = n < d; else the fit vouches
     outputs = np.eye(d) - mapped if k < n else mapped
     real = phi.field == REAL and is_exactly_real(outputs)
     outputs, frames = (outputs.real, plan.real) if real else (outputs, plan)

@@ -337,6 +337,28 @@ def test_demo_exceptional_rejects_n1(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command", ["check", "gen", "demo-exceptional"])
+def test_a_negative_seed_is_refused_by_name_before_any_output(tmp_path, capsys, command):
+    spec = write_spec(tmp_path, "spec.json", {"type": "identity"})
+    out_file = tmp_path / "u.json"
+    argv = {
+        "check": ["check", "--map", spec, "--dim", 4, "--rank", 2, "--witness-dir", tmp_path / "w"],
+        "gen": ["gen", "--what", "unitary", "--dim", 3, "--out", out_file],
+        "demo-exceptional": ["demo-exceptional", "--n", 2],
+    }[command]
+    code, out, err = run_cli(capsys, *argv, "--seed", -1)
+    assert code == 2 and out == ""
+    assert "--seed must be an integer >= 0, got -1" in err
+    assert not out_file.exists() and not (tmp_path / "w").exists()
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_demo_exceptional_refuses_an_empty_screen_before_any_output(capsys, samples):
+    code, out, err = run_cli(capsys, "demo-exceptional", "--n", 2, "--samples", samples)
+    assert code == 2 and out == ""
+    assert "--samples" in err and "at least 1" in err
+
+
 def test_gen_is_deterministic(tmp_path, capsys):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
@@ -431,12 +453,16 @@ def test_angles_accept_the_defects_a_loose_gw_tol_lets_through(tmp_path, capsys,
         assert abs(json.loads(out)["angles_radians"][0] - theta) <= 1e-6
 
 
-def test_console_entry_point_runs():
-    # the child imports the same grasswig as the suite, installed or not
+def child_env(**extra):
+    """This environment plus ``extra``, with the suite's grasswig first on
+    PYTHONPATH: a child imports the same grasswig, installed or not."""
     src = os.path.dirname(os.path.dirname(grasswig.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return {**os.environ, **extra, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def test_console_entry_point_runs():
     proc = subprocess.run(
-        [sys.executable, "-m", "grasswig.cli", "--version"], capture_output=True, text=True, env=env
+        [sys.executable, "-m", "grasswig.cli", "--version"], capture_output=True, text=True, env=child_env()
     )
     assert proc.returncode == 0
     assert "grasswig" in proc.stdout
@@ -444,9 +470,87 @@ def test_console_entry_point_runs():
 
 def test_the_cli_imports_no_scipy():
     # numpy is the only dependency: scipy alone doubled the import time
-    src = os.path.dirname(os.path.dirname(grasswig.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     script = "import sys, grasswig.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def fresh_process(argv, **env):
+    """``python -m grasswig.cli argv`` in a new process, with ``env`` added to
+    this environment: (code, out, err)."""
+    argv = [sys.executable, "-m", "grasswig.cli", *map(str, argv)]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=child_env(**env))
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def in_process(capsys, argv):
+    """``main(argv)`` in this process, an argparse exit read as its code."""
+    try:
+        code = main([str(a) for a in argv])
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_main_builds_its_parser_once_per_process(monkeypatch, capsys):
+    import argparse
+
+    from grasswig import cli
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", lambda self, *a, **k: built.append(1) or init(self, *a, **k))
+    cli._parser.cache_clear()
+    assert in_process(capsys, ["--version"])[0] == 0
+    assert in_process(capsys, ["demo-exceptional"])[0] == 2
+    assert len(built) == 6  # the top-level parser and its 5 subcommands, once
+    assert cli.build_parser() is not cli.build_parser()
+    assert cli.build_parser() is not cli._parser()
+
+
+def test_importing_the_cli_builds_no_parser():
+    script = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "argparse.ArgumentParser.__init__ = lambda self, *a, **k: built.append(1) or init(self, *a, **k)\n"
+        "import grasswig.cli\n"
+        "print(len(built))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0"
+
+
+def test_repeated_in_process_calls_answer_as_a_fresh_process_does(tmp_path, capsys, monkeypatch):
+    # --version, usage errors and a GW_TOL change, each called twice through
+    # one cached parser, print and exit as a new process does; help text is
+    # wrapped at COLUMNS, fixed on both sides
+    near = tmp_path / "near.json"
+    eps = 4e-5
+    from grasswig import matrix_to_obj
+
+    obj = matrix_to_obj(np.array([[1.0, eps], [eps, 0.0]], dtype=complex))
+    obj.update({"kind": "projection", "rank": 1})
+    near.write_text(json.dumps(obj))
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.delenv("GW_TOL", raising=False)
+    cases = [
+        (["--version"], None),
+        (["check", "--dim", 4], None),
+        (["reconstruct", "--map", near, "--dim", 0, "--rank", 1], None),
+        (["angles", "--p", near, "--q", near, "--json"], None),
+        (["angles", "--p", near, "--q", near, "--json"], "1e-8"),
+        (["angles", "--p", near, "--q", near, "--json"], None),
+    ]
+    expected = [fresh_process(argv, **({"GW_TOL": gw_tol} if gw_tol else {})) for argv, gw_tol in cases]
+    assert [e[0] for e in expected] == [0, 2, 2, 2, 0, 2]
+    for _ in range(2):
+        for (argv, gw_tol), want in zip(cases, expected):
+            if gw_tol:
+                monkeypatch.setenv("GW_TOL", gw_tol)
+            else:
+                monkeypatch.delenv("GW_TOL", raising=False)
+            assert in_process(capsys, argv) == want, argv

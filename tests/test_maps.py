@@ -184,6 +184,34 @@ def test_map_outputs_are_validated_once_as_a_stack(monkeypatch):
     assert shapes == [(40, 6, 6)]
 
 
+def test_a_screen_wraps_its_inputs_and_witness_but_no_output(monkeypatch):
+    # a 20-pair screen at d = 6 passes its 40 samples to the oracle as
+    # Projections and wraps the 4 witness matrices: 44 in all.  Its 40
+    # outputs are only checked as one stack, never wrapped
+    import sys
+
+    import grasswig.projections as projections
+    from grasswig.reconstruction import screen_preservation
+
+    built, wrap, post_init = [], projections._wrap_stack, Projection.__post_init__
+
+    def counted_wrap(stack, ranks):
+        out = wrap(stack, ranks)
+        built.append(len(out))
+        return out
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("grasswig") and getattr(module, "_wrap_stack", None) is wrap:
+            monkeypatch.setattr(module, "_wrap_stack", counted_wrap)
+    monkeypatch.setattr(Projection, "__post_init__", lambda self, tol: built.append(1) or post_init(self, tol))
+    v = haar_random_unitary(6, 4)
+    for spec in (MapSpec("conjugation", matrix=v), MapSpec("noisy", base=MapSpec("conjugation", matrix=v), sigma=1e-3, seed=2)):
+        built.clear()
+        report = screen_preservation(instantiate(spec, 6, 2), 20, seed=3)
+        assert sum(built) == 44, spec.kind
+        assert isinstance(report.witness_phi_q, Projection) and report.witness_phi_q.rank == 2
+
+
 def test_noisy_seed_must_be_a_signed_64_bit_integer():
     base = MapSpec("complement")
     for seed in (2.7, 1e20, True, "3", 2**63, -(2**63) - 1):
