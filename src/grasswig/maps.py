@@ -12,11 +12,14 @@ A map spec is a small JSON object::
 The noisy wrapper conjugates the base map's output by a near-identity
 unitary drawn from a hash of the input, so outputs remain exact
 projections and the only property it can break is angle preservation
-across different inputs.
+across different inputs.  Every kind is one function on a ``(c, d, d)``
+stack of matrices, and a spec map evaluates each stack of inputs with one
+call of it; an external oracle is called once per input.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import os
@@ -27,7 +30,7 @@ import numpy as np
 
 from .errors import BadRank, InternalInconsistency, MatrixFormatError, NotAProjection
 from .linalg import COMPLEX, REAL, as_complex, check_field, frobenius, is_exactly_real
-from .matio import canonical_key, matrix_from_obj, read_json
+from .matio import canonical_keys, matrix_from_obj, read_json
 from .projections import Projection, _wrap_stack, projection_rank
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
@@ -36,7 +39,8 @@ class RankNMap:
     """Deterministic oracle sending rank-n projections to rank-n projections.
 
     The oracle returns a matrix or a ``Projection``, either checked as its
-    matrix: ``evaluate_many`` makes one oracle call per input, stores nothing
+    matrix: ``evaluate_many`` makes one oracle call per input (one call of
+    its stack function for a spec map, ``instantiate``), stores nothing
     and validates the outputs as one stack; ``evaluate`` is its one-input case.
     A dimension or rank that is no integer raises ``BadRank`` and an unknown
     field ``ValueError``, before any query.
@@ -62,6 +66,7 @@ class RankNMap:
         self.descriptor = descriptor
         self.tol = tol
         self._fn = fn
+        self._stack = None  # a spec map's evaluation of a whole input stack (``instantiate``)
 
     def evaluate(self, p: Projection) -> Projection:
         return self.evaluate_many([p])[0]
@@ -86,9 +91,11 @@ class RankNMap:
     def _outputs(self, projections: list[Projection], first: int = 0) -> np.ndarray:
         """``evaluate_many`` unvalidated, for inputs of the map's rank and
         dimension: the ``(k, d, d)`` stack of the outputs, each written into
-        it as it arrives, a ``Projection`` read as its matrix; errors name
-        ``first + i``."""
+        it as it arrives, a ``Projection`` read as its matrix, or a spec
+        map's from one call on the inputs' stack; errors name ``first + i``."""
         d = self.ambient_dim
+        if self._stack is not None:  # a spec map: one call for the whole stack
+            return self._stack(np.array([p.matrix for p in projections], dtype=np.complex128).reshape(-1, d, d))
         stack = np.empty((len(projections), d, d), dtype=np.complex128)
         for i, out in enumerate(map(self._fn, projections)):
             m = out.matrix if isinstance(out, Projection) else as_complex(out)
@@ -187,42 +194,42 @@ def _describe(spec: MapSpec) -> str:
     return spec.kind
 
 
-def _noise_unitary(m: np.ndarray, sigma: float, seed: int, field: str) -> np.ndarray:
-    """Near-identity unitary specific to the input matrix m.
+def _noisy(base, sigma: float, salt: bytes, field: str, s: np.ndarray) -> np.ndarray:
+    """``U base(S) U*`` for each matrix S of the stack s.  U is drawn from a
+    generator of S's own, seeded from a hash of S's ``canonical_keys`` and the
+    salt (the seed's 8 bytes), so the map stays deterministic per input while
+    different inputs get independent kicks.  U is the Cayley transform
+    ``(I - A/2)^-1 (I + A/2)`` of a skew-Hermitian generator A of size sigma,
+    unitary for any such A and ``exp(A)`` up to O(sigma^3); in real mode A is
+    skew-symmetric, keeping U real.  The transforms are solved and applied in
+    blocks of 256 KiB of d x d matrices (455 at d = 6, one from d = 128), so
+    the temporaries stay a few blocks at any stack size."""
+    d = s.shape[-1]
+    seeds = [int.from_bytes(hashlib.blake2b(key + salt, digest_size=8).digest(), "little") for key in canonical_keys(s)]
+    out, eye, size = np.empty(s.shape, dtype=np.complex128), np.eye(d), max(1, 2**14 // (d * d))
+    for i in range(0, len(s), size):
+        g = np.stack([np.random.default_rng(x).standard_normal((1 if field == REAL else 2, d, d)) for x in seeds[i : i + size]])
+        if field == REAL:
+            generator = sigma * (g[:, 0] - g[:, 0].swapaxes(-1, -2)) / 2.0
+        else:
+            h = g[:, 0] + 1j * g[:, 1]
+            generator = 1j * sigma * (h + h.conj().swapaxes(-1, -2)) / 2.0
+        u = np.asarray(np.linalg.solve(eye - generator / 2.0, eye + generator / 2.0), dtype=np.complex128)
+        out[i : i + size] = u @ base(s[i : i + size]) @ u.conj().swapaxes(-1, -2)
+    return out
 
-    Seeded from a hash of the canonical input bytes so the wrapped map stays
-    deterministic per input while different inputs get independent kicks.
-    The unitary is the Cayley transform ``(I - A/2)^-1 (I + A/2)`` of a
-    skew-Hermitian generator A of size sigma, unitary for any such A and
-    equal to ``exp(A)`` up to O(sigma^3).  In real mode the generator is
-    skew-symmetric, keeping the rotation real.
-    """
-    digest = hashlib.blake2b(
-        canonical_key(m) + seed.to_bytes(8, "little", signed=True),
-        digest_size=8,
-    ).digest()
-    rng = np.random.default_rng(int.from_bytes(digest, "little"))
-    d = m.shape[0]
-    g = rng.standard_normal((d, d))
-    if field == REAL:
-        generator = sigma * (g - g.T) / 2.0
-    else:
-        h = g + 1j * rng.standard_normal((d, d))
-        generator = 1j * sigma * (h + h.conj().T) / 2.0
-    eye = np.eye(d)
-    return np.asarray(np.linalg.solve(eye - generator / 2.0, eye + generator / 2.0), dtype=np.complex128)
 
-
-def _matrix_fn(spec: MapSpec, d: int, n: int, field: str, tol: ToleranceConfig):
-    """The map a spec describes, on raw matrices: every kind sends a rank-n
-    projection to one by construction, so nothing is validated in between."""
+def _stack_fn(spec: MapSpec, d: int, n: int, field: str, tol: ToleranceConfig):
+    """The map a spec describes, on a ``(c, d, d)`` stack of raw matrices:
+    every kind sends a rank-n projection to one by construction, so nothing
+    is validated in between."""
     if spec.kind == "identity":
-        return lambda m: m
+        return lambda s: s
     if spec.kind == "complement":
         if d != 2 * n:
             raise BadRank(f"complement maps rank n to rank d - n; need d = 2n, got d={d}, n={n}")
         eye = np.eye(d, dtype=np.complex128)
-        return lambda m: eye - m
+        return lambda s: eye - s
     if spec.kind == "conjugation":
         v = as_complex(spec.matrix)
         if v.shape != (d, d):
@@ -235,33 +242,27 @@ def _matrix_fn(spec: MapSpec, d: int, n: int, field: str, tol: ToleranceConfig):
                 raise MatrixFormatError("real-field conjugation requires a real orthogonal matrix")
             if spec.antiunitary:
                 raise MatrixFormatError("antiunitary has no meaning over the reals")
+        vh = v.conj().T
         if spec.antiunitary:
-            return lambda m: v @ m.conj() @ v.conj().T
-        return lambda m: v @ m @ v.conj().T
+            return lambda s: v @ s.conj() @ vh
+        return lambda s: v @ s @ vh
     if spec.kind == "noisy":
-        base = _matrix_fn(spec.base, d, n, field, tol)
+        base = _stack_fn(spec.base, d, n, field, tol)
         if spec.sigma == 0.0:
             return base
-
-        def noisy(m):
-            u = _noise_unitary(m, spec.sigma, spec.seed, field)
-            return u @ base(m) @ u.conj().T
-
-        return noisy
+        return functools.partial(_noisy, base, spec.sigma, spec.seed.to_bytes(8, "little", signed=True), field)
     if spec.kind == "compose":
-        stages = [_matrix_fn(part, d, n, field, tol) for part in reversed(spec.parts)]
-
-        def composed(m):
-            for stage in stages:
-                m = stage(m)
-            return m
-
-        return composed
+        stages = [_stack_fn(part, d, n, field, tol) for part in reversed(spec.parts)]
+        return lambda s: functools.reduce(lambda x, stage: stage(x), stages, s)
     raise MatrixFormatError(f"unknown map type {spec.kind!r}")
 
 
 def instantiate(spec: MapSpec, d: int, n: int, field: str = COMPLEX, tol: ToleranceConfig = DEFAULT_TOL) -> RankNMap:
     """Build the RankNMap a spec describes, validating it against (d, n, field).
-    Its oracle returns raw matrices, which the map validates as one stack."""
-    fn = _matrix_fn(spec, d, n, field, tol)
-    return RankNMap(d, n, lambda p: fn(p.matrix), descriptor=_describe(spec), field=field, tol=tol)
+    It evaluates each ``_outputs`` stack with one call of the spec's stack
+    function, and its per-input oracle is that function on a one-matrix
+    stack; both return raw matrices, which the map validates as one stack."""
+    fn = _stack_fn(spec, d, n, field, tol)
+    phi = RankNMap(d, n, lambda p: fn(p.matrix[None])[0], descriptor=_describe(spec), field=field, tol=tol)
+    phi._stack = fn
+    return phi

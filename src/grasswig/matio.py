@@ -140,13 +140,18 @@ def load_projection(path, tol: ToleranceConfig = DEFAULT_TOL):
     return projection_from_obj(read_json(path), tol)
 
 
-def canonical_key(m) -> bytes:
-    """Canonical byte serialization: entries rounded to 12 decimal digits.
+def canonical_keys(stack):
+    """Canonical byte serialization of each matrix of a stack, made lazily
+    from one rounding of the whole stack: the shape, then the entries
+    rounded to 12 decimal digits.  The rounding (and the +0.0, which folds
+    -0.0 into +0.0) makes a key robust to non-associative float noise
+    introduced by callers, so a key (the noisy map's per-input seed)
+    matches inputs equal for all purposes."""
+    rounded = np.round(np.asarray(stack, dtype=np.complex128), 12)
+    rounded += 0.0
+    header = rounded.shape[-2].to_bytes(4, "little") + rounded.shape[-1].to_bytes(4, "little")
+    return (header + m.tobytes() for m in rounded)
 
-    The rounding (and the +0.0, which folds -0.0 into +0.0) makes the key
-    robust to non-associative float noise introduced by callers, so a key
-    (the noisy map's per-input seed) matches inputs equal for all purposes.
-    """
-    a = as_complex(m)
-    rounded = np.round(a, 12) + 0.0
-    return a.shape[0].to_bytes(4, "little") + a.shape[1].to_bytes(4, "little") + rounded.tobytes()
+
+def canonical_key(m) -> bytes:
+    return next(canonical_keys(as_complex(m)[None]))  # the one-matrix case

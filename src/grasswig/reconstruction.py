@@ -43,7 +43,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .angles import spectrum_gaps
-from .errors import BadRank
+from .errors import BadRank, DimensionMismatch
 from .linalg import REAL, as_complex, frobenius, frobenius_stack, is_exactly_real
 from .maps import RankNMap
 from .matio import matrix_to_obj
@@ -98,6 +98,7 @@ class ReconstructionConfig:
         # seeds feed numpy generators, which refuse negative seeds
         if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
             raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
+        object.__setattr__(self, "seed", int(self.seed))  # a numpy seed would overflow at seed + 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,10 +161,10 @@ def _sampled(phi: RankNMap, count: int, seed: int, tol: ToleranceConfig, group: 
     rank-n samples ``_queries(b, n)`` and their ``RankNMap._outputs``.  The
     complement of a Haar (d - n)-subspace is a Haar n-subspace, so every
     sample is Haar, and each costs d^2 k.
-    Fewer than one sample raises ``ValueError``: an empty sample certifies
-    nothing."""
-    if count < 1:
-        raise ValueError(f"a sampled check needs at least 1 sample{' pair' if group == 2 else ''}, got {count}")
+    A count that is no integer (bools included) or below 1 raises
+    ``ValueError`` naming it: an empty sample certifies nothing."""
+    if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
+        raise ValueError(f"the sample{' pair' if group == 2 else ''} count must be an integer of at least 1, got {count!r}")
     d, n, rng = phi.ambient_dim, phi.rank, np.random.default_rng(seed)
     k = d - n if 0 < d - n < n else n
     size = group * max(1, _BLOCK_BYTES // (16 * d * d) // group)
@@ -254,9 +255,12 @@ def verify_conjugation(
     also stands in for the output's d^3 validation (``_checked_residuals``);
     a stack it does not vouch for is validated whole, naming a failing
     sample by its index in the run.
-    Fewer than one sample raises ``ValueError``: it would certify nothing.
+    A ``v`` that is not d x d raises ``DimensionMismatch``, and fewer than
+    one sample ``ValueError`` (``_sampled``), both before any draw.
     """
-    v, worst = as_complex(v), 0.0
+    v, worst, d = np.asarray(v, dtype=np.complex128), 0.0, phi.ambient_dim
+    if v.shape != (d, d):
+        raise DimensionMismatch(f"V is {'x'.join(map(str, v.shape))}, the map acts on dimension {d}")
     for first, b, _, mapped in _sampled(phi, num_samples, seed, tol):
         w = v @ (b.conj() if antiunitary else b)
         flipped = b.shape[-1] != phi.rank

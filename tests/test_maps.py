@@ -1,3 +1,5 @@
+import functools
+import hashlib
 import json
 
 import numpy as np
@@ -12,10 +14,14 @@ from grasswig import (
     haar_random_unitary,
     projection_distance,
     random_projection,
+    matrix_to_obj,
+    reconstruct,
     sample_projection,
+    screen_preservation,
 )
 from grasswig.linalg import REAL
-from grasswig.maps import MapSpec, instantiate, load_map_spec, parse_map_spec
+from grasswig.maps import MapSpec, _describe, instantiate, load_map_spec, parse_map_spec
+from grasswig.projections import sample_projections
 
 
 def test_identity_map():
@@ -245,3 +251,116 @@ def test_a_rank_n_map_refuses_an_unknown_field_and_keeps_numpy_integers():
     assert (phi.ambient_dim, phi.rank) == (4, 2)
     p = random_projection(4, 2, seed=1)
     assert phi.evaluate(p).matrix.tolist() == p.matrix.tolist()
+
+
+def per_matrix_reference(spec, d, field):
+    """Each spec kind as the per-matrix formula it was once evaluated by, one
+    input at a time, kept here as the reference the stacked evaluation must
+    equal bit for bit."""
+    if spec.kind == "identity":
+        return lambda m: m
+    if spec.kind == "complement":
+        return lambda m: np.eye(d, dtype=np.complex128) - m
+    if spec.kind == "conjugation":
+        v = np.asarray(spec.matrix, dtype=np.complex128)
+        return (lambda m: v @ m.conj() @ v.conj().T) if spec.antiunitary else (lambda m: v @ m @ v.conj().T)
+    if spec.kind == "compose":
+        stages = [per_matrix_reference(part, d, field) for part in reversed(spec.parts)]
+        return lambda m: functools.reduce(lambda x, stage: stage(x), stages, m)
+    base = per_matrix_reference(spec.base, d, field)
+    if spec.sigma == 0.0:
+        return base
+
+    def noisy(m):
+        key = d.to_bytes(4, "little") * 2 + (np.round(m, 12) + 0.0).tobytes()
+        digest = hashlib.blake2b(key + spec.seed.to_bytes(8, "little", signed=True), digest_size=8).digest()
+        rng = np.random.default_rng(int.from_bytes(digest, "little"))
+        g = rng.standard_normal((d, d))
+        if field == REAL:
+            generator = spec.sigma * (g - g.T) / 2.0
+        else:
+            h = g + 1j * rng.standard_normal((d, d))
+            generator = 1j * spec.sigma * (h + h.conj().T) / 2.0
+        eye = np.eye(d)
+        u = np.asarray(np.linalg.solve(eye - generator / 2.0, eye + generator / 2.0), dtype=np.complex128)
+        return u @ base(m) @ u.conj().T
+
+    return noisy
+
+
+def every_kind(v, field):
+    """One spec of each kind at d = 2n, noisy ones with negative seeds,
+    nested as the CLI's specs are."""
+    conj = MapSpec("conjugation", matrix=v)
+    exceptional = MapSpec("compose", parts=(MapSpec("complement"), conj))
+    specs = [
+        MapSpec("identity"), MapSpec("complement"), conj, exceptional,
+        MapSpec("noisy", base=conj, sigma=1e-3, seed=-5),
+        MapSpec("noisy", base=MapSpec("identity"), sigma=0.3, seed=-(2**63)),
+        MapSpec("noisy", base=exceptional, sigma=0.0, seed=-1),
+        MapSpec("compose", parts=(MapSpec("complement"), MapSpec("noisy", base=exceptional, sigma=1e-2, seed=-9), conj)),
+    ]
+    if field != REAL:
+        anti = MapSpec("conjugation", matrix=v, antiunitary=True)
+        specs += [anti, MapSpec("noisy", base=anti, sigma=1e-2, seed=-2)]
+    return specs
+
+
+@pytest.mark.parametrize("field", [REAL, "complex"])
+@pytest.mark.parametrize("count", [1, 13, 50])
+@pytest.mark.parametrize("d", [6, 40])
+def test_a_spec_map_evaluates_a_stack_as_its_per_matrix_reference_bit_for_bit(field, count, d):
+    # at d = 40 the noise is solved in blocks of 10 matrices, so stacks of
+    # 13 and 50 cross block boundaries
+    n = d // 2
+    _, inputs = sample_projections(np.random.default_rng(count), count, d, n, field)
+    for spec in every_kind(haar_random_unitary(d, 12, field), field):
+        phi, reference = instantiate(spec, d, n, field), per_matrix_reference(spec, d, field)
+        expected = np.stack([reference(p.matrix) for p in inputs])
+        assert np.array_equal(phi._outputs(inputs), expected), _describe(spec)
+        assert np.array_equal(np.stack([phi._fn(p) for p in inputs]), expected), _describe(spec)
+        assert all(np.array_equal(out.matrix, m) for out, m in zip(phi.evaluate_many(inputs), expected))
+
+
+def test_each_output_stack_of_a_spec_map_is_one_stacked_call(monkeypatch):
+    # the reading, verification and the screen each hand the map a stack:
+    # one call of its stack function each, and none of its per-input oracle
+    v, outputs, stacks, calls = haar_random_unitary(6, 4), RankNMap._outputs, [], []
+    monkeypatch.setattr(RankNMap, "_outputs", lambda self, ps, first=0: stacks.append(len(ps)) or outputs(self, ps, first))
+    for spec, variant in (
+        (MapSpec("noisy", base=MapSpec("conjugation", matrix=v), sigma=1e-3, seed=-2), "not_angle_preserving"),
+        (MapSpec("compose", parts=(MapSpec("complement"), MapSpec("conjugation", matrix=v))), "exceptional_complement"),
+    ):
+        stacks.clear()
+        calls.clear()
+        phi = instantiate(spec, 6, 3)
+        stacked = phi._stack
+        phi._stack = lambda s: calls.append(len(s)) or stacked(s)
+        phi._fn = None
+        assert reconstruct(phi).variant == variant
+        screen_preservation(phi, 20, seed=3)
+        assert calls == stacks and len(calls) >= 2, _describe(spec)
+
+
+def test_check_writes_the_witness_of_the_per_matrix_reference_byte_for_byte(tmp_path, monkeypatch, capsys):
+    import grasswig.cli as cli
+
+    v = haar_random_unitary(6, 7)
+    spec = {"type": "noisy", "base": {"type": "conjugation", "matrix": matrix_to_obj(v)}, "sigma": 1e-3, "seed": -4}
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+
+    def reference_map(spec, d, n, field, tol):
+        reference = per_matrix_reference(spec, d, field)
+        return RankNMap(d, n, lambda p: reference(p.matrix), field=field, tol=tol)
+
+    runs = {}
+    for route in ("stacked", "reference"):
+        if route == "reference":
+            monkeypatch.setattr(cli, "instantiate", reference_map)
+        argv = ["check", "--map", str(tmp_path / "spec.json"), "--dim", "6", "--rank", "2",
+                "--samples", "20", "--seed", "8", "--witness-dir", str(tmp_path / route)]
+        assert cli.main(argv) == 1
+        files = sorted((tmp_path / route).iterdir())
+        runs[route] = capsys.readouterr().out.replace(route, ""), [f.name for f in files], [f.read_bytes() for f in files]
+    assert runs["stacked"] == runs["reference"]
+    assert len(runs["stacked"][1]) == 4

@@ -9,6 +9,7 @@ import pytest
 
 from grasswig import (
     BadRank,
+    DimensionMismatch,
     InternalInconsistency,
     NotAProjection,
     Projection,
@@ -198,6 +199,18 @@ def test_rank_bounds():
 def test_config_refuses_a_count_or_seed_that_is_no_integer_in_range(field, value):
     with pytest.raises(ValueError, match=f"^{field} must be an integer"):
         ReconstructionConfig(**{field: value})
+
+
+def test_config_keeps_a_numpy_seed_as_a_python_integer():
+    # verification draws from seed + 1: a numpy seed would overflow there
+    # (int64, a warning, then numpy's bare ValueError) or wrap to 0 (uint64)
+    phi, _ = conjugation(4, 2, seed=27)
+    for seed in (np.int64(2**63 - 1), np.uint64(2**64 - 1)):
+        cfg = ReconstructionConfig(seed)
+        assert type(cfg.seed) is int and cfg.seed == int(seed)
+        result = reconstruct(phi, cfg)
+        assert result.variant == VARIANT_CONJUGATION
+        assert result.residual == verify_conjugation(phi, result.v, False, 50, seed=int(seed) + 1)
 
 
 def test_dualize_of_conjugation_is_same_conjugation():
@@ -763,6 +776,29 @@ def test_sampled_stages_refuse_an_empty_sample():
             screen_preservation(phi, samples, seed=1)
         with pytest.raises(ValueError, match="at least 1"):
             verify_conjugation(phi, np.eye(6), False, samples, seed=1)
+
+
+@pytest.mark.parametrize("count", [2.0, 2.5, True, False, "3", None])
+def test_sampled_stages_refuse_a_count_that_is_no_integer_by_name(count):
+    calls = []
+    phi = RankNMap(6, 2, lambda p: calls.append(1) or p.matrix)
+    message = f"count must be an integer of at least 1, got {re.escape(repr(count))}$"
+    with pytest.raises(ValueError, match=message):
+        screen_preservation(phi, count, seed=1)
+    with pytest.raises(ValueError, match=message):
+        verify_conjugation(phi, np.eye(6), False, count, seed=1)
+    assert calls == []
+    assert screen_preservation(phi, np.int64(3), seed=1).max_discrepancy == screen_preservation(phi, 3, seed=1).max_discrepancy
+
+
+def test_verification_refuses_a_v_that_is_not_d_by_d_before_any_draw(monkeypatch):
+    calls, draws = [], []
+    phi = RankNMap(6, 2, lambda p: calls.append(1) or p.matrix)
+    monkeypatch.setattr(reconstruction, "_checked_frames", lambda *args: draws.append(1))
+    for v in (np.eye(5), np.eye(6)[:, :4], np.eye(7), np.ones(6), np.eye(6)[None]):
+        with pytest.raises(DimensionMismatch, match="acts on dimension 6"):
+            verify_conjugation(phi, v, False, 10, seed=1)
+    assert calls == [] and draws == []
 
 
 @pytest.mark.parametrize("entry", [1e80, 1e160, 1e200])
