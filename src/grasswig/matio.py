@@ -154,4 +154,5 @@ def canonical_keys(stack):
 
 
 def canonical_key(m) -> bytes:
-    return next(canonical_keys(as_complex(m)[None]))  # the one-matrix case
+    """The ``canonical_keys`` key of one matrix: the key is defined once."""
+    return next(canonical_keys(as_complex(m)[None]))

@@ -255,8 +255,8 @@ def verify_conjugation(
     also stands in for the output's d^3 validation (``_checked_residuals``);
     a stack it does not vouch for is validated whole, naming a failing
     sample by its index in the run.
-    A ``v`` that is not d x d raises ``DimensionMismatch``, and fewer than
-    one sample ``ValueError`` (``_sampled``), both before any draw.
+    A ``v`` that is not d x d raises ``DimensionMismatch``, and a sample
+    count ``_sampled`` refuses ``ValueError``, both before any draw.
     """
     v, worst, d = np.asarray(v, dtype=np.complex128), 0.0, phi.ambient_dim
     if v.shape != (d, d):
