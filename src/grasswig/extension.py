@@ -25,7 +25,7 @@ import numpy as np
 from .errors import BadRank, InternalInconsistency, NotUnit, RankDeficient
 from .linalg import as_complex, frobenius, frobenius_stack, hermitian_eig
 from .maps import RankNMap
-from .projections import Projection, _wrap_stack
+from .projections import Projection
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
 
@@ -131,10 +131,10 @@ def extend_orthonormal(phi: RankNMap, columns, tol: ToleranceConfig = DEFAULT_TO
     ``complete_orthonormal`` (the padding's images are dropped).  Under a
     frame's envelope ``E = sum u_k u_k*`` the image of ``u_k u_k*`` is
     ``(1/n) sum_j phi(P_j) - phi(P_k)`` with ``P_k = E - u_k u_k*``; the
-    ``P_k`` of all frames reach the oracle as one ``evaluate_many`` stack.
-    The frames' Gram defect is checked (``NotUnit`` above ``eq_tol``); the
-    ``P_k``, projections onto n columns of a checked frame, are then
-    wrapped with rank n without a d x d check of their own.
+    ``P_k`` of all frames reach the oracle as one ``RankNMap._outputs`` stack,
+    its outputs validated as one.  The frames' Gram defect is checked
+    (``NotUnit`` above ``eq_tol``); the ``P_k``, projections onto n columns
+    of a checked frame, get no d x d check of their own.
 
     Every image has trace 1 by construction (each summand has trace n); a
     violation means the oracle itself is broken, not merely non-preserving.
@@ -152,10 +152,11 @@ def extend_orthonormal(phi: RankNMap, columns, tol: ToleranceConfig = DEFAULT_TO
         raise NotUnit(f"frame columns are not orthonormal (defect {defect:.3e})")
     envelopes = vectors.swapaxes(1, 2) @ vectors.conj()
     inputs = (envelopes[:, None] - vectors[..., :, None] * vectors.conj()[..., None, :]).reshape(-1, d, d)
-    outputs = phi.evaluate_many(_wrap_stack(inputs, [n] * len(inputs)))
-    images = np.stack([out.matrix for out in outputs]).reshape(len(vectors), n + 1, d, d)
-    images -= images.sum(axis=1, keepdims=True) / n  # in place: (1/n) sum_j phi(P_j) - phi(P_k),
-    images *= -1.0  # negated, without a second stack
+    mapped = phi._outputs(inputs)
+    phi._check(mapped)
+    images = mapped.reshape(len(vectors), n + 1, d, d)
+    images = images - images.sum(axis=1, keepdims=True) / n  # a stack of its own (an identity map
+    images *= -1.0  # returns its input): (1/n) sum_j phi(P_j) - phi(P_k), negated in place
     traces = np.trace(images, axis1=2, axis2=3)
     bad = np.argwhere(np.abs(traces - 1.0) > tol.spec_tol)
     if bad.size:

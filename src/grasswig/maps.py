@@ -14,7 +14,7 @@ unitary drawn from a hash of the input, so outputs remain exact
 projections and the only property it can break is angle preservation
 across different inputs.  Every kind is one function on a ``(c, d, d)``
 stack of matrices, and a spec map evaluates each stack of inputs with one
-call of it; an external oracle is called once per input.
+call of it, with no copy; an external oracle is called once per input.
 """
 
 from __future__ import annotations
@@ -38,19 +38,18 @@ from .tolerances import DEFAULT_TOL, ToleranceConfig
 class RankNMap:
     """Deterministic oracle sending rank-n projections to rank-n projections.
 
-    The oracle returns a matrix or a ``Projection``, either checked as its
-    matrix: ``evaluate_many`` makes one oracle call per input (one call of
-    its stack function for a spec map, ``instantiate``), stores nothing
-    and validates the outputs as one stack; ``evaluate`` is its one-input case.
-    A dimension or rank that is no integer raises ``BadRank`` and an unknown
-    field ``ValueError``, before any query.
+    Queries reach the oracle only through ``_outputs``; an external oracle
+    may return a matrix or a ``Projection``.  ``evaluate_many`` stores
+    nothing and validates the outputs as one stack; ``evaluate`` is its
+    one-input case.  A dimension or rank that is no integer raises
+    ``BadRank`` and an unknown field ``ValueError``, before any query.
     """
 
     def __init__(
         self,
         ambient_dim: int,
         rank: int,
-        fn: Callable[[Projection], "np.ndarray | Projection"],
+        fn: "Callable[[Projection], np.ndarray | Projection] | None",
         descriptor: str = "external",
         field: str = COMPLEX,
         tol: ToleranceConfig = DEFAULT_TOL,
@@ -66,13 +65,13 @@ class RankNMap:
         self.descriptor = descriptor
         self.tol = tol
         self._fn = fn
-        self._stack = None  # a spec map's evaluation of a whole input stack (``instantiate``)
+        self._stack = None  # ``(stack, first) -> outputs`` of a map on whole stacks
 
     def evaluate(self, p: Projection) -> Projection:
         return self.evaluate_many([p])[0]
 
     def evaluate_many(self, projections: list[Projection]) -> list[Projection]:
-        """Outputs for the inputs in order, one oracle call each.
+        """Outputs for the inputs in order, from one ``_outputs`` call.
 
         The outputs are validated as one stack; an input of the wrong rank
         or dimension raises ``BadRank``, an output that is not a projection
@@ -84,26 +83,33 @@ class RankNMap:
         for i, p in enumerate(projections):
             if (p.ambient_dim, p.rank) != (d, n):
                 raise BadRank(f"input {i} has rank {p.rank} in dim {p.ambient_dim}, map expects rank {n} in dim {d}")
-        stack = self._outputs(projections)
+        stack = self._outputs(projections if self._stack is None else np.array([p.matrix for p in projections], dtype=np.complex128).reshape(-1, d, d))
         self._check(stack)
         return _wrap_stack(stack, [n] * len(stack))
 
-    def _outputs(self, projections: list[Projection], first: int = 0) -> np.ndarray:
-        """``evaluate_many`` unvalidated, for inputs of the map's rank and
-        dimension: the ``(k, d, d)`` stack of the outputs, each written into
-        it as it arrives, a ``Projection`` read as its matrix, or a spec
-        map's from one call on the inputs' stack; errors name ``first + i``."""
+    def _outputs(self, stack, first: int = 0) -> np.ndarray:
+        """The unvalidated outputs of a complex ``(c, d, d)`` query stack, the
+        only place that decides what the oracle receives: a map on whole
+        stacks (``instantiate``, ``dualize``) gets the array itself, uncopied;
+        an external oracle, once per input, a ``Projection`` over each matrix,
+        or ``evaluate_many``'s own list of inputs.  An output that is no
+        d x d matrix raises, naming input ``first + i``."""
+        if self._stack is not None:
+            return self._stack(stack, first)
         d = self.ambient_dim
-        if self._stack is not None:  # a spec map: one call for the whole stack
-            return self._stack(np.array([p.matrix for p in projections], dtype=np.complex128).reshape(-1, d, d))
-        stack = np.empty((len(projections), d, d), dtype=np.complex128)
-        for i, out in enumerate(map(self._fn, projections)):
-            m = out.matrix if isinstance(out, Projection) else as_complex(out)
-            if m.shape != (d, d):
-                error = NotAProjection if m.shape[0] != m.shape[1] else InternalInconsistency
-                raise error(f"map {self.descriptor!r} returned a {m.shape[0]}x{m.shape[1]} matrix for input {first + i}")
-            stack[i] = m
-        return stack
+        inputs = stack if isinstance(stack, list) else _wrap_stack(stack, [self.rank] * len(stack))
+        out = np.empty((len(inputs), d, d), dtype=np.complex128)
+        for i, m in enumerate(map(self._fn, inputs)):
+            try:  # a Projection is read as its matrix
+                shape = (m := m.matrix if isinstance(m, Projection) else np.asarray(m, dtype=np.complex128)).shape
+            except (TypeError, ValueError):  # a ragged or non-numeric output
+                shape = "<ragged or not numeric>"
+            if shape != (d, d):
+                error = InternalInconsistency if len(shape) == 2 and shape[0] == shape[1] else NotAProjection
+                got = f"a {shape[0]}x{shape[1]} matrix" if len(shape) == 2 else f"an output of shape {shape}"
+                raise error(f"map {self.descriptor!r} returned {got} for input {first + i}")
+            out[i] = m
+        return out
 
     def _check(self, stack: np.ndarray, first: int = 0) -> None:
         """Validate an ``_outputs`` stack in one pass (``projection_rank``),
@@ -258,11 +264,10 @@ def _stack_fn(spec: MapSpec, d: int, n: int, field: str, tol: ToleranceConfig):
 
 
 def instantiate(spec: MapSpec, d: int, n: int, field: str = COMPLEX, tol: ToleranceConfig = DEFAULT_TOL) -> RankNMap:
-    """Build the RankNMap a spec describes, validating it against (d, n, field).
-    It evaluates each ``_outputs`` stack with one call of the spec's stack
-    function, and its per-input oracle is that function on a one-matrix
-    stack; both return raw matrices, which the map validates as one stack."""
+    """Build the RankNMap a spec describes, validating it against (d, n, field):
+    each query stack is one call of the spec's stack function, which raises no
+    per-input error (``first`` goes unused), and ``_fn`` is its one-matrix case."""
     fn = _stack_fn(spec, d, n, field, tol)
     phi = RankNMap(d, n, lambda p: fn(p.matrix[None])[0], descriptor=_describe(spec), field=field, tol=tol)
-    phi._stack = fn
+    phi._stack = lambda s, first: fn(s)
     return phi

@@ -119,9 +119,9 @@ class Projection:
     """A self-adjoint idempotent matrix with its rank validated and stored.
 
     The constructor validates its matrix (``projection_rank``); rank is
-    never recomputed afterwards.  Matrices the package builds as
-    projections by construction (Haar samples, extension inputs,
-    complements) are wrapped without that check (``_wrap_stack``).
+    never recomputed afterwards.  Projections by construction (Haar
+    samples, complements, the oracle's inputs and validated outputs) are
+    wrapped without that check (``_wrap_stack``).
     """
 
     matrix: np.ndarray

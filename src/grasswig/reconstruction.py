@@ -158,9 +158,9 @@ def _sampled(phi: RankNMap, count: int, seed: int, tol: ToleranceConfig, group: 
     Haar d x k frames ``b`` from ``seed`` in stacks of at most
     ``_BLOCK_BYTES`` of d x d matrices (a multiple of ``group``), and yield
     ``(first, b, inputs, mapped)``: the stack's first index in the run, its
-    rank-n samples ``_queries(b, n)`` and their ``RankNMap._outputs``.  The
-    complement of a Haar (d - n)-subspace is a Haar n-subspace, so every
-    sample is Haar, and each costs d^2 k.
+    rank-n samples ``_queries(b, n)`` and ``RankNMap._outputs(inputs)``, the
+    array passed as it is.  The complement of a Haar (d - n)-subspace is a
+    Haar n-subspace, so every sample is Haar, and each costs d^2 k.
     A count that is no integer (bools included) or below 1 raises
     ``ValueError`` naming it: an empty sample certifies nothing."""
     if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
@@ -171,7 +171,7 @@ def _sampled(phi: RankNMap, count: int, seed: int, tol: ToleranceConfig, group: 
     for first in range(0, group * count, size):
         b = _checked_frames(rng, min(size, group * count - first), d, k, phi.field, tol)
         inputs = _queries(b, n)
-        yield first, b, inputs, phi._outputs(_wrap_stack(inputs, [n] * len(b)), first)
+        yield first, b, inputs, phi._outputs(inputs, first)
 
 
 def _queries(b: np.ndarray, n: int) -> np.ndarray:
@@ -273,7 +273,8 @@ def _checked_residuals(phi: RankNMap, mapped, first: int, w, complement: bool, t
     """Frobenius residuals of a stack ``mapped`` of ``phi``'s outputs M against
     ``Q = W W*`` (or ``I - W W*`` with ``complement``) for d x k frames W,
     after ``phi._check(mapped, first)`` unless the residuals r vouch
-    for every M.  Let ``E = M - Q``, ``g = ||W* W - I||_F``.  ``W W*`` has
+    for every M, forming ``M - Q`` in a stack of its own that is freed before
+    the check.  Let ``E = M - Q``, ``g = ||W* W - I||_F``.  ``W W*`` has
     eigenvalues in ``{0} u [1 - g, 1 + g]``, so ``||Q - I/2||_2 <= 1/2 + g``;
     ``Q^2 - Q = W (W* W - I) W*`` in both forms, and
     ``M^2 - M = Q^2 - Q + (Q - I/2) E + E (Q - I/2) + E^2``.  So
@@ -285,8 +286,9 @@ def _checked_residuals(phi: RankNMap, mapped, first: int, w, complement: bool, t
     and, while ``(sqrt(d) + sqrt(k)) eq_tol <= 4 rank_tol`` (d < 1.6e7 by
     default), M passes ``projection_rank`` with rank n; NaN fails ``<=``."""
     (d, k), cover = w.shape[-2:], tol.eq_tol / 4
-    predicted = w @ _adjoint(w)
-    residuals = frobenius_stack(mapped - (np.eye(d) - predicted if complement else predicted))
+    gap = (w @ _adjoint(w)).astype(np.complex128, copy=False)  # Q, then M - Q in place
+    residuals = frobenius_stack(np.subtract(mapped, np.subtract(np.eye(d), gap, out=gap) if complement else gap, out=gap))
+    del gap
     vouches = (d - k if complement else k) == phi.rank and (np.sqrt(d) + np.sqrt(k)) * cover <= tol.rank_tol
     if not (vouches and np.all(residuals <= cover) and np.all(frobenius_stack(_adjoint(w) @ w - np.eye(k)) <= cover)):
         phi._check(mapped, first)
@@ -446,7 +448,7 @@ def _fitted(phi: RankNMap, tol: ToleranceConfig, accept_tol: float):
     k = min(n, d - n)
     m = -(-d // k)
     plan, omega = (_plan if d <= _PLAN_CACHE_DIM else _plan.__wrapped__)(d, k, phi.field, tol)
-    mapped = phi._outputs(_wrap_stack(_queries(plan, n), [n] * len(plan)))
+    mapped = phi._outputs(_queries(plan, n))
     if not abs(np.vdot(mapped, mapped)) <= len(mapped) * d:  # NaN, inf or too large to fit:
         phi._check(mapped)  # raises, as ||P||_F^2 = n < d; else the fit vouches
     outputs = np.eye(d) - mapped if k < n else mapped
@@ -527,25 +529,17 @@ def dualize(phi: RankNMap, tol: ToleranceConfig = DEFAULT_TOL) -> RankNMap:
     """Complement-conjugated map on the complementary rank:
     ``psi(P) = I - phi(I - P)`` acting on rank d - n, the map
     ``reconstruct_via_dual`` reconstructs (``reconstruct`` reads a map of
-    rank n > d/2 through complement queries of its own).  Each query
-    returns the raw ``I - phi(I - P)``, so the dual's ``evaluate_many``
-    validates the outputs of a whole stack of queries at once: ``I - M``
-    has the Hermitian and idempotency defects of ``M``."""
+    rank n > d/2 through complement queries of its own).  A map on whole
+    stacks, it answers a query stack S with the raw ``I - phi._outputs(I -
+    S)``, whose errors name the query's index in the run, and validates it
+    as one stack: ``I - M`` has the Hermitian and idempotency defects of M."""
     d, n = phi.ambient_dim, phi.rank
-    m = d - n
-    if not 1 <= m <= d - 1:
-        raise BadRank(f"dual rank d - n = {m} is outside [1, {d - 1}]")
-
-    eye = np.eye(d, dtype=np.complex128)
-
-    def fn(p: Projection) -> np.ndarray:
-        # the complement of a validated input is a projection by construction;
-        # one identity serves both complements of every query
-        out = phi._fn(_wrap_stack((eye - p.matrix)[None], [d - p.rank])[0])
-        out = out.matrix if isinstance(out, Projection) else as_complex(out)
-        return eye - out if out.shape == (d, d) else out
-
-    return RankNMap(d, m, fn, descriptor=f"dual({phi.descriptor})", field=phi.field, tol=tol)
+    if not 1 <= d - n <= d - 1:
+        raise BadRank(f"dual rank d - n = {d - n} is outside [1, {d - 1}]")
+    eye = np.eye(d, dtype=np.complex128)  # one identity serves both complements
+    psi = RankNMap(d, d - n, None, descriptor=f"dual({phi.descriptor})", field=phi.field, tol=tol)
+    psi._stack = lambda s, first: eye - phi._outputs(eye - s, first)
+    return psi
 
 
 def reconstruct_via_dual(

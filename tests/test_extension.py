@@ -320,15 +320,13 @@ def test_frame_rejects_wrong_trace_oracle():
     with pytest.raises(InternalInconsistency):
         extend_orthonormal(wrong_rank, frame)
 
-    class Unchecked:
+    class Unchecked(RankNMap):
         # an oracle seen without RankNMap's output validation
-        ambient_dim, rank = d, n
+        def _check(self, stack, first=0):
+            pass
 
-        def evaluate_many(self, projections):
-            return [Projection(np.diag([1.0, 1.0, 1.0, 0.0, 0.0])) for _ in projections]
-
-    with pytest.raises(InternalInconsistency):
-        extend_orthonormal(Unchecked(), frame)
+    with pytest.raises(InternalInconsistency, match="extension trace"):
+        extend_orthonormal(Unchecked(d, n, lambda p: Projection(np.diag([1.0, 1.0, 1.0, 0.0, 0.0]))), frame)
 
 
 def test_frame_input_validation():

@@ -8,14 +8,17 @@ import pytest
 from grasswig import (
     BadRank,
     MatrixFormatError,
+    NotAProjection,
     Projection,
     RankNMap,
     angles_equal,
+    extend_orthonormal,
     haar_random_unitary,
     projection_distance,
     random_projection,
     matrix_to_obj,
     reconstruct,
+    reconstruct_via_dual,
     sample_projection,
     screen_preservation,
 )
@@ -191,9 +194,10 @@ def test_map_outputs_are_validated_once_as_a_stack(monkeypatch):
 
 
 def test_a_screen_wraps_its_inputs_and_witness_but_no_output(monkeypatch):
-    # a 20-pair screen at d = 6 passes its 40 samples to the oracle as
-    # Projections and wraps the 4 witness matrices: 44 in all.  Its 40
-    # outputs are only checked as one stack, never wrapped
+    # a 20-pair screen at d = 6 passes its 40 samples to an external oracle
+    # as Projections and wraps the 4 witness matrices: 44 in all.  A spec
+    # map gets the samples as one array, so only the witness is wrapped: 4.
+    # The 40 outputs are only checked as one stack, never wrapped
     import sys
 
     import grasswig.projections as projections
@@ -212,10 +216,12 @@ def test_a_screen_wraps_its_inputs_and_witness_but_no_output(monkeypatch):
     monkeypatch.setattr(Projection, "__post_init__", lambda self, tol: built.append(1) or post_init(self, tol))
     v = haar_random_unitary(6, 4)
     for spec in (MapSpec("conjugation", matrix=v), MapSpec("noisy", base=MapSpec("conjugation", matrix=v), sigma=1e-3, seed=2)):
-        built.clear()
-        report = screen_preservation(instantiate(spec, 6, 2), 20, seed=3)
-        assert sum(built) == 44, spec.kind
-        assert isinstance(report.witness_phi_q, Projection) and report.witness_phi_q.rank == 2
+        phi = instantiate(spec, 6, 2)
+        for oracle, wrapped in ((phi, 4), (RankNMap(6, 2, phi._fn), 44)):
+            built.clear()
+            report = screen_preservation(oracle, 20, seed=3)
+            assert sum(built) == wrapped, spec.kind
+            assert isinstance(report.witness_phi_q, Projection) and report.witness_phi_q.rank == 2
 
 
 def test_noisy_seed_must_be_a_signed_64_bit_integer():
@@ -313,33 +319,89 @@ def test_a_spec_map_evaluates_a_stack_as_its_per_matrix_reference_bit_for_bit(fi
     # at d = 40 the noise is solved in blocks of 10 matrices, so stacks of
     # 13 and 50 cross block boundaries
     n = d // 2
-    _, inputs = sample_projections(np.random.default_rng(count), count, d, n, field)
+    stack, inputs = sample_projections(np.random.default_rng(count), count, d, n, field)
     for spec in every_kind(haar_random_unitary(d, 12, field), field):
         phi, reference = instantiate(spec, d, n, field), per_matrix_reference(spec, d, field)
         expected = np.stack([reference(p.matrix) for p in inputs])
-        assert np.array_equal(phi._outputs(inputs), expected), _describe(spec)
+        assert np.array_equal(phi._outputs(stack), expected), _describe(spec)
         assert np.array_equal(np.stack([phi._fn(p) for p in inputs]), expected), _describe(spec)
         assert all(np.array_equal(out.matrix, m) for out, m in zip(phi.evaluate_many(inputs), expected))
 
 
 def test_each_output_stack_of_a_spec_map_is_one_stacked_call(monkeypatch):
-    # the reading, verification and the screen each hand the map a stack:
-    # one call of its stack function each, and none of its per-input oracle
+    # the reading, verification and the screen each hand the map a stack,
+    # directly or through the dual (each of the dual's stacks is one of
+    # phi's): one call of its stack function each, and none of its
+    # per-input oracle
     v, outputs, stacks, calls = haar_random_unitary(6, 4), RankNMap._outputs, [], []
-    monkeypatch.setattr(RankNMap, "_outputs", lambda self, ps, first=0: stacks.append(len(ps)) or outputs(self, ps, first))
+    monkeypatch.setattr(RankNMap, "_outputs", lambda self, s, first=0: stacks.append((self, len(s))) or outputs(self, s, first))
     for spec, variant in (
         (MapSpec("noisy", base=MapSpec("conjugation", matrix=v), sigma=1e-3, seed=-2), "not_angle_preserving"),
         (MapSpec("compose", parts=(MapSpec("complement"), MapSpec("conjugation", matrix=v))), "exceptional_complement"),
     ):
-        stacks.clear()
-        calls.clear()
-        phi = instantiate(spec, 6, 3)
-        stacked = phi._stack
-        phi._stack = lambda s: calls.append(len(s)) or stacked(s)
-        phi._fn = None
-        assert reconstruct(phi).variant == variant
-        screen_preservation(phi, 20, seed=3)
-        assert calls == stacks and len(calls) >= 2, _describe(spec)
+        for route in (reconstruct, reconstruct_via_dual):
+            stacks.clear()
+            calls.clear()
+            phi = instantiate(spec, 6, 3)
+            stacked = phi._stack
+            phi._stack = lambda s, first: calls.append(len(s)) or stacked(s, first)
+            phi._fn = None
+            assert route(phi).variant == variant
+            screen_preservation(phi, 20, seed=3)
+            direct = [size for owner, size in stacks if owner is phi]
+            dual = [size for owner, size in stacks if owner is not phi]
+            assert calls == direct and len(calls) >= 2, _describe(spec)
+            if route is reconstruct:
+                assert dual == []
+            else:  # all but the last screen's one stack reach phi through the dual
+                assert dual == direct[:-1] and dual, _describe(spec)
+
+
+@pytest.mark.parametrize("field", [REAL, "complex"])
+def test_no_stage_writes_into_a_query_stack_it_hands_a_spec_map(field):
+    # a spec map gets each query stack uncopied, and the identity hands it
+    # back as its output, so a stage may write into neither: every stack is
+    # made read-only on its way in, and a write into it would raise.  At
+    # (6, 3) every kind is read directly; at (7, 5) through complement
+    # queries, and at (7, 2) through its dual's
+    for d, n in ((6, 3), (7, 5), (7, 2)):
+        for spec in every_kind(haar_random_unitary(d, 12, field), field):
+            if d != 2 * n and "complement" in _describe(spec):
+                continue
+            phi, sizes = instantiate(spec, d, n, field), []
+            stacked = phi._stack
+
+            def read_only(s, first, stacked=stacked, sizes=sizes):
+                s.setflags(write=False)
+                sizes.append(len(s))
+                return stacked(s, first)
+
+            phi._stack = read_only
+            for route in (reconstruct, reconstruct_via_dual):
+                assert route(phi).variant, _describe(spec)
+            screen_preservation(phi, 20, seed=3)
+            extend_orthonormal(phi, haar_random_unitary(d, 5, field)[:, : n + 2])
+            assert len(sizes) >= 4, _describe(spec)  # a reading each, the screen, the extension
+
+
+@pytest.mark.parametrize(
+    "malformed",
+    [lambda d: np.ones(d), lambda d: 1.0, lambda d: np.eye(d)[None], lambda d: [[1.0] * d, [0.0]]],
+    ids=["1-D", "scalar", "3-D", "ragged"],
+)
+def test_a_malformed_oracle_output_is_not_a_projection_naming_the_map_and_input(malformed):
+    # typed, like a matrix of the wrong shape, and named by the input's
+    # index: in evaluate_many's list, and in a sampled stage's whole run
+    # (at (40, 8) a screen draws 10 samples per stack, so sample 13 is
+    # output 3 of the second stack)
+    inputs = [sample_projection(np.random.default_rng(s), 4, 2) for s in range(3)]
+    phi = RankNMap(4, 2, lambda p: malformed(4) if p is inputs[2] else p.matrix, descriptor="bad")
+    with pytest.raises(NotAProjection, match="^map 'bad' returned .* for input 2$"):
+        phi.evaluate_many(inputs)
+    calls = []
+    phi = RankNMap(40, 8, lambda p: calls.append(1) or (malformed(40) if len(calls) == 14 else p.matrix), descriptor="bad")
+    with pytest.raises(NotAProjection, match="^map 'bad' returned .* for input 13$"):
+        screen_preservation(phi, 10, seed=1)
 
 
 def test_check_writes_the_witness_of_the_per_matrix_reference_byte_for_byte(tmp_path, monkeypatch, capsys):

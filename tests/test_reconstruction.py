@@ -1268,3 +1268,22 @@ def test_a_map_off_on_a_tenth_of_the_samples_is_rarely_accepted():
     accepted = [r for r in (reconstruct(phi, ReconstructionConfig(seed=s)) for s in range(60)) if r.accepted]
     assert len(accepted) <= 3
     assert all(r.residual <= ACCEPT_TOL for r in accepted)
+
+
+def test_a_reading_at_128_by_1_peaks_at_three_query_stacks():
+    # the reading's d + 2 queries reach a spec map uncopied: at the peak,
+    # inside the conjugation, the queries, its V S temporary and its output
+    # are alive (4 stacks when the queries were copied); the fit residual's
+    # M - Q stack is formed after the queries are freed
+    import tracemalloc
+
+    d = 128
+    phi = instantiate(MapSpec("conjugation", matrix=haar_random_unitary(d, 3)), d, 1)
+    tracemalloc.start()
+    try:
+        result = reconstruct(phi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.variant == VARIANT_CONJUGATION
+    assert peak <= 3.1 * (d + 2) * d * d * 16
