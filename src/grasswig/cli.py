@@ -166,15 +166,13 @@ def cmd_demo_exceptional(args, tol: ToleranceConfig) -> int:
 
 
 def cmd_gen(args, tol: ToleranceConfig) -> int:
+    if (args.rank is None) != (args.what == "unitary"):  # a unitary is dim x dim
+        raise ValueError(f"--rank {'is required for' if args.rank is None else 'does not apply to'} {args.what} generation")
     if args.what == "unitary":
         save_matrix(args.out, haar_random_unitary(args.dim, args.seed, args.field), args.field)
     elif args.what == "subspace":
-        if args.rank is None:
-            raise MatrixFormatError("--rank is required for subspace generation")
         save_matrix(args.out, random_subspace(args.dim, args.rank, args.seed, args.field), args.field)
     else:
-        if args.rank is None:
-            raise MatrixFormatError("--rank is required for projection generation")
         p = random_projection(args.dim, args.rank, args.seed, args.field, tol)
         save_projection(args.out, p, args.field)
     print(args.out)

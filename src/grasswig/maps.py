@@ -14,7 +14,8 @@ unitary drawn from a hash of the input, so outputs remain exact
 projections and the only property it can break is angle preservation
 across different inputs.  Every kind is one function on a ``(c, d, d)``
 stack of matrices, and a spec map evaluates each stack of inputs with one
-call of it, with no copy; an external oracle is called once per input.
+call of it, with no copy, in blocks (``_in_blocks``) for the conjugation
+and noisy kinds; an external oracle is called once per input.
 """
 
 from __future__ import annotations
@@ -200,29 +201,34 @@ def _describe(spec: MapSpec) -> str:
     return spec.kind
 
 
-def _noisy(base, sigma: float, salt: bytes, field: str, s: np.ndarray) -> np.ndarray:
-    """``U base(S) U*`` for each matrix S of the stack s.  U is drawn from a
-    generator of S's own, seeded from a hash of S's ``canonical_keys`` and the
-    salt (the seed's 8 bytes), so the map stays deterministic per input while
-    different inputs get independent kicks.  U is the Cayley transform
-    ``(I - A/2)^-1 (I + A/2)`` of a skew-Hermitian generator A of size sigma,
-    unitary for any such A and ``exp(A)`` up to O(sigma^3); in real mode A is
-    skew-symmetric, keeping U real.  The transforms are solved and applied in
-    blocks of 256 KiB of d x d matrices (455 at d = 6, one from d = 128), so
-    the temporaries stay a few blocks at any stack size."""
-    d = s.shape[-1]
-    seeds = [int.from_bytes(hashlib.blake2b(key + salt, digest_size=8).digest(), "little") for key in canonical_keys(s)]
-    out, eye, size = np.empty(s.shape, dtype=np.complex128), np.eye(d), max(1, 2**14 // (d * d))
+def _in_blocks(apply, s: np.ndarray) -> np.ndarray:
+    """``apply`` on each 256 KiB block of the d x d stack s (455 matrices at
+    d = 6, 1 from d = 128), into one output: as on the whole stack, in less memory."""
+    out, size = np.empty(s.shape, dtype=np.complex128), max(1, 2**14 // (s.shape[-1] ** 2))
     for i in range(0, len(s), size):
-        g = np.stack([np.random.default_rng(x).standard_normal((1 if field == REAL else 2, d, d)) for x in seeds[i : i + size]])
-        if field == REAL:
-            generator = sigma * (g[:, 0] - g[:, 0].swapaxes(-1, -2)) / 2.0
-        else:
-            h = g[:, 0] + 1j * g[:, 1]
-            generator = 1j * sigma * (h + h.conj().swapaxes(-1, -2)) / 2.0
-        u = np.asarray(np.linalg.solve(eye - generator / 2.0, eye + generator / 2.0), dtype=np.complex128)
-        out[i : i + size] = u @ base(s[i : i + size]) @ u.conj().swapaxes(-1, -2)
+        out[i : i + size] = apply(s[i : i + size])
     return out
+
+
+def _noisy(base, sigma: float, salt: bytes, field: str, s: np.ndarray) -> np.ndarray:
+    """``U base(S) U*`` for each matrix S of the stack s, a block of
+    ``_in_blocks``.  U is drawn from a generator of S's own, seeded from a
+    hash of S's ``canonical_keys`` and the salt (the seed's 8 bytes), so the
+    map stays deterministic per input while different inputs get
+    independent kicks.  U is the Cayley transform ``(I - A/2)^-1 (I + A/2)``
+    of a skew-Hermitian generator A of size sigma, unitary for any such A
+    and ``exp(A)`` up to O(sigma^3); in real mode A is skew-symmetric,
+    keeping U real."""
+    d, eye = s.shape[-1], np.eye(s.shape[-1])
+    seeds = [int.from_bytes(hashlib.blake2b(key + salt, digest_size=8).digest(), "little") for key in canonical_keys(s)]
+    g = np.stack([np.random.default_rng(x).standard_normal((1 if field == REAL else 2, d, d)) for x in seeds])
+    if field == REAL:
+        generator = sigma * (g[:, 0] - g[:, 0].swapaxes(-1, -2)) / 2.0
+    else:
+        h = g[:, 0] + 1j * g[:, 1]
+        generator = 1j * sigma * (h + h.conj().swapaxes(-1, -2)) / 2.0
+    u = np.asarray(np.linalg.solve(eye - generator / 2.0, eye + generator / 2.0), dtype=np.complex128)
+    return u @ base(s) @ u.conj().swapaxes(-1, -2)
 
 
 def _stack_fn(spec: MapSpec, d: int, n: int, field: str, tol: ToleranceConfig):
@@ -248,15 +254,13 @@ def _stack_fn(spec: MapSpec, d: int, n: int, field: str, tol: ToleranceConfig):
                 raise MatrixFormatError("real-field conjugation requires a real orthogonal matrix")
             if spec.antiunitary:
                 raise MatrixFormatError("antiunitary has no meaning over the reals")
-        vh = v.conj().T
-        if spec.antiunitary:
-            return lambda s: v @ s.conj() @ vh
-        return lambda s: v @ s @ vh
+        vh, tau = v.conj().T, (np.conj if spec.antiunitary else np.asarray)
+        return functools.partial(_in_blocks, lambda block: v @ tau(block) @ vh)
     if spec.kind == "noisy":
         base = _stack_fn(spec.base, d, n, field, tol)
         if spec.sigma == 0.0:
             return base
-        return functools.partial(_noisy, base, spec.sigma, spec.seed.to_bytes(8, "little", signed=True), field)
+        return functools.partial(_in_blocks, functools.partial(_noisy, base, spec.sigma, spec.seed.to_bytes(8, "little", signed=True), field))
     if spec.kind == "compose":
         stages = [_stack_fn(part, d, n, field, tol) for part in reversed(spec.parts)]
         return lambda s: functools.reduce(lambda x, stage: stage(x), stages, s)

@@ -18,10 +18,11 @@ predicted from its frame at d^2 k, and (5) only when no candidate passes,
 explains the failure by the ``_witness`` of at most 20 pairs of its
 reading queries, reference-reference and block-reference, or, failing
 that, of random pairs; (4) and (5) share one sampled loop.
-The frames of (1) and the range finder of (3) depend on (d, k, field,
-tol) only, so up to d = 16 they are drawn once per key and kept read-only
-(``_plan``, 64 entries); the query stack is rebuilt on every call, and no
-output depends on whether the plan was cached.
+The frames of (1), the invariants the readings of (2) predict for them
+and the range finder of (3) depend on (d, k, field, tol) only, so up to
+d = 16 they are computed once per key and kept read-only (``_plan``, 64
+entries); the query stack is rebuilt on every call, and no output depends
+on whether the plan was cached.
 In (3) and (4) a residual within ``eq_tol / 4`` stands in for validating
 the output.  Verification is the sole authority for acceptance: a map
 that matches ``V tau(P) V*``, or its complement, on fresh samples
@@ -71,7 +72,7 @@ _POLISH_STEPS = 64
 _READING_SEED = 2000
 
 # Reading plans are cached up to this dimension, so the cache holds at most
-# 64 x 44 x 16^2 bytes = 721 KB (_plan); a larger plan is drawn on every
+# 64 x (44 x 16^2 + 608) bytes = 760 KB (_plan); a larger plan is drawn on every
 # call, where the draw is at most about 3 % of the call (1-2 % at d = 64).
 _PLAN_CACHE_DIM = 16
 
@@ -325,45 +326,49 @@ def _query_frames(rng: np.random.Generator, d: int, k: int, field: str, tol: Tol
 
 
 @functools.lru_cache(maxsize=64)
-def _plan(d: int, k: int, field: str, tol: ToleranceConfig) -> tuple[np.ndarray, np.ndarray]:
-    """The reading's ``_query_frames`` and its d x k range-finder matrix
+def _plan(d: int, k: int, field: str, tol: ToleranceConfig) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """The reading's ``_query_frames`` and d x k range-finder matrix
     ``omega``, drawn in that order from ``default_rng(_READING_SEED)`` and
-    made read-only.  They depend on nothing but the key, so each key up to
-    ``_PLAN_CACHE_DIM`` is drawn once; an entry holds at most ``44 d^2``
-    bytes (at most ``5d/2`` frame columns of complex d-vectors, ``5k`` at
-    d = 2k, and the real omega, at most ``d^2 / 2`` entries)."""
+    made read-only, and the ``_readings`` of the first three references,
+    also of their real parts in the real field (``_fitted`` reads exactly
+    real outputs on those), all computed once per key up to
+    ``_PLAN_CACHE_DIM``.  An entry holds at most ``44 d^2`` bytes of arrays
+    (at most ``5d/2`` frame columns of complex d-vectors, ``5k`` at d = 2k,
+    and omega's ``d^2 / 2`` reals) and four readings, 608 bytes."""
     rng = np.random.default_rng(_READING_SEED)
     frames = _query_frames(rng, d, k, field, tol)
     omega = rng.standard_normal((d, k))
     frames.setflags(write=False)
     omega.setflags(write=False)
-    return frames, omega
+    references = frames[-(-d // k) - 1 :][:3]
+    return frames, omega, tuple(_readings(f, field) for f in ((references, references.real) if field == REAL else (references,)))
 
 
-def _reading(images: np.ndarray, frames: np.ndarray, field: str) -> tuple[bool, bool]:
-    """``(complement, antiunitary)`` of the reading that Bargmann's invariant
-    ``tr(ABC)`` picks from the images of three reference queries.
-
-    For queries A, B, C with ``T = tr(ABC)``, ``P -> V P V*`` keeps T,
-    ``P -> V conj(P) V*`` conjugates it, and the complement of either turns
-    it into ``d - 3k + tr AB + tr BC + tr CA - T`` (or its conjugate); the
-    reading closest to the images' own invariant is taken.  Only the linear
-    readings exist in the real field, and the complement ones only at
-    d = 2k with k > 1.
-    """
-    f0, f1, f2 = frames
+def _readings(references: np.ndarray, field: str) -> tuple[tuple[bool, bool, complex], ...]:
+    """The readings ``(complement, antiunitary, T)`` ``_reading`` picks from,
+    with the T each predicts for Bargmann's invariant of the images of three
+    reference queries: ``P -> V P V*`` keeps their ``T = tr(ABC)``, ``P -> V
+    conj(P) V*`` conjugates it, and the complement of either turns it into
+    ``d - 3k + tr AB + tr BC + tr CA - T`` (or its conjugate); the real field
+    has only the linear readings, and only d = 2k > 2 the complement ones."""
+    f0, f1, f2 = references
     d, k = f0.shape
     a, b, c = f0.conj().T @ f1, f1.conj().T @ f2, f2.conj().T @ f0
     t = _trace3(a, b, c)
     pairs = frobenius(a) ** 2 + frobenius(b) ** 2 + frobenius(c) ** 2
-    invariant = _trace3(*images)
     readings = [(False, False, t)]
     if field != REAL:
         readings.append((False, True, t.conjugate()))
     if d == 2 * k > 2:
         readings += [(True, anti, d - 3 * k + pairs - x) for _, anti, x in readings]
-    complement, antiunitary, _ = min(readings, key=lambda r: abs(invariant - r[2]))
-    return complement, antiunitary
+    return tuple(readings)
+
+
+def _reading(images: np.ndarray, readings: tuple) -> tuple[bool, bool]:
+    """``(complement, antiunitary)`` of the one of ``readings`` closest to the
+    invariant of the images of the three reference queries."""
+    invariant = _trace3(*images)
+    return min(readings, key=lambda r: abs(invariant - r[2]))[:2]
 
 
 def _trace3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> complex:
@@ -381,9 +386,10 @@ def _adjoint(a: np.ndarray) -> np.ndarray:
 
 
 def _ranges(images: np.ndarray, omega: np.ndarray) -> np.ndarray:
-    """Orthonormal bases of the ranges of a stack of rank-k images: one QR of
-    ``image @ omega`` (omega is d x k) and one subspace step, for all at once."""
-    return np.linalg.qr(images @ np.linalg.qr(images @ omega)[0])[0]
+    """Orthonormal bases of the ranges of a stack of rank-k images M: one QR of
+    ``M (M omega)`` (omega is d x k), off by about ``eps cond(U* omega)`` for
+    M's range U, where a QR of ``M omega`` first would keep it at eps."""
+    return np.linalg.qr(images @ (images @ omega))[0]
 
 
 def _fit(images: np.ndarray, frames: np.ndarray, omega: np.ndarray, k: int) -> np.ndarray:
@@ -447,14 +453,14 @@ def _fitted(phi: RankNMap, tol: ToleranceConfig, accept_tol: float):
     d, n = phi.ambient_dim, phi.rank
     k = min(n, d - n)
     m = -(-d // k)
-    plan, omega = (_plan if d <= _PLAN_CACHE_DIM else _plan.__wrapped__)(d, k, phi.field, tol)
+    plan, omega, readings = (_plan if d <= _PLAN_CACHE_DIM else _plan.__wrapped__)(d, k, phi.field, tol)
     mapped = phi._outputs(_queries(plan, n))
     if not abs(np.vdot(mapped, mapped)) <= len(mapped) * d:  # NaN, inf or too large to fit:
         phi._check(mapped)  # raises, as ||P||_F^2 = n < d; else the fit vouches
     outputs = np.eye(d) - mapped if k < n else mapped
     real = phi.field == REAL and is_exactly_real(outputs)
     outputs, frames = (outputs.real, plan.real) if real else (outputs, plan)
-    complement, antiunitary = _reading(outputs[m - 1 : m + 2], frames[m - 1 : m + 2], phi.field)
+    complement, antiunitary = _reading(outputs[m - 1 : m + 2], readings[real])
     images = np.eye(d) - outputs if complement else outputs
     frames = frames.conj() if antiunitary else frames
     v = _fit(images, frames, omega, k)

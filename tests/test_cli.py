@@ -409,6 +409,15 @@ def test_gen_projection_refuses_a_rank_outside_1_to_dim(tmp_path, capsys, rank):
     assert not out.exists()
 
 
+def test_gen_unitary_refuses_a_rank(tmp_path, capsys):
+    # a unitary is dim x dim: a --rank would be silently ignored
+    out = tmp_path / "u.json"
+    code, stdout, err = run_cli(capsys, "gen", "--what", "unitary", "--dim", 3, "--rank", 2, "--seed", 3, "--out", out)
+    assert code == 2 and stdout == ""
+    assert "--rank" in err and "unitary" in err
+    assert not out.exists()
+
+
 def test_gw_tol_env_override(tmp_path, capsys, monkeypatch):
     # idempotency defect ~2.3e-9: rejected at the default eq_tol of 1e-9,
     # accepted once GW_TOL loosens it (spectrum checks still pass)

@@ -36,7 +36,7 @@ from grasswig.maps import MapSpec, instantiate
 from grasswig.projections import projection_rank
 import grasswig.reconstruction as reconstruction
 from grasswig.reconstruction import (
-    _ACCEPT_FACTOR, FIT_GATE, _fit, _plan, _query_frames, _ranges, _reading, _report_pairs, _trace3,
+    _ACCEPT_FACTOR, FIT_GATE, _adjoint, _fit, _plan, _query_frames, _ranges, _reading, _readings, _report_pairs, _trace3,
 )
 from grasswig.tolerances import DEFAULT_TOL, ToleranceConfig
 
@@ -926,7 +926,7 @@ def test_bargmann_invariant_picks_each_reading(d, complement, antiunitary):
     phi, v = reading_map(d, d // 2, complement, antiunitary)
     frames = np.array([haar_random_unitary(d, 51 + t)[:, : d // 2] for t in range(3)])
     images = np.array([phi.evaluate(Projection(b @ b.conj().T, rank=d // 2)).matrix for b in frames])
-    assert _reading(images, frames, "complex") == (complement, antiunitary)
+    assert _reading(images, _readings(frames, "complex")) == (complement, antiunitary)
     result = reconstruct(phi)
     assert result.variant == (VARIANT_EXCEPTIONAL if complement else VARIANT_CONJUGATION)
     assert result.antiunitary is antiunitary
@@ -992,6 +992,72 @@ def test_stacked_rank1_reader_matches_eigh(d, field):
         assert np.max(np.abs(align_phase(ref, x) * x - ref)) <= 1e-13
 
 
+def projector_distance(a, b):
+    """Largest spectral-norm distance between the range projectors of two
+    stacks of orthonormal bases."""
+    return float(np.max(np.linalg.norm(a @ _adjoint(a) - b @ _adjoint(b), 2, axis=(-2, -1))))
+
+
+def two_qr_ranges(images, omega):
+    """The range finder with a QR of ``M omega`` before its subspace step."""
+    return np.linalg.qr(images @ np.linalg.qr(images @ omega)[0])[0]
+
+
+@pytest.mark.parametrize("d, k", [(2, 1), (6, 2), (8, 4), (12, 3), (32, 4)])
+def test_the_one_qr_range_finder_reads_the_range_of_the_two_qr_one(d, k):
+    # range(M (M omega)) = range(M orth(M omega)): the QR in between only
+    # rescales columns inside the range.  In floating point the one-QR range
+    # is off by about eps cond(U* omega) for the image's range U, so it
+    # matches to 1e-12 for the plan's Gaussian omega and for one whose top
+    # k x k block is ill-conditioned, and within that bound for an omega
+    # whose restriction to U has condition number 1e6
+    rng = np.random.default_rng(d + k)
+    u = np.array([haar_random_unitary(d, 80 + s)[:, :k] for s in range(6)])
+    exact = u @ _adjoint(u)
+    h = rng.standard_normal(exact.shape) + 1j * rng.standard_normal(exact.shape)
+    h = h + _adjoint(h)
+    noisy = exact + 1e-8 * h / np.linalg.norm(h, axis=(-2, -1), keepdims=True)
+    singular = np.geomspace(1.0, 1e-6, k)
+    c = haar_random_unitary(k, 1) @ np.diag(singular) @ haar_random_unitary(k, 2)
+    top = rng.standard_normal((d, k))
+    top[:k] = ((haar_random_unitary(k, 3, REAL) * singular) @ haar_random_unitary(k, 4, REAL)).real
+    for omega in (_plan.__wrapped__(d, k, "complex", DEFAULT_TOL)[1], top):
+        for images in (exact, noisy):
+            assert projector_distance(_ranges(images, omega), two_qr_ranges(images, omega)) <= 1e-12
+    assert np.linalg.cond(top[:k]) >= 1e6 or k == 1
+    # omega = U c + (I - U U*) g for image 0's range U, cond(c) = 1e6
+    g = rng.standard_normal((d, k)) + 1j * rng.standard_normal((d, k))
+    ill = u[0] @ c + g - exact[0] @ g
+    assert np.linalg.cond(_adjoint(u[0]) @ ill) >= 1e6 * 0.99 or k == 1
+    bound = 1e-12 if k == 1 else 4 * np.finfo(float).eps * 1e6
+    for images in (exact[:1], noisy[:1]):
+        assert projector_distance(_ranges(images, ill), two_qr_ranges(images, ill)) <= bound
+    assert projector_distance(two_qr_ranges(exact[:1], ill), u[:1]) <= 1e-13
+
+
+@pytest.mark.parametrize("d, k", [(2, 1), (5, 2), (6, 3), (8, 4), (20, 5)])
+@pytest.mark.parametrize("field", ["complex", REAL])
+def test_the_plan_carries_the_readings_of_its_references_bit_for_bit(d, k, field):
+    # the invariants each reading predicts are computed once per plan, for
+    # the frames and, in the real field, for their real parts, equal bit for
+    # bit to Bargmann's formula on those frames
+    frames, _, readings = _plan.__wrapped__(d, k, field, DEFAULT_TOL)
+    m = -(-d // k)
+    references = frames[m - 1 : m + 2]
+    assert len(readings) == (2 if field == REAL else 1)
+    for f, cached in zip((references, references.real), readings):
+        a, b, c = f[0].conj().T @ f[1], f[1].conj().T @ f[2], f[2].conj().T @ f[0]
+        t = complex(np.sum((a @ b) * c.T))
+        pairs = frobenius(a) ** 2 + frobenius(b) ** 2 + frobenius(c) ** 2
+        expected = [(False, False, t)] + ([] if field == REAL else [(False, True, t.conjugate())])
+        if d == 2 * k > 2:
+            expected += [(True, anti, d - 3 * k + pairs - x) for _, anti, x in expected]
+        assert cached == tuple(expected)
+        assert [np.float64(x).tobytes() for r in cached for x in (r[2].real, r[2].imag)] == [
+            np.float64(x).tobytes() for r in expected for x in (r[2].real, r[2].imag)
+        ]
+
+
 def test_stacked_rank1_reader_fails_the_gate_on_bad_images_without_raising():
     # one bad image among the exact images of a rank-1 block plan drives the
     # fit's residual on its own queries past the gate
@@ -1023,19 +1089,27 @@ def test_stacked_rank1_reader_fails_the_gate_on_bad_images_without_raising():
 def test_reconstruct_runs_no_eigendecomposition(monkeypatch):
     # the block and reference images are read by range-finding QRs and the
     # fit by SVDs: one reconstruct at d = 32 used to run 32 + n + 1 eigh calls
-    calls = []
-    eigh = np.linalg.eigh
+    calls = {"eigh": 0, "qr": 0}
 
-    def counting_eigh(*args, **kwargs):
-        calls.append(1)
-        return eigh(*args, **kwargs)
+    def counted(name):
+        routine = getattr(np.linalg, name)
 
-    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        def count(*args, **kwargs):
+            calls[name] += 1
+            return routine(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, count)
+
     phi, v = conjugation(32, 4, seed=40, antiunitary=True)
+    counted("eigh")
+    counted("qr")
     result = reconstruct(phi)
     assert result.variant == VARIANT_CONJUGATION and result.antiunitary is True
     assert planted_deviation(result.v, v) <= 1e-7
-    assert calls == []
+    assert calls["eigh"] == 0
+    # the references' draw, one range finder over the reading's stack, the
+    # blocks' complete QR and 4 stacks of 16 verification frames
+    assert calls["qr"] == 7
 
 
 def validated_shapes(monkeypatch):
@@ -1203,16 +1277,16 @@ def test_a_warm_plan_sends_the_queries_and_returns_the_results_of_a_cold_one(fre
 
 def test_the_reading_plan_is_keyed_on_field_and_tolerance_and_read_only(fresh_plan):
     loose = ToleranceConfig(eq_tol=2e-9)
-    frames, omega = _plan(6, 2, "complex", DEFAULT_TOL)
+    frames, omega, readings = _plan(6, 2, "complex", DEFAULT_TOL)
     same = _plan(6, 2, "complex", ToleranceConfig())  # an equal config is the same key
-    assert same[0] is frames and same[1] is omega
+    assert same[0] is frames and same[1] is omega and same[2] is readings
     real, loose_plan = _plan(6, 2, REAL, DEFAULT_TOL), _plan(6, 2, "complex", loose)
     assert _plan.cache_info().currsize == 3
     assert real[0] is not frames and np.all(real[0].imag == 0.0) and np.any(frames.imag != 0.0)
     # the tolerance only checks the frames: a separate entry, the same draw
     assert loose_plan[0] is not frames and np.array_equal(loose_plan[0], frames)
     assert frames.shape == (2 + 3, 6, 2) and omega.shape == (6, 2)
-    for a in (*real, *loose_plan, frames, omega):
+    for a in (*real[:2], *loose_plan[:2], frames, omega):
         assert a.flags.writeable is False
         with pytest.raises(ValueError):
             a[0, 0] = 0.0
@@ -1270,20 +1344,22 @@ def test_a_map_off_on_a_tenth_of_the_samples_is_rarely_accepted():
     assert all(r.residual <= ACCEPT_TOL for r in accepted)
 
 
-def test_a_reading_at_128_by_1_peaks_at_three_query_stacks():
-    # the reading's d + 2 queries reach a spec map uncopied: at the peak,
-    # inside the conjugation, the queries, its V S temporary and its output
-    # are alive (4 stacks when the queries were copied); the fit residual's
-    # M - Q stack is formed after the queries are freed
+@pytest.mark.parametrize("antiunitary", [False, True])
+def test_a_reading_at_128_by_1_peaks_at_two_query_stacks(antiunitary):
+    # the reading's d + 2 queries reach a spec map uncopied, and the
+    # conjugation is applied in blocks of 256 KiB: at the peak the queries,
+    # the output and a block or two (one matrix each at d = 128) are alive
+    # (3 stacks when V S, or conj(S), was a stack of its own); the fit
+    # residual's M - Q stack is formed after the queries are freed
     import tracemalloc
 
     d = 128
-    phi = instantiate(MapSpec("conjugation", matrix=haar_random_unitary(d, 3)), d, 1)
+    phi = instantiate(MapSpec("conjugation", matrix=haar_random_unitary(d, 3), antiunitary=antiunitary), d, 1)
     tracemalloc.start()
     try:
         result = reconstruct(phi)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert result.variant == VARIANT_CONJUGATION
-    assert peak <= 3.1 * (d + 2) * d * d * 16
+    assert result.variant == VARIANT_CONJUGATION and result.antiunitary is antiunitary
+    assert peak <= 2.1 * (d + 2) * d * d * 16
