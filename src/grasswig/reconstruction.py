@@ -329,19 +329,18 @@ def _query_frames(rng: np.random.Generator, d: int, k: int, field: str, tol: Tol
 def _plan(d: int, k: int, field: str, tol: ToleranceConfig) -> tuple[np.ndarray, np.ndarray, tuple]:
     """The reading's ``_query_frames`` and d x k range-finder matrix
     ``omega``, drawn in that order from ``default_rng(_READING_SEED)`` and
-    made read-only, and the ``_readings`` of the first three references,
-    also of their real parts in the real field (``_fitted`` reads exactly
-    real outputs on those), all computed once per key up to
+    made read-only, and the ``_readings`` of the three references whose
+    images ``_fitted`` reads, all computed once per key up to
     ``_PLAN_CACHE_DIM``.  An entry holds at most ``44 d^2`` bytes of arrays
     (at most ``5d/2`` frame columns of complex d-vectors, ``5k`` at d = 2k,
-    and omega's ``d^2 / 2`` reals) and four readings, 608 bytes."""
+    and omega's ``d^2 / 2`` reals) and at most four readings, 608 bytes."""
     rng = np.random.default_rng(_READING_SEED)
     frames = _query_frames(rng, d, k, field, tol)
     omega = rng.standard_normal((d, k))
     frames.setflags(write=False)
     omega.setflags(write=False)
-    references = frames[-(-d // k) - 1 :][:3]
-    return frames, omega, tuple(_readings(f, field) for f in ((references, references.real) if field == REAL else (references,)))
+    m = -(-d // k)
+    return frames, omega, _readings(frames[m - 1 : m + 2], field)
 
 
 def _readings(references: np.ndarray, field: str) -> tuple[tuple[bool, bool, complex], ...]:
@@ -386,10 +385,9 @@ def _adjoint(a: np.ndarray) -> np.ndarray:
 
 
 def _ranges(images: np.ndarray, omega: np.ndarray) -> np.ndarray:
-    """Orthonormal bases of the ranges of a stack of rank-k images M: one QR of
-    ``M (M omega)`` (omega is d x k), off by about ``eps cond(U* omega)`` for
-    M's range U, where a QR of ``M omega`` first would keep it at eps."""
-    return np.linalg.qr(images @ (images @ omega))[0]
+    """Orthonormal bases of the ranges of a stack of rank-k images: one QR of
+    ``image @ omega`` (omega is d x k) and one subspace step, for all at once."""
+    return np.linalg.qr(images @ np.linalg.qr(images @ omega)[0])[0]
 
 
 def _fit(images: np.ndarray, frames: np.ndarray, omega: np.ndarray, k: int) -> np.ndarray:
@@ -460,7 +458,7 @@ def _fitted(phi: RankNMap, tol: ToleranceConfig, accept_tol: float):
     outputs = np.eye(d) - mapped if k < n else mapped
     real = phi.field == REAL and is_exactly_real(outputs)
     outputs, frames = (outputs.real, plan.real) if real else (outputs, plan)
-    complement, antiunitary = _reading(outputs[m - 1 : m + 2], readings[real])
+    complement, antiunitary = _reading(outputs[m - 1 : m + 2], readings)
     images = np.eye(d) - outputs if complement else outputs
     frames = frames.conj() if antiunitary else frames
     v = _fit(images, frames, omega, k)

@@ -998,64 +998,54 @@ def projector_distance(a, b):
     return float(np.max(np.linalg.norm(a @ _adjoint(a) - b @ _adjoint(b), 2, axis=(-2, -1))))
 
 
-def two_qr_ranges(images, omega):
-    """The range finder with a QR of ``M omega`` before its subspace step."""
-    return np.linalg.qr(images @ np.linalg.qr(images @ omega)[0])[0]
-
-
 @pytest.mark.parametrize("d, k", [(2, 1), (6, 2), (8, 4), (12, 3), (32, 4)])
-def test_the_one_qr_range_finder_reads_the_range_of_the_two_qr_one(d, k):
-    # range(M (M omega)) = range(M orth(M omega)): the QR in between only
-    # rescales columns inside the range.  In floating point the one-QR range
-    # is off by about eps cond(U* omega) for the image's range U, so it
-    # matches to 1e-12 for the plan's Gaussian omega and for one whose top
-    # k x k block is ill-conditioned, and within that bound for an omega
-    # whose restriction to U has condition number 1e6
+def test_the_range_finder_reads_each_range_to_roundoff(d, k):
+    # the QR of M omega before the subspace step keeps each range at eps,
+    # also for an omega whose restriction to the image's range U has
+    # condition number 1e6, where one QR of M (M omega) is off by about
+    # eps cond(U* omega), 1e-10; noisy images are read to their top-k
+    # singular subspace
     rng = np.random.default_rng(d + k)
     u = np.array([haar_random_unitary(d, 80 + s)[:, :k] for s in range(6)])
     exact = u @ _adjoint(u)
     h = rng.standard_normal(exact.shape) + 1j * rng.standard_normal(exact.shape)
     h = h + _adjoint(h)
     noisy = exact + 1e-8 * h / np.linalg.norm(h, axis=(-2, -1), keepdims=True)
-    singular = np.geomspace(1.0, 1e-6, k)
-    c = haar_random_unitary(k, 1) @ np.diag(singular) @ haar_random_unitary(k, 2)
-    top = rng.standard_normal((d, k))
-    top[:k] = ((haar_random_unitary(k, 3, REAL) * singular) @ haar_random_unitary(k, 4, REAL)).real
-    for omega in (_plan.__wrapped__(d, k, "complex", DEFAULT_TOL)[1], top):
-        for images in (exact, noisy):
-            assert projector_distance(_ranges(images, omega), two_qr_ranges(images, omega)) <= 1e-12
-    assert np.linalg.cond(top[:k]) >= 1e6 or k == 1
-    # omega = U c + (I - U U*) g for image 0's range U, cond(c) = 1e6
-    g = rng.standard_normal((d, k)) + 1j * rng.standard_normal((d, k))
-    ill = u[0] @ c + g - exact[0] @ g
-    assert np.linalg.cond(_adjoint(u[0]) @ ill) >= 1e6 * 0.99 or k == 1
-    bound = 1e-12 if k == 1 else 4 * np.finfo(float).eps * 1e6
-    for images in (exact[:1], noisy[:1]):
-        assert projector_distance(_ranges(images, ill), two_qr_ranges(images, ill)) <= bound
-    assert projector_distance(two_qr_ranges(exact[:1], ill), u[:1]) <= 1e-13
+    omega = _plan.__wrapped__(d, k, "complex", DEFAULT_TOL)[1]
+    assert projector_distance(_ranges(exact, omega), u) <= 1e-13
+    assert projector_distance(_ranges(noisy, omega), np.linalg.svd(noisy)[0][..., :k]) <= 1e-12
+    # omega = U c + (I - U U*) g for each image's range U, cond(c) = 1e6
+    c = haar_random_unitary(k, 1) @ np.diag(np.geomspace(1.0, 1e-6, k)) @ haar_random_unitary(k, 2)
+    g = rng.standard_normal((6, d, k)) + 1j * rng.standard_normal((6, d, k))
+    ill = u @ c + g - exact @ g
+    assert k == 1 or np.all(np.linalg.cond(_adjoint(u) @ ill) >= 0.99e6)
+    for image, basis, omega in zip(exact, u, ill):
+        assert projector_distance(_ranges(image[None], omega), basis[None]) <= 1e-13
 
 
 @pytest.mark.parametrize("d, k", [(2, 1), (5, 2), (6, 3), (8, 4), (20, 5)])
 @pytest.mark.parametrize("field", ["complex", REAL])
 def test_the_plan_carries_the_readings_of_its_references_bit_for_bit(d, k, field):
-    # the invariants each reading predicts are computed once per plan, for
-    # the frames and, in the real field, for their real parts, equal bit for
-    # bit to Bargmann's formula on those frames
+    # the invariants each reading predicts are computed once per plan, equal
+    # bit for bit to Bargmann's formula on the three references; a real
+    # plan's frames are complex with imaginary parts 0, and their real parts
+    # (on which _fitted reads exactly real outputs) predict the same
     frames, _, readings = _plan.__wrapped__(d, k, field, DEFAULT_TOL)
     m = -(-d // k)
-    references = frames[m - 1 : m + 2]
-    assert len(readings) == (2 if field == REAL else 1)
-    for f, cached in zip((references, references.real), readings):
-        a, b, c = f[0].conj().T @ f[1], f[1].conj().T @ f[2], f[2].conj().T @ f[0]
-        t = complex(np.sum((a @ b) * c.T))
-        pairs = frobenius(a) ** 2 + frobenius(b) ** 2 + frobenius(c) ** 2
-        expected = [(False, False, t)] + ([] if field == REAL else [(False, True, t.conjugate())])
-        if d == 2 * k > 2:
-            expected += [(True, anti, d - 3 * k + pairs - x) for _, anti, x in expected]
-        assert cached == tuple(expected)
-        assert [np.float64(x).tobytes() for r in cached for x in (r[2].real, r[2].imag)] == [
-            np.float64(x).tobytes() for r in expected for x in (r[2].real, r[2].imag)
-        ]
+    f = frames[m - 1 : m + 2]
+    a, b, c = f[0].conj().T @ f[1], f[1].conj().T @ f[2], f[2].conj().T @ f[0]
+    t = complex(np.sum((a @ b) * c.T))
+    pairs = frobenius(a) ** 2 + frobenius(b) ** 2 + frobenius(c) ** 2
+    expected = [(False, False, t)] + ([] if field == REAL else [(False, True, t.conjugate())])
+    if d == 2 * k > 2:
+        expected += [(True, anti, d - 3 * k + pairs - x) for _, anti, x in expected]
+    assert readings == tuple(expected)
+    assert [np.float64(x).tobytes() for r in readings for x in (r[2].real, r[2].imag)] == [
+        np.float64(x).tobytes() for r in expected for x in (r[2].real, r[2].imag)
+    ]
+    if field == REAL:
+        for cached, real in zip(readings, _readings(f.real, field)):
+            assert cached[:2] == real[:2] and abs(cached[2] - real[2]) <= 1e-14
 
 
 def test_stacked_rank1_reader_fails_the_gate_on_bad_images_without_raising():
@@ -1107,9 +1097,9 @@ def test_reconstruct_runs_no_eigendecomposition(monkeypatch):
     assert result.variant == VARIANT_CONJUGATION and result.antiunitary is True
     assert planted_deviation(result.v, v) <= 1e-7
     assert calls["eigh"] == 0
-    # the references' draw, one range finder over the reading's stack, the
-    # blocks' complete QR and 4 stacks of 16 verification frames
-    assert calls["qr"] == 7
+    # the references' draw, the range finder's two over the reading's
+    # stack, the blocks' complete QR and 4 stacks of 16 verification frames
+    assert calls["qr"] == 8
 
 
 def validated_shapes(monkeypatch):
