@@ -77,7 +77,6 @@ from .reconstruction import (
     VARIANT_UNCLASSIFIED,
     align_phase,
     canonicalize_global_phase,
-    dualize,
     reconstruct,
     reconstruct_via_dual,
     screen_preservation,

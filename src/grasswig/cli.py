@@ -41,7 +41,6 @@ from .reconstruction import (
     ReconstructionConfig,
     VARIANT_NOT_PRESERVING,
     reconstruct,
-    reconstruct_via_dual,
     screen_preservation,
 )
 from .tolerances import DEFAULT_TOL, ToleranceConfig
@@ -125,8 +124,7 @@ def cmd_reconstruct(args, tol: ToleranceConfig) -> int:
     spec = load_map_spec(args.map)
     phi = instantiate(spec, args.dim, args.rank, args.field, tol)
     cfg = ReconstructionConfig(seed=args.seed)
-    # a witness of the dual lives at rank d - n, with its dual images
-    result = (reconstruct_via_dual if args.via_dual else reconstruct)(phi, cfg, tol)
+    result = reconstruct(phi, cfg, tol)
     payload = result.to_obj()
     if result.variant == VARIANT_NOT_PRESERVING:
         payload["witness_files"] = _write_witness(args.witness_dir, result)
@@ -210,7 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_rec.add_argument("--map", required=True, help="map spec JSON file")
     p_rec.add_argument("--dim", type=int, required=True)
     p_rec.add_argument("--rank", type=int, required=True)
-    p_rec.add_argument("--via-dual", action="store_true", help="reconstruct through the rank d-n dual")
     p_rec.add_argument("--seed", type=int, default=0)
     p_rec.add_argument("--out", help="also write the result JSON here")
     p_rec.add_argument("--field", choices=FIELDS, default=COMPLEX)

@@ -66,7 +66,7 @@ class RankNMap:
         self.descriptor = descriptor
         self.tol = tol
         self._fn = fn
-        self._stack = None  # ``(stack, first) -> outputs`` of a map on whole stacks
+        self._stack = None  # ``stack -> outputs`` of a map on whole stacks
 
     def evaluate(self, p: Projection) -> Projection:
         return self.evaluate_many([p])[0]
@@ -90,13 +90,13 @@ class RankNMap:
 
     def _outputs(self, stack, first: int = 0) -> np.ndarray:
         """The unvalidated outputs of a complex ``(c, d, d)`` query stack, the
-        only place that decides what the oracle receives: a map on whole
-        stacks (``instantiate``, ``dualize``) gets the array itself, uncopied;
-        an external oracle, once per input, a ``Projection`` over each matrix,
-        or ``evaluate_many``'s own list of inputs.  An output that is no
-        d x d matrix raises, naming input ``first + i``."""
+        only place that decides what the oracle receives: a spec map
+        (``instantiate``) gets the array itself, uncopied; an external
+        oracle, once per input, a ``Projection`` over each matrix, or
+        ``evaluate_many``'s own list of inputs.  An output of an external
+        oracle that is no d x d matrix raises, naming input ``first + i``."""
         if self._stack is not None:
-            return self._stack(stack, first)
+            return self._stack(stack)
         d = self.ambient_dim
         inputs = stack if isinstance(stack, list) else _wrap_stack(stack, [self.rank] * len(stack))
         out = np.empty((len(inputs), d, d), dtype=np.complex128)
@@ -147,8 +147,14 @@ class MapSpec:
             raise MatrixFormatError("compose requires a nonempty map list")
 
 
-def parse_map_spec(obj, base_dir: str = ".") -> MapSpec:
-    """Parse the MapSpec JSON schema; matrix paths resolve against base_dir."""
+_MAX_SPEC_DEPTH = 100  # 340 levels of specs exhaust Python's recursion limit
+
+
+def parse_map_spec(obj, base_dir: str = ".", _depth: int = 1) -> MapSpec:
+    """Parse the MapSpec JSON schema; matrix paths resolve against base_dir.
+    A spec nested more than ``_MAX_SPEC_DEPTH`` levels deep is refused."""
+    if _depth > _MAX_SPEC_DEPTH:
+        raise MatrixFormatError(f"map spec nests deeper than {_MAX_SPEC_DEPTH} levels")
     if not isinstance(obj, dict) or "type" not in obj:
         raise MatrixFormatError("map spec must be an object with a \"type\" key")
     kind = obj["type"]
@@ -178,12 +184,12 @@ def parse_map_spec(obj, base_dir: str = ".") -> MapSpec:
             sigma = float(sigma)
         except OverflowError:  # a JSON integer beyond the float range
             raise MatrixFormatError("sigma must be a finite number >= 0, got an integer too large for a float") from None
-        return MapSpec("noisy", base=parse_map_spec(obj["base"], base_dir), sigma=sigma, seed=obj.get("seed", 0))
+        return MapSpec("noisy", base=parse_map_spec(obj["base"], base_dir, _depth + 1), sigma=sigma, seed=obj.get("seed", 0))
     if kind == "compose":
         raw_parts = obj.get("maps")
         if not isinstance(raw_parts, list) or not raw_parts:
             raise MatrixFormatError("compose needs a nonempty \"maps\" list")
-        return MapSpec("compose", parts=tuple(parse_map_spec(p, base_dir) for p in raw_parts))
+        return MapSpec("compose", parts=tuple(parse_map_spec(p, base_dir, _depth + 1) for p in raw_parts))
     raise MatrixFormatError(f"unknown map type {kind!r}")
 
 
@@ -270,8 +276,8 @@ def _stack_fn(spec: MapSpec, d: int, n: int, field: str, tol: ToleranceConfig):
 def instantiate(spec: MapSpec, d: int, n: int, field: str = COMPLEX, tol: ToleranceConfig = DEFAULT_TOL) -> RankNMap:
     """Build the RankNMap a spec describes, validating it against (d, n, field):
     each query stack is one call of the spec's stack function, which raises no
-    per-input error (``first`` goes unused), and ``_fn`` is its one-matrix case."""
+    per-input error, and ``_fn`` is its one-matrix case."""
     fn = _stack_fn(spec, d, n, field, tol)
     phi = RankNMap(d, n, lambda p: fn(p.matrix[None])[0], descriptor=_describe(spec), field=field, tol=tol)
-    phi._stack = lambda s, first: fn(s)
+    phi._stack = fn
     return phi

@@ -71,8 +71,9 @@ def projection_rank(m, tol: ToleranceConfig = DEFAULT_TOL, first: int = 0):
                 fail(i, f"Hermitian defect nan exceeds {tol.eq_tol:.1e}")
             x, scale = scaled(stack[i])  # the norm reported without overflow
             fail(i, f"Frobenius norm {scale * frobenius(x):.3e} exceeds sqrt(2d) = {np.sqrt(2 * d):.3e}")
-    require_small(stack - stack.conj().swapaxes(1, 2), "Hermitian")
-    require_small(stack @ stack - stack, "idempotency")
+    buf = np.empty(stack.shape, dtype=np.complex128)  # each defect in turn, in one buffer
+    require_small(np.subtract(stack, np.conjugate(stack.swapaxes(1, 2), out=buf), out=buf), "Hermitian")
+    require_small(np.subtract(np.matmul(stack, stack, out=buf), stack, out=buf), "idempotency")
     ranks = []
     for i, trace in enumerate(stack.trace(axis1=1, axis2=2).tolist()):
         rank = round(trace.real)

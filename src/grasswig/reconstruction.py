@@ -39,7 +39,7 @@ to label the leftovers is the honest output.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -529,40 +529,10 @@ def reconstruct(
     )
 
 
-def dualize(phi: RankNMap, tol: ToleranceConfig = DEFAULT_TOL) -> RankNMap:
-    """Complement-conjugated map on the complementary rank:
-    ``psi(P) = I - phi(I - P)`` acting on rank d - n, the map
-    ``reconstruct_via_dual`` reconstructs (``reconstruct`` reads a map of
-    rank n > d/2 through complement queries of its own).  A map on whole
-    stacks, it answers a query stack S with the raw ``I - phi._outputs(I -
-    S)``, whose errors name the query's index in the run, and validates it
-    as one stack: ``I - M`` has the Hermitian and idempotency defects of M."""
-    d, n = phi.ambient_dim, phi.rank
-    if not 1 <= d - n <= d - 1:
-        raise BadRank(f"dual rank d - n = {d - n} is outside [1, {d - 1}]")
-    eye = np.eye(d, dtype=np.complex128)  # one identity serves both complements
-    psi = RankNMap(d, d - n, None, descriptor=f"dual({phi.descriptor})", field=phi.field, tol=tol)
-    psi._stack = lambda s, first: eye - phi._outputs(eye - s, first)
-    return psi
-
-
-def reconstruct_via_dual(
-    phi: RankNMap,
-    cfg: ReconstructionConfig | None = None,
-    tol: ToleranceConfig = DEFAULT_TOL,
-) -> ReconstructionResult:
-    """Reconstruct through the dual map on rank d - n.
-
-    A conjugation inducing the dual induces the original map, in the same
-    family, and the dual's verification settles both: it queries phi on
-    ``I - P`` for Haar samples P of rank d - n, ``b b*`` or ``I - b b*``
-    from d x k frames (``_sampled``), so on Haar samples of rank n,
-    validating phi's outputs under the same rules, at d^2 k per sample, and
-    its residual is the direct one, since ``||(I - M) - (I - Q)|| =
-    ||M - Q||`` (up to the polar factor's ``||I - V V*||``).  So a result
-    is returned as the dual gives it, a witness of the dual at rank d - n.
-    """
-    inner = reconstruct(dualize(phi, tol), cfg, tol)
-    if inner.variant == VARIANT_NOT_PRESERVING:
-        return replace(inner, notes=f"witness pair has dual rank {phi.ambient_dim - phi.rank}")
-    return inner
+def reconstruct_via_dual(phi: RankNMap, cfg: ReconstructionConfig | None = None, tol: ToleranceConfig = DEFAULT_TOL) -> ReconstructionResult:
+    """A deprecated name for ``reconstruct``, returning its result: a rejection
+    carries phi's own rank-n witness, not the dual's at rank d - n, and at
+    d = 2n phi gets the queries ``reconstruct`` sends, not their complements.
+    The name goes when the benchmark's ``dual-`` operations call ``reconstruct``
+    (ROADMAP item 7)."""
+    return reconstruct(phi, cfg, tol)

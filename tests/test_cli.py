@@ -11,7 +11,6 @@ import grasswig
 from grasswig import (
     MatrixFormatError,
     Projection,
-    instantiate,
     load_map_spec,
     load_matrix,
     load_projection,
@@ -265,9 +264,9 @@ def test_reconstruct_complement_reports_exceptional(tmp_path, capsys):
     assert json.loads(out)["variant"] == "exceptional_complement"
 
 
-def test_reconstruct_identity_via_dual(tmp_path, capsys):
+def test_reconstruct_identity_above_half_rank(tmp_path, capsys):
     spec = write_spec(tmp_path, "spec.json", {"type": "identity"})
-    code, out, _ = run_cli(capsys, "reconstruct", "--map", spec, "--dim", 5, "--rank", 3, "--via-dual")
+    code, out, _ = run_cli(capsys, "reconstruct", "--map", spec, "--dim", 5, "--rank", 3)
     assert code == 0
     payload = json.loads(out)
     assert payload["variant"] == "conjugation"
@@ -304,24 +303,35 @@ def test_reconstruct_refuses_a_negative_seed(tmp_path, capsys, base):
     assert "seed must be an integer >= 0, got -1" in err
 
 
-def test_reconstruct_via_dual_writes_the_dual_witness(tmp_path, capsys):
-    spec = write_spec(
-        tmp_path, "spec.json", {"type": "noisy", "base": {"type": "identity"}, "sigma": 0.001, "seed": 2}
-    )
-    wdir = tmp_path / "w"
-    code, out, _ = run_cli(
-        capsys, "reconstruct", "--map", spec, "--dim", 5, "--rank", 2, "--via-dual", "--witness-dir", wdir
-    )
-    assert code == 1
-    files = json.loads(out)["witness_files"]
-    p, _ = load_projection(files["p"])
-    phi_p, _ = load_projection(files["phi_p"])
-    assert p.rank == phi_p.rank == 3
-    # the dual map's image of p: I - phi(I - p)
-    phi = instantiate(load_map_spec(spec), 5, 2)
-    eye = np.eye(5)
-    expected = eye - phi.evaluate(Projection(eye - p.matrix)).matrix
-    assert np.max(np.abs(phi_p.matrix - expected)) <= 1e-12
+def test_reconstruct_refuses_the_retired_via_dual_flag(tmp_path, capsys):
+    # every rank is read by reconstruct itself: --via-dual is an unknown flag
+    spec = write_spec(tmp_path, "spec.json", {"type": "identity"})
+    code, out, err = in_process(capsys, ["reconstruct", "--map", spec, "--dim", 5, "--rank", 3, "--via-dual"])
+    assert code == 2 and out == ""
+    assert "unrecognized arguments: --via-dual" in err
+
+
+def nested_spec(kind, depth):
+    """A spec ``depth`` levels deep: a chain of one-map composes, or of
+    zero-noise wrappers, around the identity."""
+    spec = {"type": "identity"}
+    for _ in range(depth - 1):
+        spec = {"type": "compose", "maps": [spec]} if kind == "compose" else {"type": "noisy", "base": spec, "sigma": 0.0}
+    return spec
+
+
+@pytest.mark.parametrize("kind", ["compose", "noisy"])
+def test_a_map_spec_nested_too_deep_is_an_input_error(tmp_path, capsys, kind):
+    # 340 levels once ran past the recursion limit, a traceback and exit 1;
+    # the parser now refuses more than 100 levels, naming the limit (exit 2)
+    deep = write_spec(tmp_path, "deep.json", nested_spec(kind, 340))
+    for argv in (("check", "--map", deep, "--dim", 4, "--rank", 2), ("reconstruct", "--map", deep, "--dim", 4, "--rank", 2)):
+        code, out, err = run_cli(capsys, *argv, "--witness-dir", tmp_path)
+        assert code == 2 and out == ""
+        assert "error: map spec nests deeper than 100 levels" in err and "Traceback" not in err
+    deepest = write_spec(tmp_path, "deepest.json", nested_spec(kind, 100))
+    code, out, _ = run_cli(capsys, "reconstruct", "--map", deepest, "--dim", 4, "--rank", 2)
+    assert code == 0 and json.loads(out)["variant"] == "conjugation"
 
 
 def test_demo_exceptional(capsys):

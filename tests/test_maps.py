@@ -18,7 +18,6 @@ from grasswig import (
     random_projection,
     matrix_to_obj,
     reconstruct,
-    reconstruct_via_dual,
     sample_projection,
     screen_preservation,
 )
@@ -329,32 +328,24 @@ def test_a_spec_map_evaluates_a_stack_as_its_per_matrix_reference_bit_for_bit(fi
 
 
 def test_each_output_stack_of_a_spec_map_is_one_stacked_call(monkeypatch):
-    # the reading, verification and the screen each hand the map a stack,
-    # directly or through the dual (each of the dual's stacks is one of
-    # phi's): one call of its stack function each, and none of its
-    # per-input oracle
+    # the reading, verification and the screen each hand the map a stack:
+    # one call of its stack function each, and none of its per-input oracle
     v, outputs, stacks, calls = haar_random_unitary(6, 4), RankNMap._outputs, [], []
     monkeypatch.setattr(RankNMap, "_outputs", lambda self, s, first=0: stacks.append((self, len(s))) or outputs(self, s, first))
     for spec, variant in (
         (MapSpec("noisy", base=MapSpec("conjugation", matrix=v), sigma=1e-3, seed=-2), "not_angle_preserving"),
         (MapSpec("compose", parts=(MapSpec("complement"), MapSpec("conjugation", matrix=v))), "exceptional_complement"),
     ):
-        for route in (reconstruct, reconstruct_via_dual):
-            stacks.clear()
-            calls.clear()
-            phi = instantiate(spec, 6, 3)
-            stacked = phi._stack
-            phi._stack = lambda s, first: calls.append(len(s)) or stacked(s, first)
-            phi._fn = None
-            assert route(phi).variant == variant
-            screen_preservation(phi, 20, seed=3)
-            direct = [size for owner, size in stacks if owner is phi]
-            dual = [size for owner, size in stacks if owner is not phi]
-            assert calls == direct and len(calls) >= 2, _describe(spec)
-            if route is reconstruct:
-                assert dual == []
-            else:  # all but the last screen's one stack reach phi through the dual
-                assert dual == direct[:-1] and dual, _describe(spec)
+        stacks.clear()
+        calls.clear()
+        phi = instantiate(spec, 6, 3)
+        stacked = phi._stack
+        phi._stack = lambda s: calls.append(len(s)) or stacked(s)
+        phi._fn = None
+        assert reconstruct(phi).variant == variant
+        screen_preservation(phi, 20, seed=3)
+        assert all(owner is phi for owner, _ in stacks), _describe(spec)
+        assert calls == [size for _, size in stacks] and len(calls) >= 2, _describe(spec)
 
 
 @pytest.mark.parametrize("field", [REAL, "complex"])
@@ -362,8 +353,8 @@ def test_no_stage_writes_into_a_query_stack_it_hands_a_spec_map(field):
     # a spec map gets each query stack uncopied, and the identity hands it
     # back as its output, so a stage may write into neither: every stack is
     # made read-only on its way in, and a write into it would raise.  At
-    # (6, 3) every kind is read directly; at (7, 5) through complement
-    # queries, and at (7, 2) through its dual's
+    # (6, 3) and (7, 2) every kind is read directly; at (7, 5) through
+    # complement queries
     for d, n in ((6, 3), (7, 5), (7, 2)):
         for spec in every_kind(haar_random_unitary(d, 12, field), field):
             if d != 2 * n and "complement" in _describe(spec):
@@ -371,17 +362,16 @@ def test_no_stage_writes_into_a_query_stack_it_hands_a_spec_map(field):
             phi, sizes = instantiate(spec, d, n, field), []
             stacked = phi._stack
 
-            def read_only(s, first, stacked=stacked, sizes=sizes):
+            def read_only(s, stacked=stacked, sizes=sizes):
                 s.setflags(write=False)
                 sizes.append(len(s))
-                return stacked(s, first)
+                return stacked(s)
 
             phi._stack = read_only
-            for route in (reconstruct, reconstruct_via_dual):
-                assert route(phi).variant, _describe(spec)
+            assert reconstruct(phi).variant, _describe(spec)
             screen_preservation(phi, 20, seed=3)
             extend_orthonormal(phi, haar_random_unitary(d, 5, field)[:, : n + 2])
-            assert len(sizes) >= 4, _describe(spec)  # a reading each, the screen, the extension
+            assert len(sizes) >= 3, _describe(spec)  # the reading, the screen, the extension
 
 
 @pytest.mark.parametrize(

@@ -18,7 +18,6 @@ from grasswig import (
     VARIANT_EXCEPTIONAL,
     VARIANT_NOT_PRESERVING,
     align_phase,
-    dualize,
     haar_random_unitary,
     Subspace,
     principal_angles,
@@ -39,6 +38,7 @@ from grasswig.linalg import haar_frames_from_rng
 from grasswig.maps import MapSpec, instantiate
 from grasswig.reconstruction import _ACCEPT_FACTOR, _SCREEN_PAIRS
 from grasswig.tolerances import DEFAULT_TOL
+from conftest import local_dual
 
 # Few examples each: the suite's wall time stays within a few seconds.  The
 # examples are drawn by the profile conftest.py loads: the same ones on every
@@ -143,15 +143,16 @@ def test_projection_and_basis_routes_give_the_same_angles(d, data):
 
 @SETTINGS
 @given(shapes())
-def test_dualize_is_an_involution(shape):
+def test_the_dual_reads_as_the_map_itself(shape):
+    # I - phi(I - P) on rank d - n is read through the other of the plain
+    # and complement query forms, to the same conjugation
     d, n, field, antiunitary, seed = shape
     v = haar_random_unitary(d, seed, field)
     phi = instantiate(MapSpec("conjugation", matrix=v, antiunitary=antiunitary), d, n, field)
-    twice = dualize(dualize(phi))
-    assert (twice.ambient_dim, twice.rank) == (d, n)
-    _, samples = sample_projections(np.random.default_rng(seed + 1), 3, d, n, field)
-    for p in samples:
-        assert np.max(np.abs(twice.evaluate(p).matrix - phi.evaluate(p).matrix)) <= 1e-12
+    direct, dual = reconstruct(phi), reconstruct(local_dual(phi))
+    assert direct.variant == dual.variant == "conjugation"
+    assert direct.antiunitary is dual.antiunitary is antiunitary
+    assert np.max(np.abs(dual.v - direct.v)) <= 1e-9
 
 
 @SETTINGS

@@ -19,13 +19,10 @@ from grasswig import (
     VARIANT_EXCEPTIONAL,
     VARIANT_NOT_PRESERVING,
     align_phase,
-    dualize,
     haar_random_unitary,
-    projection_distance,
     random_projection,
     reconstruct,
     reconstruct_via_dual,
-    sample_projection,
     screen_preservation,
     spectrum_discrepancy,
     trace_product,
@@ -34,6 +31,7 @@ from grasswig import (
 from grasswig.linalg import REAL, frobenius, haar_frames_from_rng
 from grasswig.maps import MapSpec, instantiate
 from grasswig.projections import projection_rank
+from conftest import local_dual
 import grasswig.reconstruction as reconstruction
 from grasswig.reconstruction import (
     _ACCEPT_FACTOR, FIT_GATE, _adjoint, _fit, _plan, _query_frames, _ranges, _reading, _readings, _report_pairs, _trace3,
@@ -125,14 +123,16 @@ def test_noisy_map_is_rejected_with_witness():
     assert np.array_equal(result.witness_phi_q.matrix, fq.matrix)
 
 
-def test_dual_route_witness_carries_the_dual_images():
+def test_via_dual_is_reconstruct_and_its_witness_is_phis_own():
+    # the deprecated name returns reconstruct's result: a rank-n witness
+    # with phi's own images, no longer the dual's at rank d - n
     phi = instantiate(MapSpec("noisy", base=MapSpec("identity"), sigma=1e-2, seed=25), 5, 2)
     result = reconstruct_via_dual(phi)
     assert result.variant == VARIANT_NOT_PRESERVING
-    assert result.witness_p.rank == 3
-    dual = dualize(phi)
-    assert np.array_equal(result.witness_phi_p.matrix, dual.evaluate(result.witness_p).matrix)
-    assert np.array_equal(result.witness_phi_q.matrix, dual.evaluate(result.witness_q).matrix)
+    assert result.witness_p.rank == 2
+    assert result_fields(result) == result_fields(reconstruct(phi))
+    assert np.array_equal(result.witness_phi_p.matrix, phi.evaluate(result.witness_p).matrix)
+    assert np.array_equal(result.witness_phi_q.matrix, phi.evaluate(result.witness_q).matrix)
 
 
 def test_screen_holds_for_conjugation_and_complement():
@@ -213,37 +213,32 @@ def test_config_keeps_a_numpy_seed_as_a_python_integer():
         assert result.residual == verify_conjugation(phi, result.v, False, 50, seed=int(seed) + 1)
 
 
-def test_dualize_of_conjugation_is_same_conjugation():
+def test_the_dual_of_a_conjugation_reads_as_the_same_conjugation():
+    # I - V (I - P) V* = V P V*: the dual on rank 3 is read through
+    # complement queries and gives back phi's V
     phi, v = conjugation(5, 2, seed=31)
-    psi = dualize(phi)
+    psi = local_dual(phi)
     assert psi.rank == 3
-    rng = np.random.default_rng(0)
-    for _ in range(10):
-        p = sample_projection(rng, 5, 3)
-        expected = Projection(v @ p.matrix @ v.conj().T, rank=3)
-        assert projection_distance(psi.evaluate(p), expected) <= 1e-12
+    result = reconstruct(psi)
+    assert result.variant == VARIANT_CONJUGATION
+    assert planted_deviation(result.v, v) <= 1e-7
 
 
-def test_dualize_is_an_involution():
-    phi, _ = conjugation(5, 2, seed=32)
-    double = dualize(dualize(phi))
-    rng = np.random.default_rng(1)
-    for _ in range(10):
-        p = sample_projection(rng, 5, 2)
-        assert projection_distance(double.evaluate(p), phi.evaluate(p)) <= 1e-12
+def test_the_dual_of_the_dual_reads_as_the_map_itself():
+    phi, v = conjugation(5, 2, seed=32)
+    twice, direct = reconstruct(local_dual(local_dual(phi))), reconstruct(phi)
+    assert twice.variant == direct.variant == VARIANT_CONJUGATION
+    assert planted_deviation(twice.v, direct.v) <= 1e-9 and planted_deviation(twice.v, v) <= 1e-7
 
 
-def test_dualize_complement_is_itself():
+def test_the_dual_of_the_complement_map_reads_as_exceptional():
     # the complement map is self-dual: I - phi(I - P) = I - P
-    phi = instantiate(MapSpec("complement"), 6, 3)
-    psi = dualize(phi)
-    rng = np.random.default_rng(2)
-    for _ in range(10):
-        p = sample_projection(rng, 6, 3)
-        assert projection_distance(psi.evaluate(p), p.complement()) <= 1e-12
+    result = reconstruct(local_dual(instantiate(MapSpec("complement"), 6, 3)))
+    assert result.variant == VARIANT_EXCEPTIONAL
+    assert planted_deviation(result.v, np.eye(6)) <= 1e-8
 
 
-def via_dual_cases():
+def dual_cases():
     for d in range(3, 9):
         for n in range(d // 2 + 1, d):
             for field, anti in (("real", False), ("complex", False), ("complex", True)):
@@ -256,12 +251,14 @@ def via_dual_cases():
             yield instantiate(spec, 2 * n, n, field), v, VARIANT_EXCEPTIONAL, anti
 
 
-def test_via_dual_matches_direct_route():
-    # the dual's verification is the only one; its V must also pass
-    # verification against the original map, on samples it never saw
-    for phi, v, variant, anti in via_dual_cases():
+def test_the_dual_reads_as_the_direct_route():
+    # the dual, an external oracle on rank d - n, is read by the other of
+    # the plain and complement readings (or, at d = 2n, by the same one on
+    # complemented queries); its V must also pass verification against
+    # the original map, on samples it never saw
+    for phi, v, variant, anti in dual_cases():
         direct = reconstruct(phi)
-        via = reconstruct_via_dual(phi)
+        via = reconstruct(local_dual(phi))
         assert direct.variant == via.variant == variant
         assert direct.antiunitary is via.antiunitary is anti
         assert planted_deviation(via.v, v) <= 1e-7
@@ -270,9 +267,8 @@ def test_via_dual_matches_direct_route():
         assert residual <= ACCEPT_TOL
 
 
-def test_via_dual_identity_map():
-    phi = instantiate(MapSpec("identity"), 5, 2)
-    result = reconstruct_via_dual(phi)
+def test_the_dual_of_the_identity_map_reads_as_the_identity():
+    result = reconstruct(local_dual(instantiate(MapSpec("identity"), 5, 2)))
     assert result.variant == VARIANT_CONJUGATION
     assert planted_deviation(result.v, np.eye(5)) <= 1e-10
 
@@ -284,11 +280,12 @@ def test_via_dual_handles_the_complement_family():
     assert planted_deviation(result.v, np.eye(6)) <= 1e-8
 
 
-def test_via_dual_rejects_noisy_map():
+def test_the_dual_of_a_noisy_map_is_rejected_with_a_witness_of_the_dual_rank():
     phi = instantiate(MapSpec("noisy", base=MapSpec("identity"), sigma=1e-2, seed=34), 5, 3)
-    result = reconstruct_via_dual(phi)
+    result = reconstruct(local_dual(phi))
     assert result.variant == VARIANT_NOT_PRESERVING
-    assert "dual rank" in result.notes
+    assert result.witness_p.rank == result.witness_phi_q.rank == 2
+    rescored_witness(result)
 
 
 def test_reconstruction_is_seed_independent_after_canonicalization():
@@ -430,12 +427,13 @@ def test_a_map_exact_on_its_reading_is_rejected_by_the_fallback_screen():
 def test_every_kind_of_witness_rescores_to_its_discrepancy_through_the_public_api():
     # spectrum_discrepancy is the statistic every witness is chosen by, so a
     # witness from the reading's pairs, from the fallback screen, from the
-    # dual route and from screen_preservation rescores to it bit for bit
+    # reading of the dual and from screen_preservation rescores to it bit
+    # for bit
     noisy = instantiate(MapSpec("noisy", base=MapSpec("identity"), sigma=1e-2, seed=25), 5, 2)
-    runs = ((reconstruct, noisy, 0), (reconstruct, exact_on_its_reading(6, 2, 50)[0], 51), (reconstruct_via_dual, noisy, 0))
-    for route, phi, seed in runs:
+    runs = ((noisy, 0), (exact_on_its_reading(6, 2, 50)[0], 51), (local_dual(noisy), 0))
+    for phi, seed in runs:
         with mock.patch.object(reconstruction, "screen_preservation", wraps=screen_preservation) as screened:
-            result = route(phi, ReconstructionConfig(seed=seed))
+            result = reconstruct(phi, ReconstructionConfig(seed=seed))
         assert result.variant == VARIANT_NOT_PRESERVING and screened.called == (seed == 51)
         rescored_witness(result)
     report = screen_preservation(noisy, 20, seed=0)
@@ -447,7 +445,8 @@ def test_every_kind_of_witness_rescores_to_its_discrepancy_through_the_public_ap
 def test_each_route_reads_with_three_references_or_four_at_half_dimension(monkeypatch, d):
     # every n and both fields: the reading sends ceil(d/k) - 1 blocks and
     # three references (four at d = 2k > 2), all distinct, before the 50
-    # verification queries; the dual route reads the dual at the same k
+    # verification queries; the dual is read at the same k, at a cost of one
+    # call of phi per query
     before_verification = []
     verify = reconstruction.verify_conjugation
     monkeypatch.setattr(
@@ -456,7 +455,7 @@ def test_each_route_reads_with_three_references_or_four_at_half_dimension(monkey
     for n in range(1, d):
         reading = block_plan_calls(d, n)
         for field in ("complex", REAL):
-            for route in (reconstruct, reconstruct_via_dual):
+            for route in (reconstruct, lambda phi: reconstruct(local_dual(phi))):
                 phi, calls = counting(conjugation(d, n, seed=d + 17 * n, field=field)[0])
                 before_verification.clear()
                 assert route(phi).variant == VARIANT_CONJUGATION
@@ -661,11 +660,9 @@ def test_samples_above_half_rank_complement_frames_of_rank_d_minus_n(monkeypatch
 
 @pytest.mark.parametrize("d, n", [(d, n) for d in range(2, 9) for n in range(1, d)] + [(20, 15)])
 def test_reconstruct_reads_a_map_above_half_rank_through_complement_queries(monkeypatch, d, n):
-    # no dual wrapper: reconstruct never calls dualize, accepting or
-    # rejecting; its reading sends phi the plan's frames b, d x k at
-    # k = min(n, d - n), as I - b b* when k < n (b b* otherwise), in plan
-    # order and bit for bit, then 50 verification samples
-    monkeypatch.setattr(reconstruction, "dualize", mock.Mock(side_effect=AssertionError("dualize called")))
+    # the reading sends phi the plan's frames b, d x k at k = min(n, d - n),
+    # as I - b b* when k < n (b b* otherwise), in plan order and bit for
+    # bit, then 50 verification samples
     phi, v = conjugation(d, n, seed=d + n, antiunitary=True)
     sent = []
     result = reconstruct(RankNMap(d, n, lambda p: sent.append(p.matrix) or phi._fn(p)))
@@ -681,13 +678,13 @@ def test_reconstruct_reads_a_map_above_half_rank_through_complement_queries(monk
 
 
 @pytest.mark.parametrize("d, n, anti, field", [(8, 3, False, "complex"), (7, 2, True, "complex"), (9, 4, False, REAL)])
-def test_the_dual_route_verifies_through_flipped_frames_of_the_dual(monkeypatch, d, n, anti, field):
-    # psi = dualize(phi) has rank d - n > d/2, so its verification samples are
-    # I - b b* with d x n frames; the dual route still recovers the planted V,
-    # with the direct route's residual up to roundoff
+def test_the_dual_is_verified_through_flipped_frames(monkeypatch, d, n, anti, field):
+    # the dual I - phi(I - P) has rank d - n > d/2, so its verification
+    # samples are I - b b* with d x n frames; reading it still recovers the
+    # planted V, with the direct route's residual up to roundoff
     drawn = spied_frames(monkeypatch)
     phi, v = conjugation(d, n, seed=70 + d, antiunitary=anti, field=field)
-    via = reconstruct_via_dual(phi)
+    via = reconstruct(local_dual(phi))
     assert via.variant == VARIANT_CONJUGATION and via.antiunitary is anti
     assert planted_deviation(via.v, v) <= 1e-7
     assert {shape for shape, _ in drawn} == {(d, n)}
@@ -826,25 +823,21 @@ def test_an_output_too_large_to_square_is_refused_by_index_without_a_warning(ent
             Projection(np.diag([entry, 0.0]))
         with pytest.raises(NotAProjection, match=f"matrix 13: {norm}"):
             verify_conjugation(oracle(40, 8, 14), v, False, 20, seed=1)
-        for route in (reconstruct, reconstruct_via_dual):
-            with pytest.raises(NotAProjection, match=f"matrix 2: {norm}"):
-                route(oracle(8, 2, 3))
+        with pytest.raises(NotAProjection, match=f"matrix 2: {norm}"):
+            reconstruct(oracle(8, 2, 3))
 
 
-@pytest.mark.parametrize("route", ["direct", "dual"])
 @pytest.mark.parametrize("n", [2, 6])
-def test_a_bad_output_at_reading_query_i_raises_as_when_the_stack_was_validated_first(route, n):
+def test_a_bad_output_at_reading_query_i_raises_as_when_the_stack_was_validated_first(n):
     # the reading's outputs are validated only when the fit's residuals do
     # not vouch for them, before its gate: a bad output at query 2 raises
     # the error, naming the index, that validating the stack first raised
     d = 8
     u = haar_random_unitary(d, 45)
-    # rank n + 1 = 3 at n = 2 and n - 1 = 5 at n = 6; the reading is taken
-    # on the outputs of the map it is given, phi or its dual, so the dual
-    # route sees the complement's rank 8 - 3 = 5 or 8 - 5 = 3
+    # rank n + 1 = 3 at n = 2 and n - 1 = 5 at n = 6
     wrong = n + 1 if 2 * n < d else n - 1
     wrong_rank = random_projection(d, wrong, seed=3).matrix
-    seen = f"returned rank {wrong if route == 'direct' else d - wrong} for input 2"
+    seen = f"returned rank {wrong} for input 2"
     raw = np.asarray
     cases = [
         (raw, lambda m: m + 1e-6 * np.eye(d), NotAProjection, "matrix 2: idempotency"),
@@ -868,7 +861,7 @@ def test_a_bad_output_at_reading_query_i_raises_as_when_the_stack_was_validated_
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(error, match=message):
-                (reconstruct if route == "direct" else reconstruct_via_dual)(phi)
+                reconstruct(phi)
         assert len(calls) == 6  # the whole reading stack: 3 block and 3 reference queries
 
 
@@ -960,8 +953,7 @@ def test_outputs_that_fit_no_reading_are_refused_without_raising(d, n, field):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             result = reconstruct(phi)
-            via = reconstruct_via_dual(phi)
-        assert not result.accepted and not via.accepted
+        assert not result.accepted
         assert result.variant == VARIANT_NOT_PRESERVING, result.notes
 
 
@@ -1151,15 +1143,13 @@ def test_reconstruct_validates_only_the_oracle_outputs(monkeypatch):
     assert [shape[0] for shape in shapes] == [6, 16, 16, 16, 2]
 
 
-def test_dual_route_validates_no_complement(monkeypatch):
-    # the dual map queries phi on I - P and returns the raw I - phi(I - P);
-    # the input's complement is not validated, and phi's outputs are never
-    # validated one query at a time; the exact outputs of the dual's reading
-    # and of its verification, the only one, are vouched for by their
-    # residuals
+def test_a_map_above_half_rank_validates_no_output_its_residuals_vouch_for(monkeypatch):
+    # (8, 6) is read and verified through complement queries I - b b*; no
+    # query is validated, and the exact outputs of the reading and of the
+    # verification are vouched for by their residuals
     shapes = validated_shapes(monkeypatch)
     phi, v, calls = raw_conjugation(8, 6, seed=44)
-    result = reconstruct_via_dual(phi)
+    result = reconstruct(phi)
     assert result.variant == VARIANT_CONJUGATION
     assert planted_deviation(result.v, v) <= 1e-7
     assert shapes == []
@@ -1187,26 +1177,6 @@ def test_a_rejected_reading_is_validated_once_and_its_witness_replays(monkeypatc
         assert np.trace(p).real == pytest.approx(n) and np.trace(phi_q).real == pytest.approx(n)
         fresh = [out.matrix for out in instantiate(spec, 7, n).evaluate_many([result.witness_p, result.witness_q])]
         assert np.array_equal(fresh[0], phi_p) and np.array_equal(fresh[1], phi_q)
-
-
-def test_dual_names_the_bad_output_of_the_wrapped_map():
-    inputs = [sample_projection(np.random.default_rng(s), 4, 2) for s in range(3)]
-
-    def misbehaving(bad):
-        count = []
-
-        def fn(p):
-            count.append(1)
-            return bad if len(count) == 3 else p.matrix
-
-        return RankNMap(4, 2, fn)
-
-    with pytest.raises(NotAProjection, match="matrix 2: idempotency"):
-        dualize(misbehaving(np.diag([1.0, 1.0, 1e-6, 0.0]))).evaluate_many(inputs)
-    with pytest.raises(InternalInconsistency, match="input 2"):
-        dualize(misbehaving(np.diag([1.0, 0.0, 0.0, 0.0]))).evaluate_many(inputs)
-    with pytest.raises(InternalInconsistency, match="input 2"):
-        dualize(misbehaving(np.eye(3))).evaluate_many(inputs)
 
 
 @pytest.fixture
@@ -1254,13 +1224,14 @@ def result_fields(result):
 )
 def test_a_warm_plan_sends_the_queries_and_returns_the_results_of_a_cold_one(fresh_plan, spec, d, n, field):
     # cold, warm, then cold again after cache_clear: the oracle sees the same
-    # inputs bit for bit and both routes return the same results
+    # inputs bit for bit and reconstruct returns the same results, the
+    # dual's included
     runs = []
     for clear in (True, False, True):
         if clear:
             _plan.cache_clear()
         phi, calls = counting(instantiate(spec, d, n, field))
-        runs.append((calls, [result_fields(route(phi)) for route in (reconstruct, reconstruct_via_dual)]))
+        runs.append((calls, [result_fields(reconstruct(psi)) for psi in (phi, local_dual(phi))]))
     assert runs[0] == runs[1] == runs[2]
     assert len(runs[0][0]) > 0
 
