@@ -5,7 +5,7 @@ Subcommands: ``angles``, ``check``, ``reconstruct``, ``demo-exceptional``,
 preserving, not classified), 2 usage or input error, 3 numerical failure.
 Every command is deterministic given its full argument list (seeds
 included).  The ``GW_TOL`` environment variable overrides the default
-entrywise comparison tolerance.
+entrywise comparison tolerance; a map gets it from ``instantiate``.
 
 ``main`` builds its parser once per process, on its first call, so a
 program calling it repeatedly pays argparse's construction once (a shell
@@ -38,6 +38,7 @@ from .matio import load_matrix, load_projection, save_matrix, save_projection
 from .maps import MapSpec, instantiate, load_map_spec
 from .projections import Subspace, random_projection
 from .reconstruction import (
+    _ACCEPT_FACTOR,
     ReconstructionConfig,
     VARIANT_NOT_PRESERVING,
     reconstruct,
@@ -104,17 +105,18 @@ def _write_witness(directory: str, found) -> dict[str, str]:
 
 
 def cmd_check(args, tol: ToleranceConfig) -> int:
-    if not (math.isfinite(args.tol) and args.tol > 0):
-        raise ValueError(f"--tol must be positive and finite, got {args.tol}")
+    limit = _ACCEPT_FACTOR * tol.spec_tol if args.tol is None else args.tol  # reconstruction's accept_tol
+    if not (math.isfinite(limit) and limit > 0):
+        raise ValueError(f"--tol must be positive and finite, got {limit}")
     spec = load_map_spec(args.map)
     phi = instantiate(spec, args.dim, args.rank, args.field, tol)
-    report = screen_preservation(phi, args.samples, args.seed, tol)
+    report = screen_preservation(phi, args.samples, args.seed)
     print(f"max discrepancy over {args.samples} pairs: {report.max_discrepancy:.6e}")
-    if report.max_discrepancy <= args.tol:
-        print(f"angle preservation holds at tolerance {args.tol:.1e}")
+    if report.max_discrepancy <= limit:
+        print(f"angle preservation holds at tolerance {limit:.1e}")
         return EXIT_OK
     witness = _write_witness(args.witness_dir, report)
-    print(f"NOT angle preserving at tolerance {args.tol:.1e}; witness files:")
+    print(f"NOT angle preserving at tolerance {limit:.1e}; witness files:")
     for name, path in witness.items():
         print(f"  {name}: {path}")
     return EXIT_NEGATIVE
@@ -124,7 +126,7 @@ def cmd_reconstruct(args, tol: ToleranceConfig) -> int:
     spec = load_map_spec(args.map)
     phi = instantiate(spec, args.dim, args.rank, args.field, tol)
     cfg = ReconstructionConfig(seed=args.seed)
-    result = reconstruct(phi, cfg, tol)
+    result = reconstruct(phi, cfg)
     payload = result.to_obj()
     if result.variant == VARIANT_NOT_PRESERVING:
         payload["witness_files"] = _write_witness(args.witness_dir, result)
@@ -142,13 +144,13 @@ def cmd_demo_exceptional(args, tol: ToleranceConfig) -> int:
     phi = instantiate(MapSpec("complement"), d, n, COMPLEX, tol)
     print(f"complement map P -> I - P on rank-{n} projections in dimension {d}")
     print()
-    report = screen_preservation(phi, args.samples, args.seed, tol)
+    report = screen_preservation(phi, args.samples, args.seed)
     print(f"(a) angle preservation: max discrepancy {report.max_discrepancy:.3e} "
           f"over {args.samples} random pairs")
     print()
     e1 = np.zeros(d, dtype=np.complex128)
     e1[0] = 1.0
-    image = extend_to_rank1(phi, e1, tol)
+    image = extend_to_rank1(phi, e1)
     eigenvalues = np.linalg.eigvalsh(image)
     print("(b) extension image of the dyad e1 e1*:")
     with np.printoptions(precision=6, suppress=True):
@@ -158,7 +160,7 @@ def cmd_demo_exceptional(args, tol: ToleranceConfig) -> int:
     print("    a negative eigenvalue means this image is not a projection, so no")
     print("    conjugation by an isometry can induce the map.")
     print()
-    result = reconstruct(phi, ReconstructionConfig(seed=args.seed), tol)
+    result = reconstruct(phi, ReconstructionConfig(seed=args.seed))
     print(f"(c) classification: {result.variant} (residual {result.residual:.3e})")
     return EXIT_OK
 
@@ -199,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--rank", type=int, required=True)
     p_check.add_argument("--samples", type=int, default=50)
     p_check.add_argument("--seed", type=int, default=0)
-    p_check.add_argument("--tol", type=float, default=1e-7, help="max allowed discrepancy")
+    p_check.add_argument("--tol", type=float, help="max allowed discrepancy (default: reconstruct's, 10 x spec_tol)")
     p_check.add_argument("--field", choices=FIELDS, default=COMPLEX)
     p_check.add_argument("--witness-dir", default=".", help="where witness files go")
     p_check.set_defaults(func=cmd_check)

@@ -14,6 +14,7 @@ Extending a map this way gives the images of dyads and of every Hermitian
 matrix (``extend_to_hermitian``) even though the map itself never sees a
 rank-1 input; it is the paper's route to the inducing isometry.  The
 reconstruction reads ``V`` from fewer queries, without the extension.
+A function that takes a map checks at the map's own tolerances (``phi.tol``).
 """
 
 from __future__ import annotations
@@ -113,17 +114,17 @@ def rank1_combination(u, rank: int, tol: ToleranceConfig = DEFAULT_TOL) -> Combi
     return CombinationCertificate(combination_coefficients(rank), projections, target)
 
 
-def extend_to_rank1(phi: RankNMap, u, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+def extend_to_rank1(phi: RankNMap, u) -> np.ndarray:
     """Image of the dyad ``u u*`` under the real-linear extension of ``phi``:
     the first image of ``extend_orthonormal`` on the frame completing u.
     """
     u = np.asarray(u, dtype=np.complex128).reshape(-1)
     if u.shape[0] != phi.ambient_dim:
         raise BadRank(f"vector lives in dim {u.shape[0]}, map expects {phi.ambient_dim}")
-    return extend_orthonormal(phi, np.column_stack(_unit_frame(u, phi.rank, tol)), tol)[0]
+    return extend_orthonormal(phi, np.column_stack(_unit_frame(u, phi.rank, phi.tol)))[0]
 
 
-def extend_orthonormal(phi: RankNMap, columns, tol: ToleranceConfig = DEFAULT_TOL) -> list[np.ndarray]:
+def extend_orthonormal(phi: RankNMap, columns) -> list[np.ndarray]:
     """Images of the dyads of orthonormal columns under the real-linear
     extension of ``phi``, in column order.
 
@@ -139,7 +140,7 @@ def extend_orthonormal(phi: RankNMap, columns, tol: ToleranceConfig = DEFAULT_TO
     Every image has trace 1 by construction (each summand has trace n); a
     violation means the oracle itself is broken, not merely non-preserving.
     """
-    d, n = phi.ambient_dim, phi.rank
+    d, n, tol = phi.ambient_dim, phi.rank, phi.tol
     columns = np.asarray(columns, dtype=np.complex128)
     if columns.ndim != 2 or columns.shape[0] != d:
         raise BadRank(f"vectors of shape {columns.shape[:1]}, map expects dim {d}")
@@ -165,7 +166,7 @@ def extend_orthonormal(phi: RankNMap, columns, tol: ToleranceConfig = DEFAULT_TO
     return list(images.reshape(-1, d, d)[:r])  # only the last frame is padded, after its columns
 
 
-def extend_to_hermitian(phi: RankNMap, a, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+def extend_to_hermitian(phi: RankNMap, a) -> np.ndarray:
     """Image of a Hermitian matrix under the real-linear extension.
 
     Goes through the spectral decomposition ``A = sum mu_i u_i u_i*``, the
@@ -175,12 +176,12 @@ def extend_to_hermitian(phi: RankNMap, a, tol: ToleranceConfig = DEFAULT_TOL) ->
     suite checks rather than assumes).
     """
     a = as_complex(a)
-    w, v = hermitian_eig(a, tol)  # refuses a non-Hermitian a
+    w, v = hermitian_eig(a, phi.tol)  # refuses a non-Hermitian a
     keep = np.abs(w) > 1e-14 * max(1.0, float(np.max(np.abs(w), initial=0.0)))
     out = np.zeros_like(a)
-    for mu, image in zip(w[keep], extend_orthonormal(phi, v[:, keep], tol)):
+    for mu, image in zip(w[keep], extend_orthonormal(phi, v[:, keep])):
         out = out + mu * image
     trace_gap = abs(complex(out.trace()) - complex(a.trace()))
-    if not trace_gap <= tol.spec_tol * max(1.0, frobenius(a)):
+    if not trace_gap <= phi.tol.spec_tol * max(1.0, frobenius(a)):
         raise InternalInconsistency(f"extension changed the trace by {trace_gap:.3e}")
     return out

@@ -35,6 +35,13 @@ from .matio import canonical_keys, matrix_from_obj, read_json
 from .projections import Projection, _wrap_stack, projection_rank
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
+# Spec maps, screening and verification work in stacks of at most this many
+# bytes of d x d matrices (256 at d = 8, 1 from d = 91): larger stacks save no
+# time at large d but raise the peak memory, and a floor of 4 a stack made
+# verification 1.2-1.35x slower at d = 104..128 (2-core x86, OpenBLAS).
+_BLOCK_BYTES = 256 * 1024
+_MAX_SPEC_DEPTH = 100  # 340 levels of specs exhaust Python's recursion limit
+
 
 class RankNMap:
     """Deterministic oracle sending rank-n projections to rank-n projections.
@@ -145,9 +152,10 @@ class MapSpec:
         object.__setattr__(self, "seed", int(self.seed))
         if self.kind == "compose" and not self.parts:
             raise MatrixFormatError("compose requires a nonempty map list")
-
-
-_MAX_SPEC_DEPTH = 100  # 340 levels of specs exhaust Python's recursion limit
+        depth = 1 + max((p._depth for p in (self.base, *self.parts) if p is not None), default=0)
+        if depth > _MAX_SPEC_DEPTH:
+            raise MatrixFormatError(f"map spec nests deeper than {_MAX_SPEC_DEPTH} levels")
+        object.__setattr__(self, "_depth", depth)
 
 
 def parse_map_spec(obj, base_dir: str = ".", _depth: int = 1) -> MapSpec:
@@ -208,9 +216,9 @@ def _describe(spec: MapSpec) -> str:
 
 
 def _in_blocks(apply, s: np.ndarray) -> np.ndarray:
-    """``apply`` on each 256 KiB block of the d x d stack s (455 matrices at
-    d = 6, 1 from d = 128), into one output: as on the whole stack, in less memory."""
-    out, size = np.empty(s.shape, dtype=np.complex128), max(1, 2**14 // (s.shape[-1] ** 2))
+    """``apply`` on each ``_BLOCK_BYTES`` block of the d x d stack s (455 matrices
+    at d = 6, 1 from d = 91), into one output: as on the whole stack, in less memory."""
+    out, size = np.empty(s.shape, dtype=np.complex128), max(1, _BLOCK_BYTES // (16 * s.shape[-1] ** 2))
     for i in range(0, len(s), size):
         out[i : i + size] = apply(s[i : i + size])
     return out

@@ -19,16 +19,16 @@ explains the failure by the ``_witness`` of at most 20 pairs of its
 reading queries, reference-reference and block-reference, or, failing
 that, of random pairs; (4) and (5) share one sampled loop.
 The frames of (1), the invariants the readings of (2) predict for them
-and the range finder of (3) depend on (d, k, field, tol) only, so up to
+and the range finder of (3) depend on (d, k, field, phi.tol) only, so up to
 d = 16 they are computed once per key and kept read-only (``_plan``, 64
 entries); the query stack is rebuilt on every call, and no output depends
 on whether the plan was cached.
-In (3) and (4) a residual within ``eq_tol / 4`` stands in for validating
-the output.  Verification is the sole authority for acceptance: a map
-that matches ``V tau(P) V*``, or its complement, on fresh samples
-preserves angles.  An accepted map costs
-``ceil(d/k) - 1 + 3 (+1 at d = 2n, n > 1)`` reading calls plus the
-verification samples: ``7 + 3 + 50 = 60`` at d = 64, n = 8.
+In (3) and (4) a residual within ``eq_tol / 4`` stands in for validating the
+output; that and every other tolerance here is the map's own (``phi.tol``).
+Verification is the sole authority for acceptance: a map that matches
+``V tau(P) V*``, or its complement, on fresh samples preserves angles.  An
+accepted map costs ``ceil(d/k) - 1 + 3 (+1 at d = 2n, n > 1)`` reading calls
+plus the verification samples: ``7 + 3 + 50 = 60`` at d = 64, n = 8.
 
 Anything that passes screening but fits neither family is reported as
 ``preserving_unclassified`` rather than guessed at: at d = 2n with n > 1 a
@@ -46,10 +46,10 @@ import numpy as np
 from .angles import spectrum_gaps
 from .errors import BadRank, DimensionMismatch
 from .linalg import REAL, as_complex, frobenius, frobenius_stack, is_exactly_real
-from .maps import RankNMap
+from .maps import _BLOCK_BYTES, RankNMap
 from .matio import matrix_to_obj
 from .projections import Projection, _checked_frames, _wrap_stack
-from .tolerances import DEFAULT_TOL, ToleranceConfig
+from .tolerances import ToleranceConfig
 
 VARIANT_CONJUGATION = "conjugation"
 VARIANT_EXCEPTIONAL = "exceptional_complement"
@@ -75,13 +75,6 @@ _READING_SEED = 2000
 # 64 x (44 x 16^2 + 608) bytes = 760 KB (_plan); a larger plan is drawn on every
 # call, where the draw is at most about 3 % of the call (1-2 % at d = 64).
 _PLAN_CACHE_DIM = 16
-
-# Screening and verification draw, evaluate and compare their samples in
-# stacks of at most this many bytes of d x d matrices (256 matrices at
-# d = 8, 4 at d = 64, 1 from d = 91): larger stacks save no time at large d
-# but raise the peak memory; a floor of 4 samples a stack made verification
-# 1.2-1.35x slower at d = 104..128 (2-core x86, OpenBLAS).
-_BLOCK_BYTES = 256 * 1024
 
 # Random pairs a rejected map is screened on, fresh samples a candidate is
 # verified on, and accept_tol in units of spec_tol: 1e-7 at the defaults,
@@ -154,7 +147,11 @@ class ScreenReport:
     witness_phi_q: Projection | None
 
 
-def _sampled(phi: RankNMap, count: int, seed: int, tol: ToleranceConfig, group: int = 1):
+def _frame_cols(d: int, n: int) -> int:
+    return d - n if 0 < d - n < n else n  # k of the d x k frames of rank-n queries (``_queries``)
+
+
+def _sampled(phi: RankNMap, count: int, seed: int, group: int = 1):
     """The loop screening and verification share: draw ``group * count``
     Haar d x k frames ``b`` from ``seed`` in stacks of at most
     ``_BLOCK_BYTES`` of d x d matrices (a multiple of ``group``), and yield
@@ -167,10 +164,10 @@ def _sampled(phi: RankNMap, count: int, seed: int, tol: ToleranceConfig, group: 
     if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
         raise ValueError(f"the sample{' pair' if group == 2 else ''} count must be an integer of at least 1, got {count!r}")
     d, n, rng = phi.ambient_dim, phi.rank, np.random.default_rng(seed)
-    k = d - n if 0 < d - n < n else n
+    k = _frame_cols(d, n)
     size = group * max(1, _BLOCK_BYTES // (16 * d * d) // group)
     for first in range(0, group * count, size):
-        b = _checked_frames(rng, min(size, group * count - first), d, k, phi.field, tol)
+        b = _checked_frames(rng, min(size, group * count - first), d, k, phi.field, phi.tol)
         inputs = _queries(b, n)
         yield first, b, inputs, phi._outputs(inputs, first)
 
@@ -196,7 +193,7 @@ def _witness(inputs: np.ndarray, mapped: np.ndarray, first: np.ndarray, second: 
     return ScreenReport(float(gaps[i]), *_wrap_stack(witness, [rank] * 4))
 
 
-def screen_preservation(phi: RankNMap, num_samples: int, seed: int, tol: ToleranceConfig = DEFAULT_TOL) -> ScreenReport:
+def screen_preservation(phi: RankNMap, num_samples: int, seed: int) -> ScreenReport:
     """Compare angles and trace form before and after the map on random pairs.
 
     Pairs of ``_sampled`` rank-n samples are scored stack by stack by
@@ -208,7 +205,7 @@ def screen_preservation(phi: RankNMap, num_samples: int, seed: int, tol: Toleran
     Fewer than one pair raises ``ValueError``: it would certify nothing.
     """
     report = ScreenReport(0.0, None, None, None, None)
-    for first, _, inputs, mapped in _sampled(phi, num_samples, seed, tol, group=2):
+    for first, _, inputs, mapped in _sampled(phi, num_samples, seed, group=2):
         phi._check(mapped, first)
         stack = _witness(inputs, mapped, *np.arange(len(inputs)).reshape(-1, 2).T, phi.rank)
         if stack.max_discrepancy >= report.max_discrepancy:
@@ -237,15 +234,12 @@ def _report_pairs(m: int, refs: int) -> tuple[np.ndarray, np.ndarray]:
     return used, inverse
 
 
-def verify_conjugation(
-    phi: RankNMap, v, antiunitary: bool, num_samples: int, seed: int,
-    tol: ToleranceConfig = DEFAULT_TOL, complement: bool = False,
-) -> float:
+def verify_conjugation(phi: RankNMap, v, antiunitary: bool, num_samples: int, seed: int, complement: bool = False) -> float:
     """Max Frobenius residual of ``phi(P) - V tau(P) V*`` over random samples,
     or of ``phi(P) - (I - V tau(P) V*)`` with ``complement``.
 
     Each sample is ``P = b b*`` or, when n > d/2, ``I - b b*``, for a d x k
-    frame b at ``k = min(n, d - n)`` (``_sampled``).  It is predicted from
+    frame b at ``k = _frame_cols(d, n)`` (``_sampled``).  It is predicted from
     its frame at d^2 k, with ``W = V tau(b)``, as ``Q = W W*``, or as
     ``I - W W*`` for a complement sample of a plain map or a plain sample
     of a complement map.  For ``P = I - b b*``, ``I - W W*`` is
@@ -262,20 +256,18 @@ def verify_conjugation(
     v, worst, d = np.asarray(v, dtype=np.complex128), 0.0, phi.ambient_dim
     if v.shape != (d, d):
         raise DimensionMismatch(f"V is {'x'.join(map(str, v.shape))}, the map acts on dimension {d}")
-    for first, b, _, mapped in _sampled(phi, num_samples, seed, tol):
-        w = v @ (b.conj() if antiunitary else b)
-        flipped = b.shape[-1] != phi.rank
-        residuals = _checked_residuals(phi, mapped, first, w, complement != flipped, tol)
+    for first, b, _, mapped in _sampled(phi, num_samples, seed):
+        residuals = _checked_residuals(phi, mapped, first, v @ (b.conj() if antiunitary else b), complement)
         worst = np.maximum(worst, np.max(residuals))  # a NaN residual stays NaN
     return float(worst)
 
 
-def _checked_residuals(phi: RankNMap, mapped, first: int, w, complement: bool, tol: ToleranceConfig) -> np.ndarray:
-    """Frobenius residuals of a stack ``mapped`` of ``phi``'s outputs M against
-    ``Q = W W*`` (or ``I - W W*`` with ``complement``) for d x k frames W,
-    after ``phi._check(mapped, first)`` unless the residuals r vouch
-    for every M, forming ``M - Q`` in a stack of its own that is freed before
-    the check.  Let ``E = M - Q``, ``g = ||W* W - I||_F``.  ``W W*`` has
+def _checked_residuals(phi: RankNMap, mapped, first: int, w, complement: bool) -> np.ndarray:
+    """Frobenius residuals r of ``phi``'s outputs M to the queries of d x k
+    frames b against ``Q = W W*`` (``W = V tau(b)``), or ``I - W W*`` if just
+    one of k < n and the family's ``complement`` holds, checked by ``phi._check``
+    unless r vouches for every M at ``phi.tol``; the stack ``M - Q`` is freed
+    before the check.  Let ``E = M - Q``, ``g = ||W* W - I||_F``.  ``W W*`` has
     eigenvalues in ``{0} u [1 - g, 1 + g]``, so ``||Q - I/2||_2 <= 1/2 + g``;
     ``Q^2 - Q = W (W* W - I) W*`` in both forms, and
     ``M^2 - M = Q^2 - Q + (Q - I/2) E + E (Q - I/2) + E^2``.  So
@@ -286,11 +278,12 @@ def _checked_residuals(phi: RankNMap, mapped, first: int, w, complement: bool, t
     ``r, g <= eq_tol / 4`` both defects are at most ``eq_tol (2 + eq_tol) / 4``
     and, while ``(sqrt(d) + sqrt(k)) eq_tol <= 4 rank_tol`` (d < 1.6e7 by
     default), M passes ``projection_rank`` with rank n; NaN fails ``<=``."""
-    (d, k), cover = w.shape[-2:], tol.eq_tol / 4
+    (d, k), cover = w.shape[-2:], phi.tol.eq_tol / 4
+    flip = complement != (k < phi.rank)
     gap = (w @ _adjoint(w)).astype(np.complex128, copy=False)  # Q, then M - Q in place
-    residuals = frobenius_stack(np.subtract(mapped, np.subtract(np.eye(d), gap, out=gap) if complement else gap, out=gap))
+    residuals = frobenius_stack(np.subtract(mapped, np.subtract(np.eye(d), gap, out=gap) if flip else gap, out=gap))
     del gap
-    vouches = (d - k if complement else k) == phi.rank and (np.sqrt(d) + np.sqrt(k)) * cover <= tol.rank_tol
+    vouches = (d - k if flip else k) == phi.rank and (np.sqrt(d) + np.sqrt(k)) * cover <= phi.tol.rank_tol
     if not (vouches and np.all(residuals <= cover) and np.all(frobenius_stack(_adjoint(w) @ w - np.eye(k)) <= cover)):
         phi._check(mapped, first)
     return residuals
@@ -437,7 +430,7 @@ def _polish(images: np.ndarray, v: np.ndarray, frames: np.ndarray, stop: float) 
     return v
 
 
-def _fitted(phi: RankNMap, tol: ToleranceConfig, accept_tol: float):
+def _fitted(phi: RankNMap, accept_tol: float):
     """Block query plan -> Bargmann reading -> fit, gate, polish, at rank
     ``k = min(n, d - n)``: ``(complement, antiunitary, v, residual,
     reference)``.  When k < n the fit reads the images of ``b b*`` under
@@ -449,9 +442,9 @@ def _fitted(phi: RankNMap, tol: ToleranceConfig, accept_tol: float):
     pairs as indices into them, so the reading's whole stacks are released
     before verification."""
     d, n = phi.ambient_dim, phi.rank
-    k = min(n, d - n)
+    k = _frame_cols(d, n)
     m = -(-d // k)
-    plan, omega, readings = (_plan if d <= _PLAN_CACHE_DIM else _plan.__wrapped__)(d, k, phi.field, tol)
+    plan, omega, readings = (_plan if d <= _PLAN_CACHE_DIM else _plan.__wrapped__)(d, k, phi.field, phi.tol)
     mapped = phi._outputs(_queries(plan, n))
     if not abs(np.vdot(mapped, mapped)) <= len(mapped) * d:  # NaN, inf or too large to fit:
         phi._check(mapped)  # raises, as ||P||_F^2 = n < d; else the fit vouches
@@ -463,7 +456,7 @@ def _fitted(phi: RankNMap, tol: ToleranceConfig, accept_tol: float):
     frames = frames.conj() if antiunitary else frames
     v = _fit(images, frames, omega, k)
     w = v @ frames  # the fit's own predictions, V b b* V* = w w*
-    residual = float(np.max(_checked_residuals(phi, mapped, 0, w, complement != (k < n), tol)))
+    residual = float(np.max(_checked_residuals(phi, mapped, 0, w, complement)))
     used, pairs = _report_pairs(m, len(plan) - m + 1)
     reference = plan[used], mapped[used], pairs  # copies: the reading's stacks are released
     if not residual <= FIT_GATE * accept_tol:
@@ -473,11 +466,7 @@ def _fitted(phi: RankNMap, tol: ToleranceConfig, accept_tol: float):
     return complement, antiunitary, canonicalize_global_phase(as_complex(v)), residual, reference
 
 
-def reconstruct(
-    phi: RankNMap,
-    cfg: ReconstructionConfig | None = None,
-    tol: ToleranceConfig = DEFAULT_TOL,
-) -> ReconstructionResult:
+def reconstruct(phi: RankNMap, cfg: ReconstructionConfig | None = None) -> ReconstructionResult:
     """Classify an angle-preserving map and recover its inducing isometry.
 
     The map is read and fitted once (``_fitted``), in the reading
@@ -504,8 +493,8 @@ def reconstruct(
     if not 1 <= n < d:
         raise BadRank(f"reconstruction needs 1 <= n < d, got n={n}, d={d}")
 
-    accept_tol = _ACCEPT_FACTOR * tol.spec_tol
-    complement, antiunitary, v, residual, (frames, outputs, pairs) = _fitted(phi, tol, accept_tol)
+    accept_tol = _ACCEPT_FACTOR * phi.tol.spec_tol
+    complement, antiunitary, v, residual, (frames, outputs, pairs) = _fitted(phi, accept_tol)
     if complement:
         variant, label, seed = VARIANT_EXCEPTIONAL, "complement-composed", cfg.seed + 2
     else:
@@ -514,13 +503,13 @@ def reconstruct(
     if v is None:
         notes = f"{label} fits its own queries only to {residual:.3e} > {FIT_GATE:g} x accept_tol"
     else:
-        residual = verify_conjugation(phi, v, antiunitary, _VERIFY_SAMPLES, seed, tol, complement=complement)
+        residual = verify_conjugation(phi, v, antiunitary, _VERIFY_SAMPLES, seed, complement=complement)
         if residual <= accept_tol:
             return ReconstructionResult(variant, v=v, antiunitary=antiunitary, residual=residual)
         notes = f"{label} fails verification (residual {residual:.3e} > {accept_tol:.1e})"
     report = _witness(_queries(frames, n), outputs, *pairs, n)
     if not report.max_discrepancy > accept_tol:
-        report = screen_preservation(phi, _SCREEN_PAIRS, cfg.seed, tol)
+        report = screen_preservation(phi, _SCREEN_PAIRS, cfg.seed)
     if not report.max_discrepancy > accept_tol:
         return ReconstructionResult(VARIANT_UNCLASSIFIED, notes=notes)
     return ReconstructionResult(
@@ -529,10 +518,10 @@ def reconstruct(
     )
 
 
-def reconstruct_via_dual(phi: RankNMap, cfg: ReconstructionConfig | None = None, tol: ToleranceConfig = DEFAULT_TOL) -> ReconstructionResult:
+def reconstruct_via_dual(phi: RankNMap, cfg: ReconstructionConfig | None = None) -> ReconstructionResult:
     """A deprecated name for ``reconstruct``, returning its result: a rejection
     carries phi's own rank-n witness, not the dual's at rank d - n, and at
     d = 2n phi gets the queries ``reconstruct`` sends, not their complements.
     The name goes when the benchmark's ``dual-`` operations call ``reconstruct``
     (ROADMAP item 7)."""
-    return reconstruct(phi, cfg, tol)
+    return reconstruct(phi, cfg)

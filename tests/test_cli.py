@@ -19,8 +19,10 @@ from grasswig import (
     save_projection,
     spectrum_discrepancy,
 )
-from grasswig.cli import main
+from grasswig.cli import build_parser, main
 from grasswig.linalg import haar_random_unitary
+from grasswig.reconstruction import _ACCEPT_FACTOR
+from grasswig.tolerances import DEFAULT_TOL
 
 
 def run_cli(capsys, *argv):
@@ -144,6 +146,27 @@ def test_check_conjugation_passes(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "check", "--map", spec, "--dim", 4, "--rank", 2)
     assert code == 0
     assert "max discrepancy" in out
+
+
+def test_check_holds_the_screen_to_reconstructions_accept_threshold(tmp_path, capsys, monkeypatch):
+    # with no --tol the screen passes at reconstruct's accept_tol for the
+    # run's tolerance, 10 spec_tol = 1e-7 (GW_TOL moves only eq_tol); a
+    # discrepancy of about 3e-9 fails a tighter --tol
+    save_matrix(tmp_path / "v.json", haar_random_unitary(6, 3))
+    spec = write_spec(
+        tmp_path, "spec.json", {"type": "noisy", "base": {"type": "conjugation", "matrix": "v.json"}, "sigma": 1e-9, "seed": 2}
+    )
+    argv = ["check", "--map", spec, "--dim", 6, "--rank", 3, "--witness-dir", tmp_path / "w"]
+    assert build_parser().parse_args([str(a) for a in argv]).tol is None
+    limit = f"{_ACCEPT_FACTOR * DEFAULT_TOL.spec_tol:.1e}"
+    assert limit == "1.0e-07"
+    for gw_tol in (None, "1e-6"):
+        if gw_tol:
+            monkeypatch.setenv("GW_TOL", gw_tol)
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and f"holds at tolerance {limit}" in out
+    code, out, _ = run_cli(capsys, *argv, "--tol", 1e-9)
+    assert code == 1 and "NOT angle preserving at tolerance 1.0e-09" in out
 
 
 def test_check_complement_passes_at_half_dimension(tmp_path, capsys):

@@ -416,3 +416,20 @@ def test_check_writes_the_witness_of_the_per_matrix_reference_byte_for_byte(tmp_
         runs[route] = capsys.readouterr().out.replace(route, ""), [f.name for f in files], [f.read_bytes() for f in files]
     assert runs["stacked"] == runs["reference"]
     assert len(runs["stacked"][1]) == 4
+
+
+@pytest.mark.parametrize("kind", ["compose", "noisy"])
+def test_a_map_spec_built_in_python_is_held_to_the_parsers_depth_limit(kind):
+    # a spec built in Python meets the parser's limit when it is built, before
+    # instantiate and its descriptor recurse once per level
+    def wrap(spec):
+        return MapSpec("compose", parts=(spec,)) if kind == "compose" else MapSpec("noisy", base=spec)
+
+    spec = MapSpec("identity")
+    for _ in range(99):
+        spec = wrap(spec)
+    assert reconstruct(instantiate(spec, 4, 2)).variant == "conjugation"  # 100 levels
+    assert spec == functools.reduce(lambda s, _: wrap(s), range(99), MapSpec("identity"))  # depth is no field
+    for levels in (101, 400):
+        with pytest.raises(MatrixFormatError, match="map spec nests deeper than 100 levels"):
+            functools.reduce(lambda s, _: wrap(s), range(levels - 1), MapSpec("identity"))

@@ -19,6 +19,7 @@ from grasswig import (
     VARIANT_EXCEPTIONAL,
     VARIANT_NOT_PRESERVING,
     align_phase,
+    extend_to_rank1,
     haar_random_unitary,
     random_projection,
     reconstruct,
@@ -1324,3 +1325,27 @@ def test_a_reading_at_128_by_1_peaks_at_two_query_stacks(antiunitary):
         tracemalloc.stop()
     assert result.variant == VARIANT_CONJUGATION and result.antiunitary is antiunitary
     assert peak <= 2.1 * (d + 2) * d * d * 16
+
+
+def test_every_stage_reads_the_maps_own_tolerance():
+    # V P V* + K with K non-Hermitian, ||K||_F = 1e-6 (Hermitian defect
+    # 1.4e-6): a map whose tolerance admits that defect is accepted and
+    # screened, verified and extended without a raise; one at the default
+    # tolerance is refused by all four, at the oracle boundary: no stage
+    # holds the outputs to a tolerance other than the map's
+    d, n = 6, 2
+    v, rng = haar_random_unitary(d, 11), np.random.default_rng(5)
+    k = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    k *= 1e-6 / frobenius(k)
+    stages = (
+        lambda phi: reconstruct(phi), lambda phi: screen_preservation(phi, 20, 1),
+        lambda phi: verify_conjugation(phi, v, False, 20, 2), lambda phi: extend_to_rank1(phi, np.eye(d)[0]),
+    )
+    loose = RankNMap(d, n, lambda p: v @ p.matrix @ v.conj().T + k, tol=ToleranceConfig(1e-3, 1e-4, 5e-3))
+    result, report, residual, _ = (stage(loose) for stage in stages)
+    assert result.variant == VARIANT_CONJUGATION and 1e-6 <= result.residual <= 1e-5
+    assert report.max_discrepancy < 1e-5 and 1e-6 <= residual <= 1e-5
+    strict = RankNMap(d, n, lambda p: v @ p.matrix @ v.conj().T + k)
+    for stage in stages:
+        with pytest.raises(NotAProjection, match="Hermitian defect 1.384e-06 exceeds 1.0e-09"):
+            stage(strict)
