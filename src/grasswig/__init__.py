@@ -45,7 +45,6 @@ from .linalg import (
 )
 from .maps import MapSpec, RankNMap, instantiate, load_map_spec, parse_map_spec
 from .matio import (
-    canonical_key,
     load_matrix,
     load_projection,
     matrix_from_obj,

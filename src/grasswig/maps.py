@@ -282,10 +282,10 @@ def _stack_fn(spec: MapSpec, d: int, n: int, field: str, tol: ToleranceConfig):
 
 
 def instantiate(spec: MapSpec, d: int, n: int, field: str = COMPLEX, tol: ToleranceConfig = DEFAULT_TOL) -> RankNMap:
-    """Build the RankNMap a spec describes, validating it against (d, n, field):
-    each query stack is one call of the spec's stack function, which raises no
-    per-input error, and ``_fn`` is its one-matrix case."""
-    fn = _stack_fn(spec, d, n, field, tol)
-    phi = RankNMap(d, n, lambda p: fn(p.matrix[None])[0], descriptor=_describe(spec), field=field, tol=tol)
-    phi._stack = fn
+    """Build the RankNMap a spec describes, checked against (d, n, field) by
+    ``RankNMap`` first: each query stack is one call of the spec's stack
+    function, which raises no per-input error, and ``_fn`` is its one-matrix case."""
+    phi = RankNMap(d, n, None, descriptor=_describe(spec), field=field, tol=tol)
+    phi._stack = fn = _stack_fn(spec, phi.ambient_dim, phi.rank, phi.field, tol)
+    phi._fn = lambda p: fn(p.matrix[None])[0]
     return phi

@@ -152,7 +152,3 @@ def canonical_keys(stack):
     header = rounded.shape[-2].to_bytes(4, "little") + rounded.shape[-1].to_bytes(4, "little")
     return (header + m.tobytes() for m in rounded)
 
-
-def canonical_key(m) -> bytes:
-    """The ``canonical_keys`` key of one matrix: the key is defined once."""
-    return next(canonical_keys(as_complex(m)[None]))

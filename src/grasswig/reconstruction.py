@@ -3,7 +3,7 @@
 Given an oracle sending rank-n projections to rank-n projections, the
 pipeline works at rank ``k = min(n, d - n)``: each query it sends is built
 from a d x k frame b as ``b b*`` or, when k < n (n > d/2), as the rank-n
-``I - b b*`` (``_queries``).  It (1) reads the map from one stack of
+``I - b b*`` (``_queries``).  It (1) reads the map from the outputs of
 ``ceil(d/k) + 2`` queries, reading an output M of a complement query as
 ``I - M``, the dual's image of ``b b*``: the coordinate frames of every
 k-block but the last, whose range is the complement of the others, and
@@ -17,11 +17,11 @@ queries and polishes it by least squares unless it fits them to roundoff,
 predicted from its frame at d^2 k, and (5) only when no candidate passes,
 explains the failure by the ``_witness`` of at most 20 pairs of its
 reading queries, reference-reference and block-reference, or, failing
-that, of random pairs; (4) and (5) share one sampled loop.
+that, of random pairs.  Every query of (1), (4) and (5) goes by ``_blocks``.
 The frames of (1), the invariants the readings of (2) predict for them
 and the range finder of (3) depend on (d, k, field, phi.tol) only, so up to
 d = 16 they are computed once per key and kept read-only (``_plan``, 64
-entries); the query stack is rebuilt on every call, and no output depends
+entries); the queries are rebuilt on every call, and no output depends
 on whether the plan was cached.
 In (3) and (4) a residual within ``eq_tol / 4`` stands in for validating the
 output; that and every other tolerance here is the map's own (``phi.tol``).
@@ -151,25 +151,29 @@ def _frame_cols(d: int, n: int) -> int:
     return d - n if 0 < d - n < n else n  # k of the d x k frames of rank-n queries (``_queries``)
 
 
-def _sampled(phi: RankNMap, count: int, seed: int, group: int = 1):
-    """The loop screening and verification share: draw ``group * count``
-    Haar d x k frames ``b`` from ``seed`` in stacks of at most
-    ``_BLOCK_BYTES`` of d x d matrices (a multiple of ``group``), and yield
-    ``(first, b, inputs, mapped)``: the stack's first index in the run, its
-    rank-n samples ``_queries(b, n)`` and ``RankNMap._outputs(inputs)``, the
-    array passed as it is.  The complement of a Haar (d - n)-subspace is a
-    Haar n-subspace, so every sample is Haar, and each costs d^2 k.
-    A count that is no integer (bools included) or below 1 raises
-    ``ValueError`` naming it: an empty sample certifies nothing."""
-    if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
-        raise ValueError(f"the sample{' pair' if group == 2 else ''} count must be an integer of at least 1, got {count!r}")
-    d, n, rng = phi.ambient_dim, phi.rank, np.random.default_rng(seed)
-    k = _frame_cols(d, n)
+def _blocks(phi: RankNMap, count: int, frames, group: int = 1):
+    """The one route of the pipeline's queries to ``phi``: ``count`` d x k
+    frames ``b = frames(first, c)``, sent as their rank-n ``_queries(b, n)``
+    in stacks of at most ``_BLOCK_BYTES`` of d x d matrices (a multiple of
+    ``group``).  Yields ``(first, b, inputs, mapped)`` per stack, ``mapped``
+    being ``RankNMap._outputs(inputs, first)``, the array passed as it is."""
+    d, n = phi.ambient_dim, phi.rank
     size = group * max(1, _BLOCK_BYTES // (16 * d * d) // group)
-    for first in range(0, group * count, size):
-        b = _checked_frames(rng, min(size, group * count - first), d, k, phi.field, phi.tol)
+    for first in range(0, count, size):
+        b = frames(first, min(size, count - first))
         inputs = _queries(b, n)
         yield first, b, inputs, phi._outputs(inputs, first)
+
+
+def _sampled(phi: RankNMap, count: int, seed: int, group: int = 1):
+    """The ``_blocks`` of screening and verification: ``group * count`` Haar
+    d x k frames from ``seed``.  Every sample is Haar, as the complement of a
+    Haar (d - n)-subspace is a Haar n-subspace.  A count that is no integer
+    (bools included) or below 1 raises ``ValueError``: it certifies nothing."""
+    if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
+        raise ValueError(f"the sample{' pair' if group == 2 else ''} count must be an integer of at least 1, got {count!r}")
+    d, k, rng = phi.ambient_dim, _frame_cols(phi.ambient_dim, phi.rank), np.random.default_rng(seed)
+    return _blocks(phi, group * count, lambda _, c: _checked_frames(rng, c, d, k, phi.field, phi.tol), group)
 
 
 def _queries(b: np.ndarray, n: int) -> np.ndarray:
@@ -433,19 +437,20 @@ def _polish(images: np.ndarray, v: np.ndarray, frames: np.ndarray, stop: float) 
 def _fitted(phi: RankNMap, accept_tol: float):
     """Block query plan -> Bargmann reading -> fit, gate, polish, at rank
     ``k = min(n, d - n)``: ``(complement, antiunitary, v, residual,
-    reference)``.  When k < n the fit reads the images of ``b b*`` under
-    the dual, and its gate checks ``phi``'s own outputs against
-    ``I - W W*``, as verification does.  ``v`` is the polished, phase-fixed
-    fit, or ``None`` when its ``residual`` on its own queries exceeds
-    ``FIT_GATE`` accept_tol; ``reference`` holds the frames and a copy of
-    the outputs of the queries that ``_report_pairs`` scores, and those
-    pairs as indices into them, so the reading's whole stacks are released
-    before verification."""
+    reference)``.  The plan's queries reach ``phi`` through ``_blocks``, and
+    their outputs are joined into one stack to be read.  When k < n the fit
+    reads the images of ``b b*`` under the dual, and its gate checks
+    ``phi``'s own outputs against ``I - W W*``, as verification does.  ``v``
+    is the polished, phase-fixed fit, or ``None`` when its ``residual`` on
+    its own queries exceeds ``FIT_GATE`` accept_tol; ``reference`` holds the
+    frames and a copy of the outputs of the queries ``_report_pairs`` scores,
+    and those pairs as indices into them, so the reading's outputs are
+    released before verification."""
     d, n = phi.ambient_dim, phi.rank
     k = _frame_cols(d, n)
     m = -(-d // k)
     plan, omega, readings = (_plan if d <= _PLAN_CACHE_DIM else _plan.__wrapped__)(d, k, phi.field, phi.tol)
-    mapped = phi._outputs(_queries(plan, n))
+    mapped = np.concatenate([out for *_, out in _blocks(phi, len(plan), lambda first, c: plan[first : first + c])])
     if not abs(np.vdot(mapped, mapped)) <= len(mapped) * d:  # NaN, inf or too large to fit:
         phi._check(mapped)  # raises, as ||P||_F^2 = n < d; else the fit vouches
     outputs = np.eye(d) - mapped if k < n else mapped

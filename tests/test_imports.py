@@ -1,12 +1,15 @@
 """Every submodule imports first in a fresh interpreter, warnings as errors,
 so an import cycle or an import-time warning fails here, not in a user's
-first import; and no exported function takes both a map and a tolerance."""
+first import; no exported function takes both a map and a tolerance; and
+queries reach an oracle only by the package's few routes."""
 
+import ast
 import inspect
 import os
 import pkgutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -41,3 +44,23 @@ def test_no_exported_callable_takes_both_a_map_and_a_tolerance():
         if {"phi", "tol"} <= set(parameters):
             both.append(name)
     assert both == []
+
+
+def test_the_oracle_is_queried_only_by_its_routes():
+    # reconstruction's every query goes by _blocks, so whatever counts or
+    # schedules the queries has one place to do it
+    routes = {"reconstruction._blocks", "maps.RankNMap.evaluate_many", "extension.extend_orthonormal"}
+    callers = set()
+
+    def scan(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                scan(child, f"{scope}.{child.name}")
+            else:
+                if isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute) and child.func.attr == "_outputs":
+                    callers.add(scope)
+                scan(child, scope)
+
+    for path in Path(grasswig.__file__).parent.glob("*.py"):
+        scan(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    assert callers <= routes and "reconstruction._blocks" in callers, sorted(callers - routes)

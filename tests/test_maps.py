@@ -249,6 +249,33 @@ def test_a_rank_n_map_refuses_a_dimension_or_rank_that_is_no_integer(d, n):
         RankNMap(d, n, lambda p: p)
 
 
+SPEC_KINDS = [
+    MapSpec("identity"),
+    MapSpec("complement"),
+    MapSpec("conjugation", matrix=np.eye(6)),
+    MapSpec("noisy", base=MapSpec("conjugation", matrix=np.eye(6)), sigma=1e-3),
+    MapSpec("compose", parts=(MapSpec("complement"), MapSpec("conjugation", matrix=np.eye(6)))),
+]
+
+
+@pytest.mark.parametrize("spec", SPEC_KINDS, ids=_describe)
+@pytest.mark.parametrize(
+    "d, n, message",
+    [(6.0, 3, "dim must be an integer"), ("6", 3, "dim must be an integer"), (6, 3.0, "rank must be an integer"),
+     (6, "3", "rank must be an integer"), (6, 0, "need 1 <= rank <= dim"), (6, 7, "need 1 <= rank <= dim")],
+)
+def test_instantiate_checks_the_dimension_and_rank_before_the_spec(spec, d, n, message):
+    # as RankNMap would, not from inside numpy or the spec's own checks
+    with pytest.raises(BadRank, match=message):
+        instantiate(spec, d, n)
+
+
+@pytest.mark.parametrize("spec", SPEC_KINDS, ids=_describe)
+def test_instantiate_checks_the_field_before_the_spec(spec):
+    with pytest.raises(ValueError, match="^field must be one of"):
+        instantiate(spec, 6, 3, "quaternion")
+
+
 def test_a_rank_n_map_refuses_an_unknown_field_and_keeps_numpy_integers():
     with pytest.raises(ValueError, match="^field must be one of"):
         RankNMap(4, 2, lambda p: p, field="quaternion")

@@ -5,7 +5,6 @@ import pytest
 
 from grasswig import (
     MatrixFormatError,
-    canonical_key,
     load_matrix,
     load_projection,
     matrix_from_obj,
@@ -14,7 +13,7 @@ from grasswig import (
     save_matrix,
     save_projection,
 )
-from grasswig.matio import projection_to_obj
+from grasswig.matio import canonical_keys, projection_to_obj
 
 
 def test_round_trip_complex(tmp_path):
@@ -103,17 +102,19 @@ def test_projection_load_rejects_non_projection(tmp_path):
         load_projection(path)
 
 
-def test_canonical_key_rounds_float_noise():
+def test_canonical_keys_round_float_noise():
     m = np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex)
     noisy = m + 1e-14
-    assert canonical_key(m) == canonical_key(noisy)
-    assert canonical_key(m) != canonical_key(m + 1e-9)
+    key, noisy_key, far_key = canonical_keys(np.stack([m, noisy, m + 1e-9]))
+    assert key == noisy_key
+    assert key != far_key
 
 
-def test_canonical_key_folds_negative_zero():
+def test_canonical_keys_fold_negative_zero():
     a = np.array([[0.0]], dtype=complex)
     b = np.array([[-0.0]], dtype=complex)
-    assert canonical_key(a) == canonical_key(b)
+    key_a, key_b = canonical_keys(np.stack([a, b]))
+    assert key_a == key_b
 
 
 @pytest.mark.parametrize("field", ["real", "complex"])

@@ -789,6 +789,58 @@ def test_sampled_stages_refuse_a_count_that_is_no_integer_by_name(count):
     assert screen_preservation(phi, np.int64(3), seed=1).max_discrepancy == screen_preservation(phi, 3, seed=1).max_discrepancy
 
 
+def test_every_query_of_a_reconstruct_reaches_the_map_in_stacks_of_the_block_budget(monkeypatch):
+    # at (64, 8) a stack of _BLOCK_BYTES holds 4 queries: the reading's 10
+    # are sent in plan order, in stacks of at most 4, as verification's are
+    d, n = 64, 8
+    stacks, outputs = [], RankNMap._outputs
+    monkeypatch.setattr(RankNMap, "_outputs", lambda self, s, first=0: stacks.append(np.array(s)) or outputs(self, s, first))
+    v = haar_random_unitary(d, 8)
+    assert reconstruct(RankNMap(d, n, lambda p: v @ p.matrix @ v.conj().T)).variant == VARIANT_CONJUGATION
+    assert reconstruction._BLOCK_BYTES // (16 * d * d) == 4 and max(len(s) for s in stacks) == 4
+    plan = _plan.__wrapped__(d, n, "complex", DEFAULT_TOL)[0]
+    assert np.concatenate(stacks)[: len(plan)].tobytes() == reconstruction._queries(plan, n).tobytes()
+    assert sum(map(len, stacks)) == len(plan) + 50
+
+
+def noisy_conjugation(v):
+    return MapSpec("noisy", base=MapSpec("conjugation", matrix=v), sigma=1e-4, seed=9)
+
+
+def complement_of(v, antiunitary=False):
+    return MapSpec("compose", parts=(MapSpec("complement"), MapSpec("conjugation", matrix=v, antiunitary=antiunitary)))
+
+
+@pytest.mark.parametrize(
+    "spec, d, n, field",
+    [
+        (MapSpec("conjugation", matrix=haar_random_unitary(8, 70)), 8, 3, "complex"),
+        (MapSpec("conjugation", matrix=haar_random_unitary(9, 71), antiunitary=True), 9, 6, "complex"),
+        (MapSpec("conjugation", matrix=haar_random_unitary(64, 72)), 64, 8, "complex"),
+        (noisy_conjugation(haar_random_unitary(7, 73, REAL)), 7, 2, REAL),
+        (noisy_conjugation(haar_random_unitary(48, 74)), 48, 12, "complex"),
+        (complement_of(haar_random_unitary(6, 75), antiunitary=True), 6, 3, "complex"),
+        (MapSpec("noisy", base=complement_of(haar_random_unitary(8, 76, REAL)), sigma=1e-4, seed=9), 8, 4, REAL),
+    ],
+)
+def test_the_block_schedule_changes_no_result_and_no_query(monkeypatch, spec, d, n, field):
+    # one query a stack (two for the screen's pairs), the default budget,
+    # and one stack for all, as a spec map and as an external oracle: the
+    # same results from the same oracle inputs
+    runs, outputs = [], RankNMap._outputs
+    for budget in (1, reconstruction._BLOCK_BYTES, 2**40):
+        monkeypatch.setattr(reconstruction, "_BLOCK_BYTES", budget)
+        sent = []
+        monkeypatch.setattr(RankNMap, "_outputs", lambda self, s, first=0: sent.extend(m.tobytes() for m in s) or outputs(self, s, first))
+        phi = instantiate(spec, d, n, field)
+        for oracle in (phi, RankNMap(d, n, phi._fn, field=field)):
+            report = screen_preservation(oracle, 10, 4)
+            screened = [report.max_discrepancy] + [w.matrix.tobytes() for w in (report.witness_p, report.witness_q, report.witness_phi_p, report.witness_phi_q)]
+            runs.append((result_fields(reconstruct(oracle, ReconstructionConfig(seed=2))), screened, sent[:]))
+            sent.clear()
+    assert all(run == runs[0] for run in runs) and len(runs[0][2]) > 10
+
+
 def test_verification_refuses_a_v_that_is_not_d_by_d_before_any_draw(monkeypatch):
     calls, draws = [], []
     phi = RankNMap(6, 2, lambda p: calls.append(1) or p.matrix)
@@ -828,26 +880,26 @@ def test_an_output_too_large_to_square_is_refused_by_index_without_a_warning(ent
             reconstruct(oracle(8, 2, 3))
 
 
-@pytest.mark.parametrize("n", [2, 6])
-def test_a_bad_output_at_reading_query_i_raises_as_when_the_stack_was_validated_first(n):
+@pytest.mark.parametrize("d, n, i", [(8, 2, 2), (8, 6, 2), (64, 8, 6)])
+def test_a_bad_output_at_reading_query_i_raises_as_when_the_stack_was_validated_first(d, n, i):
     # the reading's outputs are validated only when the fit's residuals do
-    # not vouch for them, before its gate: a bad output at query 2 raises
-    # the error, naming the index, that validating the stack first raised
-    d = 8
+    # not vouch for them, before its gate: a bad output at query i raises
+    # the error, naming the index, that validating the stack first raised;
+    # at (64, 8) query 6 is sent in the reading's second stack of 4
     u = haar_random_unitary(d, 45)
-    # rank n + 1 = 3 at n = 2 and n - 1 = 5 at n = 6
+    # rank n + 1 below half the dimension, n - 1 above
     wrong = n + 1 if 2 * n < d else n - 1
     wrong_rank = random_projection(d, wrong, seed=3).matrix
-    seen = f"returned rank {wrong} for input 2"
+    seen = f"returned rank {wrong} for input {i}"
     raw = np.asarray
     cases = [
-        (raw, lambda m: m + 1e-6 * np.eye(d), NotAProjection, "matrix 2: idempotency"),
-        (raw, lambda m: m + 1e-3 * np.triu(np.ones((d, d)), 1), NotAProjection, "matrix 2: Hermitian"),
-        (raw, lambda m: np.where(np.eye(d) > 0, np.nan, m), NotAProjection, "matrix 2: Hermitian defect nan"),
-        (raw, lambda m: np.where(np.eye(d) > 0, np.inf, m), NotAProjection, "matrix 2: Hermitian defect nan"),
+        (raw, lambda m: m + 1e-6 * np.eye(d), NotAProjection, f"matrix {i}: idempotency"),
+        (raw, lambda m: m + 1e-3 * np.triu(np.ones((d, d)), 1), NotAProjection, f"matrix {i}: Hermitian"),
+        (raw, lambda m: np.where(np.eye(d) > 0, np.nan, m), NotAProjection, f"matrix {i}: Hermitian defect nan"),
+        (raw, lambda m: np.where(np.eye(d) > 0, np.inf, m), NotAProjection, f"matrix {i}: Hermitian defect nan"),
         (raw, lambda m: wrong_rank, InternalInconsistency, seen),
         # every output a Projection checked only at eq_tol 5e-3: judged as the raw matrix
-        (loosely, lambda m: m + 1e-6 * np.eye(d), NotAProjection, "matrix 2: idempotency"),
+        (loosely, lambda m: m + 1e-6 * np.eye(d), NotAProjection, f"matrix {i}: idempotency"),
         (loosely, lambda m: wrong_rank, InternalInconsistency, seen),
     ]
     for wrap, bad, error, message in cases:
@@ -856,14 +908,14 @@ def test_a_bad_output_at_reading_query_i_raises_as_when_the_stack_was_validated_
         def fn(p):
             calls.append(1)
             out = u @ p.matrix @ u.conj().T
-            return wrap(bad(out) if len(calls) == 3 else out)
+            return wrap(bad(out) if len(calls) == i + 1 else out)
 
         phi = RankNMap(d, n, fn)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(error, match=message):
                 reconstruct(phi)
-        assert len(calls) == 6  # the whole reading stack: 3 block and 3 reference queries
+        assert len(calls) == block_plan_calls(d, n)  # every reading query, block and reference
 
 
 def test_an_exact_fit_is_not_polished(monkeypatch):
@@ -1308,11 +1360,10 @@ def test_a_map_off_on_a_tenth_of_the_samples_is_rarely_accepted():
 
 @pytest.mark.parametrize("antiunitary", [False, True])
 def test_a_reading_at_128_by_1_peaks_at_two_query_stacks(antiunitary):
-    # the reading's d + 2 queries reach a spec map uncopied, and the
-    # conjugation is applied in blocks of 256 KiB: at the peak the queries,
-    # the output and a block or two (one matrix each at d = 128) are alive
-    # (3 stacks when V S, or conj(S), was a stack of its own); the fit
-    # residual's M - Q stack is formed after the queries are freed
+    # the reading's d + 2 queries reach a spec map one a stack at d = 128,
+    # and the conjugation is applied in blocks of 256 KiB: at the peak two
+    # stacks are alive, the output blocks and their join, then the outputs
+    # and the fit residual's M - Q (3 when V S, or conj(S), was a stack)
     import tracemalloc
 
     d = 128
