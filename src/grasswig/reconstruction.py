@@ -19,10 +19,10 @@ explains the failure by the ``_witness`` of at most 20 pairs of its
 reading queries, reference-reference and block-reference, or, failing
 that, of random pairs.  Every query of (1), (4) and (5) goes by ``_blocks``.
 The frames of (1), the invariants the readings of (2) predict for them
-and the range finder of (3) depend on (d, k, field, phi.tol) only, so up to
-d = 16 they are computed once per key and kept read-only (``_plan``, 64
-entries); the queries are rebuilt on every call, and no output depends
-on whether the plan was cached.
+and the range finder of (3) depend on (d, k, field, phi.tol) only, so while
+they fit in one block (d <= 77) they are computed once per key and kept
+read-only (``_plan``, 64 entries); the queries are rebuilt on every call,
+and no output depends on whether the plan was cached.
 In (3) and (4) a residual within ``eq_tol / 4`` stands in for validating the
 output; that and every other tolerance here is the map's own (``phi.tol``).
 Verification is the sole authority for acceptance: a map that matches
@@ -70,11 +70,6 @@ _POLISH_STEPS = 64
 
 # Seed of the reading's fixed reference frames and range-finder matrix.
 _READING_SEED = 2000
-
-# Reading plans are cached up to this dimension, so the cache holds at most
-# 64 x (44 x 16^2 + 608) bytes = 760 KB (_plan); a larger plan is drawn on every
-# call, where the draw is at most about 3 % of the call (1-2 % at d = 64).
-_PLAN_CACHE_DIM = 16
 
 # Random pairs a rejected map is screened on, fresh samples a candidate is
 # verified on, and accept_tol in units of spec_tol: 1e-7 at the defaults,
@@ -153,23 +148,28 @@ def _frame_cols(d: int, n: int) -> int:
 
 def _blocks(phi: RankNMap, count: int, frames, group: int = 1):
     """The one route of the pipeline's queries to ``phi``: ``count`` d x k
-    frames ``b = frames(first, c)``, sent as their rank-n ``_queries(b, n)``
+    frames, taken as ``frames(start, c)`` in chunks of ``d // k`` stacks (at
+    most one stack's query bytes) and sent as their rank-n ``_queries(b, n)``
     in stacks of at most ``_BLOCK_BYTES`` of d x d matrices (a multiple of
     ``group``).  Yields ``(first, b, inputs, mapped)`` per stack, ``mapped``
     being ``RankNMap._outputs(inputs, first)``, the array passed as it is."""
     d, n = phi.ambient_dim, phi.rank
     size = group * max(1, _BLOCK_BYTES // (16 * d * d) // group)
-    for first in range(0, count, size):
-        b = frames(first, min(size, count - first))
-        inputs = _queries(b, n)
-        yield first, b, inputs, phi._outputs(inputs, first)
+    chunk = size * (d // _frame_cols(d, n))
+    for start in range(0, count, chunk):
+        drawn = frames(start, min(chunk, count - start))
+        for i in range(0, len(drawn), size):
+            b = drawn[i : i + size]
+            inputs = _queries(b, n)
+            yield start + i, b, inputs, phi._outputs(inputs, start + i)
 
 
 def _sampled(phi: RankNMap, count: int, seed: int, group: int = 1):
     """The ``_blocks`` of screening and verification: ``group * count`` Haar
-    d x k frames from ``seed``.  Every sample is Haar, as the complement of a
-    Haar (d - n)-subspace is a Haar n-subspace.  A count that is no integer
-    (bools included) or below 1 raises ``ValueError``: it certifies nothing."""
+    d x k frames from ``seed``, drawn a chunk at a time, bit for bit as in one
+    draw.  Every sample is Haar, as the complement of a Haar (d - n)-subspace
+    is a Haar n-subspace.  A count that is no integer (bools included) or
+    below 1 raises ``ValueError``: it certifies nothing."""
     if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
         raise ValueError(f"the sample{' pair' if group == 2 else ''} count must be an integer of at least 1, got {count!r}")
     d, k, rng = phi.ambient_dim, _frame_cols(phi.ambient_dim, phi.rank), np.random.default_rng(seed)
@@ -327,10 +327,10 @@ def _plan(d: int, k: int, field: str, tol: ToleranceConfig) -> tuple[np.ndarray,
     """The reading's ``_query_frames`` and d x k range-finder matrix
     ``omega``, drawn in that order from ``default_rng(_READING_SEED)`` and
     made read-only, and the ``_readings`` of the three references whose
-    images ``_fitted`` reads, all computed once per key up to
-    ``_PLAN_CACHE_DIM``.  An entry holds at most ``44 d^2`` bytes of arrays
-    (at most ``5d/2`` frame columns of complex d-vectors, ``5k`` at d = 2k,
-    and omega's ``d^2 / 2`` reals) and at most four readings, 608 bytes."""
+    images ``_fitted`` reads.  An entry holds at most ``44 d^2`` bytes of
+    arrays (at most ``5d/2`` frame columns of complex d-vectors, ``5k`` at
+    d = 2k, and omega's ``d^2 / 2`` reals) and four readings, 608 bytes;
+    ``_fitted`` caches it while that fits one block (d <= 77): 16 MiB at most."""
     rng = np.random.default_rng(_READING_SEED)
     frames = _query_frames(rng, d, k, field, tol)
     omega = rng.standard_normal((d, k))
@@ -449,7 +449,7 @@ def _fitted(phi: RankNMap, accept_tol: float):
     d, n = phi.ambient_dim, phi.rank
     k = _frame_cols(d, n)
     m = -(-d // k)
-    plan, omega, readings = (_plan if d <= _PLAN_CACHE_DIM else _plan.__wrapped__)(d, k, phi.field, phi.tol)
+    plan, omega, readings = (_plan if 44 * d * d <= _BLOCK_BYTES else _plan.__wrapped__)(d, k, phi.field, phi.tol)
     mapped = np.concatenate([out for *_, out in _blocks(phi, len(plan), lambda first, c: plan[first : first + c])])
     if not abs(np.vdot(mapped, mapped)) <= len(mapped) * d:  # NaN, inf or too large to fit:
         phi._check(mapped)  # raises, as ||P||_F^2 = n < d; else the fit vouches

@@ -803,6 +803,47 @@ def test_every_query_of_a_reconstruct_reaches_the_map_in_stacks_of_the_block_bud
     assert sum(map(len, stacks)) == len(plan) + 50
 
 
+@pytest.mark.parametrize(
+    "d, n, pairs, chunks, stacks",
+    [
+        (64, 8, False, [32, 18], 13), (64, 16, False, [16, 16, 16, 2], 13), (64, 8, True, [32, 8], 10),
+        (16, 4, False, [50], 1), (16, 12, True, [40], 1), (8, 3, False, [50], 1),
+    ],
+)
+def test_sampled_stages_draw_their_frames_one_block_budget_at_a_time(monkeypatch, d, n, pairs, chunks, stacks):
+    # a chunk is d // k query stacks of d x k frames, so at most the bytes of
+    # one stack's queries: at (64, 8) a verification's 50 frames are drawn as
+    # 32 and 18 and sent in 13 stacks of at most 4; up to d = 16 one draw
+    # covers every sample.  The joined chunks are one Haar draw from the seed
+    drawn, sent, outputs = spied_frames(monkeypatch), [], RankNMap._outputs
+    monkeypatch.setattr(RankNMap, "_outputs", lambda self, s, first=0: sent.append(len(s)) or outputs(self, s, first))
+    phi, v = conjugation(d, n, seed=d + n, antiunitary=True)
+    if pairs:
+        assert screen_preservation(phi, 20, seed=5).max_discrepancy <= 1e-12
+    else:
+        assert verify_conjugation(phi, v, True, 50, seed=5) <= 1e-12
+    k = min(n, d - n)
+    assert [len(b) for _, b in drawn] == chunks and len(sent) == stacks
+    assert max(sent) == min(len(drawn[0][1]), reconstruction._BLOCK_BYTES // (16 * d * d))
+    joined = np.concatenate([b for _, b in drawn])
+    assert joined.tobytes() == haar_frames_from_rng(np.random.default_rng(5), sum(chunks), d, k, "complex").tobytes()
+
+
+@pytest.mark.parametrize("d, n", [(96, 48), (64, 8), (128, 1)])
+def test_no_sampled_stage_draws_more_frames_than_one_query_stack_holds(monkeypatch, d, n):
+    # drawing all 50 verification frames at once would take 3.7 MB at
+    # (96, 48), 25 times a query; each draw stays within the block budget or
+    # one stack of queries, one query for verification and a pair for the screen
+    drawn = spied_frames(monkeypatch)
+    phi, v = conjugation(d, n, seed=d + n)
+    assert verify_conjugation(phi, v, False, 50, seed=1) <= 1e-12
+    assert max(b.nbytes for _, b in drawn) <= max(reconstruction._BLOCK_BYTES, 16 * d * d)
+    verified = len(drawn)
+    assert screen_preservation(phi, 20, seed=2).max_discrepancy <= 1e-12
+    assert max(b.nbytes for _, b in drawn[verified:]) <= max(reconstruction._BLOCK_BYTES, 2 * 16 * d * d)
+    assert sum(len(b) for _, b in drawn) == 50 + 40
+
+
 def noisy_conjugation(v):
     return MapSpec("noisy", base=MapSpec("conjugation", matrix=v), sigma=1e-4, seed=9)
 
@@ -821,12 +862,14 @@ def complement_of(v, antiunitary=False):
         (noisy_conjugation(haar_random_unitary(48, 74)), 48, 12, "complex"),
         (complement_of(haar_random_unitary(6, 75), antiunitary=True), 6, 3, "complex"),
         (MapSpec("noisy", base=complement_of(haar_random_unitary(8, 76, REAL)), sigma=1e-4, seed=9), 8, 4, REAL),
+        (MapSpec("conjugation", matrix=haar_random_unitary(64, 77), antiunitary=True), 64, 16, "complex"),
     ],
 )
 def test_the_block_schedule_changes_no_result_and_no_query(monkeypatch, spec, d, n, field):
     # one query a stack (two for the screen's pairs), the default budget,
     # and one stack for all, as a spec map and as an external oracle: the
-    # same results from the same oracle inputs
+    # same results from the same oracle inputs.  The budget also sets the
+    # frame chunks and, at d = 64, switches the plan cache off (1 byte) and on
     runs, outputs = [], RankNMap._outputs
     for budget in (1, reconstruction._BLOCK_BYTES, 2**40):
         monkeypatch.setattr(reconstruction, "_BLOCK_BYTES", budget)
@@ -1121,7 +1164,7 @@ def test_stacked_rank1_reader_fails_the_gate_on_bad_images_without_raising():
         reconstruct(RankNMap(d, 1, lambda p: np.full((d, d), np.nan)))
 
 
-def test_reconstruct_runs_no_eigendecomposition(monkeypatch):
+def test_reconstruct_runs_no_eigendecomposition(monkeypatch, fresh_plan):
     # the block and reference images are read by range-finding QRs and the
     # fit by SVDs: one reconstruct at d = 32 used to run 32 + n + 1 eigh calls
     calls = {"eigh": 0, "qr": 0}
@@ -1143,8 +1186,9 @@ def test_reconstruct_runs_no_eigendecomposition(monkeypatch):
     assert planted_deviation(result.v, v) <= 1e-7
     assert calls["eigh"] == 0
     # the references' draw, the range finder's two over the reading's
-    # stack, the blocks' complete QR and 4 stacks of 16 verification frames
-    assert calls["qr"] == 8
+    # stack, the blocks' complete QR and one draw of the 50 verification
+    # frames (a chunk holds 128 at d = 32, k = 4)
+    assert calls["qr"] == 5
 
 
 def validated_shapes(monkeypatch):
@@ -1249,14 +1293,15 @@ def test_the_reading_plan_is_drawn_once_per_key(monkeypatch, fresh_plan):
 
     monkeypatch.setattr(reconstruction, "_query_frames", counted)
     maps = [conjugation(d, n, seed, field=field)[0] for d, n, seed, field in
-            ((6, 2, 3, "complex"), (6, 4, 4, "complex"), (6, 2, 5, REAL), (6, 3, 6, "complex"), (20, 5, 7, "complex"))]
+            ((6, 2, 3, "complex"), (6, 4, 4, "complex"), (6, 2, 5, REAL), (6, 3, 6, "complex"), (20, 5, 7, "complex"), (96, 24, 8, "complex"))]
     for _ in range(3):
         for phi in maps:
             assert reconstruct(phi).variant == VARIANT_CONJUGATION
     # (6, 4) is read through its dual at rank 2, so it shares (6, 2)'s plan;
-    # d = 20 is above _PLAN_CACHE_DIM, so its plan is drawn on every call
-    assert keys == [(6, 2, "complex"), (6, 2, "real"), (6, 3, "complex")] + [(20, 5, "complex")] * 3
-    assert _plan.cache_info().currsize == 3
+    # a plan is cached while its 44 d^2 bytes fit in one block, d <= 77, so
+    # d = 96 (44 x 96^2 > 256 KiB) is drawn on every call
+    assert keys == [(6, 2, "complex"), (6, 2, "real"), (6, 3, "complex"), (20, 5, "complex")] + [(96, 24, "complex")] * 3
+    assert _plan.cache_info().currsize == 4
 
 
 def result_fields(result):
