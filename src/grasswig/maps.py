@@ -12,10 +12,12 @@ A map spec is a small JSON object::
 The noisy wrapper conjugates the base map's output by a near-identity
 unitary drawn from a hash of the input, so outputs remain exact
 projections and the only property it can break is angle preservation
-across different inputs.  Every kind is one function on a ``(c, d, d)``
-stack of matrices, and a spec map evaluates each stack of inputs with one
-call of it, with no copy, in blocks (``_in_blocks``) for the conjugation
-and noisy kinds; an external oracle is called once per input.
+across different inputs.  ``MapSpec`` checks a spec's fields when it is
+built, from JSON or in Python alike.  Every kind is one function on a
+``(c, d, d)`` stack of matrices, and ``RankNMap._outputs`` hands a spec
+map's function each ``_BLOCK_BYTES`` block of a stack of inputs (a stack
+of one block as it is, uncopied); an external oracle is called once per
+input.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
+import numbers
 import os
 from dataclasses import dataclass
 from typing import Callable
@@ -41,6 +44,7 @@ from .tolerances import DEFAULT_TOL, ToleranceConfig
 # verification 1.2-1.35x slower at d = 104..128 (2-core x86, OpenBLAS).
 _BLOCK_BYTES = 256 * 1024
 _MAX_SPEC_DEPTH = 100  # 340 levels of specs exhaust Python's recursion limit
+_KINDS = ("identity", "complement", "conjugation", "noisy", "compose")
 
 
 class RankNMap:
@@ -98,13 +102,21 @@ class RankNMap:
     def _outputs(self, stack, first: int = 0) -> np.ndarray:
         """The unvalidated outputs of a complex ``(c, d, d)`` query stack, the
         only place that decides what the oracle receives: a spec map
-        (``instantiate``) gets the array itself, uncopied; an external
-        oracle, once per input, a ``Projection`` over each matrix, or
-        ``evaluate_many``'s own list of inputs.  An output of an external
-        oracle that is no d x d matrix raises, naming input ``first + i``."""
-        if self._stack is not None:
-            return self._stack(stack)
+        (``instantiate``) gets each ``_BLOCK_BYTES`` block of the array (455
+        matrices at d = 6, 1 from d = 91), a stack of one block as it is,
+        uncopied; an external oracle, once per input, a ``Projection`` over
+        each matrix, or ``evaluate_many``'s own list of inputs.  An output
+        of an external oracle that is no d x d matrix raises, naming input
+        ``first + i``."""
         d = self.ambient_dim
+        if self._stack is not None:
+            size = max(1, _BLOCK_BYTES // (16 * d * d))
+            if len(stack) <= size:
+                return self._stack(stack)
+            out = np.empty(stack.shape, dtype=np.complex128)
+            for i in range(0, len(stack), size):
+                out[i : i + size] = self._stack(stack[i : i + size])
+            return out
         inputs = stack if isinstance(stack, list) else _wrap_stack(stack, [self.rank] * len(stack))
         out = np.empty((len(inputs), d, d), dtype=np.complex128)
         for i, m in enumerate(map(self._fn, inputs)):
@@ -142,63 +154,64 @@ class MapSpec:
     parts: tuple["MapSpec", ...] = ()
 
     def __post_init__(self) -> None:
-        if self.kind == "noisy" and (not math.isfinite(self.sigma) or self.sigma < 0):
-            raise MatrixFormatError(f"sigma must be a finite number >= 0, got {self.sigma}")
+        """The one check of a spec's fields, for a spec parsed from JSON or
+        built in Python: a bad field raises ``MatrixFormatError``."""
+        if self.kind not in _KINDS:
+            raise MatrixFormatError(f"unknown map type {self.kind!r}")
+        if self.kind == "conjugation":
+            m = self.matrix
+            if not (isinstance(m, np.ndarray) and m.ndim == 2 and m.dtype.kind in "iufc"):
+                raise MatrixFormatError("conjugation needs a 2-D numeric \"matrix\" (in JSON, an inline object or a file path)")
+            if not isinstance(self.antiunitary, (bool, np.bool_)):
+                raise MatrixFormatError(f"antiunitary must be true or false, got {self.antiunitary!r}")
+        if self.kind == "noisy":
+            if not isinstance(self.base, MapSpec):
+                raise MatrixFormatError("noisy needs a \"base\" map spec")
+            if isinstance(self.sigma, (bool, np.bool_)) or not isinstance(self.sigma, numbers.Real):
+                raise MatrixFormatError(f"sigma must be a number, got {self.sigma!r}")
+            try:
+                sigma = float(self.sigma)
+            except OverflowError:  # an integer beyond the float range
+                raise MatrixFormatError("sigma must be a finite number >= 0, got an integer too large for a float") from None
+            if not (math.isfinite(sigma) and sigma >= 0):
+                raise MatrixFormatError(f"sigma must be a finite number >= 0, got {sigma}")
+            object.__setattr__(self, "sigma", sigma)
         # the noise is keyed on the seed's 8 bytes: a signed 64-bit integer
         if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
             raise MatrixFormatError(f"seed must be an integer, got {self.seed!r}")
         if not -(2**63) <= int(self.seed) < 2**63:
             raise MatrixFormatError(f"seed {self.seed} is outside the signed 64-bit range")
         object.__setattr__(self, "seed", int(self.seed))
-        if self.kind == "compose" and not self.parts:
-            raise MatrixFormatError("compose requires a nonempty map list")
-        depth = 1 + max((p._depth for p in (self.base, *self.parts) if p is not None), default=0)
+        if self.kind == "compose" and not (self.parts and all(isinstance(p, MapSpec) for p in self.parts)):
+            raise MatrixFormatError("compose needs a nonempty list of map specs")
+        depth = 1 + max((p._depth for p in (self.base, *self.parts) if isinstance(p, MapSpec)), default=0)
         if depth > _MAX_SPEC_DEPTH:
             raise MatrixFormatError(f"map spec nests deeper than {_MAX_SPEC_DEPTH} levels")
         object.__setattr__(self, "_depth", depth)
 
 
 def parse_map_spec(obj, base_dir: str = ".", _depth: int = 1) -> MapSpec:
-    """Parse the MapSpec JSON schema; matrix paths resolve against base_dir.
-    A spec nested more than ``_MAX_SPEC_DEPTH`` levels deep is refused."""
+    """Parse the MapSpec JSON schema (``MapSpec`` checks the fields); matrix
+    paths resolve against base_dir.  Nesting past ``_MAX_SPEC_DEPTH`` is refused."""
     if _depth > _MAX_SPEC_DEPTH:
         raise MatrixFormatError(f"map spec nests deeper than {_MAX_SPEC_DEPTH} levels")
     if not isinstance(obj, dict) or "type" not in obj:
         raise MatrixFormatError("map spec must be an object with a \"type\" key")
     kind = obj["type"]
-    if kind == "identity":
-        return MapSpec("identity")
-    if kind == "complement":
-        return MapSpec("complement")
     if kind == "conjugation":
         raw = obj.get("matrix")
         if isinstance(raw, str):
             path = raw if os.path.isabs(raw) else os.path.join(base_dir, raw)
             raw = read_json(path)
-        if not isinstance(raw, dict):
-            raise MatrixFormatError("conjugation needs a \"matrix\" (inline object or file path)")
-        m, _ = matrix_from_obj(raw)
-        antiunitary = obj.get("antiunitary", False)
-        if not isinstance(antiunitary, bool):
-            raise MatrixFormatError(f"antiunitary must be true or false, got {antiunitary!r}")
-        return MapSpec("conjugation", matrix=m, antiunitary=antiunitary)
+        return MapSpec(kind, matrix=matrix_from_obj(raw)[0] if isinstance(raw, dict) else raw, antiunitary=obj.get("antiunitary", False))
     if kind == "noisy":
-        if "base" not in obj:
-            raise MatrixFormatError("noisy needs a \"base\" map spec")
-        sigma = obj.get("sigma", 0.0)
-        if isinstance(sigma, bool) or not isinstance(sigma, (int, float)):
-            raise MatrixFormatError(f"sigma must be a number, got {sigma!r}")
-        try:
-            sigma = float(sigma)
-        except OverflowError:  # a JSON integer beyond the float range
-            raise MatrixFormatError("sigma must be a finite number >= 0, got an integer too large for a float") from None
-        return MapSpec("noisy", base=parse_map_spec(obj["base"], base_dir, _depth + 1), sigma=sigma, seed=obj.get("seed", 0))
+        base = parse_map_spec(obj["base"], base_dir, _depth + 1) if "base" in obj else None
+        return MapSpec(kind, base=base, sigma=obj.get("sigma", 0.0), seed=obj.get("seed", 0))
     if kind == "compose":
-        raw_parts = obj.get("maps")
-        if not isinstance(raw_parts, list) or not raw_parts:
+        if not isinstance(obj.get("maps"), list):
             raise MatrixFormatError("compose needs a nonempty \"maps\" list")
-        return MapSpec("compose", parts=tuple(parse_map_spec(p, base_dir, _depth + 1) for p in raw_parts))
-    raise MatrixFormatError(f"unknown map type {kind!r}")
+        return MapSpec(kind, parts=tuple(parse_map_spec(p, base_dir, _depth + 1) for p in obj["maps"]))
+    return MapSpec(kind)
 
 
 def load_map_spec(path) -> MapSpec:
@@ -215,20 +228,11 @@ def _describe(spec: MapSpec) -> str:
     return spec.kind
 
 
-def _in_blocks(apply, s: np.ndarray) -> np.ndarray:
-    """``apply`` on each ``_BLOCK_BYTES`` block of the d x d stack s (455 matrices
-    at d = 6, 1 from d = 91), into one output: as on the whole stack, in less memory."""
-    out, size = np.empty(s.shape, dtype=np.complex128), max(1, _BLOCK_BYTES // (16 * s.shape[-1] ** 2))
-    for i in range(0, len(s), size):
-        out[i : i + size] = apply(s[i : i + size])
-    return out
-
-
 def _noisy(base, sigma: float, salt: bytes, field: str, s: np.ndarray) -> np.ndarray:
     """``U base(S) U*`` for each matrix S of the stack s, a block of
-    ``_in_blocks``.  U is drawn from a generator of S's own, seeded from a
-    hash of S's ``canonical_keys`` and the salt (the seed's 8 bytes), so the
-    map stays deterministic per input while different inputs get
+    ``RankNMap._outputs``.  U is drawn from a generator of S's own, seeded
+    from a hash of S's ``canonical_keys`` and the salt (the seed's 8 bytes),
+    so the map stays deterministic per input while different inputs get
     independent kicks.  U is the Cayley transform ``(I - A/2)^-1 (I + A/2)``
     of a skew-Hermitian generator A of size sigma, unitary for any such A
     and ``exp(A)`` up to O(sigma^3); in real mode A is skew-symmetric,
@@ -269,23 +273,20 @@ def _stack_fn(spec: MapSpec, d: int, n: int, field: str, tol: ToleranceConfig):
             if spec.antiunitary:
                 raise MatrixFormatError("antiunitary has no meaning over the reals")
         vh, tau = v.conj().T, (np.conj if spec.antiunitary else np.asarray)
-        return functools.partial(_in_blocks, lambda block: v @ tau(block) @ vh)
+        return lambda s: v @ tau(s) @ vh
     if spec.kind == "noisy":
         base = _stack_fn(spec.base, d, n, field, tol)
         if spec.sigma == 0.0:
             return base
-        return functools.partial(_in_blocks, functools.partial(_noisy, base, spec.sigma, spec.seed.to_bytes(8, "little", signed=True), field))
-    if spec.kind == "compose":
-        stages = [_stack_fn(part, d, n, field, tol) for part in reversed(spec.parts)]
-        return lambda s: functools.reduce(lambda x, stage: stage(x), stages, s)
-    raise MatrixFormatError(f"unknown map type {spec.kind!r}")
+        return functools.partial(_noisy, base, spec.sigma, spec.seed.to_bytes(8, "little", signed=True), field)
+    stages = [_stack_fn(part, d, n, field, tol) for part in reversed(spec.parts)]  # compose
+    return lambda s: functools.reduce(lambda x, stage: stage(x), stages, s)
 
 
 def instantiate(spec: MapSpec, d: int, n: int, field: str = COMPLEX, tol: ToleranceConfig = DEFAULT_TOL) -> RankNMap:
     """Build the RankNMap a spec describes, checked against (d, n, field) by
-    ``RankNMap`` first: each query stack is one call of the spec's stack
-    function, which raises no per-input error, and ``_fn`` is its one-matrix case."""
+    ``RankNMap`` first: ``_outputs`` calls the spec's stack function, which
+    raises no per-input error, once per block of each query stack."""
     phi = RankNMap(d, n, None, descriptor=_describe(spec), field=field, tol=tol)
-    phi._stack = fn = _stack_fn(spec, phi.ambient_dim, phi.rank, phi.field, tol)
-    phi._fn = lambda p: fn(p.matrix[None])[0]
+    phi._stack = _stack_fn(spec, phi.ambient_dim, phi.rank, phi.field, tol)
     return phi

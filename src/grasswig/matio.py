@@ -86,12 +86,9 @@ def matrix_from_obj(obj: Any) -> tuple[np.ndarray, str]:
     return out.reshape(rows, cols), field
 
 
-def save_matrix(path, m, field: str | None = None, extra: dict[str, Any] | None = None) -> None:
-    obj = matrix_to_obj(m, field)
-    if extra:
-        obj.update(extra)
+def save_matrix(path, m, field: str | None = None) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(obj) + "\n")  # json.dump never takes the C encoder; the same bytes
+        fh.write(json.dumps(matrix_to_obj(m, field)) + "\n")  # json.dump never takes the C encoder; the same bytes
 
 
 def read_json(path) -> Any:

@@ -209,11 +209,11 @@ def sample_projections(
     return stack, _wrap_stack(stack, [n] * count)
 
 
-def _checked_frames(rng: np.random.Generator, count: int, d: int, n: int, field: str, tol: ToleranceConfig):
+def _checked_frames(rng: np.random.Generator, count: int, d: int, n: int, field: str, tol: ToleranceConfig, first: int = 0):
     """``haar_frames_from_rng`` with each frame's Gram defect
     ``||b* b - I||_F`` checked: above ``eq_tol`` ``NotAProjection`` names the
-    frame.  The check bounds both invariants of ``b b*``,
-    ``P^2 - P = b (b* b - I) b*`` and ``tr P = n + tr(b* b - I)``, and of
+    frame, numbered from ``first``.  The check bounds both invariants of
+    ``b b*``, ``P^2 - P = b (b* b - I) b*`` and ``tr P = n + tr(b* b - I)``, and of
     ``I - b b*``, with the same ``P^2 - P`` and ``tr P = d - n - tr(b* b - I)``,
     so a checked frame's ``b b*`` is wrapped as a rank-n projection, and
     ``I - b b*`` as one of rank d - n, unchecked."""
@@ -221,7 +221,7 @@ def _checked_frames(rng: np.random.Generator, count: int, d: int, n: int, field:
     defects = frobenius_stack(b.conj().swapaxes(-1, -2) @ b - np.eye(n))
     bad = np.flatnonzero(~(defects <= tol.eq_tol))
     if bad.size:
-        raise NotAProjection(f"frame {bad[0]}: Gram defect {defects[bad[0]]:.3e} exceeds {tol.eq_tol:.1e}")
+        raise NotAProjection(f"frame {first + bad[0]}: Gram defect {defects[bad[0]]:.3e} exceeds {tol.eq_tol:.1e}")
     return b
 
 

@@ -173,7 +173,7 @@ def _sampled(phi: RankNMap, count: int, seed: int, group: int = 1):
     if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
         raise ValueError(f"the sample{' pair' if group == 2 else ''} count must be an integer of at least 1, got {count!r}")
     d, k, rng = phi.ambient_dim, _frame_cols(phi.ambient_dim, phi.rank), np.random.default_rng(seed)
-    return _blocks(phi, group * count, lambda _, c: _checked_frames(rng, c, d, k, phi.field, phi.tol), group)
+    return _blocks(phi, group * count, lambda start, c: _checked_frames(rng, c, d, k, phi.field, phi.tol, start), group)
 
 
 def _queries(b: np.ndarray, n: int) -> np.ndarray:

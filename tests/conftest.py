@@ -6,7 +6,8 @@ same examples, so the suite passes or fails alike on every run.
 ``pytest --hypothesis-profile=random`` (with ``--hypothesis-seed=N`` to
 replay one draw).
 
-``local_dual`` is the dual map the tests read through ``reconstruct``."""
+``local_dual`` is the dual map the tests read through ``reconstruct``, and
+``per_input`` a spec map's function as an external oracle's."""
 
 import numpy as np
 from hypothesis import settings
@@ -24,3 +25,9 @@ def local_dual(phi):
     complement reading against an independent route."""
     d = phi.ambient_dim
     return RankNMap(d, d - phi.rank, lambda p: np.eye(d) - phi.evaluate(p.complement()).matrix, field=phi.field)
+
+
+def per_input(phi):
+    """A spec map's stack function on a one-matrix stack per input: the
+    per-input function of an external twin of ``phi``."""
+    return lambda p: phi._stack(p.matrix[None])[0]

@@ -1,7 +1,8 @@
 """Every submodule imports first in a fresh interpreter, warnings as errors,
 so an import cycle or an import-time warning fails here, not in a user's
-first import; no exported function takes both a map and a tolerance; and
-queries reach an oracle only by the package's few routes."""
+first import; no exported function takes both a map and a tolerance;
+queries reach an oracle only by the package's few routes; and a spec
+map's stack function is set and called in one place each."""
 
 import ast
 import inspect
@@ -64,3 +65,25 @@ def test_the_oracle_is_queried_only_by_its_routes():
     for path in Path(grasswig.__file__).parent.glob("*.py"):
         scan(ast.parse(path.read_text(encoding="utf-8")), path.stem)
     assert callers <= routes and "reconstruction._blocks" in callers, sorted(callers - routes)
+
+
+def test_a_spec_maps_stack_function_is_called_only_by_the_block_loop():
+    # RankNMap._outputs cuts every stack into blocks before a spec map sees
+    # it, so that loop is the one memory bound of every kind
+    calls, assigned = set(), set()
+
+    def scan(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                scan(child, f"{scope}.{child.name}")
+            else:
+                if isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute) and child.func.attr == "_stack":
+                    calls.add(scope)
+                if isinstance(child, ast.Attribute) and child.attr == "_stack" and isinstance(child.ctx, ast.Store):
+                    assigned.add(scope)
+                scan(child, scope)
+
+    for path in Path(grasswig.__file__).parent.glob("*.py"):
+        scan(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    assert calls == {"maps.RankNMap._outputs"}, sorted(calls)
+    assert assigned == {"maps.RankNMap.__init__", "maps.instantiate"}, sorted(assigned)

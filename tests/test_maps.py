@@ -24,6 +24,7 @@ from grasswig import (
 from grasswig.linalg import REAL
 from grasswig.maps import MapSpec, _describe, instantiate, load_map_spec, parse_map_spec
 from grasswig.projections import sample_projections
+from conftest import per_input
 
 
 def test_identity_map():
@@ -216,7 +217,7 @@ def test_a_screen_wraps_its_inputs_and_witness_but_no_output(monkeypatch):
     v = haar_random_unitary(6, 4)
     for spec in (MapSpec("conjugation", matrix=v), MapSpec("noisy", base=MapSpec("conjugation", matrix=v), sigma=1e-3, seed=2)):
         phi = instantiate(spec, 6, 2)
-        for oracle, wrapped in ((phi, 4), (RankNMap(6, 2, phi._fn), 44)):
+        for oracle, wrapped in ((phi, 4), (RankNMap(6, 2, per_input(phi)), 44)):
             built.clear()
             report = screen_preservation(oracle, 20, seed=3)
             assert sum(built) == wrapped, spec.kind
@@ -350,7 +351,7 @@ def test_a_spec_map_evaluates_a_stack_as_its_per_matrix_reference_bit_for_bit(fi
         phi, reference = instantiate(spec, d, n, field), per_matrix_reference(spec, d, field)
         expected = np.stack([reference(p.matrix) for p in inputs])
         assert np.array_equal(phi._outputs(stack), expected), _describe(spec)
-        assert np.array_equal(np.stack([phi._fn(p) for p in inputs]), expected), _describe(spec)
+        assert np.array_equal(np.stack([per_input(phi)(p) for p in inputs]), expected), _describe(spec)
         assert all(np.array_equal(out.matrix, m) for out, m in zip(phi.evaluate_many(inputs), expected))
 
 
@@ -368,7 +369,7 @@ def test_each_output_stack_of_a_spec_map_is_one_stacked_call(monkeypatch):
         phi = instantiate(spec, 6, 3)
         stacked = phi._stack
         phi._stack = lambda s: calls.append(len(s)) or stacked(s)
-        phi._fn = None
+        assert phi._fn is None
         assert reconstruct(phi).variant == variant
         screen_preservation(phi, 20, seed=3)
         assert all(owner is phi for owner, _ in stacks), _describe(spec)
@@ -460,3 +461,54 @@ def test_a_map_spec_built_in_python_is_held_to_the_parsers_depth_limit(kind):
     for levels in (101, 400):
         with pytest.raises(MatrixFormatError, match="map spec nests deeper than 100 levels"):
             functools.reduce(lambda s, _: wrap(s), range(levels - 1), MapSpec("identity"))
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"kind": "spin"},
+        {"kind": "conjugation"},
+        {"kind": "conjugation", "matrix": "V.json"},
+        *({"kind": "conjugation", "matrix": np.eye(4), "antiunitary": flag} for flag in ("no", 1, None)),
+        {"kind": "noisy", "sigma": 1e-3},
+        {"kind": "noisy", "base": {"type": "identity"}, "sigma": 1e-3},
+        *({"kind": "noisy", "base": MapSpec("identity"), "sigma": sigma} for sigma in ("x", True, 10**400)),
+        {"kind": "compose", "parts": ()},
+        {"kind": "compose", "parts": (MapSpec("identity"), "complement")},
+        {"kind": "compose", "parts": ({"type": "identity"},)},
+    ],
+)
+def test_a_malformed_spec_built_in_python_is_refused_when_built(fields):
+    # the same checks as a parsed spec's, before instantiate could build a
+    # wrong map (antiunitary="no" is truthy) or fail inside it
+    with pytest.raises(MatrixFormatError):
+        MapSpec(**fields)
+
+
+def test_a_spec_built_in_python_takes_numpy_scalars():
+    v, inputs = haar_random_unitary(4, 2), [random_projection(4, 2, seed) for seed in range(3)]
+    specs = [
+        MapSpec("noisy", base=MapSpec("conjugation", matrix=v, antiunitary=anti), sigma=sigma, seed=seed)
+        for anti, sigma, seed in ((np.True_, np.float64(1e-3), np.int64(7)), (True, 1e-3, 7))
+    ]
+    outputs = [[out.matrix for out in instantiate(spec, 4, 2).evaluate_many(inputs)] for spec in specs]
+    assert np.array_equal(outputs[0], outputs[1])
+
+
+def test_a_spec_map_evaluates_a_long_stack_in_blocks():
+    # 512 inputs at (32, 8) are 8 MiB, 32 blocks of 256 KiB: the noise is
+    # drawn and applied a block at a time, so at the peak the inputs, the
+    # outputs and one block's work are alive (8 stacks when the noise takes
+    # the whole stack in one call)
+    import tracemalloc
+
+    spec = MapSpec("noisy", base=MapSpec("conjugation", matrix=haar_random_unitary(32, 4)), sigma=1e-3, seed=5)
+    phi = instantiate(spec, 32, 8)
+    stack, inputs = sample_projections(np.random.default_rng(1), 512, 32, 8)
+    tracemalloc.start()
+    try:
+        phi.evaluate_many(inputs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.3 * stack.nbytes

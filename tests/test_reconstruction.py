@@ -32,7 +32,7 @@ from grasswig import (
 from grasswig.linalg import REAL, frobenius, haar_frames_from_rng
 from grasswig.maps import MapSpec, instantiate
 from grasswig.projections import projection_rank
-from conftest import local_dual
+from conftest import local_dual, per_input
 import grasswig.reconstruction as reconstruction
 from grasswig.reconstruction import (
     _ACCEPT_FACTOR, FIT_GATE, _adjoint, _fit, _plan, _query_frames, _ranges, _reading, _readings, _report_pairs, _trace3,
@@ -629,8 +629,8 @@ def spied_frames(monkeypatch):
     ``_checked_frames``."""
     drawn, checked_frames = [], reconstruction._checked_frames
 
-    def spy(rng, count, d, k, field, tol):
-        drawn.append(((d, k), checked_frames(rng, count, d, k, field, tol)))
+    def spy(rng, count, d, k, field, tol, first=0):
+        drawn.append(((d, k), checked_frames(rng, count, d, k, field, tol, first)))
         return drawn[-1][1]
 
     monkeypatch.setattr(reconstruction, "_checked_frames", spy)
@@ -666,7 +666,7 @@ def test_reconstruct_reads_a_map_above_half_rank_through_complement_queries(monk
     # bit, then 50 verification samples
     phi, v = conjugation(d, n, seed=d + n, antiunitary=True)
     sent = []
-    result = reconstruct(RankNMap(d, n, lambda p: sent.append(p.matrix) or phi._fn(p)))
+    result = reconstruct(RankNMap(d, n, lambda p: sent.append(p.matrix) or per_input(phi)(p)))
     assert result.variant == VARIANT_CONJUGATION and planted_deviation(result.v, v) <= 1e-7
     k = min(n, d - n)
     plan = _plan.__wrapped__(d, k, "complex", DEFAULT_TOL)[0]
@@ -876,7 +876,7 @@ def test_the_block_schedule_changes_no_result_and_no_query(monkeypatch, spec, d,
         sent = []
         monkeypatch.setattr(RankNMap, "_outputs", lambda self, s, first=0: sent.extend(m.tobytes() for m in s) or outputs(self, s, first))
         phi = instantiate(spec, d, n, field)
-        for oracle in (phi, RankNMap(d, n, phi._fn, field=field)):
+        for oracle in (phi, RankNMap(d, n, per_input(phi), field=field)):
             report = screen_preservation(oracle, 10, 4)
             screened = [report.max_discrepancy] + [w.matrix.tobytes() for w in (report.witness_p, report.witness_q, report.witness_phi_p, report.witness_phi_q)]
             runs.append((result_fields(reconstruct(oracle, ReconstructionConfig(seed=2))), screened, sent[:]))
@@ -892,6 +892,27 @@ def test_verification_refuses_a_v_that_is_not_d_by_d_before_any_draw(monkeypatch
         with pytest.raises(DimensionMismatch, match="acts on dimension 6"):
             verify_conjugation(phi, v, False, 10, seed=1)
     assert calls == [] and draws == []
+
+
+def test_a_bad_frame_is_named_by_its_index_in_the_run(monkeypatch):
+    # verification's 50 frames at (64, 8) are drawn in chunks of 32 and 18:
+    # a skewed frame 40, the second chunk's frame 8, is named as frame 40
+    import grasswig.projections as projections
+
+    draw, drawn = projections.haar_frames_from_rng, []
+
+    def skewed(rng, count, *args):
+        b = draw(rng, count, *args)
+        if sum(drawn) <= 40 < sum(drawn) + count:
+            b[40 - sum(drawn), :, 0] *= np.sqrt(1.0 + 1e-6)
+        drawn.append(count)
+        return b
+
+    monkeypatch.setattr(projections, "haar_frames_from_rng", skewed)
+    v = haar_random_unitary(64, 5)
+    with pytest.raises(NotAProjection, match="frame 40: Gram defect"):
+        verify_conjugation(instantiate(MapSpec("conjugation", matrix=v), 64, 8), v, False, 50, seed=1)
+    assert drawn == [32, 18]
 
 
 @pytest.mark.parametrize("entry", [1e80, 1e160, 1e200])
@@ -1264,7 +1285,7 @@ def test_a_rejected_reading_is_validated_once_and_its_witness_replays(monkeypatc
     shapes = validated_shapes(monkeypatch)
     for v_seed in (52, 54):
         spec = MapSpec("noisy", base=MapSpec("conjugation", matrix=haar_random_unitary(7, v_seed)), sigma=1e-3, seed=53)
-        raw, calls = instantiate(spec, 7, n)._fn, []
+        raw, calls = per_input(instantiate(spec, 7, n)), []
         shapes.clear()
         result = reconstruct(RankNMap(7, n, lambda p: calls.append(1) or raw(p)))
         assert result.variant == VARIANT_NOT_PRESERVING
